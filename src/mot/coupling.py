@@ -2,23 +2,36 @@
 
 Couplings are nonnegative matrices on supp(mu) x supp(nu) with row and
 column marginals fixed and the conditional barycenter of each row equal
-to its source point.  Polar pairs are pairs of atoms that carry zero
-mass under every martingale coupling; they are detected by maximising
-single entries over the coupling polytope.
+to its source point.  Every LP of this module is posed on one sparse
+equality system (``_constraint_system``) and solved by HiGHS
+(``_highs``).
+
+Polar pairs are pairs of atoms that carry zero mass under every
+martingale coupling.  One LP (Freund, Roundy & Todd 1985) finds a
+martingale coupling of maximal support; its positive entries are
+exactly the non-polar pairs, and it is returned as their certificate.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
-from .errors import InvalidInput, NotInConvexOrder
+from .errors import InvalidInput, NotInConvexOrder, SolverError
 from .geometry import TAU_GEO
-from .measures import DiscreteMeasure, _require_comparable, barycenter
+from .measures import DiscreteMeasure, _require_comparable
 
 EPS_POLAR = 1e-8
+# HiGHS primal and dual feasibility tolerance of the plain coupling LPs;
+# the default (1e-7) leaves residuals above COUPLING_RESIDUAL on
+# gaussian_grid(9)
+FEAS_TOL = 1e-10
+# find_coupling certifies its answer: a residual of A x = b above this,
+# or an entry below -FEAS_TOL, raises SolverError instead of being clipped
+COUPLING_RESIDUAL = 1e-8
 
 
 @dataclass
@@ -72,6 +85,64 @@ class Kernel:
     conditionals: list  # list of DiscreteMeasure
 
 
+def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True):
+    """Sparse coupling equalities ``A theta = b`` over theta_ij >= 0.
+
+    Column i*m + j is theta_ij.  It holds a 1 in row i (mass of mu-atom
+    i), a 1 in row n + j (mass of nu-atom j) and, when ``martingale`` is
+    set, y_j - x_i in rows n + m + d*i ... n + m + d*i + d - 1 (barycenter
+    of row i).  The CSC arrays are written directly from these indices.
+    """
+    from scipy.sparse import csc_array
+
+    _require_comparable(mu, nu)
+    n, m = mu.n_atoms, nu.n_atoms
+    d = mu.ambient_dim if martingale else 0
+    i, j = np.divmod(np.arange(n * m), m)
+    per_col = 2 + d
+    indices = np.empty((n * m, per_col), dtype=np.int32)
+    indices[:, 0] = i
+    indices[:, 1] = n + j
+    data = np.ones((n * m, per_col))
+    if martingale:
+        indices[:, 2:] = (n + m + d * i)[:, None] + np.arange(d)
+        data[:, 2:] = (nu.points[None, :, :] - mu.points[:, None, :]).reshape(n * m, d)
+    indptr = np.arange(0, per_col * n * m + 1, per_col, dtype=np.int32)
+    A = csc_array((data.ravel(), indices.ravel(), indptr), shape=(n + m + d * n, n * m))
+    b = np.concatenate([mu.weights, nu.weights, np.zeros(d * n)])
+    return A, b
+
+
+def _highs(c, A, rhs, upper=np.inf, tight=True) -> np.ndarray:
+    """min c @ x subject to A x = rhs and 0 <= x <= upper, by HiGHS.
+
+    ``tight`` sets the feasibility tolerances to FEAS_TOL instead of the
+    HiGHS defaults.  Returns the optimal x.  An infeasible system raises
+    NotInConvexOrder; any other outcome raises SolverError carrying the
+    HiGHS message.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    options = {"presolve": False}
+    if tight:
+        options["primal_feasibility_tolerance"] = FEAS_TOL
+        options["dual_feasibility_tolerance"] = FEAS_TOL
+    with warnings.catch_warnings():
+        # milp passes options it does not know on to HiGHS, with a warning
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(
+            c,
+            constraints=LinearConstraint(A, rhs, rhs),
+            bounds=Bounds(0.0, upper),
+            options=options,
+        )
+    if res.status == 0 and res.x is not None:
+        return res.x
+    if res.status == 2:
+        raise NotInConvexOrder("no martingale coupling exists")
+    raise SolverError(f"coupling LP not solved: {res.message}")
+
+
 def build_martingale_lp(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -80,30 +151,13 @@ def build_martingale_lp(
 ) -> lp.LinearProgram:
     """LP over theta_ij >= 0 with marginal equalities and, when
     ``martingale`` is set, the d per-row barycenter equalities."""
-    _require_comparable(mu, nu)
-    n, m = mu.n_atoms, nu.n_atoms
-    d = mu.ambient_dim
-    n_vars = n * m
-    n_rows = n + m + (d * n if martingale else 0)
-    A = np.zeros((n_rows, n_vars))
-    b = np.zeros(n_rows)
-    for i in range(n):
-        A[i, i * m : (i + 1) * m] = 1.0
-        b[i] = mu.weights[i]
-    for j in range(m):
-        A[n + j, j::m] = 1.0
-        b[n + j] = nu.weights[j]
-    if martingale:
-        diffs = nu.points[None, :, :] - mu.points[:, None, :]  # (n, m, d)
-        for i in range(n):
-            for c in range(d):
-                A[n + m + i * d + c, i * m : (i + 1) * m] = diffs[i, :, c]
+    A, b = _constraint_system(mu, nu, martingale)
     if objective is None:
-        objective = np.zeros(n_vars)
+        objective = np.zeros(A.shape[1])
     return lp.LinearProgram(
         objective=objective,
-        constraint_matrix=A,
-        relations=[lp.EQ] * n_rows,
+        constraint_matrix=A.toarray(),
+        relations=[lp.EQ] * b.shape[0],
         rhs=b,
     )
 
@@ -116,24 +170,41 @@ def build_transport_lp(
 
 
 def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
-    """Any feasible martingale coupling; raises NotInConvexOrder if none."""
-    prog = build_martingale_lp(mu, nu)
-    res = lp.solve(prog)
-    if not res.is_optimal:
-        raise NotInConvexOrder("no martingale coupling exists")
-    matrix = res.solution.reshape(mu.n_atoms, nu.n_atoms)
-    return Coupling(mu.points.copy(), nu.points.copy(), np.maximum(matrix, 0.0))
+    """Any feasible martingale coupling; raises NotInConvexOrder if none.
+
+    The solution is checked before its roundoff is clipped to 0:
+    marginal and martingale residuals above COUPLING_RESIDUAL or entries
+    below -FEAS_TOL raise SolverError.
+    """
+    A, b = _constraint_system(mu, nu)
+    x = _highs(np.zeros(A.shape[1]), A, b)
+    _certify(A, b, x)
+    matrix = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms)
+    return Coupling(mu.points.copy(), nu.points.copy(), matrix)
 
 
-def _pair_objective(n, m, i, j, sign=1.0):
-    obj = np.zeros(n * m)
-    obj[i * m + j] = sign
-    return obj
+def _certify(A, b, theta):
+    """Raise SolverError unless theta solves A theta = b within
+    COUPLING_RESIDUAL with no entry below -FEAS_TOL."""
+    residual = float(np.max(np.abs(A @ theta - b)))
+    lowest = float(theta.min())
+    if residual > COUPLING_RESIDUAL or lowest < -FEAS_TOL:
+        raise SolverError(
+            f"coupling fails its certificate: residual {residual:.3g}, "
+            f"lowest entry {lowest:.3g}"
+        )
 
 
 def _check_indices(mu, nu, i, j):
     if not (0 <= i < mu.n_atoms) or not (0 <= j < nu.n_atoms):
         raise InvalidInput(f"pair index ({i}, {j}) out of range")
+
+
+def _extreme_entry(A, b, k, sign) -> float:
+    """max (sign 1) or min (sign -1) of theta_k over {A theta = b, theta >= 0}."""
+    c = np.zeros(A.shape[1])
+    c[k] = -sign
+    return float(_highs(c, A, b)[k])
 
 
 def max_mass_on_pair(
@@ -142,13 +213,8 @@ def max_mass_on_pair(
     """max theta_ij over all (martingale) couplings; the pair is polar
     iff the value is <= EPS_POLAR."""
     _check_indices(mu, nu, i, j)
-    prog = build_martingale_lp(
-        mu, nu, _pair_objective(mu.n_atoms, nu.n_atoms, i, j), martingale
-    )
-    res = lp.solve(prog)
-    if not res.is_optimal:
-        raise NotInConvexOrder("no martingale coupling exists")
-    return res.objective_value
+    A, b = _constraint_system(mu, nu, martingale)
+    return _extreme_entry(A, b, i * nu.n_atoms + j, 1.0)
 
 
 def min_mass_on_pair(
@@ -156,59 +222,73 @@ def min_mass_on_pair(
 ) -> float:
     """min theta_ij over all (martingale) couplings."""
     _check_indices(mu, nu, i, j)
-    prog = build_martingale_lp(
-        mu, nu, _pair_objective(mu.n_atoms, nu.n_atoms, i, j, sign=-1.0), martingale
-    )
-    res = lp.solve(prog)
-    if not res.is_optimal:
-        raise NotInConvexOrder("no martingale coupling exists")
-    return -res.objective_value
+    A, b = _constraint_system(mu, nu, martingale)
+    return _extreme_entry(A, b, i * nu.n_atoms + j, -1.0)
 
 
 def polar_matrix(
     mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True
 ) -> np.ndarray:
     """Matrix of max theta_ij over all pairs (one LP per pair)."""
-    out = np.zeros((mu.n_atoms, nu.n_atoms))
-    for i in range(mu.n_atoms):
-        for j in range(nu.n_atoms):
-            out[i, j] = max_mass_on_pair(mu, nu, i, j, martingale)
-    return out
+    A, b = _constraint_system(mu, nu, martingale)
+    out = [_extreme_entry(A, b, k, 1.0) for k in range(A.shape[1])]
+    return np.array(out).reshape(mu.n_atoms, nu.n_atoms)
+
+
+def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """Non-polar mask and a martingale coupling positive on exactly it.
+
+    One LP (Freund, Roundy & Todd 1985) over z_ij = theta_ij / w_ij with
+    w_ij = min(mu_i, nu_j), the largest mass the pair can carry:
+    max sum s subject to A W y = tau b, 0 <= s <= 1, s <= y, tau >= 0,
+    posed with y = s + t, t >= 0.  An optimum has s_ij = 1 on every pair
+    some coupling charges and s_ij = 0 elsewhere, so the mask is s > 1/2
+    and W y / tau is a coupling of maximal support.  Without W, tau grows
+    like one over the smallest charged mass (2.5e7 on gaussian_grid(7)),
+    and on gaussian_grid(9) HiGHS ends with status "Unknown".  No pair at
+    all means no martingale coupling exists.
+    """
+    from scipy.sparse import csc_array
+
+    A, b = _constraint_system(mu, nu)
+    n, m = mu.n_atoms, nu.n_atoms
+    nm = n * m
+    w = np.minimum(mu.weights[:, None], nu.weights[None, :]).ravel()
+    data = (A.data.reshape(nm, -1) * w[:, None]).ravel()
+    b_rows = np.flatnonzero(b)
+    nnz = data.shape[0]
+    # columns [s | t | tau]
+    big = csc_array(
+        (
+            np.concatenate([data, data, -b[b_rows]]),
+            np.concatenate([A.indices, A.indices, b_rows.astype(np.int32)]),
+            np.concatenate([A.indptr, A.indptr[1:] + nnz, [2 * nnz + b_rows.size]]),
+        ),
+        shape=(A.shape[0], 2 * nm + 1),
+    )
+    c = np.zeros(2 * nm + 1)
+    c[:nm] = -1.0
+    upper = np.full(2 * nm + 1, np.inf)
+    upper[:nm] = 1.0
+    # with tight tolerances HiGHS calls this bounded LP "Unbounded" on
+    # some random dilation pairs, so it keeps the defaults
+    x = _highs(c, big, np.zeros(A.shape[0]), upper, tight=False)
+    s, tau = x[:nm], x[-1]
+    mask = (s > 0.5).reshape(n, m)
+    if not mask.any():
+        raise NotInConvexOrder("no martingale coupling exists")
+    if not mask.any(axis=1).all():
+        raise SolverError("max-support LP left a mu-atom without any pair")
+    theta = w * (s + x[nm : 2 * nm]) / tau
+    _certify(A, b, theta)
+    return mask, Coupling(mu.points.copy(), nu.points.copy(), theta.reshape(n, m))
 
 
 def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """Boolean matrix marking the non-polar pairs.
-
-    Any feasible coupling with theta_kl > EPS_POLAR certifies (k, l)
-    non-polar, so the optimal solutions of the pair LPs are reused as
-    certificates; only still-uncertified pairs get their own LP.  The
-    result does not depend on the solve order.
-    """
-    n, m = mu.n_atoms, nu.n_atoms
-    base = find_coupling(mu, nu)
-    certified = base.matrix > EPS_POLAR
-    undecided = ~certified
-    while np.any(undecided):
-        # max of the sum dominates each summand's individual maximum, so
-        # a zero optimum proves every remaining pair polar at once
-        prog = build_martingale_lp(mu, nu, undecided.astype(float).ravel())
-        res = lp.solve(prog)
-        if res.objective_value <= EPS_POLAR:
-            break
-        sol = res.solution.reshape(n, m)
-        newly = undecided & (sol > EPS_POLAR)
-        certified |= sol > EPS_POLAR
-        if not np.any(newly):
-            # mass spread too thin to certify: settle one pair exactly
-            i, j = np.argwhere(undecided)[0]
-            prog = build_martingale_lp(mu, nu, _pair_objective(n, m, i, j))
-            res = lp.solve(prog)
-            if res.objective_value > EPS_POLAR:
-                certified |= res.solution.reshape(n, m) > EPS_POLAR
-                certified[i, j] = True
-            undecided[i, j] = False
-        undecided &= ~certified
-    return certified
+    """Boolean matrix marking the non-polar pairs (one LP, see
+    ``max_support_coupling``); raises NotInConvexOrder if there is no
+    martingale coupling."""
+    return max_support_coupling(mu, nu)[0]
 
 
 def reachable_set(mu: DiscreteMeasure, nu: DiscreteMeasure, i: int) -> np.ndarray:

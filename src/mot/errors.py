@@ -29,6 +29,11 @@ class NotInConvexOrder(MotError):
     """Raised when no martingale coupling between the two measures exists."""
 
 
+class SolverError(MotError):
+    """The LP solver ended without a definite answer, or its answer
+    failed the certificate check; the message says which."""
+
+
 class PointOutsidePolytope(MotError):
     pass
 

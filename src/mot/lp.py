@@ -1,11 +1,11 @@
-"""Dense two-phase simplex solver for small linear programs.
+"""Dense two-phase simplex solver for the small LPs of geometry and pwl.
 
 Maximisation convention.  Bland's pivoting rule throughout, so the solver
 terminates on degenerate instances and is deterministic: the same input
 always produces bit-identical output.  Equality rows are handled with
-phase-1 artificial variables rather than elimination, which keeps the
-martingale equality constraints of the coupling module uniform with the
-marginal rows.
+phase-1 artificial variables rather than elimination.  The coupling LPs
+are larger and sparse, and go to HiGHS instead (``coupling._highs``);
+this module only describes them, as ``LinearProgram``.
 """
 
 from __future__ import annotations

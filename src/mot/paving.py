@@ -1,10 +1,10 @@
 """Convex paving of a discrete martingale-transport instance.
 
-Each mu-atom starts with the convex hull of its reachable nu-atoms;
-cells whose relative interiors intersect are merged (union-find over the
-atoms, hulls replaced by the hull of the union) until no merge fires.
-The resulting cells have pairwise disjoint relative interiors and every
-coupling is confined to them row by row.
+The cell of a mu-atom x is ri conv(supp P_x), where P is a martingale
+coupling of maximal support (``coupling.max_support_coupling``).  By the
+paving theorem two such cells are equal or disjoint, so cells are built
+by grouping atoms with equal hulls.  Every martingale coupling is
+confined to them row by row.
 """
 
 from __future__ import annotations
@@ -13,21 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import (
-    EPS_POLAR,
-    Coupling,
-    _reachable_from_mask,
-    nonpolar_mask,
-)
-from .errors import DimensionMismatch, NotInConvexOrder
-from .geometry import (
-    Polytope,
-    as_point,
-    convex_hull,
-    in_relative_interior,
-    relative_interiors_intersect,
-)
-from .measures import DiscreteMeasure, check_convex_order
+from .coupling import EPS_POLAR, Coupling, nonpolar_mask
+from .errors import DimensionMismatch
+from .geometry import Polytope, as_point, convex_hull, in_relative_interior
+from .measures import DiscreteMeasure
 
 
 @dataclass
@@ -63,66 +52,29 @@ class ConvexPaving:
         }
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra
-
-
 def compute_paving(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ConvexPaving:
-    """Fixpoint of the merge rule over the reachable-set hulls."""
-    if not check_convex_order(mu, nu):
-        raise NotInConvexOrder("measures are not in convex order")
+    """Group the mu-atoms by the hull of their non-polar nu-atoms.
+
+    One hull per distinct mask row; atoms whose hulls have the same
+    vertices share a cell.  Cells are ordered by their smallest member
+    and list their members in ascending order.
+    """
     mask = nonpolar_mask(mu, nu)
-    n = mu.n_atoms
-    uf = _UnionFind(n)
-    hulls = {i: convex_hull(_reachable_from_mask(mu, nu, mask, i)) for i in range(n)}
-
-    # at most n - 1 merges can fire, so the loop terminates
-    changed = True
-    while changed:
-        changed = False
-        roots = sorted(hulls)
-        for a_pos in range(len(roots)):
-            for b_pos in range(a_pos + 1, len(roots)):
-                a, b = roots[a_pos], roots[b_pos]
-                if uf.find(a) != a or uf.find(b) != b:
-                    continue
-                if relative_interiors_intersect(hulls[a], hulls[b]):
-                    root = uf.union(a, b)
-                    other = b if root == a else a
-                    merged = convex_hull(
-                        np.vstack([hulls[a].vertices, hulls[b].vertices])
-                    )
-                    hulls[root] = merged
-                    del hulls[other]
-                    changed = True
-
-    groups: dict[int, list] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
+    rows, row_of = np.unique(mask, axis=0, return_inverse=True)
+    row_hulls = [convex_hull(nu.points[row]) for row in rows]
+    # hull vertices are exact copies of nu-atoms, so equal hulls have
+    # equal keys
+    keys = [tuple(sorted(map(tuple, h.vertices.tolist()))) for h in row_hulls]
+    groups: dict[tuple, tuple] = {}
+    for i, r in enumerate(row_of.reshape(-1)):
+        groups.setdefault(keys[r], (row_hulls[r], []))[1].append(i)
     cells = []
     singles = []
-    for root in sorted(groups):
-        hull = hulls[root]
+    for hull, members in groups.values():
         if hull.is_singleton():
-            singles.extend(groups[root])
+            singles.extend(members)
         else:
-            cells.append(PavingCell(groups[root], hull, hull.affine_dim))
+            cells.append(PavingCell(members, hull, hull.affine_dim))
     return ConvexPaving(cells, singles, mu.points.copy())
 
 

@@ -4,9 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import random_dilation_pair
-from mot import DiscreteMeasure, barycenter, find_coupling
+from mot import DiscreteMeasure, barycenter, compute_paving, find_coupling
 from mot.coupling import (
     EPS_POLAR,
     Coupling,
@@ -14,14 +15,16 @@ from mot.coupling import (
     build_transport_lp,
     disintegrate,
     max_mass_on_pair,
+    max_support_coupling,
     min_mass_on_pair,
     nonpolar_mask,
     polar_matrix,
     reachable_set,
 )
-from mot.errors import NotInConvexOrder
-from mot.fixtures import discrete_k, mixed_k
-from mot.geometry import convex_hull, minimal_face
+from mot.errors import NotInConvexOrder, SolverError
+from mot.fixtures import discrete_k, gaussian_grid, mixed_k
+from mot.geometry import convex_hull, in_relative_interior, minimal_face
+from mot.measures import check_convex_order
 from mot import lp
 
 TOL = 1e-7
@@ -267,3 +270,145 @@ def test_coupling_json_round_trip():
     again = Coupling.from_json(c.to_json())
     assert np.array_equal(c.matrix, again.matrix)
     assert np.array_equal(c.mu_support, again.mu_support)
+
+
+def _assert_martingale_coupling(mu, nu, matrix, tol=1e-8):
+    assert np.allclose(matrix.sum(axis=1), mu.weights, atol=tol, rtol=0)
+    assert np.allclose(matrix.sum(axis=0), nu.weights, atol=tol, rtol=0)
+    drift = np.einsum("ij,ijk->ik", matrix, nu.points[None, :, :] - mu.points[:, None, :])
+    assert np.max(np.abs(drift)) <= tol
+
+
+def test_nonpolar_mask_matches_pair_oracle():
+    """The one max-support LP marks exactly the pairs whose own LP
+    gives them mass."""
+    rng = np.random.default_rng(9)
+    for trial in range(24):
+        mu, nu = random_dilation_pair(rng, dim=1 + trial % 3, max_atoms=5)
+        oracle = polar_matrix(mu, nu) > EPS_POLAR
+        assert np.array_equal(nonpolar_mask(mu, nu), oracle)
+
+
+def test_max_support_certificate_is_coupling_on_the_mask(random_instances):
+    for mu, nu, _, _ in random_instances[:40]:
+        mask, cert = max_support_coupling(mu, nu)
+        _assert_martingale_coupling(mu, nu, cert.matrix)
+        assert np.all(cert.matrix[mask] > EPS_POLAR)
+        assert np.all(np.abs(cert.matrix[~mask]) <= 1e-12)
+
+
+def test_max_support_on_gaussian_grid_9():
+    """Masses down to 5e-12: every pair is charged by some coupling (one
+    full-dimensional component), and the certificate shows it."""
+    mu, nu = gaussian_grid(9)
+    mask, cert = max_support_coupling(mu, nu)
+    assert mask.all()
+    _assert_martingale_coupling(mu, nu, cert.matrix)
+    assert np.all(cert.matrix > 0.0)
+
+
+def _stub_milp(monkeypatch, status, message, x=None):
+    def fake(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=status, message=message, x=x)
+
+    monkeypatch.setattr(scipy.optimize, "milp", fake)
+
+
+@pytest.mark.parametrize(
+    "status, message",
+    [
+        (4, "(HiGHS Status 15: model_status is Unknown; primal_status is Infeasible)"),
+        (1, "Iteration limit reached."),
+        (0, "optimal but no solution returned"),
+    ],
+)
+def test_solver_without_answer_raises_solver_error(monkeypatch, status, message):
+    mu, nu = discrete_k(2)
+    _stub_milp(monkeypatch, status, message)
+    for call in (find_coupling, nonpolar_mask, check_convex_order):
+        with pytest.raises(SolverError, match="coupling LP not solved"):
+            call(mu, nu)
+
+
+def test_infeasible_status_means_not_in_convex_order(monkeypatch):
+    mu, nu = discrete_k(2)
+    _stub_milp(monkeypatch, 2, "The problem is infeasible.")
+    with pytest.raises(NotInConvexOrder):
+        find_coupling(mu, nu)
+    assert check_convex_order(mu, nu) is False
+
+
+def test_find_coupling_rejects_uncertified_solution(monkeypatch):
+    """A solution with a negative entry or a marginal residual is an
+    error, not something to clip."""
+    mu, nu = discrete_k(2)
+    good = find_coupling(mu, nu).matrix.ravel()
+    negative = good.copy()
+    negative[[0, 1]] += [-1e-3, 1e-3]  # same row sum, one entry < 0
+    off_marginal = good * (1.0 + 1e-6)
+    for x in (negative, off_marginal):
+        _stub_milp(monkeypatch, 0, "Optimization terminated successfully.", x)
+        with pytest.raises(SolverError, match="certificate"):
+            find_coupling(mu, nu)
+
+
+def test_find_coupling_certificate_gaussian_grid_9():
+    mu, nu = gaussian_grid(9)
+    c = find_coupling(mu, nu)
+    _assert_martingale_coupling(mu, nu, c.matrix)
+    assert c.matrix.min() >= 0.0
+
+
+def _pool2_d3_n6_5():
+    """A 3-D dilation pair on which an earlier solver returned a coupling
+    with entries down to -5.7e-3 and, after clipping, a wrong paving."""
+    mu = DiscreteMeasure(
+        [
+            [-1.6280153436894083, -0.6064863328756496, 1.2562671368857554],
+            [-1.3588317574676778, 2.623864950623937, -1.4553533778390104],
+            [0.5931478854186132, 0.8688677496276349, -1.4710532026353018],
+            [1.8076311247703423, 0.22810133376218422, -0.0006356972842245234],
+            [-0.618699956626044, 1.5730047591754115, 0.884573809162164],
+            [0.3896703176011762, -1.9611104644129953, -2.236713370383695],
+        ],
+        [
+            0.2405353348928294, 0.20505658489323164, 0.13138176340353755,
+            0.17533970737315183, 0.17781622495852425, 0.06987038447872529,
+        ],
+    )
+    nu = DiscreteMeasure(
+        [
+            [-1.3498607938076286, -1.3048409975239208, 1.365808068578038],
+            [-1.9510915325104026, 0.20465180452249898, 1.1290354710867063],
+            [-1.1230117366775376, 2.4254624644268996, -1.8018855879319298],
+            [-2.2606085902351922, 3.382556960812436, -0.13021262930344135],
+            [1.3028520677339535, 2.089822966565484, -2.766834863654174],
+            [0.28128639101895525, 0.33234996089617375, -0.9016548317497513],
+            [1.8076311247703423, 0.22810133376218422, -0.0006356972842245234],
+            [-0.2361810880866449, 1.6966498856382015, 1.231198099828378],
+            [-1.636823953728508, 1.2439070839229047, -0.038012074387638206],
+            [1.2101324131579134, -3.0415767001026004, -3.218919027723906],
+            [-0.14452554545640872, -1.2576281263445515, -1.5972076556597752],
+        ],
+        [
+            0.12925360310357387, 0.11128173178925554, 0.16254904106393056,
+            0.042507543829301095, 0.040107957819847884, 0.09127380558368967,
+            0.17533970737315183, 0.12925419473113164, 0.04856203022739261,
+            0.02755268966710762, 0.042317694811617665,
+        ],
+    )
+    return mu, nu
+
+
+def test_regression_negative_coupling_instance():
+    mu, nu = _pool2_d3_n6_5()
+    c = find_coupling(mu, nu)
+    assert c.matrix.min() >= 0.0
+    _assert_martingale_coupling(mu, nu, c.matrix)
+    p = compute_paving(mu, nu)
+    assert sorted(p.singletons + [i for cell in p.cells for i in cell.members]) == list(
+        range(mu.n_atoms)
+    )
+    for cell in p.cells:
+        for i in cell.members:
+            assert in_relative_interior(mu.points[i], cell.hull)

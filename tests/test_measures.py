@@ -38,6 +38,40 @@ def test_duplicate_atoms_merge():
     assert m.equals(m1d([1.0, 2.0], [0.5, 0.5]))
 
 
+def _merge_reference(points, weights):
+    """The first-match merge as a plain loop over the kept atoms."""
+    kept_pts, kept_w = [], []
+    for p, wi in zip(np.asarray(points, dtype=float), weights):
+        for idx, q in enumerate(kept_pts):
+            if np.max(np.abs(p - q)) <= 1e-9:
+                kept_w[idx] += wi
+                break
+        else:
+            kept_pts.append(p)
+            kept_w.append(wi)
+    return np.array(kept_pts), np.array(kept_w)
+
+
+def test_near_duplicate_atoms_merge_like_the_loop():
+    """Chains of near-duplicates: each atom joins the first kept atom
+    within 1e-9, even where a later kept atom is nearer; an atom within
+    1e-9 of a merged atom only is kept."""
+    rng = np.random.default_rng(5)
+    base = rng.uniform(-1.0, 1.0, size=(40, 2))
+    pts = np.vstack([base, base[::3] + 6e-10, base[::4] - 6e-10, base[::5] + 1.2e-9])
+    pts = np.vstack([pts, [[9.0, 0.0], [9.0 + 8e-10, 0.0], [9.0 + 1.6e-9, 0.0]]])
+    w = rng.uniform(0.1, 1.0, size=pts.shape[0])
+    order = rng.permutation(pts.shape[0])
+    for p, wi in ((pts, w), (pts[order], w[order])):
+        m = DiscreteMeasure(p, wi)
+        ref_pts, ref_w = _merge_reference(p, wi)
+        assert np.array_equal(m.points, ref_pts)
+        assert np.array_equal(m.weights, ref_w)
+    chain = DiscreteMeasure([[0.0], [8e-10], [1.6e-9]], [0.25, 0.25, 0.5])
+    assert np.array_equal(chain.points[:, 0], [0.0, 1.6e-9])
+    assert np.array_equal(chain.weights, [0.5, 0.5])
+
+
 def test_nonpositive_weights_rejected():
     with pytest.raises(InvalidInput):
         DiscreteMeasure([[0.0]], [0.0])

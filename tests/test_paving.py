@@ -1,10 +1,12 @@
 """Convex paving construction, location queries and confinement."""
 
+import time
+
 import numpy as np
 import pytest
 
 from conftest import random_dilation_pair
-from mot import DiscreteMeasure, compute_paving, find_coupling
+from mot import DiscreteMeasure, compute_paving, find_coupling, fixtures
 from mot.coupling import Coupling
 from mot.errors import NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
@@ -166,7 +168,7 @@ def test_outside_domain_identity(random_instances):
 
 
 def test_merge_order_independence():
-    """Permuting the atoms does not change the fixpoint partition."""
+    """Permuting the atoms does not change the partition."""
     rng = np.random.default_rng(77)
     mu, nu = random_dilation_pair(rng, dim=2, max_atoms=4)
     base = compute_paving(mu, nu)
@@ -194,13 +196,30 @@ def test_merge_order_independence():
 
 
 def test_member_atoms_in_relative_interior(random_instances):
-    """Each member lies in the relative interior of its cell hull or the
-    hull is that atom's singleton."""
+    """Each member x lies in C_x, the relative interior of its cell hull."""
     for mu, _, p, _ in random_instances[:20]:
         for cell in p.cells:
             for i in cell.members:
-                x = mu.points[i]
-                assert in_relative_interior(x, cell.hull) or cell.hull.contains(x)
+                assert in_relative_interior(mu.points[i], cell.hull)
+
+
+@pytest.mark.parametrize(
+    "family, size",
+    [("continuous_grid", n) for n in (14, 15, 19, 20, *range(22, 31), 40)]
+    + [("discrete_k", 18), ("discrete_k", 20)],
+)
+def test_column_families_pave_quickly(family, size):
+    """Sizes on which an earlier solver cycled: each paves within a
+    generous bound into one vertical segment per column."""
+    mu, nu = getattr(fixtures, family)(size)
+    start = time.perf_counter()
+    p = compute_paving(mu, nu)
+    assert time.perf_counter() - start <= 10.0
+    assert len(p.cells) == size and not p.singletons
+    for i, cell in enumerate(p.cells):
+        assert cell.members == [i]
+        t = mu.points[i, 0]
+        assert cell.hull.same_vertices(Polytope([[t, -1.0], [t, 1.0]]), tol=TOL)
 
 
 def test_paving_json_schema():
