@@ -1,9 +1,9 @@
 """Command line interface: JSON in, JSON out.
 
 Exit codes: 0 success, 2 not in convex order, 3 parse/validation error.
-Errors are reported as one JSON object on stderr.  ``--tol``/``MOT_TOL``
-override the strict-positivity tolerance used by relative-interior and
-domain decisions.
+Errors are reported as one JSON object on stderr.  ``potential --tol``
+or ``MOT_TOL`` overrides the strict-positivity tolerance of its domain
+decision.
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ def potential_cmd(mu_file, nu_file, out, tol):
 @click.option("--point", required=True, help="comma-separated coordinates")
 @click.option("--box", "box_file", required=True, help='bounding box JSON {"vertices": [...]}')
 @click.option("--out", default=None)
-@click.option("--tol", type=float, default=None, help="unused for the exact component; reserved")
-def affine_component_cmd(phi_file, point, box_file, out, tol):
+def affine_component_cmd(phi_file, point, box_file, out):
     """Affine-behaviour component of phi at a point, clipped to a box."""
     phi_data = _load_json(phi_file)
     box_data = _load_json(box_file)

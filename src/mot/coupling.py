@@ -4,7 +4,7 @@ Couplings are nonnegative matrices on supp(mu) x supp(nu) with row and
 column marginals fixed and the conditional barycenter of each row equal
 to its source point.  Every LP of this module is posed on one sparse
 equality system (``_constraint_system``) and solved by HiGHS
-(``_highs``).
+(``_highs``, on the package's one backend ``lp.highs``).
 
 Polar pairs are pairs of atoms that carry zero mass under every
 martingale coupling.  One LP (Freund, Roundy & Todd 1985) finds a
@@ -14,7 +14,6 @@ exactly the non-polar pairs, and it is returned as their certificate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,33 +113,20 @@ def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: boo
 
 
 def _highs(c, A, rhs, upper=np.inf, tight=True) -> np.ndarray:
-    """min c @ x subject to A x = rhs and 0 <= x <= upper, by HiGHS.
+    """min c @ x subject to A x = rhs and 0 <= x <= upper (``lp.highs``).
 
     ``tight`` sets the feasibility tolerances to FEAS_TOL instead of the
     HiGHS defaults.  Returns the optimal x.  An infeasible system raises
-    NotInConvexOrder; any other outcome raises SolverError carrying the
-    HiGHS message.
+    NotInConvexOrder; any other outcome raises SolverError.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    options = {"presolve": False}
-    if tight:
-        options["primal_feasibility_tolerance"] = FEAS_TOL
-        options["dual_feasibility_tolerance"] = FEAS_TOL
-    with warnings.catch_warnings():
-        # milp passes options it does not know on to HiGHS, with a warning
-        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-        res = milp(
-            c,
-            constraints=LinearConstraint(A, rhs, rhs),
-            bounds=Bounds(0.0, upper),
-            options=options,
-        )
-    if res.status == 0 and res.x is not None:
-        return res.x
-    if res.status == 2:
+    res = lp.highs(
+        c, A, rhs, rhs, upper=upper, feas_tol=FEAS_TOL if tight else None, what="coupling LP"
+    )
+    if res.status is lp.LpStatus.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
-    raise SolverError(f"coupling LP not solved: {res.message}")
+    if res.status is lp.LpStatus.UNBOUNDED:
+        raise SolverError("coupling LP not solved: HiGHS reports it unbounded")
+    return res.solution
 
 
 def build_martingale_lp(

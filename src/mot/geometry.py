@@ -1,22 +1,26 @@
 """Convex geometry on finite point sets.
 
-Affine hulls, minimal V-representations, relative-interior tests and
-minimal faces, all decided by small linear programs so that every
-predicate uses one consistent pair of tolerances:
+Affine hulls, minimal V-representations, facet inequalities,
+relative-interior tests and minimal faces.  A ``Polytope`` computes its
+affine frame and vertex set once, with qhull in frame coordinates, and
+caches its facets; every predicate is then read off these facet
+inequalities without solving a linear program.  Two tolerances:
 
 * ``TAU_GEO`` (1e-9) for rank, membership and tightness decisions,
-* ``EPS_RI``  (1e-7) for strict positivity in relative-interior tests.
+* ``EPS_RI``  (1e-7) for strict inequality in relative-interior tests
+  and minimal faces, a distance to the facets.
 
 Polytopes are bounded and stored by their vertices.  Lower-dimensional
-polytopes are first projected onto their affine hull, so faces and
+polytopes are handled in their affine-hull coordinates, so faces and
 half-space descriptions are genuine ones of the set itself and not of
-the ambient space.
+the ambient space.  Only ``relative_interiors_intersect`` solves a
+linear program (``lp.solve``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -71,11 +75,17 @@ class AffineSubspace:
             return np.tile(self.base_point, (coords.shape[0], 1))
         return self.base_point + coords @ self.basis
 
-    def contains(self, x: np.ndarray, tol: float = TAU_GEO) -> bool:
-        x = as_point(x, self.base_point.shape[0])
+    def coordinates(self, x: np.ndarray, tol: float = TAU_GEO) -> np.ndarray | None:
+        """Frame coordinates of the point x, or None when x is off the
+        subspace by more than tol (scaled by |x - base_point| beyond 1)."""
         diff = x - self.base_point
-        residual = diff - self.basis.T @ (self.basis @ diff) if self.dim else diff
-        return bool(np.linalg.norm(residual) <= max(tol, 10 * tol * max(1.0, np.linalg.norm(diff))))
+        u = self.basis @ diff
+        residual = diff - u @ self.basis
+        bound = max(tol, 10 * tol * max(1.0, np.linalg.norm(diff)))
+        return u if np.linalg.norm(residual) <= bound else None
+
+    def contains(self, x: np.ndarray, tol: float = TAU_GEO) -> bool:
+        return self.coordinates(as_point(x, self.base_point.shape[0]), tol) is not None
 
 
 def affine_hull(points) -> AffineSubspace:
@@ -91,13 +101,25 @@ def affine_hull(points) -> AffineSubspace:
 
 
 class Polytope:
-    """Bounded convex polytope given by a minimal vertex list."""
+    """Bounded convex polytope given by a minimal vertex list.
+
+    Without ``minimal`` the vertices are the input points that qhull
+    finds extreme in the coordinates of their affine hull, kept in input
+    order; with it the caller vouches that every point is a vertex.  The
+    affine frame, the vertices' frame coordinates and the facets are each
+    computed once, on first use (``frame``, ``facets``).
+    """
 
     def __init__(self, vertices, *, minimal: bool = False):
-        pts = as_points(vertices)
-        pts = _dedupe(pts)
+        pts = _dedupe(as_points(vertices))
+        self._frame = self._coords = self._facets = None
         if not minimal and pts.shape[0] > 1:
-            pts = _minimal_vertices(pts)
+            self._frame = affine_hull(pts)
+            coords = self._frame.project(pts)
+            keep, equations = _hull_vertices(coords)
+            pts, self._coords = pts[keep], coords[keep]
+            if equations is not None:
+                self._facets = _merge_facets(equations)
         self.vertices = pts
         self.ambient_dim = pts.shape[1]
 
@@ -109,16 +131,52 @@ class Polytope:
         return self.vertices.shape[0]
 
     @property
+    def frame(self) -> AffineSubspace:
+        """The affine hull of the vertices."""
+        if self._frame is None:
+            self._frame = affine_hull(self.vertices)
+        return self._frame
+
+    @property
     def affine_dim(self) -> int:
-        return affine_hull(self.vertices).dim
+        return self.frame.dim
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The vertices in frame coordinates."""
+        if self._coords is None:
+            self._coords = self.frame.project(self.vertices)
+        return self._coords
+
+    @property
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit outward normals A and offsets b in frame coordinates: a
+        point u of the frame lies in P iff A u + b <= 0.  A segment has
+        two facets and a point none."""
+        if self._facets is None:
+            self._facets = _facet_equations(self.coords)
+        return self._facets
 
     def is_singleton(self, tol: float = TAU_GEO) -> bool:
         return self.n_vertices == 1
 
+    def _facet_values(self, x: np.ndarray, tol: float) -> np.ndarray | None:
+        """A u + b at the point x, or None when x is off the affine hull
+        by more than tol."""
+        u = self.frame.coordinates(x, tol)
+        if u is None:
+            return None
+        normals, offsets = self.facets
+        return normals @ u + offsets
+
     def contains(self, x, tol: float = TAU_GEO) -> bool:
-        """LP membership: x is a convex combination of the vertices."""
+        """x lies on the affine hull and within tol of every facet's
+        inner side."""
         x = as_point(x, self.ambient_dim)
-        return _membership_feasible(self.vertices, x, tol)
+        if self.n_vertices == 1:
+            return bool(np.max(np.abs(self.vertices[0] - x)) <= tol)
+        values = self._facet_values(x, tol)
+        return values is not None and bool(np.all(values <= tol))
 
     def same_vertices(self, other: "Polytope", tol: float = 1e-7) -> bool:
         if self.n_vertices != other.n_vertices:
@@ -126,52 +184,102 @@ class Polytope:
         return _match_point_sets(self.vertices, other.vertices, tol)
 
 
+# point pairs compared at once by _first_match (bounds its memory)
+_MATCH_BLOCK = 2**18
+
+
+def _near(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """near[i, j]: a[i] and b[j] agree within tol in every coordinate."""
+    near = np.ones((a.shape[0], b.shape[0]), dtype=bool)
+    # coordinate by coordinate: a max over a short last axis is ~10x slower
+    for c in range(a.shape[1]):
+        near &= np.abs(a[:, None, c] - b[None, :, c]) <= tol
+    return near
+
+
+def _first_match(pts: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
+    """owner[k]: the first earlier kept point within tol of point k in
+    every coordinate, or k itself, which is then kept.
+
+    Points are compared in blocks of rows; only points with an earlier
+    neighbour walk the inner loop, in order, so every earlier point's
+    kept status is already final when it is read.
+    """
+    n = pts.shape[0]
+    owner = np.arange(n)
+    step = max(1, _MATCH_BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        near = _near(pts[lo:hi], pts[:hi], tol)
+        near &= np.arange(hi) < np.arange(lo, hi)[:, None]
+        for r in np.flatnonzero(near.any(axis=1)):
+            k = lo + r
+            hits = np.flatnonzero(near[r, :k] & (owner[:k] == np.arange(k)))
+            if hits.size:
+                owner[k] = hits[0]
+    return owner
+
+
 def _dedupe(pts: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
-    keep = []
-    for i in range(pts.shape[0]):
-        if not any(np.max(np.abs(pts[i] - pts[j])) <= tol for j in keep):
-            keep.append(i)
-    return pts[keep]
+    """The points that have no earlier kept point within tol, in order."""
+    return pts[_first_match(pts, tol) == np.arange(pts.shape[0])]
 
 
 def _match_point_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    used = [False] * b.shape[0]
-    for p in a:
-        hit = -1
-        for j in range(b.shape[0]):
-            if not used[j] and np.max(np.abs(p - b[j])) <= tol:
-                hit = j
-                break
-        if hit < 0:
+    """Each point of a takes the first unused point of b within tol; true
+    iff every point of a and of b is used."""
+    near = _near(a, b, tol)
+    used = np.zeros(b.shape[0], dtype=bool)
+    for row in near:
+        hits = np.flatnonzero(row & ~used)
+        if hits.size == 0:
             return False
-        used[hit] = True
-    return all(used)
+        used[hits[0]] = True
+    return bool(used.all())
 
 
-def _membership_feasible(verts: np.ndarray, x: np.ndarray, tol: float = TAU_GEO) -> bool:
-    k, d = verts.shape
-    if k == 1:
-        return bool(np.max(np.abs(verts[0] - x)) <= tol)
-    A = np.vstack([verts.T, np.ones((1, k))])
-    b = np.concatenate([x, [1.0]])
-    prog = lp.LinearProgram(
-        objective=np.zeros(k),
-        constraint_matrix=A,
-        relations=[lp.EQ] * (d + 1),
-        rhs=b,
-    )
-    return lp.feasible(prog)
+def _hull_vertices(coords: np.ndarray):
+    """Indices of the vertices of conv(coords), ascending, and qhull's
+    facet equations when qhull was run.
+
+    ``coords`` are frame coordinates, so they span their own space: k
+    points in dimension k - 1 form a simplex and are all vertices.
+    """
+    k, m = coords.shape
+    if m == 0:
+        return np.array([0]), None
+    if k == m + 1:
+        return np.arange(k), None
+    if m == 1:
+        return np.unique([coords[:, 0].argmin(), coords[:, 0].argmax()]), None
+    hull = _qhull(coords)
+    return np.sort(hull.vertices), hull.equations
 
 
-def _minimal_vertices(pts: np.ndarray) -> np.ndarray:
-    keep = []
-    for i in range(pts.shape[0]):
-        others = np.delete(pts, i, axis=0)
-        if not _membership_feasible(others, pts[i]):
-            keep.append(i)
-    if not keep:  # all points coincide within tolerance (already deduped)
-        keep = [0]
-    return pts[keep]
+def _qhull(coords: np.ndarray):
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        return ConvexHull(coords)
+    except QhullError as exc:
+        raise InvalidInput(f"qhull rejects the point set: {exc}") from exc
+
+
+def _facet_equations(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m = coords.shape[1]
+    if m == 0:
+        return np.zeros((0, 0)), np.zeros(0)
+    if m == 1:
+        u = coords[:, 0]
+        return np.array([[1.0], [-1.0]]), np.array([-u.max(), u.min()])
+    return _merge_facets(_qhull(coords).equations)
+
+
+def _merge_facets(equations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qhull triangulates its output, so one facet can come as several
+    equal equations (a 3-cube gives 12 for 6 facets); keep one each."""
+    eq = _dedupe(equations)
+    return eq[:, :-1], eq[:, -1]
 
 
 def convex_hull(points) -> Polytope:
@@ -180,58 +288,36 @@ def convex_hull(points) -> Polytope:
 
 
 def in_relative_interior(x, P: Polytope, eps: float = EPS_RI) -> bool:
-    """True iff x = sum l_i v_i with all l_i >= eps (one max-min LP)."""
+    """True iff x lies on the affine hull of P and at distance at least
+    eps inside every facet (a distance margin, not a margin on the
+    barycentric weights)."""
     x = as_point(x, P.ambient_dim)
     if P.n_vertices == 1:
         return bool(np.max(np.abs(P.vertices[0] - x)) <= TAU_GEO)
-    k, d = P.vertices.shape
-    # variables: l_1..l_k, s; maximise s subject to l_i - s >= 0
-    A_eq = np.hstack([np.vstack([P.vertices.T, np.ones((1, k))]), np.zeros((d + 1, 1))])
-    b_eq = np.concatenate([x, [1.0]])
-    A_ge = np.hstack([np.eye(k), -np.ones((k, 1))])
-    prog = lp.LinearProgram(
-        objective=np.concatenate([np.zeros(k), [1.0]]),
-        constraint_matrix=np.vstack([A_eq, A_ge]),
-        relations=[lp.EQ] * (d + 1) + [lp.GEQ] * k,
-        rhs=np.concatenate([b_eq, np.zeros(k)]),
-        upper_bounds=[None] * k + [1.0],
-    )
-    res = lp.solve(prog)
-    return res.is_optimal and res.objective_value >= eps
+    values = P._facet_values(x, TAU_GEO)
+    return values is not None and bool(np.all(values <= -eps))
 
 
 def minimal_face(x, P: Polytope) -> Polytope:
     """The unique face of P containing x in its relative interior.
 
-    A vertex v belongs to the face iff x = t v + (1-t) z for some z in P
-    and t in (0,1); per vertex this is one LP maximising t over the
-    convex-combination representations of x.
+    The facets within EPS_RI of x are tight; the face is spanned by the
+    vertices lying (within EPS_RI) on every tight facet, and is P itself
+    when no facet is tight.
     """
     x = as_point(x, P.ambient_dim)
     if not P.contains(x):
         raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
     if P.n_vertices == 1:
-        return Polytope(P.vertices, minimal=True)
-    k, d = P.vertices.shape
-    face = []
-    for v_idx in range(k):
-        # variables: t (weight on v), l_1..l_k (weights on all vertices)
-        cols = np.hstack([P.vertices[v_idx].reshape(-1, 1), P.vertices.T])
-        A = np.vstack([cols, np.ones((1, k + 1))])
-        b = np.concatenate([x, [1.0]])
-        prog = lp.LinearProgram(
-            objective=np.concatenate([[1.0], np.zeros(k)]),
-            constraint_matrix=A,
-            relations=[lp.EQ] * (d + 1),
-            rhs=b,
-        )
-        res = lp.solve(prog)
-        if res.is_optimal and res.objective_value >= EPS_RI:
-            face.append(v_idx)
-    if not face:  # x coincides with a vertex up to tolerance
-        dists = np.linalg.norm(P.vertices - x, axis=1)
-        face = [int(np.argmin(dists))]
-    return Polytope(P.vertices[face], minimal=True)
+        return P
+    normals, offsets = P.facets
+    tight = P._facet_values(x, TAU_GEO) >= -EPS_RI
+    on = np.all(P.coords @ normals[tight].T + offsets[tight] >= -EPS_RI, axis=1)
+    if on.all():
+        return P
+    if not on.any():  # tight facets with no common vertex: P is thinner than EPS_RI
+        on[np.argmin(np.linalg.norm(P.vertices - x, axis=1))] = True
+    return Polytope(P.vertices[on], minimal=True)
 
 
 def relative_interiors_intersect(P: Polytope, Q: Polytope, eps: float = EPS_RI) -> bool:
@@ -288,28 +374,12 @@ class HalfSpace(NamedTuple):
 def halfspaces(P: Polytope) -> list[HalfSpace]:
     """Facet inequalities of P inside its affine hull, lifted to ambient
     coordinates.  Points of aff(P) satisfy all of them iff they lie in P."""
-    sub = affine_hull(P.vertices)
-    if sub.dim == 0:
-        return []
-    coords = sub.project(P.vertices)
-    out = []
-    if sub.dim == 1:
-        u = coords[:, 0]
-        lo, hi = float(u.min()), float(u.max())
-        g = sub.basis[0]
-        base = float(g @ sub.base_point)
-        out.append(HalfSpace(g, -(base + hi)))
-        out.append(HalfSpace(-g, base + lo))
-        return out
-    from scipy.spatial import ConvexHull as QHull
-
-    hull = QHull(coords)
-    for eq in hull.equations:  # a . u + b <= 0 in subspace coordinates
-        a, b = eq[:-1], eq[-1]
-        normal = a @ sub.basis
-        offset = b - float(a @ sub.basis @ sub.base_point)
-        out.append(HalfSpace(normal, offset))
-    return out
+    sub = P.frame
+    normals, offsets = P.facets
+    lifted = normals @ sub.basis
+    return [
+        HalfSpace(g, float(b - g @ sub.base_point)) for g, b in zip(lifted, offsets)
+    ]
 
 
 def intersect_halfspaces_with_polytope(
@@ -317,35 +387,33 @@ def intersect_halfspaces_with_polytope(
 ) -> Polytope | None:
     """Vertices of box ∩ {y : g.y + c <= 0 for all constraints}.
 
-    Enumeration runs in the affine-hull coordinates of ``box``; returns
+    Every m-subset of the inequalities (box facets first, in the box's
+    m-dimensional frame) is solved at once; the solutions that satisfy
+    all inequalities within 10 tol are the candidate vertices.  Returns
     None when the intersection is empty.
     """
-    sub = affine_hull(box.vertices)
+    sub = box.frame
     if sub.dim == 0:
         p = box.vertices[0]
         if all(h.normal @ p + h.offset <= tol for h in constraints):
-            return Polytope(box.vertices, minimal=True)
+            return box
         return None
-    # every constraint expressed in subspace coordinates u: y = p0 + B^T u
-    ineqs = []
-    for h in halfspaces(box):
-        ineqs.append((sub.basis @ h.normal, float(h.normal @ sub.base_point) + h.offset))
-    for h in constraints:
-        ineqs.append((sub.basis @ h.normal, float(h.normal @ sub.base_point) + h.offset))
+    # constraints in frame coordinates u: y = p0 + B^T u
+    G = np.array([h.normal for h in constraints], dtype=float).reshape(-1, box.ambient_dim)
+    c = np.array([h.offset for h in constraints], dtype=float)
+    normals, offsets = box.facets
+    A = np.vstack([normals, G @ sub.basis.T])
+    b = np.concatenate([offsets, G @ sub.base_point + c])
     m = sub.dim
-    A = np.array([g for g, _ in ineqs])
-    b = np.array([c for _, c in ineqs])
-    candidates = []
-    for idx in combinations(range(len(ineqs)), m):
-        M = A[list(idx)]
-        rhs = -b[list(idx)]
-        try:
-            u = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.max(A @ u + b) <= 10 * tol:
-            candidates.append(u)
-    if not candidates:
+    subsets = np.fromiter(
+        chain.from_iterable(combinations(range(A.shape[0]), m)), dtype=np.intp
+    ).reshape(-1, m)
+    M = A[subsets]
+    # exactly singular subsets are skipped; near-singular ones give far
+    # points that fail the feasibility test
+    regular = np.linalg.det(M) != 0.0
+    u = np.linalg.solve(M[regular], -b[subsets[regular], None])[..., 0]
+    feasible = np.max(u @ A.T + b, axis=1) <= 10 * tol
+    if not feasible.any():
         return None
-    verts = sub.lift(np.array(candidates))
-    return Polytope(verts)
+    return Polytope(sub.lift(u[feasible]))

@@ -12,7 +12,7 @@ from .errors import (
     MassMismatch,
     NotInConvexOrder,
 )
-from .geometry import TAU_GEO, EPS_RI, as_points
+from .geometry import TAU_GEO, EPS_RI, _first_match, as_points
 
 
 class DiscreteMeasure:
@@ -91,10 +91,6 @@ class DiscreteMeasure:
         return cls(pts, w)
 
 
-# atom pairs compared at once by _merge_duplicates (bounds its memory)
-_MERGE_BLOCK = 2**18
-
-
 def _merge_duplicates(pts: np.ndarray, w: np.ndarray):
     """Points and summed weights after merging atoms within TAU_GEO.
 
@@ -102,24 +98,9 @@ def _merge_duplicates(pts: np.ndarray, w: np.ndarray):
     coordinate, if there is one, and is kept otherwise; kept atoms stay in
     input order and collect their weights in input order.
     """
-    n = pts.shape[0]
-    owner = np.arange(n)
-    step = max(1, _MERGE_BLOCK // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        near = np.arange(hi) < np.arange(lo, hi)[:, None]
-        # coordinate by coordinate: a max over a short last axis is ~10x slower
-        for c in range(pts.shape[1]):
-            near &= np.abs(pts[lo:hi, None, c] - pts[None, :hi, c]) <= TAU_GEO
-        # only atoms with an earlier neighbour walk this loop, in order,
-        # so every earlier atom's kept status is already final
-        for r in np.flatnonzero(near.any(axis=1)):
-            k = lo + r
-            hits = np.flatnonzero(near[r, :k] & (owner[:k] == np.arange(k)))
-            if hits.size:
-                owner[k] = hits[0]
-    keep = owner == np.arange(n)
-    return pts[keep], np.bincount(owner, weights=w, minlength=n)[keep]
+    owner = _first_match(pts)
+    keep = owner == np.arange(pts.shape[0])
+    return pts[keep], np.bincount(owner, weights=w, minlength=pts.shape[0])[keep]
 
 
 def barycenter(m: DiscreteMeasure) -> np.ndarray:

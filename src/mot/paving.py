@@ -10,12 +10,19 @@ confined to them row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .coupling import EPS_POLAR, Coupling, nonpolar_mask
 from .errors import DimensionMismatch
-from .geometry import Polytope, as_point, convex_hull, in_relative_interior
+from .geometry import (
+    Polytope,
+    as_point,
+    convex_hull,
+    in_relative_interior,
+    relative_interiors_intersect,
+)
 from .measures import DiscreteMeasure
 
 
@@ -95,18 +102,21 @@ def locate(p: ConvexPaving, x) -> PavingCell:
 
 @dataclass
 class ConfinementReport:
-    """Pairs (i, j, mass) whose mass escapes the hull of i's cell."""
+    """Pairs (i, j, mass) whose mass escapes the hull of i's cell, and
+    pairs (a, b) of cell indices whose relative interiors intersect."""
 
     violations: list = field(default_factory=list)
+    overlaps: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.overlaps
 
 
 def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
     """Check that every positive coupling entry stays within the hull of
-    its source atom's cell."""
+    its source atom's cell, and that distinct cells have disjoint
+    relative interiors (one LP per pair of cells)."""
     if c.mu_support.shape[1] != p.mu_points.shape[1]:
         raise DimensionMismatch("coupling and paving dimensions differ")
     hull_of = {}
@@ -127,4 +137,7 @@ def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
                 inside = hull.contains(target)
             if not inside:
                 report.violations.append((i, j, float(mass)))
+    for a, b in combinations(range(len(p.cells)), 2):
+        if relative_interiors_intersect(p.cells[a].hull, p.cells[b].hull):
+            report.overlaps.append((a, b))
     return report

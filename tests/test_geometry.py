@@ -1,17 +1,25 @@
 """Affine hulls, convex hulls, relative interiors and minimal faces."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection
 
 from mot.errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
 from mot.geometry import (
     Polytope,
+    _dedupe,
+    _match_point_sets,
     affine_hull,
     convex_hull,
+    halfspaces,
     in_relative_interior,
     minimal_face,
     relative_interiors_intersect,
 )
+from mot.pwl import PwlConvex, affine_component, flat_region
 
 SQUARE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 SEGMENT = Polytope([[0.0, 0.0], [1.0, 0.0]])
@@ -185,3 +193,204 @@ def test_singleton_relative_interior_is_itself():
     P = Polytope([[1.0, 2.0], [1.0, 2.0]])
     assert P.is_singleton()
     assert in_relative_interior([1.0, 2.0], P)
+
+
+# ---- reference implementations -------------------------------------------
+#
+# The loops that _dedupe and _match_point_sets replace, and linear-program
+# oracles (scipy's linprog) for membership, vertices, minimal faces and the
+# max-min barycentric weight.  They share no code with mot.geometry.
+
+
+def _dedupe_loop(pts, tol):
+    keep = []
+    for i in range(pts.shape[0]):
+        if not any(np.max(np.abs(pts[i] - pts[j])) <= tol for j in keep):
+            keep.append(i)
+    return pts[keep]
+
+
+def _match_loop(a, b, tol):
+    used = [False] * b.shape[0]
+    for p in a:
+        hit = -1
+        for j in range(b.shape[0]):
+            if not used[j] and np.max(np.abs(p - b[j])) <= tol:
+                hit = j
+                break
+        if hit < 0:
+            return False
+        used[hit] = True
+    return all(used)
+
+
+def _lp_weight(V, x):
+    """max s over x = V^T l, sum l = 1, l >= s; -inf when x is not in conv V."""
+    k, d = V.shape
+    A_eq = np.hstack([np.vstack([V.T, np.ones(k)]), np.zeros((d + 1, 1))])
+    A_ub = np.hstack([-np.eye(k), np.ones((k, 1))])
+    res = linprog(
+        np.append(np.zeros(k), -1.0), A_ub=A_ub, b_ub=np.zeros(k), A_eq=A_eq,
+        b_eq=np.append(x, 1.0), bounds=[(0, None)] * k + [(None, 1.0)], method="highs",
+    )
+    return -res.fun if res.status == 0 else -np.inf
+
+
+def _lp_in_hull(V, x):
+    return _lp_weight(V, x) > -np.inf
+
+
+def _lp_vertices(pts):
+    """The points that are not in the hull of the others."""
+    return np.array([p for i, p in enumerate(pts) if not _lp_in_hull(np.delete(pts, i, axis=0), p)])
+
+
+def _lp_face(V, x):
+    """Vertices v with x = t v + (1 - t) z for some z in conv V and t > 0."""
+    k, d = V.shape
+    keep = []
+    for i in range(k):
+        A_eq = np.vstack([np.hstack([V[i][:, None], V.T]), np.ones(k + 1)])
+        res = linprog(
+            np.append(-1.0, np.zeros(k)), A_eq=A_eq, b_eq=np.append(x, 1.0),
+            bounds=(0, None), method="highs",
+        )
+        if res.status == 0 and -res.fun > 1e-6:
+            keep.append(i)
+    return V[keep]
+
+
+def _same_set(a, b, tol=1e-7):
+    return len(a) == len(b) and _match_loop(np.asarray(a), np.asarray(b), tol)
+
+
+def _point_sets(rng):
+    """Random sets in dims 1-3, collinear and planar sets in 3-D, and
+    integer grids with boundary points, duplicates and edge midpoints."""
+    for t in range(15):
+        d = 1 + t % 3
+        yield rng.uniform(-2.0, 2.0, size=(int(rng.integers(2, 9)), d))
+    for t in range(10):
+        k = 1 + t % 2
+        frame = np.linalg.qr(rng.normal(size=(3, 3)))[0][:k]
+        yield rng.normal(size=3) + rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 8)), k)) @ frame
+    for t in range(15):
+        d = 1 + t % 3
+        pts = rng.integers(0, 3, size=(int(rng.integers(3, 10)), d)).astype(float)
+        if t % 3 == 1:
+            pts = np.vstack([pts, pts[:2]])
+        if t % 3 == 2:
+            pts = np.vstack([pts, (pts[0] + pts[1]) / 2.0])
+        yield pts
+
+
+def test_dedupe_and_matching_match_the_loops():
+    rng = np.random.default_rng(30)
+    for _ in range(60):
+        d = int(rng.integers(1, 4))
+        pts = rng.integers(0, 3, size=(int(rng.integers(1, 25)), d)) * 1e-9 * rng.uniform(0.5, 1.5)
+        pts = pts + rng.integers(0, 2, size=pts.shape)
+        assert np.array_equal(_dedupe(pts, 1e-9), _dedupe_loop(pts, 1e-9))
+        other = pts[rng.permutation(len(pts))] + rng.uniform(-2e-9, 2e-9, size=pts.shape)
+        for tol in (1e-9, 3e-9, 1e-7):
+            assert _match_point_sets(pts, other, tol) == _match_loop(pts, other, tol)
+
+
+def test_geometry_against_lp_oracles():
+    """Vertex sets, minimal faces at every vertex and at points inside
+    random faces, and relative-interior decisions, against linprog."""
+    rng = np.random.default_rng(31)
+    for pts in _point_sets(rng):
+        P = convex_hull(pts)
+        assert _same_set(P.vertices, _lp_vertices(np.unique(pts, axis=0)))
+        V = P.vertices
+        for v in V:
+            assert _same_set(minimal_face(v, P).vertices, [v])
+            assert in_relative_interior(v, P) == (len(V) == 1)
+        for _ in range(2):
+            S = V[rng.choice(len(V), size=int(rng.integers(1, len(V) + 1)), replace=False)]
+            lam = rng.uniform(0.05, 1.0, size=len(S))
+            x = lam @ S / lam.sum()
+            assert _same_set(minimal_face(x, P).vertices, _lp_face(V, x))
+            assert in_relative_interior(x, P) == (_lp_weight(V, x) > 1e-6)
+        assert in_relative_interior(V.mean(axis=0), P)
+
+
+def _region_vertices(constraints, d):
+    """Vertices of [-2, 2]^d ∩ {g.y + c <= 0} by scipy's halfspace
+    intersection from a Chebyshev centre; None when the region is
+    thinner than 1e-6."""
+    A = np.vstack([np.eye(d), -np.eye(d), [h.normal for h in constraints]])
+    b = np.concatenate([-2.0 * np.ones(2 * d), [h.offset for h in constraints]])
+    norms = np.linalg.norm(A, axis=1)
+    res = linprog(
+        np.append(np.zeros(d), -1.0), A_ub=np.hstack([A, norms[:, None]]), b_ub=-b,
+        bounds=[(None, None)] * d + [(0, None)], method="highs",
+    )
+    if -res.fun < 1e-6:
+        return None
+    if d == 1:
+        lo = max(-c / g for g, c in zip(A[:, 0], b) if g < 0)
+        hi = min(-c / g for g, c in zip(A[:, 0], b) if g > 0)
+        return np.array([[lo], [hi]])
+    hs = HalfspaceIntersection(np.hstack([A, b[:, None]]), res.x[:d])
+    return _dedupe_loop(hs.intersections, 1e-9)
+
+
+def test_affine_component_against_halfspace_oracle():
+    """The component is the minimal face at x of the flat region; the
+    oracle takes the region's vertices from qhull's halfspace
+    intersection and the face from linprog.  Integer pieces and integer
+    points put x on kinks."""
+    rng = np.random.default_rng(32)
+    checked = 0
+    for t in range(30):
+        d = 1 + t % 3
+        box = Polytope(np.array(list(itertools.product((-2.0, 2.0), repeat=d))), minimal=True)
+        if t % 2:
+            g, c = rng.uniform(-2, 2, size=(5, d)), rng.uniform(-1, 1, size=5)
+            x = rng.uniform(-2, 2, size=d)
+        else:
+            g, c = rng.integers(-2, 3, size=(5, d)) * 1.0, rng.integers(-1, 2, size=5) * 1.0
+            x = rng.integers(-2, 3, size=d) * 1.0
+        phi = PwlConvex(list(zip(g, c)))
+        region = _region_vertices(flat_region(phi, x), d)
+        if region is None:
+            continue
+        checked += 1
+        assert _same_set(affine_component(phi, x, box).vertices, _lp_face(region, x))
+    assert checked >= 20
+
+
+def test_convex_hull_keeps_a_cluster_of_near_duplicate_vertices():
+    """Points 1e-9 apart (more than TAU_GEO, so not merged) at a corner
+    0.17 outside the hull of the rest: one of them must stay a vertex.
+    A leave-one-out membership test with a 1e-9 tolerance drops every
+    point of such a cluster."""
+    pts = np.array([
+        [-2.0, 2.0], [-2.0, -0.9994815384829892], [2.0, 2.0], [2.0, 1.333498199539],
+        [-1.000510444582e-09, -1.000429949434e-09], [1.204994266188e-10, -4.396730988510e-10],
+        [-9.972620108148e-10, -9.982640591431e-10], [1.888745274096e-10, -2.074085898806e-10],
+    ])
+    hull = convex_hull(pts)
+    for p in pts:
+        assert hull.contains(p, tol=1e-8)
+
+
+def test_facets_merge_triangulated_duplicates():
+    cube = Polytope(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
+    normals, offsets = cube.facets
+    assert normals.shape == (6, 3)
+    assert len(halfspaces(cube)) == 6
+    assert len(halfspaces(SEGMENT)) == 2
+    assert halfspaces(Polytope([[1.0, 2.0]])) == []
+    for h in halfspaces(cube):
+        assert abs(np.linalg.norm(h.normal) - 1.0) <= 1e-12
+        assert np.max(cube.vertices @ h.normal + h.offset) <= 1e-12
+
+
+def test_qhull_failure_is_a_typed_error():
+    """Rank 2 by the absolute TAU_GEO test, but flat at the precision of
+    coordinates of size 1e8: qhull's error becomes InvalidInput."""
+    with pytest.raises(InvalidInput, match="qhull"):
+        convex_hull([[0.0, 0.0], [1e8, 0.0], [5e7, 1e-8], [1.0, -1e-8]])

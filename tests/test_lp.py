@@ -1,10 +1,11 @@
-"""Two-phase simplex solver: status correctness, duality, determinism."""
+"""The LP backend: status correctness, duality, determinism."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mot import lp
-from mot.errors import InvalidInput
+from mot.errors import InvalidInput, SolverError
 
 TOL = 1e-7
 
@@ -142,3 +143,24 @@ def test_lower_bounds_shift():
     res = lp.solve(prog)
     assert res.status is lp.LpStatus.OPTIMAL
     assert abs(res.solution[0] - 2.0) <= TOL
+
+
+def _stub_milp(monkeypatch, status, message, x=None):
+    def fake(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=status, message=message, x=x)
+
+    monkeypatch.setattr(scipy.optimize, "milp", fake)
+
+
+def test_highs_outcomes_map_to_status_or_solver_error(monkeypatch):
+    prog = _single_var([1.0], [[1.0]], [lp.LEQ], [1.0])
+    _stub_milp(monkeypatch, 3, "The problem is unbounded.")
+    assert lp.solve(prog).status is lp.LpStatus.UNBOUNDED
+    _stub_milp(monkeypatch, 2, "The problem is infeasible.")
+    assert lp.solve(prog).status is lp.LpStatus.INFEASIBLE
+    assert not lp.feasible(prog)
+    for status, message in [(1, "Iteration limit reached."), (4, "model_status is Unknown"),
+                            (0, "optimal but no solution returned")]:
+        _stub_milp(monkeypatch, status, message)
+        with pytest.raises(SolverError, match="LP not solved"):
+            lp.solve(prog)

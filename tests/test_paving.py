@@ -12,7 +12,7 @@ from mot.errors import NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
 from mot.geometry import Polytope, in_relative_interior, relative_interiors_intersect
 from mot.measures import potential_domain
-from mot.paving import domain, locate, verify_against_coupling
+from mot.paving import ConvexPaving, PavingCell, domain, locate, verify_against_coupling
 
 TOL = 1e-7
 
@@ -107,6 +107,22 @@ def test_verify_against_coupling_detects_violation():
     report = verify_against_coupling(p, Coupling(c.mu_support, c.nu_support, bad))
     assert len(report.violations) == 1
     assert report.violations[0][:2] == (i, j)
+
+
+def test_verify_against_coupling_reports_overlapping_cells():
+    """A hand-built paving whose second cell, a segment through the
+    middle of the first, meets its relative interior."""
+    mu = DiscreteMeasure([[0.5, 0.0], [0.5, 0.5]], [0.5, 0.5])
+    square = Polytope([[0.0, -1.0], [0.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    segment = Polytope([[0.5, -1.0], [0.5, 1.0]])
+    p = ConvexPaving([PavingCell([0], square, 2), PavingCell([1], segment, 1)], [], mu.points)
+    c = Coupling(mu.points, mu.points, np.diag([0.5, 0.5]))
+    report = verify_against_coupling(p, c)
+    assert report.violations == []
+    assert report.overlaps == [(0, 1)]
+    assert not report.ok
+    disjoint = ConvexPaving([PavingCell([0], square, 2)], [1], mu.points)
+    assert verify_against_coupling(disjoint, c).ok
 
 
 def test_partition_property(random_instances):
