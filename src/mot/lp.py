@@ -3,16 +3,18 @@
 ``LinearProgram`` describes a maximisation with (<=, =, >=) rows and
 variable bounds; ``solve`` and ``feasible`` answer it.  Every LP of the
 package, these and the sparse coupling LPs of ``coupling``, is solved
-by ``highs``, which calls HiGHS through ``scipy.optimize.milp`` with
-presolve off.  HiGHS's dual simplex is deterministic: the same input
-gives the same output.  An outcome other than optimal, infeasible or
+by ``highs``, which drives scipy's bundled HiGHS binding
+(``scipy.optimize._highspy._core``) with presolve off; going through
+``scipy.optimize.milp`` cost about 1.7 ms of option checks and
+re-validation per call, several times HiGHS's own time on small LPs.
+HiGHS's dual simplex is deterministic: the same input gives the same
+output.  An outcome other than optimal, infeasible or
 unbounded raises ``SolverError``.  scipy is imported on the first
 solve, so importing the package loads none of it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -85,34 +87,60 @@ def highs(
 ) -> LpResult:
     """min c @ x subject to row_lo <= A x <= row_hi, lower <= x <= upper.
 
-    ``A`` may be dense or sparse.  ``feas_tol`` sets HiGHS's primal and
-    dual feasibility tolerances; None keeps its defaults.  Returns an
-    optimal result with x and the value c @ x, or an infeasible or
-    unbounded one.  Any other outcome, or an optimum without a point,
-    raises SolverError("<what> not solved: <HiGHS message>").
+    ``A`` may be dense or sparse; a ``csc_array`` is passed to HiGHS as
+    it is.  HiGHS runs through scipy's bundled binding with the options
+    ``scipy.optimize.milp`` would set (no console log, presolve off),
+    which keeps its answers bit for bit.  ``feas_tol`` sets HiGHS's
+    primal and dual feasibility tolerances; None keeps its defaults.
+    Returns an optimal result with x and the value c @ x, or an
+    infeasible (also a model HiGHS rejects) or unbounded one.  Any other
+    outcome, or an optimum without a point, raises
+    SolverError("<what> not solved: <HiGHS model status>").
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize._highspy import _core
+    from scipy.sparse import csc_array
 
-    options = {"presolve": False}
+    if not isinstance(A, csc_array):
+        A = csc_array(A)
+    c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise InvalidInput("non-finite objective coefficient")
+    m, n = A.shape
+    model = _core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = m
+    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = A.indptr
+    model.a_matrix_.index_ = A.indices
+    model.a_matrix_.value_ = A.data.astype(float, copy=False)
+    model.col_cost_ = c
+    model.col_lower_ = np.broadcast_to(np.asarray(lower, dtype=float), n)
+    model.col_upper_ = np.broadcast_to(np.asarray(upper, dtype=float), n)
+    model.row_lower_ = np.broadcast_to(np.asarray(row_lo, dtype=float), m)
+    model.row_upper_ = np.broadcast_to(np.asarray(row_hi, dtype=float), m)
+
+    solver = _core._Highs()
+    solver.setOptionValue("log_to_console", False)
+    solver.setOptionValue("presolve", "off")
     if feas_tol is not None:
-        options["primal_feasibility_tolerance"] = feas_tol
-        options["dual_feasibility_tolerance"] = feas_tol
-    with warnings.catch_warnings():
-        # milp passes options it does not know on to HiGHS, with a warning
-        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-        res = milp(
-            c,
-            constraints=LinearConstraint(A, row_lo, row_hi),
-            bounds=Bounds(lower, upper),
-            options=options,
-        )
-    if res.status == 0 and res.x is not None:
-        return LpResult(LpStatus.OPTIMAL, res.x, float(c @ res.x))
-    if res.status == 2:
+        solver.setOptionValue("primal_feasibility_tolerance", float(feas_tol))
+        solver.setOptionValue("dual_feasibility_tolerance", float(feas_tol))
+    error = _core.HighsStatus.kError
+    if solver.passModel(model) == error:
+        status, ran = _core.HighsModelStatus.kModelError, False
+    else:
+        ran = solver.run() != error
+        status = solver.getModelStatus()
+    if status == _core.HighsModelStatus.kOptimal and ran:
+        solution = solver.getSolution()
+        if solution.value_valid:
+            x = np.array(solution.col_value)
+            return LpResult(LpStatus.OPTIMAL, x, float(c @ x))
+    elif status in (_core.HighsModelStatus.kInfeasible, _core.HighsModelStatus.kModelError):
         return LpResult(LpStatus.INFEASIBLE)
-    if res.status == 3:
+    elif status == _core.HighsModelStatus.kUnbounded:
         return LpResult(LpStatus.UNBOUNDED)
-    raise SolverError(f"{what} not solved: {res.message}")
+    raise SolverError(f"{what} not solved: {solver.modelStatusToString(status)}")
 
 
 def _highs_program(prog: LinearProgram, c: np.ndarray) -> LpResult:

@@ -17,6 +17,7 @@ import numpy as np
 from .coupling import EPS_POLAR, Coupling, nonpolar_mask
 from .errors import DimensionMismatch
 from .geometry import (
+    TAU_GEO,
     Polytope,
     as_point,
     convex_hull,
@@ -132,7 +133,7 @@ def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
                 continue
             target = c.nu_support[j]
             if hull is None:
-                inside = bool(np.max(np.abs(target - c.mu_support[i])) <= 1e-9)
+                inside = bool(np.max(np.abs(target - c.mu_support[i])) <= TAU_GEO)
             else:
                 inside = hull.contains(target)
             if not inside:

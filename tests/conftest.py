@@ -45,6 +45,42 @@ def random_pwl(rng, dim, n_pieces=5, scale=2.0):
     return PwlConvex(list(zip(grads, offs)))
 
 
+@pytest.fixture
+def stub_highs(monkeypatch):
+    """Replace the HiGHS solver that ``lp.highs`` builds with one whose
+    run ends in a chosen way.
+
+    ``stub_highs(status, x=None, load_error=False, run_error=False)``:
+    every later solve reports the ``HighsModelStatus`` member named
+    ``status`` and, when ``x`` is given, the point ``x``;
+    ``load_error``/``run_error`` make ``passModel``/``run`` return
+    ``kError``.  Options and status strings are the real binding's.
+    """
+    from scipy.optimize._highspy import _core
+
+    def stub(status, x=None, load_error=False, run_error=False):
+        class FakeHighs(_core._Highs):
+            def passModel(self, model):
+                return _core.HighsStatus.kError if load_error else _core.HighsStatus.kOk
+
+            def run(self):
+                return _core.HighsStatus.kError if run_error else _core.HighsStatus.kOk
+
+            def getModelStatus(self):
+                return getattr(_core.HighsModelStatus, status)
+
+            def getSolution(self):
+                solution = _core.HighsSolution()
+                if x is not None:
+                    solution.col_value = list(x)
+                    solution.value_valid = True
+                return solution
+
+        monkeypatch.setattr(_core, "_Highs", FakeHighs)
+
+    return stub
+
+
 @pytest.fixture(scope="session")
 def gaussian_pair():
     return gaussian_grid(5)

@@ -1,8 +1,12 @@
 """The LP backend: status correctness, duality, determinism."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
-import scipy.optimize
 
 from mot import lp
 from mot.errors import InvalidInput, SolverError
@@ -129,6 +133,8 @@ def test_non_finite_coefficients_rejected():
         lp.solve(_single_var([np.nan], [[1.0]], [lp.LEQ], [1.0]))
     with pytest.raises(InvalidInput):
         lp.feasible(_single_var([1.0], [[np.inf]], [lp.LEQ], [1.0]))
+    with pytest.raises(InvalidInput):
+        lp.highs(np.array([np.nan]), np.array([[1.0]]), [0.0], [1.0])
 
 
 def test_lower_bounds_shift():
@@ -145,22 +151,117 @@ def test_lower_bounds_shift():
     assert abs(res.solution[0] - 2.0) <= TOL
 
 
-def _stub_milp(monkeypatch, status, message, x=None):
-    def fake(*args, **kwargs):
-        return scipy.optimize.OptimizeResult(status=status, message=message, x=x)
-
-    monkeypatch.setattr(scipy.optimize, "milp", fake)
-
-
-def test_highs_outcomes_map_to_status_or_solver_error(monkeypatch):
+def test_highs_outcomes_map_to_status_or_solver_error(stub_highs):
     prog = _single_var([1.0], [[1.0]], [lp.LEQ], [1.0])
-    _stub_milp(monkeypatch, 3, "The problem is unbounded.")
+    stub_highs("kUnbounded")
     assert lp.solve(prog).status is lp.LpStatus.UNBOUNDED
-    _stub_milp(monkeypatch, 2, "The problem is infeasible.")
-    assert lp.solve(prog).status is lp.LpStatus.INFEASIBLE
-    assert not lp.feasible(prog)
-    for status, message in [(1, "Iteration limit reached."), (4, "model_status is Unknown"),
-                            (0, "optimal but no solution returned")]:
-        _stub_milp(monkeypatch, status, message)
-        with pytest.raises(SolverError, match="LP not solved"):
+    for status, load_error in [("kInfeasible", False), ("kModelError", False),
+                               ("kNotset", True)]:
+        stub_highs(status, load_error=load_error)
+        assert lp.solve(prog).status is lp.LpStatus.INFEASIBLE
+        assert not lp.feasible(prog)
+    for status, message in [("kIterationLimit", "Iteration limit reached"),
+                            ("kUnknown", "Unknown"),
+                            ("kUnboundedOrInfeasible", "Primal infeasible or unbounded"),
+                            ("kOptimal", "Optimal")]:
+        stub_highs(status)
+        with pytest.raises(SolverError, match=f"LP not solved: {message}"):
             lp.solve(prog)
+    # an optimum whose run failed is not read
+    stub_highs("kOptimal", x=[1.0], run_error=True)
+    with pytest.raises(SolverError, match="LP not solved: Optimal"):
+        lp.solve(prog)
+    stub_highs("kOptimal", x=[1.0])
+    assert lp.solve(prog).solution.tolist() == [1.0]
+
+
+def _milp_reference(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP"):
+    """``lp.highs``'s problem solved by ``scipy.optimize.milp`` with the
+    same HiGHS options: presolve off, the feasibility tolerances when
+    given, no console log (milp's default)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    options = {"presolve": False}
+    if feas_tol is not None:
+        options["primal_feasibility_tolerance"] = feas_tol
+        options["dual_feasibility_tolerance"] = feas_tol
+    with warnings.catch_warnings():
+        # milp passes options it does not know on to HiGHS, with a warning
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(
+            c,
+            constraints=LinearConstraint(A, row_lo, row_hi),
+            bounds=Bounds(lower, upper),
+            options=options,
+        )
+    status = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: lp.LpStatus.UNBOUNDED}
+    return status[res.status], res.x
+
+
+def _recorded_highs_calls(monkeypatch, run):
+    """The argument lists of every ``lp.highs`` call made by ``run()``."""
+    calls = []
+    real = lp.highs
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "highs", record)
+    run()
+    monkeypatch.setattr(lp, "highs", real)
+    return calls
+
+
+def test_highs_matches_milp_bit_for_bit(monkeypatch):
+    """Same status and the same x, bit for bit, as scipy.optimize.milp
+    on the coupling LPs, a per-pair LP, a dense program, an infeasible
+    and an unbounded LP."""
+    from conftest import random_dilation_pair
+    from mot.coupling import find_coupling, max_mass_on_pair, max_support_coupling
+    from mot.fixtures import discrete_k, gaussian_grid, mixed_k
+
+    rng = np.random.default_rng(20240824)
+    pairs = [discrete_k(3), mixed_k(4), gaussian_grid(3)]
+    pairs += [random_dilation_pair(rng, dim=1 + k % 3) for k in range(20)]
+
+    def run():
+        for mu, nu in pairs:
+            find_coupling(mu, nu)
+            max_support_coupling(mu, nu)
+        max_mass_on_pair(*discrete_k(3), 0, 1)
+        rng_dense = np.random.default_rng(3)
+        A = rng_dense.uniform(-1.0, 1.0, size=(5, 7))
+        lp.solve(lp.LinearProgram(
+            objective=rng_dense.uniform(0.0, 1.0, size=7), constraint_matrix=np.abs(A),
+            relations=[lp.LEQ, lp.LEQ, lp.EQ, lp.GEQ, lp.LEQ],
+            rhs=np.abs(A) @ rng_dense.uniform(0.0, 1.0, size=7),
+            upper_bounds=[None, 2.0, None, None, 1.5, None, None],
+        ))
+        lp.solve(_single_var([1.0], [[1.0]], [lp.LEQ], [-1.0]))
+        lp.solve(_single_var([1.0], [[0.0]], [lp.LEQ], [1.0]))
+
+    calls = _recorded_highs_calls(monkeypatch, run)
+    assert len(calls) == 2 * len(pairs) + 4
+    seen = set()
+    for args, kwargs in calls:
+        status, x = _milp_reference(*args, **kwargs)
+        res = lp.highs(*args, **kwargs)
+        seen.add(res.status)
+        assert res.status is status
+        if status is lp.LpStatus.OPTIMAL:
+            assert res.solution.dtype == x.dtype
+            assert res.solution.tobytes() == x.tobytes()
+        else:
+            assert res.solution is None
+    assert seen == set(lp.LpStatus)
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported on the first solve, not by ``import mot``."""
+    code = "import sys, mot, mot.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.dirname(os.path.dirname(lp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
