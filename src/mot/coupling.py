@@ -3,8 +3,15 @@
 Couplings are nonnegative matrices on supp(mu) x supp(nu) with row and
 column marginals fixed and the conditional barycenter of each row equal
 to its source point.  Every LP of this module is posed on one sparse
-equality system (``_constraint_system``) and solved by HiGHS
-(``_highs``, on the package's one backend ``lp.highs``).
+equality system (``_constraint_system``), written as the raw arrays of
+an ``lp.CscMatrix`` and solved by HiGHS (``_highs``, on the package's
+one backend ``lp.highs``); no ``scipy.sparse`` object is built.
+
+A coupling an LP returns is certified before it is used (``_certify``):
+from theta as an n x m matrix, numpy computes the residuals of the
+system, which are the row sums minus mu, the column sums minus nu and
+the row barycenter defects theta @ y - rowsum * x.  A residual above
+COUPLING_RESIDUAL or an entry below -FEAS_TOL raises SolverError.
 
 Polar pairs are pairs of atoms that carry zero mass under every
 martingale coupling.  One LP (Freund, Roundy & Todd 1985) finds a
@@ -90,10 +97,9 @@ def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: boo
     Column i*m + j is theta_ij.  It holds a 1 in row i (mass of mu-atom
     i), a 1 in row n + j (mass of nu-atom j) and, when ``martingale`` is
     set, y_j - x_i in rows n + m + d*i ... n + m + d*i + d - 1 (barycenter
-    of row i).  The CSC arrays are written directly from these indices.
+    of row i).  ``A`` is an ``lp.CscMatrix`` written directly from these
+    indices; no ``scipy.sparse`` object is built.
     """
-    from scipy.sparse import csc_array
-
     _require_comparable(mu, nu)
     n, m = mu.n_atoms, nu.n_atoms
     d = mu.ambient_dim if martingale else 0
@@ -107,7 +113,7 @@ def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: boo
         indices[:, 2:] = (n + m + d * i)[:, None] + np.arange(d)
         data[:, 2:] = (nu.points[None, :, :] - mu.points[:, None, :]).reshape(n * m, d)
     indptr = np.arange(0, per_col * n * m + 1, per_col, dtype=np.int32)
-    A = csc_array((data.ravel(), indices.ravel(), indptr), shape=(n + m + d * n, n * m))
+    A = lp.CscMatrix(data.ravel(), indices.ravel(), indptr, (n + m + d * n, n * m))
     b = np.concatenate([mu.weights, nu.weights, np.zeros(d * n)])
     return A, b
 
@@ -164,15 +170,29 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     """
     A, b = _constraint_system(mu, nu)
     x = _highs(np.zeros(A.shape[1]), A, b)
-    _certify(A, b, x)
+    _certify(mu, nu, x)
     matrix = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms)
     return Coupling(mu.points.copy(), nu.points.copy(), matrix)
 
 
-def _certify(A, b, theta):
-    """Raise SolverError unless theta solves A theta = b within
-    COUPLING_RESIDUAL with no entry below -FEAS_TOL."""
-    residual = float(np.max(np.abs(A @ theta - b)))
+def _residual(mu: DiscreteMeasure, nu: DiscreteMeasure, theta) -> float:
+    """max |A theta - b| of the martingale system, from theta as an
+    n x m matrix: row sums minus mu, column sums minus nu, and the row
+    barycenter residuals theta @ y - rowsum * x."""
+    theta = theta.reshape(mu.n_atoms, nu.n_atoms)
+    rows = theta.sum(axis=1)
+    return float(max(
+        np.max(np.abs(rows - mu.weights)),
+        np.max(np.abs(theta.sum(axis=0) - nu.weights)),
+        np.max(np.abs(theta @ nu.points - rows[:, None] * mu.points)),
+    ))
+
+
+def _certify(mu: DiscreteMeasure, nu: DiscreteMeasure, theta):
+    """Raise SolverError unless theta is a martingale coupling of mu and
+    nu within COUPLING_RESIDUAL (``_residual``) with no entry below
+    -FEAS_TOL."""
+    residual = _residual(mu, nu, theta)
     lowest = float(theta.min())
     if residual > COUPLING_RESIDUAL or lowest < -FEAS_TOL:
         raise SolverError(
@@ -234,8 +254,6 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     and on gaussian_grid(9) HiGHS ends with status "Unknown".  No pair at
     all means no martingale coupling exists.
     """
-    from scipy.sparse import csc_array
-
     A, b = _constraint_system(mu, nu)
     n, m = mu.n_atoms, nu.n_atoms
     nm = n * m
@@ -244,13 +262,11 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     b_rows = np.flatnonzero(b)
     nnz = data.shape[0]
     # columns [s | t | tau]
-    big = csc_array(
-        (
-            np.concatenate([data, data, -b[b_rows]]),
-            np.concatenate([A.indices, A.indices, b_rows.astype(np.int32)]),
-            np.concatenate([A.indptr, A.indptr[1:] + nnz, [2 * nnz + b_rows.size]]),
-        ),
-        shape=(A.shape[0], 2 * nm + 1),
+    big = lp.CscMatrix(
+        np.concatenate([data, data, -b[b_rows]]),
+        np.concatenate([A.indices, A.indices, b_rows.astype(np.int32)]),
+        np.concatenate([A.indptr, A.indptr[1:] + nnz, [2 * nnz + b_rows.size]]),
+        (A.shape[0], 2 * nm + 1),
     )
     c = np.zeros(2 * nm + 1)
     c[:nm] = -1.0
@@ -266,7 +282,7 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     if not mask.any(axis=1).all():
         raise SolverError("max-support LP left a mu-atom without any pair")
     theta = w * (s + x[nm : 2 * nm]) / tau
-    _certify(A, b, theta)
+    _certify(mu, nu, theta)
     return mask, Coupling(mu.points.copy(), nu.points.copy(), theta.reshape(n, m))
 
 

@@ -207,6 +207,8 @@ def _first_match(pts: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
     """
     n = pts.shape[0]
     owner = np.arange(n)
+    if n == 1:
+        return owner
     step = max(1, _MATCH_BLOCK // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)

@@ -3,20 +3,24 @@
 ``LinearProgram`` describes a maximisation with (<=, =, >=) rows and
 variable bounds; ``solve`` and ``feasible`` answer it.  Every LP of the
 package, these and the sparse coupling LPs of ``coupling``, is solved
-by ``highs``, which drives scipy's bundled HiGHS binding
-(``scipy.optimize._highspy._core``) with presolve off; going through
-``scipy.optimize.milp`` cost about 1.7 ms of option checks and
-re-validation per call, several times HiGHS's own time on small LPs.
-HiGHS's dual simplex is deterministic: the same input gives the same
-output.  An outcome other than optimal, infeasible or
-unbounded raises ``SolverError``.  scipy is imported on the first
-solve, so importing the package loads none of it.
+by ``highs``.  It takes the constraint matrix as a ``CscMatrix`` (the
+raw compressed-column arrays, which the coupling LPs write directly
+and which go to HiGHS without a ``scipy.sparse`` object or its format
+checks) or as anything ``scipy.sparse.csc_array`` converts.  It drives
+scipy's bundled HiGHS binding (``scipy.optimize._highspy._core``) with
+presolve off; going through ``scipy.optimize.milp`` cost about 1.7 ms
+of option checks and re-validation per call, several times HiGHS's own
+time on small LPs.  HiGHS's dual simplex is deterministic: the same
+input gives the same output.  An outcome other than optimal,
+infeasible or unbounded raises ``SolverError``.  scipy is imported on
+the first solve, so importing the package loads none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +75,23 @@ class LinearProgram:
                 raise InvalidInput("lower_bounds length must equal column count")
 
 
+class CscMatrix(NamedTuple):
+    """A sparse matrix as its compressed-column arrays: the row indices
+    and values of column k are ``indices``/``data[indptr[k]:indptr[k + 1]]``.
+    ``highs`` hands these arrays to HiGHS as they are."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        dense[self.indices, cols] = self.data
+        return dense
+
+
 @dataclass
 class LpResult:
     status: LpStatus
@@ -87,21 +108,26 @@ def highs(
 ) -> LpResult:
     """min c @ x subject to row_lo <= A x <= row_hi, lower <= x <= upper.
 
-    ``A`` may be dense or sparse; a ``csc_array`` is passed to HiGHS as
-    it is.  HiGHS runs through scipy's bundled binding with the options
-    ``scipy.optimize.milp`` would set (no console log, presolve off),
-    which keeps its answers bit for bit.  ``feas_tol`` sets HiGHS's
-    primal and dual feasibility tolerances; None keeps its defaults.
+    ``A`` is a ``CscMatrix``, whose arrays go to HiGHS as they are, or
+    anything ``scipy.sparse.csc_array`` accepts (a dense array, another
+    sparse format), which is converted.  Scalar bounds are repeated to
+    full length.  HiGHS runs through scipy's bundled binding with the
+    options ``scipy.optimize.milp`` would set (no console log, presolve
+    off), which keeps its answers bit for bit.  ``feas_tol`` sets
+    HiGHS's primal and dual feasibility tolerances; None keeps its
+    defaults.
     Returns an optimal result with x and the value c @ x, or an
     infeasible (also a model HiGHS rejects) or unbounded one.  Any other
     outcome, or an optimum without a point, raises
     SolverError("<what> not solved: <HiGHS model status>").
     """
     from scipy.optimize._highspy import _core
-    from scipy.sparse import csc_array
 
-    if not isinstance(A, csc_array):
-        A = csc_array(A)
+    if not isinstance(A, CscMatrix):
+        from scipy.sparse import csc_array
+
+        S = csc_array(A)
+        A = CscMatrix(S.data, S.indices, S.indptr, S.shape)
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise InvalidInput("non-finite objective coefficient")
@@ -114,10 +140,10 @@ def highs(
     model.a_matrix_.index_ = A.indices
     model.a_matrix_.value_ = A.data.astype(float, copy=False)
     model.col_cost_ = c
-    model.col_lower_ = np.broadcast_to(np.asarray(lower, dtype=float), n)
-    model.col_upper_ = np.broadcast_to(np.asarray(upper, dtype=float), n)
-    model.row_lower_ = np.broadcast_to(np.asarray(row_lo, dtype=float), m)
-    model.row_upper_ = np.broadcast_to(np.asarray(row_hi, dtype=float), m)
+    model.col_lower_ = _filled(lower, n)
+    model.col_upper_ = _filled(upper, n)
+    model.row_lower_ = _filled(row_lo, m)
+    model.row_upper_ = _filled(row_hi, m)
 
     solver = _core._Highs()
     solver.setOptionValue("log_to_console", False)
@@ -141,6 +167,17 @@ def highs(
     elif status == _core.HighsModelStatus.kUnbounded:
         return LpResult(LpStatus.UNBOUNDED)
     raise SolverError(f"{what} not solved: {solver.modelStatusToString(status)}")
+
+
+def _filled(bound, k: int) -> np.ndarray:
+    """A bound as k floats: a scalar is repeated, an array of length k
+    taken as it is; any other shape raises InvalidInput."""
+    bound = np.asarray(bound, dtype=float)
+    if bound.ndim == 0:
+        return np.full(k, bound)
+    if bound.shape != (k,):
+        raise InvalidInput(f"bound of shape {bound.shape} for {k} entries")
+    return bound
 
 
 def _highs_program(prog: LinearProgram, c: np.ndarray) -> LpResult:

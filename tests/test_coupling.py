@@ -401,3 +401,55 @@ def test_regression_negative_coupling_instance():
     for cell in p.cells:
         for i in cell.members:
             assert in_relative_interior(mu.points[i], cell.hull)
+
+
+def test_numpy_residual_matches_sparse_product(random_instances, gaussian_pair):
+    """The certificate's residual, computed from theta as a matrix, is
+    max |A theta - b| of the sparse system, on solved couplings, on
+    copies with residuals near 1e-3, and on copies whose first row is
+    moved along a direction that keeps its mass and barycenter, so that
+    only the column sums show it."""
+    from scipy.sparse import csc_array
+    from mot.coupling import _constraint_system, _residual
+
+    rng = np.random.default_rng(4)
+    pairs = [(mu, nu) for mu, nu, _, _ in random_instances] + [gaussian_pair]
+    for mu, nu in pairs:
+        A, b = _constraint_system(mu, nu)
+        S = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
+        # a unit vector orthogonal to the ones and to every coordinate of nu
+        along = np.zeros((mu.n_atoms, nu.n_atoms))
+        if nu.n_atoms > nu.ambient_dim + 1:
+            along[0] = np.linalg.svd(np.vstack([np.ones(nu.n_atoms), nu.points.T]))[2][-1]
+        for theta in (find_coupling(mu, nu).matrix, max_support_coupling(mu, nu)[1].matrix):
+            noisy = theta + rng.uniform(0.0, 1e-3, size=theta.shape)
+            for t in (theta, noisy, theta + 1e-3 * along):
+                expected = float(np.max(np.abs(S @ t.ravel() - b)))
+                assert abs(_residual(mu, nu, t) - expected) <= 1e-15
+
+
+@pytest.mark.parametrize("damage", ["perturbed", "negative"])
+def test_certificate_rejects_damaged_coupling(stub_highs, damage):
+    """One entry moved by 1e-6 (a residual of 1e-6), or one empty entry
+    set to -1e-9 (residual 1e-9, below COUPLING_RESIDUAL, but an entry
+    below -FEAS_TOL), fails the certificate of both coupling LPs."""
+    message = "residual 1e-06" if damage == "perturbed" else "lowest entry -1e-09"
+    cases = []
+    for mu, nu in (discrete_k(2), mixed_k(4)):
+        mask, cert = max_support_coupling(mu, nu)
+        for theta in (find_coupling(mu, nu).matrix, cert.matrix):
+            theta = theta.ravel().copy()
+            if damage == "perturbed":
+                theta[np.argmax(theta)] += 1e-6
+            else:
+                theta[np.flatnonzero(theta == 0.0)[0]] = -1e-9
+            cases.append((mu, nu, mask.ravel().astype(float), theta))
+    for mu, nu, s, theta in cases:
+        stub_highs("kOptimal", theta)
+        with pytest.raises(SolverError, match=message):
+            find_coupling(mu, nu)
+        # the max-support LP's point [s | t | tau] with W (s + t) / tau = theta
+        w = np.minimum(mu.weights[:, None], nu.weights[None, :]).ravel()
+        stub_highs("kOptimal", np.concatenate([s, theta / w - s, [1.0]]))
+        with pytest.raises(SolverError, match=message):
+            max_support_coupling(mu, nu)

@@ -137,6 +137,15 @@ def test_non_finite_coefficients_rejected():
         lp.highs(np.array([np.nan]), np.array([[1.0]]), [0.0], [1.0])
 
 
+def test_highs_rejects_bounds_of_wrong_length():
+    A = np.eye(2)
+    with pytest.raises(InvalidInput):
+        lp.highs(np.zeros(2), A, [0.0, 0.0], [1.0, 1.0], upper=np.ones(3))
+    with pytest.raises(InvalidInput):
+        lp.highs(np.zeros(2), A, [0.0], [1.0])
+    assert lp.highs(np.zeros(2), A, 0.0, [1.0, 1.0], upper=2.0).is_optimal
+
+
 def test_lower_bounds_shift():
     # maximize -x with x >= 2 attains the bound
     prog = lp.LinearProgram(
@@ -178,8 +187,13 @@ def test_highs_outcomes_map_to_status_or_solver_error(stub_highs):
 def _milp_reference(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP"):
     """``lp.highs``'s problem solved by ``scipy.optimize.milp`` with the
     same HiGHS options: presolve off, the feasibility tolerances when
-    given, no console log (milp's default)."""
+    given, no console log (milp's default).  A ``CscMatrix`` is handed to
+    milp as the ``csc_array`` of the same arrays."""
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csc_array
+
+    if isinstance(A, lp.CscMatrix):
+        A = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
 
     options = {"presolve": False}
     if feas_tol is not None:

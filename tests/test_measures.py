@@ -197,6 +197,54 @@ def test_potential_domain_rejects_unordered_pair():
         potential_domain(mu, nu)
 
 
+def _order_perturbations(mu, nu):
+    """(mu, nu) and three variants that break convex order unless nu is
+    degenerate: one nu-atom shifted (a mean mismatch), nu's outer atoms
+    moved inward with its mean kept (a tail cut), and mu and nu swapped."""
+    y, w = nu.points[:, 0], nu.weights
+    shifted = y.copy()
+    shifted[0] += 0.1
+    cut = y.copy()
+    lo, hi = y.argmin(), y.argmax()
+    centre = barycenter(nu)[0]
+    # equal first-moment changes at both ends keep the mean
+    moment = 0.25 * min(w[lo] * (centre - y[lo]), w[hi] * (y[hi] - centre))
+    cut[lo] += moment / w[lo]
+    cut[hi] -= moment / w[hi]
+    return [
+        (mu, nu),
+        (mu, m1d(shifted, w)),
+        (mu, m1d(cut, w)),
+        (nu, mu),
+    ]
+
+
+def test_potential_domain_decides_order_like_the_lp(random_instances):
+    """The potentials raise NotInConvexOrder exactly when the coupling LP
+    finds no martingale coupling, on the 1-D random instances and their
+    perturbations."""
+    decided = {True: 0, False: 0}
+    for mu, nu, _, _ in random_instances:
+        if mu.ambient_dim != 1:
+            continue
+        for a, b in _order_perturbations(mu, nu):
+            ordered = check_convex_order(a, b)
+            decided[ordered] += 1
+            if ordered:
+                potential_domain(a, b)
+            else:
+                with pytest.raises(NotInConvexOrder):
+                    potential_domain(a, b)
+    assert decided[True] >= 34 and decided[False] >= 34
+
+
+def test_potential_domain_errors():
+    with pytest.raises(MassMismatch):
+        potential_domain(m1d([0.0], [1.0]), m1d([-1.0, 1.0], [1.0, 1.0]))
+    with pytest.raises(DimensionMismatch):
+        potential_domain(m1d([0.0], [1.0]), DiscreteMeasure([[0.0, 0.0]], [1.0]))
+
+
 def test_pairing_identical_measures():
     rng = np.random.default_rng(1)
     m = m1d([0.0, 1.0], [0.5, 0.5])

@@ -1,6 +1,7 @@
 """Convex paving construction, location queries and confinement."""
 
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mot import DiscreteMeasure, compute_paving, find_coupling, fixtures
 from mot.coupling import Coupling
 from mot.errors import NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
-from mot.geometry import Polytope, in_relative_interior, relative_interiors_intersect
+from mot.geometry import TAU_GEO, Polytope, in_relative_interior, relative_interiors_intersect
 from mot.measures import potential_domain
 from mot.paving import ConvexPaving, PavingCell, domain, locate, verify_against_coupling
 
@@ -123,6 +124,42 @@ def test_verify_against_coupling_reports_overlapping_cells():
     assert not report.ok
     disjoint = ConvexPaving([PavingCell([0], square, 2)], [1], mu.points)
     assert verify_against_coupling(disjoint, c).ok
+
+
+def test_overlap_shortcut_agrees_with_lp(random_instances, monkeypatch):
+    """Cells whose vertex bounding boxes are more than TAU_GEO apart in
+    some coordinate have disjoint relative interiors by the LP too, and
+    verify_against_coupling reports the overlaps of one LP per pair while
+    solving an LP only for the pairs the boxes leave open."""
+    import mot.paving
+
+    cases = [(p, c) for _, _, p, c in random_instances]
+    for mu, nu in (mixed_k(9), fixtures.continuous_grid(40)):
+        cases.append((compute_paving(mu, nu), find_coupling(mu, nu)))
+    lp_pairs = []
+
+    def counted(P, Q):
+        lp_pairs.append((P, Q))
+        return relative_interiors_intersect(P, Q)
+
+    monkeypatch.setattr(mot.paving, "relative_interiors_intersect", counted)
+    for p, c in cases:
+        lp_pairs.clear()
+        expected, open_pairs = [], 0
+        for a, b in combinations(range(len(p.cells)), 2):
+            P, Q = p.cells[a].hull, p.cells[b].hull
+            apart = np.any(P.vertices.min(axis=0) > Q.vertices.max(axis=0) + TAU_GEO) or np.any(
+                Q.vertices.min(axis=0) > P.vertices.max(axis=0) + TAU_GEO
+            )
+            meet = relative_interiors_intersect(P, Q)
+            assert not (apart and meet)
+            open_pairs += not apart
+            if meet:
+                expected.append((a, b))
+        assert verify_against_coupling(p, c).overlaps == expected
+        assert len(lp_pairs) == open_pairs
+    # the 40 columns of continuous_grid(40) are decided without an LP
+    assert len(p.cells) == 40 and lp_pairs == []
 
 
 def test_partition_property(random_instances):
