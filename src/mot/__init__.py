@@ -6,8 +6,6 @@ affine-behaviour components of piecewise-linear convex functions."""
 from .coupling import (
     Coupling,
     Kernel,
-    build_martingale_lp,
-    build_transport_lp,
     disintegrate,
     find_coupling,
     max_mass_on_pair,

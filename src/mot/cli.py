@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 not in convex order, 3 parse/validation error.
 Errors are reported as one JSON object on stderr.  ``potential --tol``
 or ``MOT_TOL`` overrides the strict-positivity tolerance of its domain
-decision.
+decision; one that does not parse, is not finite or is negative exits 3.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coupling as coupling_mod
 from . import fixtures, geometry, measures, paving, pwl
-from .errors import MotError, NotInConvexOrder
+from .errors import InvalidInput, MotError, NotInConvexOrder
 
 EXIT_ORDER = 2
 EXIT_PARSE = 3
@@ -58,7 +58,12 @@ def _tol(tol: float | None) -> float:
     if tol is not None:
         return tol
     env = os.environ.get("MOT_TOL")
-    return float(env) if env else geometry.EPS_RI
+    if not env:
+        return geometry.EPS_RI
+    try:
+        return float(env)
+    except ValueError:
+        raise InvalidInput(f"MOT_TOL is not a number: {env!r}") from None
 
 
 @click.group()

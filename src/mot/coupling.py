@@ -135,32 +135,6 @@ def _highs(c, A, rhs, upper=np.inf, tight=True) -> np.ndarray:
     return res.solution
 
 
-def build_martingale_lp(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    objective: np.ndarray | None = None,
-    martingale: bool = True,
-) -> lp.LinearProgram:
-    """LP over theta_ij >= 0 with marginal equalities and, when
-    ``martingale`` is set, the d per-row barycenter equalities."""
-    A, b = _constraint_system(mu, nu, martingale)
-    if objective is None:
-        objective = np.zeros(A.shape[1])
-    return lp.LinearProgram(
-        objective=objective,
-        constraint_matrix=A.toarray(),
-        relations=[lp.EQ] * b.shape[0],
-        rhs=b,
-    )
-
-
-def build_transport_lp(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, objective: np.ndarray | None = None
-) -> lp.LinearProgram:
-    """Marginal constraints only: the classical transport polytope."""
-    return build_martingale_lp(mu, nu, objective, martingale=False)
-
-
 def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     """Any feasible martingale coupling; raises NotInConvexOrder if none.
 

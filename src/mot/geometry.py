@@ -14,7 +14,7 @@ Polytopes are bounded and stored by their vertices.  Lower-dimensional
 polytopes are handled in their affine-hull coordinates, so faces and
 half-space descriptions are genuine ones of the set itself and not of
 the ambient space.  Only ``relative_interiors_intersect`` solves a
-linear program (``lp.solve``).
+linear program (``lp.highs``).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class Polytope:
             self._facets = _facet_equations(self.coords)
         return self._facets
 
-    def is_singleton(self, tol: float = TAU_GEO) -> bool:
+    def is_singleton(self) -> bool:
         return self.n_vertices == 1
 
     def _facet_values(self, x: np.ndarray, tol: float) -> np.ndarray | None:
@@ -332,38 +332,24 @@ def relative_interiors_intersect(P: Polytope, Q: Polytope, eps: float = EPS_RI) 
         return in_relative_interior(Q.vertices[0], P, eps)
     k, d = P.vertices.shape
     r = Q.vertices.shape[0]
-    # variables: l_1..l_k, m_1..m_r, s
+    # variables l_1..l_k, m_1..m_r, s: maximise s subject to
+    # sum l_a p_a = sum m_b q_b, sum l = sum m = 1, l, m >= s, s <= 1
     n = k + r + 1
-    rows = []
-    rels = []
-    rhs = []
-    match = np.zeros((d, n))
-    match[:, :k] = P.vertices.T
-    match[:, k : k + r] = -Q.vertices.T
-    rows.append(match)
-    rels += [lp.EQ] * d
-    rhs += [0.0] * d
-    sum_p = np.zeros(n)
-    sum_p[:k] = 1.0
-    sum_q = np.zeros(n)
-    sum_q[k : k + r] = 1.0
-    rows.append(sum_p.reshape(1, -1))
-    rows.append(sum_q.reshape(1, -1))
-    rels += [lp.EQ, lp.EQ]
-    rhs += [1.0, 1.0]
-    pos = np.hstack([np.eye(k + r), -np.ones((k + r, 1))])
-    rows.append(pos)
-    rels += [lp.GEQ] * (k + r)
-    rhs += [0.0] * (k + r)
-    prog = lp.LinearProgram(
-        objective=np.concatenate([np.zeros(k + r), [1.0]]),
-        constraint_matrix=np.vstack(rows),
-        relations=rels,
-        rhs=np.array(rhs),
-        upper_bounds=[None] * (k + r) + [1.0],
-    )
-    res = lp.solve(prog)
-    return res.is_optimal and res.objective_value >= eps
+    A = np.zeros((d + 2 + k + r, n))
+    A[:d, :k] = P.vertices.T
+    A[:d, k : k + r] = -Q.vertices.T
+    A[d, :k] = 1.0
+    A[d + 1, k : k + r] = 1.0
+    A[d + 2 :, : k + r] = np.eye(k + r)
+    A[d + 2 :, -1] = -1.0
+    row_lo = np.concatenate([np.zeros(d), [1.0, 1.0], np.zeros(k + r)])
+    row_hi = np.concatenate([np.zeros(d), [1.0, 1.0], np.full(k + r, np.inf)])
+    upper = np.full(n, np.inf)
+    upper[-1] = 1.0
+    c = np.zeros(n)
+    c[-1] = -1.0
+    res = lp.highs(c, A, row_lo, row_hi, upper=upper, feas_tol=TAU_GEO)
+    return res.status is lp.LpStatus.OPTIMAL and res.solution[-1] >= eps
 
 
 class HalfSpace(NamedTuple):

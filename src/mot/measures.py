@@ -194,8 +194,11 @@ def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float = EPS_
     the difference of the first moments, so one check covers both: a
     breakpoint value below -TAU_GEO raises NotInConvexOrder.  Interval endpoints are exact roots of
     the linear pieces of the difference; a breakpoint value below
-    ``eps`` counts as zero.
+    ``eps`` counts as zero.  An ``eps`` that is negative or not finite
+    raises InvalidInput.
     """
+    if not (np.isfinite(eps) and eps >= 0):
+        raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
     if mu.ambient_dim != 1 or nu.ambient_dim != 1:
         raise DimensionMismatch("potential domain is one-dimensional")
     _require_comparable(mu, nu)

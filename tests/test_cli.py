@@ -195,3 +195,23 @@ def test_mot_tol_env_override(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["potential", "--mu", mu_f, "--nu", nu_f])
     assert result.exit_code == 0
     assert len(json.loads(result.output)["domain"]) == 1
+
+
+def test_bad_tolerance_exit_code(runner, tmp_path, monkeypatch):
+    """A tolerance that does not parse, is not finite or is negative
+    exits 3 with a JSON error, from MOT_TOL or from --tol."""
+    mu_f = str(tmp_path / "mu.json")
+    nu_f = str(tmp_path / "nu.json")
+    _write(mu_f, {"dim": 1, "atoms": [{"point": [0.0], "weight": 1.0}]})
+    _write(nu_f, {"dim": 1, "atoms": [{"point": [-1.0], "weight": 0.5},
+                                      {"point": [1.0], "weight": 0.5}]})
+    args = ["potential", "--mu", mu_f, "--nu", nu_f]
+    cases = [({"MOT_TOL": bad}, []) for bad in ("abc", "nan", "-1e-6")]
+    cases += [({}, ["--tol", bad]) for bad in ("nan", "inf", "-1e-6")]
+    for env, flags in cases:
+        monkeypatch.delenv("MOT_TOL", raising=False)
+        for key, val in env.items():
+            monkeypatch.setenv(key, val)
+        result = runner.invoke(main, args + flags)
+        assert result.exit_code == 3, (env, flags, result.output)
+        assert json.loads(result.output)["error"] == "InvalidInput"

@@ -99,6 +99,10 @@ def test_minimal_face_outside_raises():
         minimal_face([2.0, 2.0], SQUARE)
 
 
+# a triangle in the plane z = 0 of R^3
+TRIANGLE_3D = Polytope([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+
+
 def test_ri_intersect_disjoint_segments():
     P = Polytope([[0.0, -1.0], [0.0, 1.0]])
     Q = Polytope([[1.0, -1.0], [1.0, 1.0]])
@@ -112,12 +116,25 @@ def test_ri_intersect_square_and_inner_segment():
     # hand-picked witness: (0.5, 0) lies in both relative interiors
     assert in_relative_interior([0.5, 0.0], P)
     assert in_relative_interior([0.5, 0.0], Q)
+    # a segment crossing the triangle's interior, and an overlapping
+    # triangle in the same plane
+    crossing = Polytope([[0.5, 0.5, -1.0], [0.5, 0.5, 1.0]])
+    coplanar = Polytope([[0.5, 0.5, 0.0], [3.0, 0.5, 0.0], [0.5, 3.0, 0.0]])
+    for Q in (crossing, coplanar):
+        assert relative_interiors_intersect(TRIANGLE_3D, Q)
+        assert relative_interiors_intersect(Q, TRIANGLE_3D)
 
 
 def test_ri_intersect_square_and_boundary_segment():
     P = Polytope([[0.0, -1.0], [0.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     Q = Polytope([[0.0, -1.0], [0.0, 1.0]])
     assert not relative_interiors_intersect(P, Q)
+    # a segment on the triangle's edge, and a triangle sharing one vertex
+    on_edge = Polytope([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    at_vertex = Polytope([[2.0, 0.0, 0.0], [3.0, 1.0, 1.0], [3.0, -1.0, 1.0]])
+    for Q in (on_edge, at_vertex):
+        assert not relative_interiors_intersect(TRIANGLE_3D, Q)
+        assert not relative_interiors_intersect(Q, TRIANGLE_3D)
 
 
 def _random_polytope(rng, dim, n_points=6):

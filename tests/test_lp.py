@@ -1,6 +1,7 @@
 """The LP backend: status correctness, duality, determinism."""
 
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -14,62 +15,41 @@ from mot.errors import InvalidInput, SolverError
 TOL = 1e-7
 
 
-def _single_var(objective, rows, rels, rhs, **kw):
-    return lp.LinearProgram(
-        objective=np.array(objective),
-        constraint_matrix=np.array(rows),
-        relations=rels,
-        rhs=np.array(rhs),
-        **kw,
-    )
-
-
 def test_solve_bounded_single_variable():
-    # maximize x subject to x <= 1, x >= 0
-    res = lp.solve(_single_var([1.0], [[1.0]], [lp.LEQ], [1.0]))
+    # minimise -x subject to x <= 1, x >= 0
+    res = lp.highs([-1.0], [[1.0]], -np.inf, 1.0)
     assert res.status is lp.LpStatus.OPTIMAL
-    assert abs(res.objective_value - 1.0) <= TOL
     assert abs(res.solution[0] - 1.0) <= TOL
 
 
 def test_solve_infeasible():
     # x <= -1 contradicts x >= 0
-    res = lp.solve(_single_var([1.0], [[1.0]], [lp.LEQ], [-1.0]))
+    res = lp.highs([-1.0], [[1.0]], -np.inf, -1.0)
     assert res.status is lp.LpStatus.INFEASIBLE
     assert res.solution is None
 
 
 def test_solve_unbounded():
-    # maximize x with no upper constraint
-    res = lp.solve(_single_var([1.0], [[0.0]], [lp.LEQ], [1.0]))
+    # minimise -x with no upper constraint
+    res = lp.highs([-1.0], [[0.0]], -np.inf, 1.0)
     assert res.status is lp.LpStatus.UNBOUNDED
 
 
 def test_feasible_point_in_box():
-    prog = _single_var([0.0], [[1.0]], [lp.EQ], [0.5], upper_bounds=[1.0])
-    assert lp.feasible(prog)
+    res = lp.highs([0.0], [[1.0]], 0.5, 0.5, upper=1.0)
+    assert res.status is lp.LpStatus.OPTIMAL
 
 
 def test_feasible_contradictory_equalities():
     # x + y = 1 and x - y = 3 force x = 2 > upper bound 1
-    prog = lp.LinearProgram(
-        objective=np.zeros(2),
-        constraint_matrix=np.array([[1.0, 1.0], [1.0, -1.0]]),
-        relations=[lp.EQ, lp.EQ],
-        rhs=np.array([1.0, 3.0]),
-        upper_bounds=[1.0, 1.0],
-    )
-    assert not lp.feasible(prog)
+    b = np.array([1.0, 3.0])
+    res = lp.highs(np.zeros(2), [[1.0, 1.0], [1.0, -1.0]], b, b, upper=1.0)
+    assert res.status is lp.LpStatus.INFEASIBLE
 
 
 def test_feasible_simplex_nonempty():
-    prog = lp.LinearProgram(
-        objective=np.zeros(4),
-        constraint_matrix=np.ones((1, 4)),
-        relations=[lp.EQ],
-        rhs=np.array([1.0]),
-    )
-    assert lp.feasible(prog)
+    res = lp.highs(np.zeros(4), np.ones((1, 4)), 1.0, 1.0)
+    assert res.status is lp.LpStatus.OPTIMAL
 
 
 def test_known_optimum_random_instances():
@@ -84,104 +64,92 @@ def test_known_optimum_random_instances():
         y = rng.uniform(0.1, 1.0, size=m)
         b = A @ x_star
         c = y @ A
-        prog = lp.LinearProgram(
-            objective=c,
-            constraint_matrix=A,
-            relations=[lp.LEQ] * m,
-            rhs=b,
-        )
-        res = lp.solve(prog)
+        res = lp.highs(-c, A, -np.inf, b, feas_tol=1e-9)
         assert res.status is lp.LpStatus.OPTIMAL
-        assert abs(res.objective_value - float(c @ x_star)) <= TOL
-        assert np.all(A @ res.solution <= b + lp.TAU_LP * 10)
+        assert abs(float(c @ res.solution) - float(c @ x_star)) <= TOL
+        assert np.all(A @ res.solution <= b + 1e-8)
 
 
 def test_determinism():
     rng = np.random.default_rng(5)
-    A = rng.uniform(-1.0, 1.0, size=(4, 6))
+    A = np.abs(rng.uniform(-1.0, 1.0, size=(4, 6)))
     x_star = rng.uniform(0.0, 1.0, size=6)
-    prog = lp.LinearProgram(
-        objective=rng.uniform(0.0, 1.0, size=4) @ np.abs(A),
-        constraint_matrix=np.abs(A),
-        relations=[lp.LEQ] * 4,
-        rhs=np.abs(A) @ x_star,
-    )
-    first = lp.solve(prog)
-    second = lp.solve(prog)
+    c = -(rng.uniform(0.0, 1.0, size=4) @ A)
+    first = lp.highs(c, A, -np.inf, A @ x_star)
+    second = lp.highs(c, A, -np.inf, A @ x_star)
     assert first.status is second.status
-    assert first.objective_value == second.objective_value
     assert np.array_equal(first.solution, second.solution)
 
 
 def test_degenerate_instance_terminates():
     # duplicate rows make the optimum degenerate; must still terminate
-    prog = lp.LinearProgram(
-        objective=np.array([1.0, 1.0]),
-        constraint_matrix=np.array(
-            [[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
-        ),
-        relations=[lp.LEQ] * 5,
-        rhs=np.array([1.0, 1.0, 1.0, 1.0, 1.0]),
-    )
-    res = lp.solve(prog)
+    A = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+    res = lp.highs([-1.0, -1.0], A, -np.inf, 1.0)
     assert res.status is lp.LpStatus.OPTIMAL
-    assert abs(res.objective_value - 1.0) <= TOL
+    assert abs(res.solution.sum() - 1.0) <= TOL
 
 
 def test_non_finite_coefficients_rejected():
-    with pytest.raises(InvalidInput):
-        lp.solve(_single_var([np.nan], [[1.0]], [lp.LEQ], [1.0]))
-    with pytest.raises(InvalidInput):
-        lp.feasible(_single_var([1.0], [[np.inf]], [lp.LEQ], [1.0]))
-    with pytest.raises(InvalidInput):
-        lp.highs(np.array([np.nan]), np.array([[1.0]]), [0.0], [1.0])
+    """A non-finite objective or matrix entry, or a NaN bound, raises;
+    infinite bounds are legal."""
+    one = np.array([[1.0]])
+    bad = [
+        ([np.nan], one, [0.0], [1.0], {}),
+        ([1.0], [[np.nan]], [-np.inf], [1.0], {}),
+        ([1.0], [[np.inf]], [-np.inf], [1.0], {}),
+        ([1.0], [[-np.inf]], [-np.inf], [1.0], {}),
+        ([1.0], one, [np.nan], [1.0], {}),
+        ([1.0], one, [0.0], np.nan, {}),
+        ([1.0], one, [0.0], [1.0], {"lower": [np.nan]}),
+        ([1.0], one, [0.0], [1.0], {"upper": np.nan}),
+    ]
+    for c, A, lo, hi, kw in bad:
+        with pytest.raises(InvalidInput):
+            lp.highs(np.array(c), A, lo, hi, **kw)
+    res = lp.highs([1.0], one, -np.inf, np.inf, lower=-1.0, upper=np.inf)
+    assert res.status is lp.LpStatus.OPTIMAL
 
 
 def test_highs_rejects_bounds_of_wrong_length():
+    """Bounds, and the objective, must have one entry per row or column."""
     A = np.eye(2)
     with pytest.raises(InvalidInput):
         lp.highs(np.zeros(2), A, [0.0, 0.0], [1.0, 1.0], upper=np.ones(3))
     with pytest.raises(InvalidInput):
         lp.highs(np.zeros(2), A, [0.0], [1.0])
-    assert lp.highs(np.zeros(2), A, 0.0, [1.0, 1.0], upper=2.0).is_optimal
+    with pytest.raises(InvalidInput):
+        lp.highs(np.zeros(3), A, [0.0, 0.0], [1.0, 1.0])
+    assert lp.highs(np.zeros(2), A, 0.0, [1.0, 1.0], upper=2.0).status is lp.LpStatus.OPTIMAL
 
 
 def test_lower_bounds_shift():
-    # maximize -x with x >= 2 attains the bound
-    prog = lp.LinearProgram(
-        objective=np.array([-1.0]),
-        constraint_matrix=np.array([[1.0]]),
-        relations=[lp.LEQ],
-        rhs=np.array([5.0]),
-        lower_bounds=np.array([2.0]),
-    )
-    res = lp.solve(prog)
+    # minimise x subject to x <= 5 with x >= 2 attains the bound
+    res = lp.highs([1.0], [[1.0]], -np.inf, 5.0, lower=2.0)
     assert res.status is lp.LpStatus.OPTIMAL
     assert abs(res.solution[0] - 2.0) <= TOL
 
 
 def test_highs_outcomes_map_to_status_or_solver_error(stub_highs):
-    prog = _single_var([1.0], [[1.0]], [lp.LEQ], [1.0])
+    args = ([-1.0], [[1.0]], -np.inf, 1.0)
     stub_highs("kUnbounded")
-    assert lp.solve(prog).status is lp.LpStatus.UNBOUNDED
+    assert lp.highs(*args).status is lp.LpStatus.UNBOUNDED
     for status, load_error in [("kInfeasible", False), ("kModelError", False),
                                ("kNotset", True)]:
         stub_highs(status, load_error=load_error)
-        assert lp.solve(prog).status is lp.LpStatus.INFEASIBLE
-        assert not lp.feasible(prog)
+        assert lp.highs(*args).status is lp.LpStatus.INFEASIBLE
     for status, message in [("kIterationLimit", "Iteration limit reached"),
                             ("kUnknown", "Unknown"),
                             ("kUnboundedOrInfeasible", "Primal infeasible or unbounded"),
                             ("kOptimal", "Optimal")]:
         stub_highs(status)
         with pytest.raises(SolverError, match=f"LP not solved: {message}"):
-            lp.solve(prog)
+            lp.highs(*args)
     # an optimum whose run failed is not read
     stub_highs("kOptimal", x=[1.0], run_error=True)
     with pytest.raises(SolverError, match="LP not solved: Optimal"):
-        lp.solve(prog)
+        lp.highs(*args)
     stub_highs("kOptimal", x=[1.0])
-    assert lp.solve(prog).solution.tolist() == [1.0]
+    assert lp.highs(*args).solution.tolist() == [1.0]
 
 
 def _milp_reference(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP"):
@@ -245,15 +213,16 @@ def test_highs_matches_milp_bit_for_bit(monkeypatch):
             max_support_coupling(mu, nu)
         max_mass_on_pair(*discrete_k(3), 0, 1)
         rng_dense = np.random.default_rng(3)
-        A = rng_dense.uniform(-1.0, 1.0, size=(5, 7))
-        lp.solve(lp.LinearProgram(
-            objective=rng_dense.uniform(0.0, 1.0, size=7), constraint_matrix=np.abs(A),
-            relations=[lp.LEQ, lp.LEQ, lp.EQ, lp.GEQ, lp.LEQ],
-            rhs=np.abs(A) @ rng_dense.uniform(0.0, 1.0, size=7),
-            upper_bounds=[None, 2.0, None, None, 1.5, None, None],
-        ))
-        lp.solve(_single_var([1.0], [[1.0]], [lp.LEQ], [-1.0]))
-        lp.solve(_single_var([1.0], [[0.0]], [lp.LEQ], [1.0]))
+        A = np.abs(rng_dense.uniform(-1.0, 1.0, size=(5, 7)))
+        c = -rng_dense.uniform(0.0, 1.0, size=7)
+        b = A @ rng_dense.uniform(0.0, 1.0, size=7)
+        # rows <=, <=, =, >=, <=
+        row_lo = np.where([False, False, True, True, False], b, -np.inf)
+        row_hi = np.where([True, True, True, False, True], b, np.inf)
+        upper = np.array([np.inf, 2.0, np.inf, np.inf, 1.5, np.inf, np.inf])
+        lp.highs(c, A, row_lo, row_hi, upper=upper, feas_tol=1e-9)
+        lp.highs([-1.0], [[1.0]], -np.inf, -1.0, feas_tol=1e-9)
+        lp.highs([-1.0], [[0.0]], -np.inf, 1.0, feas_tol=1e-9)
 
     calls = _recorded_highs_calls(monkeypatch, run)
     assert len(calls) == 2 * len(pairs) + 4
@@ -279,3 +248,14 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_lp_is_the_only_highs_call_site():
+    """No module of the package but ``lp`` names HiGHS's binding or
+    scipy's LP solvers, so every LP goes through ``lp.highs``."""
+    for path in pathlib.Path(lp.__file__).parent.rglob("*.py"):
+        if path.name == "lp.py":
+            continue
+        text = path.read_text()
+        for name in ("_highspy", "milp", "linprog"):
+            assert name not in text, f"{path.name} references {name}"

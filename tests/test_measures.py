@@ -243,6 +243,9 @@ def test_potential_domain_errors():
         potential_domain(m1d([0.0], [1.0]), m1d([-1.0, 1.0], [1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
         potential_domain(m1d([0.0], [1.0]), DiscreteMeasure([[0.0, 0.0]], [1.0]))
+    for eps in (np.nan, np.inf, -1e-6):
+        with pytest.raises(InvalidInput):
+            potential_domain(m1d([0.0], [1.0]), m1d([-1.0, 1.0], [0.5, 0.5]), eps=eps)
 
 
 def test_pairing_identical_measures():
