@@ -56,11 +56,7 @@ class Coupling:
 
     def martingale_defect(self) -> float:
         """Largest component-wise violation of sum_j theta_ij (y_j - x_i) = 0."""
-        worst = 0.0
-        for i, x in enumerate(self.mu_support):
-            drift = self.matrix[i] @ (self.nu_support - x)
-            worst = max(worst, float(np.max(np.abs(drift))))
-        return worst
+        return _martingale_defect(self.matrix, self.mu_support, self.nu_support)
 
     def to_json(self) -> dict:
         return {
@@ -149,17 +145,23 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     return Coupling(mu.points.copy(), nu.points.copy(), matrix)
 
 
+def _martingale_defect(theta, x, y) -> float:
+    """max |theta @ y - rowsum * x|: the largest row barycenter residual
+    sum_j theta_ij (y_j - x_i) of the n x m matrix theta, over every
+    coordinate (0 for no rows)."""
+    return float(np.max(np.abs(theta @ y - theta.sum(axis=1)[:, None] * x), initial=0.0))
+
+
 def _residual(mu: DiscreteMeasure, nu: DiscreteMeasure, theta) -> float:
     """max |A theta - b| of the martingale system, from theta as an
     n x m matrix: row sums minus mu, column sums minus nu, and the row
-    barycenter residuals theta @ y - rowsum * x."""
+    barycenter residuals (``_martingale_defect``)."""
     theta = theta.reshape(mu.n_atoms, nu.n_atoms)
-    rows = theta.sum(axis=1)
-    return float(max(
-        np.max(np.abs(rows - mu.weights)),
-        np.max(np.abs(theta.sum(axis=0) - nu.weights)),
-        np.max(np.abs(theta @ nu.points - rows[:, None] * mu.points)),
-    ))
+    return max(
+        float(np.max(np.abs(theta.sum(axis=1) - mu.weights))),
+        float(np.max(np.abs(theta.sum(axis=0) - nu.weights))),
+        _martingale_defect(theta, mu.points, nu.points),
+    )
 
 
 def _certify(mu: DiscreteMeasure, nu: DiscreteMeasure, theta):

@@ -10,15 +10,22 @@ checks) or as anything ``scipy.sparse.csc_array`` converts.  It drives
 scipy's bundled HiGHS binding (``scipy.optimize._highspy._core``) with
 presolve off; going through ``scipy.optimize.milp`` cost about 1.7 ms
 of option checks and re-validation per call, several times HiGHS's own
-time on small LPs.  HiGHS's dual simplex is deterministic: the same
-input gives the same output.  An outcome other than optimal,
-infeasible or unbounded raises ``SolverError``.  scipy is imported on
-the first solve, so importing the package loads none of it.
+time on small LPs.  Each thread keeps one HiGHS solver (``_solver``),
+built and configured on its first solve, because building and
+configuring one took about a quarter of a small LP's time.  Every
+solve loads its model afresh, which clears the previous model, basis
+and solution, and sets both feasibility tolerances again, so no call
+sees what an earlier one left behind.  HiGHS's dual simplex is
+deterministic: the same input gives the same output.  An outcome other
+than optimal, infeasible or unbounded raises ``SolverError``.  scipy
+is imported on the first solve, so importing the package loads none
+of it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -45,6 +52,11 @@ class CscMatrix(NamedTuple):
     shape: tuple
 
 
+# this thread's solver and its default tolerances, set by ``_solver``
+_local = threading.local()
+_TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
+
+
 @dataclass
 class LpResult:
     status: LpStatus
@@ -61,11 +73,13 @@ def highs(
     sparse format), which is converted.  A non-finite entry of ``c`` or
     ``A``, a NaN bound or a ``c`` that is not one entry per column
     raises InvalidInput; infinite bounds are legal.
-    Scalar bounds are repeated to full length.  HiGHS runs through
-    scipy's bundled binding with the options ``scipy.optimize.milp``
-    would set (no console log, presolve off), which keeps its answers
-    bit for bit.  ``feas_tol`` sets HiGHS's primal and dual feasibility
-    tolerances; None keeps its defaults.
+    Scalar bounds are repeated to full length.  The LP runs on this
+    thread's HiGHS solver (``_solver``), which has the options
+    ``scipy.optimize.milp`` would set (no console log, presolve off) and
+    so gives its answers bit for bit.  ``feas_tol`` sets HiGHS's primal
+    and dual feasibility tolerances; None sets them back to HiGHS's
+    defaults.  Both are set on every call, and a value HiGHS rejects
+    (below 1e-10, say) raises InvalidInput.
     Returns an optimal result with x, or an infeasible (also a model
     HiGHS rejects) or unbounded one.  Any other outcome, or an optimum
     without a point, raises
@@ -98,13 +112,12 @@ def highs(
     model.row_lower_ = _filled(row_lo, m)
     model.row_upper_ = _filled(row_hi, m)
 
-    solver = _core._Highs()
-    solver.setOptionValue("log_to_console", False)
-    solver.setOptionValue("presolve", "off")
-    if feas_tol is not None:
-        solver.setOptionValue("primal_feasibility_tolerance", float(feas_tol))
-        solver.setOptionValue("dual_feasibility_tolerance", float(feas_tol))
     error = _core.HighsStatus.kError
+    solver, defaults = _solver()
+    for name, default in zip(_TOLERANCES, defaults):
+        tol = default if feas_tol is None else float(feas_tol)
+        if solver.setOptionValue(name, tol) == error:
+            raise InvalidInput(f"HiGHS rejects the feasibility tolerance {feas_tol}")
     if solver.passModel(model) == error:
         status, ran = _core.HighsModelStatus.kModelError, False
     else:
@@ -120,6 +133,26 @@ def highs(
     elif status == _core.HighsModelStatus.kUnbounded:
         return LpResult(LpStatus.UNBOUNDED)
     raise SolverError(f"{what} not solved: {solver.modelStatusToString(status)}")
+
+
+def _solver():
+    """This thread's HiGHS solver and its default feasibility tolerances.
+
+    The solver is built on the thread's first solve, with the console
+    log and presolve off; the defaults are read from it then, before any
+    call changes them.  It is kept only once configured, so an exception
+    while it is built leaves none behind.
+    """
+    held = getattr(_local, "held", None)
+    if held is None:
+        from scipy.optimize._highspy import _core
+
+        solver = _core._Highs()
+        solver.setOptionValue("log_to_console", False)
+        solver.setOptionValue("presolve", "off")
+        defaults = tuple(solver.getOptionValue(name)[1] for name in _TOLERANCES)
+        held = _local.held = (solver, defaults)
+    return held
 
 
 def _filled(bound, k: int) -> np.ndarray:

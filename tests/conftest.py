@@ -47,16 +47,22 @@ def random_pwl(rng, dim, n_pieces=5, scale=2.0):
 
 @pytest.fixture
 def stub_highs(monkeypatch):
-    """Replace the HiGHS solver that ``lp.highs`` builds with one whose
-    run ends in a chosen way.
+    """Replace this thread's HiGHS solver in ``lp`` with one whose run
+    ends in a chosen way.
 
     ``stub_highs(status, x=None, load_error=False, run_error=False)``:
     every later solve reports the ``HighsModelStatus`` member named
     ``status`` and, when ``x`` is given, the point ``x``;
     ``load_error``/``run_error`` make ``passModel``/``run`` return
     ``kError``.  Options and status strings are the real binding's.
+    Each call empties ``lp``'s per-thread slot, so that ``lp._solver``
+    builds the stub; the real solver comes back after the test.
     """
+    import threading
+
     from scipy.optimize._highspy import _core
+
+    from mot import lp
 
     def stub(status, x=None, load_error=False, run_error=False):
         class FakeHighs(_core._Highs):
@@ -77,6 +83,7 @@ def stub_highs(monkeypatch):
                 return solution
 
         monkeypatch.setattr(_core, "_Highs", FakeHighs)
+        monkeypatch.setattr(lp, "_local", threading.local())
 
     return stub
 

@@ -430,6 +430,26 @@ def test_numpy_residual_matches_sparse_product(random_instances, gaussian_pair):
                 assert abs(_residual(mu, nu, t) - expected) <= 1e-15
 
 
+def test_martingale_defect_matches_row_loop(random_instances, gaussian_pair):
+    """``Coupling.martingale_defect`` (theta @ y - rowsum * x) agrees with
+    the row-by-row sum_j theta_ij (y_j - x_i) up to the rounding of an
+    m-term sum of products, on solved couplings and noisy copies."""
+    rng = np.random.default_rng(6)
+    pairs = [(mu, nu) for mu, nu, _, _ in random_instances] + [gaussian_pair]
+    for mu, nu in pairs:
+        theta = find_coupling(mu, nu).matrix
+        scale = max(np.abs(mu.points).max(), np.abs(nu.points).max())
+        tol = 4 * np.finfo(float).eps * (nu.n_atoms + 1) * scale
+        for t in (theta, theta + rng.uniform(0.0, 1e-3, size=theta.shape)):
+            loop = max(
+                float(np.max(np.abs(t[i] @ (nu.points - x)))) for i, x in enumerate(mu.points)
+            )
+            c = Coupling(mu.points, nu.points, t)
+            assert abs(c.martingale_defect() - loop) <= tol
+    empty = Coupling(np.zeros((0, 1)), np.zeros((2, 1)), np.zeros((0, 2)))
+    assert empty.martingale_defect() == 0.0
+
+
 @pytest.mark.parametrize("damage", ["perturbed", "negative"])
 def test_certificate_rejects_damaged_coupling(stub_highs, damage):
     """One entry moved by 1e-6 (a residual of 1e-6), or one empty entry

@@ -4,7 +4,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -238,6 +240,134 @@ def test_highs_matches_milp_bit_for_bit(monkeypatch):
         else:
             assert res.solution is None
     assert seen == set(lp.LpStatus)
+
+
+def _fresh_highs(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None):
+    """``lp.highs``'s problem on a newly built HiGHS solver that is used
+    once, with presolve off, no console log and the feasibility
+    tolerances set only when given: (status, x or None)."""
+    from scipy.optimize._highspy import _core
+    from scipy.sparse import csc_array
+
+    if isinstance(A, lp.CscMatrix):
+        A = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
+    else:
+        A = csc_array(A)
+    m, n = A.shape
+    model = _core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = m
+    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = A.indptr
+    model.a_matrix_.index_ = A.indices
+    model.a_matrix_.value_ = A.data.astype(float)
+    model.col_cost_ = np.asarray(c, dtype=float)
+    model.col_lower_ = np.broadcast_to(np.asarray(lower, dtype=float), n).copy()
+    model.col_upper_ = np.broadcast_to(np.asarray(upper, dtype=float), n).copy()
+    model.row_lower_ = np.broadcast_to(np.asarray(row_lo, dtype=float), m).copy()
+    model.row_upper_ = np.broadcast_to(np.asarray(row_hi, dtype=float), m).copy()
+    solver = _core._Highs()
+    solver.setOptionValue("log_to_console", False)
+    solver.setOptionValue("presolve", "off")
+    if feas_tol is not None:
+        solver.setOptionValue("primal_feasibility_tolerance", float(feas_tol))
+        solver.setOptionValue("dual_feasibility_tolerance", float(feas_tol))
+    assert solver.passModel(model) != _core.HighsStatus.kError
+    solver.run()
+    status = {
+        _core.HighsModelStatus.kOptimal: lp.LpStatus.OPTIMAL,
+        _core.HighsModelStatus.kInfeasible: lp.LpStatus.INFEASIBLE,
+        _core.HighsModelStatus.kUnbounded: lp.LpStatus.UNBOUNDED,
+    }[solver.getModelStatus()]
+    x = np.array(solver.getSolution().col_value) if status is lp.LpStatus.OPTIMAL else None
+    return status, x
+
+
+def _assert_as_fresh(args, kwargs):
+    """``lp.highs`` on this thread's solver answers like ``_fresh_highs``."""
+    res = lp.highs(*args, **kwargs)
+    status, x = _fresh_highs(*args, **kwargs)
+    assert res.status is status
+    if x is None:
+        assert res.solution is None
+    else:
+        assert res.solution.tobytes() == x.tobytes()
+
+
+def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
+    """One thread's solver, reused over a sequence that changes the
+    tolerances, fails, raises and swaps sizes, answers every LP bit for
+    bit as a solver built for that LP alone."""
+    from mot.coupling import FEAS_TOL, _constraint_system, find_coupling
+    from mot.fixtures import gaussian_grid, mixed_k
+    from mot.geometry import TAU_GEO
+
+    reused = lp._solver()[0]
+    small = _constraint_system(*mixed_k(3))
+    large = _constraint_system(*gaussian_grid(7))
+
+    def coupling_lp(system, tol):
+        A, b = system
+        return (np.zeros(A.shape[1]), A, b, b), {"feas_tol": tol}
+
+    rng = np.random.default_rng(8)
+    A = np.abs(rng.uniform(-1.0, 1.0, size=(5, 7)))
+    dense = ((-rng.uniform(0.0, 1.0, size=7), A, -np.inf, A @ rng.uniform(0.0, 1.0, size=7)),
+             {"upper": 2.0})
+    for tol in (None, FEAS_TOL, TAU_GEO, None):
+        _assert_as_fresh(*coupling_lp(small, tol))
+        _assert_as_fresh(dense[0], dict(dense[1], feas_tol=tol))
+    _assert_as_fresh(([-1.0], [[1.0]], -np.inf, -1.0), {"feas_tol": FEAS_TOL})  # infeasible
+    _assert_as_fresh(([-1.0], [[0.0]], -np.inf, 1.0), {})  # unbounded
+    _assert_as_fresh(*coupling_lp(small, None))
+    with pytest.raises(InvalidInput):
+        lp.highs([np.nan], [[1.0]], 0.0, 1.0)
+    with pytest.raises(InvalidInput):  # below HiGHS's smallest tolerance
+        lp.highs(*coupling_lp(small, 1e-11)[0], feas_tol=1e-11)
+    _assert_as_fresh(*coupling_lp(small, None))
+    stub_highs("kIterationLimit")
+    with pytest.raises(SolverError, match="Iteration limit"):
+        lp.highs(*coupling_lp(small, FEAS_TOL)[0], feas_tol=FEAS_TOL)
+    monkeypatch.undo()
+    # the reused solver's last LP ran at HiGHS's default tolerance, at
+    # which this coupling fails its certificate; FEAS_TOL must hold again
+    mu, nu = gaussian_grid(9)
+    theta = find_coupling(mu, nu).matrix
+    A, b = _constraint_system(mu, nu)
+    _, x = _fresh_highs(np.zeros(A.shape[1]), A, b, b, feas_tol=FEAS_TOL)
+    assert theta.tobytes() == np.maximum(x, 0.0).reshape(theta.shape).tobytes()
+    _assert_as_fresh(*coupling_lp(small, TAU_GEO))
+    _assert_as_fresh(*coupling_lp(large, FEAS_TOL))
+    _assert_as_fresh(*coupling_lp(small, FEAS_TOL))
+    assert lp._solver()[0] is reused
+
+
+def test_threads_solve_on_their_own_solvers():
+    """Two threads solving interleaved coupling LPs at once get the
+    serial answers, each on a solver of its own."""
+    from conftest import random_dilation_pair
+    from mot.coupling import find_coupling
+
+    rng = np.random.default_rng(9)
+    pairs = [random_dilation_pair(rng, dim=1 + k % 3) for k in range(40)]
+    serial = [find_coupling(mu, nu).matrix.tobytes() for mu, nu in pairs]
+    start = threading.Barrier(2, timeout=30)
+
+    def work(part):
+        start.wait()
+        out = [find_coupling(mu, nu).matrix.tobytes() for mu, nu in part]
+        return out, lp._solver()[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(work, pairs[k::2]) for k in range(2)]
+            (even, first), (odd, second) = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert even == serial[0::2] and odd == serial[1::2]
+    assert len({id(first), id(second), id(lp._solver()[0])}) == 3
 
 
 def test_import_loads_no_scipy():
