@@ -167,10 +167,10 @@ def _residual(mu: DiscreteMeasure, nu: DiscreteMeasure, theta) -> float:
 def _certify(mu: DiscreteMeasure, nu: DiscreteMeasure, theta):
     """Raise SolverError unless theta is a martingale coupling of mu and
     nu within COUPLING_RESIDUAL (``_residual``) with no entry below
-    -FEAS_TOL."""
+    -FEAS_TOL; a NaN entry fails both tests."""
     residual = _residual(mu, nu, theta)
     lowest = float(theta.min())
-    if residual > COUPLING_RESIDUAL or lowest < -FEAS_TOL:
+    if not (residual <= COUPLING_RESIDUAL and lowest >= -FEAS_TOL):
         raise SolverError(
             f"coupling fails its certificate: residual {residual:.3g}, "
             f"lowest entry {lowest:.3g}"

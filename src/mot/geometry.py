@@ -1,10 +1,15 @@
 """Convex geometry on finite point sets.
 
 Affine hulls, minimal V-representations, facet inequalities,
-relative-interior tests and minimal faces.  A ``Polytope`` computes its
-affine frame and vertex set once, with qhull in frame coordinates, and
-caches its facets; every predicate is then read off these facet
-inequalities without solving a linear program.  Two tolerances:
+relative-interior tests and minimal faces.  A ``Polytope`` holds its
+affine frame, vertices and facets, each computed once, from one of two
+sources: the convex hull of an arbitrary point set runs qhull in frame
+coordinates, the one case where no H-representation is known; a box cut
+by half-spaces (``intersect_halfspaces_with_polytope``) reads its facets
+off those inequalities, tight at its vertices, with no qhull call
+unless they cannot resolve its vertices within their slack.
+Every predicate is then read off the facet inequalities without solving
+a linear program.  Two tolerances:
 
 * ``TAU_GEO`` (1e-9) for rank, membership and tightness decisions,
 * ``EPS_RI``  (1e-7) for strict inequality in relative-interior tests
@@ -90,14 +95,18 @@ class AffineSubspace:
 
 def affine_hull(points) -> AffineSubspace:
     """Affine hull of a point set; dimension is the TAU_GEO-rank."""
-    pts = as_points(points)
+    return _hull_frame(as_points(points))[0]
+
+
+def _hull_frame(pts: np.ndarray) -> tuple[AffineSubspace, np.ndarray]:
+    """``affine_hull`` of checked points, and their coordinates in it."""
+    if pts.shape[0] == 1:
+        return AffineSubspace(pts[0], np.zeros((0, pts.shape[1])), 0), np.zeros((1, 0))
     base = pts.mean(axis=0)
     centered = pts - base
-    if pts.shape[0] == 1:
-        return AffineSubspace(pts[0], np.zeros((0, pts.shape[1])), 0)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > TAU_GEO))
-    return AffineSubspace(base, vt[:rank], rank)
+    basis = vt[: int(np.sum(s > TAU_GEO))]
+    return AffineSubspace(base, basis, basis.shape[0]), centered @ basis.T
 
 
 class Polytope:
@@ -114,14 +123,23 @@ class Polytope:
         pts = _dedupe(as_points(vertices))
         self._frame = self._coords = self._facets = None
         if not minimal and pts.shape[0] > 1:
-            self._frame = affine_hull(pts)
-            coords = self._frame.project(pts)
+            self._frame, coords = _hull_frame(pts)
             keep, equations = _hull_vertices(coords)
             pts, self._coords = pts[keep], coords[keep]
             if equations is not None:
                 self._facets = _merge_facets(equations)
         self.vertices = pts
         self.ambient_dim = pts.shape[1]
+
+    @classmethod
+    def _built(cls, vertices, frame, coords, facets) -> "Polytope":
+        """A polytope whose builder already holds its minimal vertices,
+        their frame and frame coordinates, and its facets; nothing is
+        recomputed."""
+        P = cls.__new__(cls)
+        P.vertices, P.ambient_dim = vertices, vertices.shape[1]
+        P._frame, P._coords, P._facets = frame, coords, facets
+        return P
 
     def __repr__(self):
         return f"Polytope({self.vertices.tolist()})"
@@ -201,20 +219,30 @@ def _first_match(pts: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
     """owner[k]: the first earlier kept point within tol of point k in
     every coordinate, or k itself, which is then kept.
 
-    Points are compared in blocks of rows; only points with an earlier
-    neighbour walk the inner loop, in order, so every earlier point's
-    kept status is already final when it is read.
+    Points are compared in blocks of rows.  A point with no earlier
+    neighbour is kept; a point whose first earlier neighbour is such a
+    point takes it.  Only the rest, points down a chain of neighbours,
+    walk the inner loop, in order, so every earlier point's kept status
+    is already final when it is read.
     """
     n = pts.shape[0]
     owner = np.arange(n)
     if n == 1:
         return owner
+    alone = np.ones(n, dtype=bool)  # no earlier point within tol
     step = max(1, _MATCH_BLOCK // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         near = _near(pts[lo:hi], pts[:hi], tol)
         near &= np.arange(hi) < np.arange(lo, hi)[:, None]
-        for r in np.flatnonzero(near.any(axis=1)):
+        rows = np.flatnonzero(near.any(axis=1))
+        if rows.size == 0:
+            continue
+        alone[lo + rows] = False
+        first = near[rows].argmax(axis=1)
+        direct = alone[first]
+        owner[lo + rows[direct]] = first[direct]
+        for r in rows[~direct]:
             k = lo + r
             hits = np.flatnonzero(near[r, :k] & (owner[:k] == np.arange(k)))
             if hits.size:
@@ -307,19 +335,31 @@ def minimal_face(x, P: Polytope) -> Polytope:
     vertices lying (within EPS_RI) on every tight facet, and is P itself
     when no facet is tight.
     """
-    x = as_point(x, P.ambient_dim)
-    if not P.contains(x):
-        raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
+    return _minimal_face(as_point(x, P.ambient_dim), P)[0]
+
+
+def _minimal_face(x: np.ndarray, P: Polytope):
+    """``minimal_face(x, P)`` and the mask of P's facets tight at x, read
+    from one evaluation of the facets at x.  The face is P itself (with
+    mask None) or P cut by the hyperplanes of the masked facets, except
+    where those facets share no vertex (P is thinner than EPS_RI there):
+    the face is then the vertex nearest to x, and the mask None."""
     if P.n_vertices == 1:
-        return P
+        if not P.contains(x):
+            raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
+        return P, None
+    values = P._facet_values(x, TAU_GEO)
+    if values is None or not np.all(values <= TAU_GEO):
+        raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
     normals, offsets = P.facets
-    tight = P._facet_values(x, TAU_GEO) >= -EPS_RI
+    tight = values >= -EPS_RI
     on = np.all(P.coords @ normals[tight].T + offsets[tight] >= -EPS_RI, axis=1)
     if on.all():
-        return P
+        return P, None
     if not on.any():  # tight facets with no common vertex: P is thinner than EPS_RI
         on[np.argmin(np.linalg.norm(P.vertices - x, axis=1))] = True
-    return Polytope(P.vertices[on], minimal=True)
+        return Polytope(P.vertices[on], minimal=True), None
+    return Polytope(P.vertices[on], minimal=True), tight
 
 
 def relative_interiors_intersect(P: Polytope, Q: Polytope, eps: float = EPS_RI) -> bool:
@@ -377,8 +417,11 @@ def intersect_halfspaces_with_polytope(
 
     Every m-subset of the inequalities (box facets first, in the box's
     m-dimensional frame) is solved at once; the solutions that satisfy
-    all inequalities within 10 tol are the candidate vertices.  Returns
-    None when the intersection is empty.
+    all inequalities within 10 tol are the candidate vertices, and they
+    are deduplicated at TAU_GEO in input order, as ``Polytope`` does.
+    The frame and facets come from the same inequalities (``_region``),
+    without qhull, unless they cannot tell two candidates apart.
+    Returns None when the intersection is empty.
     """
     sub = box.frame
     if sub.dim == 0:
@@ -401,7 +444,70 @@ def intersect_halfspaces_with_polytope(
     # points that fail the feasibility test
     regular = np.linalg.det(M) != 0.0
     u = np.linalg.solve(M[regular], -b[subsets[regular], None])[..., 0]
-    feasible = np.max(u @ A.T + b, axis=1) <= 10 * tol
+    slack = 10 * tol
+    feasible = np.max(u @ A.T + b, axis=1) <= slack
     if not feasible.any():
         return None
-    return Polytope(sub.lift(u[feasible]))
+    u = u[feasible]
+    pts = sub.lift(u)
+    kept = _first_match(pts) == np.arange(pts.shape[0])
+    region = _region(pts[kept], u[kept], A, b, sub, slack)
+    # inequalities that cannot resolve the candidates within the slack
+    # leave the region to qhull, as for any point set
+    return region if region is not None else Polytope(pts[kept])
+
+
+def _region(candidates, u, A, b, box_frame: AffineSubspace, slack: float) -> Polytope | None:
+    """The polytope cut out by A u + b <= 0, from its candidate vertices
+    (u are their coordinates in ``box_frame``), or None when the rows
+    cannot resolve it within ``slack``.
+
+    Its frame is the affine hull of u composed with ``box_frame``.  Each
+    row is mapped into that frame; rows whose mapped normal is at most
+    TAU_GEO are dropped and the rest scaled to unit normals.  A row is
+    tight at a candidate when its value there is at least -slack.  The
+    facets are the rows whose tight sets are nonempty and maximal under
+    inclusion, the first of equal sets kept: a lower face's set lies
+    strictly inside a facet's.  The vertices are the candidates whose
+    sets of tight facets are maximal: a candidate inside a face of
+    dimension one or more (a near-singular subset of rows can put one
+    there) is on fewer facets than that face's vertices.  Two candidates
+    on the same facets give None: they are closer than the slack
+    resolves, or the region is thinner than the slack across a row
+    tight at every candidate, which is then the one facet left.
+    """
+    hull, coords = _hull_frame(u)
+    normals = A @ hull.basis.T
+    offsets = A @ hull.base_point + b
+    norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+    tight = coords @ normals.T + offsets >= -slack * norms
+    tight &= norms > TAU_GEO
+    inside, count = _inclusion(tight)
+    # S_j beats S_i when it contains S_i and is larger, or equal and earlier
+    rank = count * count.size - np.arange(count.size)
+    facets = (count > 0) & ~(inside & (rank > rank[:, None])).any(axis=1)
+    inside, count = _inclusion(tight[:, facets].T)
+    if np.count_nonzero(inside & inside.T) > count.size:
+        return None
+    vertex = ~(inside & (count > count[:, None])).any(axis=1)
+    frame = AffineSubspace(
+        box_frame.base_point + hull.base_point @ box_frame.basis,
+        hull.basis @ box_frame.basis,
+        hull.dim,
+    )
+    scale = norms[facets]
+    return Polytope._built(
+        candidates[vertex],
+        frame,
+        coords[vertex],
+        (normals[facets] / scale[:, None], offsets[facets] / scale),
+    )
+
+
+def _inclusion(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the columns of the boolean matrix ``sets``, each the set of its
+    true rows: inside[i, j], S_i is a subset of S_j, and the sizes |S_i|."""
+    T = sets.astype(float)
+    inter = T.T @ T  # |S_i ∩ S_j|
+    count = inter.diagonal()
+    return inter == count[:, None], count

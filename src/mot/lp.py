@@ -99,18 +99,16 @@ def highs(
     m, n = A.shape
     if c.shape != (n,):
         raise InvalidInput(f"objective of shape {c.shape} for {n} columns")
-    model = _core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = m
-    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = A.indptr
-    model.a_matrix_.index_ = A.indices
-    model.a_matrix_.value_ = values
-    model.col_cost_ = c
-    model.col_lower_ = _filled(lower, n)
-    model.col_upper_ = _filled(upper, n)
-    model.row_lower_ = _filled(row_lo, m)
-    model.row_upper_ = _filled(row_hi, m)
+    # passModel's array form: HighsLp's setters copy integer vectors
+    # element by element, which cost several times the load itself on
+    # the coupling LPs
+    model = (
+        n, m, values.shape[0], _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
+        c, _filled(lower, n), _filled(upper, n), _filled(row_lo, m), _filled(row_hi, m),
+        A.indptr, A.indices, values,
+        # all columns continuous; an empty integrality array makes passModel fail
+        np.zeros(n, dtype=np.int32),
+    )
 
     error = _core.HighsStatus.kError
     solver, defaults = _solver()
@@ -118,7 +116,7 @@ def highs(
         tol = default if feas_tol is None else float(feas_tol)
         if solver.setOptionValue(name, tol) == error:
             raise InvalidInput(f"HiGHS rejects the feasibility tolerance {feas_tol}")
-    if solver.passModel(model) == error:
+    if solver.passModel(*model) == error:
         status, ran = _core.HighsModelStatus.kModelError, False
     else:
         ran = solver.run() != error

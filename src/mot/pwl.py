@@ -26,6 +26,7 @@ from .geometry import (
     TAU_GEO,
     HalfSpace,
     Polytope,
+    _minimal_face,
     as_point,
     intersect_halfspaces_with_polytope,
     minimal_face,
@@ -202,14 +203,29 @@ class FaceConcentrationReport:
 
 def check_barycenter_face(alpha: DiscreteMeasure, D: Polytope) -> FaceConcentrationReport:
     """Mass of alpha outside the minimal face of D at alpha's barycenter
-    (zero for any measure concentrated on D)."""
-    for p in alpha.points:
+    (zero for any measure concentrated on D).
+
+    Unless the face is D itself or, where D is thinner than EPS_RI, its
+    vertex nearest the barycenter (``_minimal_face``), it is D cut by the
+    hyperplanes of the facets tight at the barycenter: an atom within
+    TAU_GEO of each of them is on it, and only the other atoms are put
+    to ``face.contains``.
+    """
+    points = alpha.points
+    for p in points:
         if not D.contains(p):
             raise AtomOutsideD(f"atom {p.tolist()} lies outside the polytope")
     b = barycenter(alpha.normalized())
-    face = minimal_face(b, D)
+    face, tight = _minimal_face(b, D)
+    if face is D:
+        return FaceConcentrationReport(b, face, 0.0)
+    near = np.zeros(len(points), dtype=bool)
+    if tight is not None:
+        normals, offsets = D.facets
+        values = D.frame.project(points) @ normals[tight].T + offsets[tight]
+        near = np.all(values >= -TAU_GEO, axis=1)
     outside = 0.0
-    for p, w in zip(alpha.points, alpha.weights):
-        if not face.contains(p):
+    for p, w, hit in zip(points, alpha.weights, near):
+        if not (hit or face.contains(p)):
             outside += float(w)
     return FaceConcentrationReport(b, face, outside)

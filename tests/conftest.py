@@ -66,7 +66,7 @@ def stub_highs(monkeypatch):
 
     def stub(status, x=None, load_error=False, run_error=False):
         class FakeHighs(_core._Highs):
-            def passModel(self, model):
+            def passModel(self, *args):
                 return _core.HighsStatus.kError if load_error else _core.HighsStatus.kOk
 
             def run(self):

@@ -450,12 +450,17 @@ def test_martingale_defect_matches_row_loop(random_instances, gaussian_pair):
     assert empty.martingale_defect() == 0.0
 
 
-@pytest.mark.parametrize("damage", ["perturbed", "negative"])
+@pytest.mark.parametrize("damage", ["perturbed", "negative", "nan-entry", "nan-everywhere"])
 def test_certificate_rejects_damaged_coupling(stub_highs, damage):
     """One entry moved by 1e-6 (a residual of 1e-6), or one empty entry
     set to -1e-9 (residual 1e-9, below COUPLING_RESIDUAL, but an entry
-    below -FEAS_TOL), fails the certificate of both coupling LPs."""
-    message = "residual 1e-06" if damage == "perturbed" else "lowest entry -1e-09"
+    below -FEAS_TOL), fails the certificate of both coupling LPs; so
+    does a NaN in one entry or in every entry, whose comparisons are all
+    false."""
+    message = {
+        "perturbed": "residual 1e-06",
+        "negative": "lowest entry -1e-09",
+    }.get(damage, "residual nan, lowest entry nan")
     cases = []
     for mu, nu in (discrete_k(2), mixed_k(4)):
         mask, cert = max_support_coupling(mu, nu)
@@ -463,8 +468,12 @@ def test_certificate_rejects_damaged_coupling(stub_highs, damage):
             theta = theta.ravel().copy()
             if damage == "perturbed":
                 theta[np.argmax(theta)] += 1e-6
-            else:
+            elif damage == "negative":
                 theta[np.flatnonzero(theta == 0.0)[0]] = -1e-9
+            elif damage == "nan-entry":
+                theta[np.argmax(theta)] = np.nan
+            else:
+                theta[:] = np.nan
             cases.append((mu, nu, mask.ravel().astype(float), theta))
     for mu, nu, s, theta in cases:
         stub_highs("kOptimal", theta)

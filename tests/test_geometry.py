@@ -9,13 +9,16 @@ from scipy.spatial import HalfspaceIntersection
 
 from mot.errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
 from mot.geometry import (
+    HalfSpace,
     Polytope,
     _dedupe,
+    _first_match,
     _match_point_sets,
     affine_hull,
     convex_hull,
     halfspaces,
     in_relative_interior,
+    intersect_halfspaces_with_polytope,
     minimal_face,
     relative_interiors_intersect,
 )
@@ -219,12 +222,17 @@ def test_singleton_relative_interior_is_itself():
 # max-min barycentric weight.  They share no code with mot.geometry.
 
 
-def _dedupe_loop(pts, tol):
-    keep = []
+def _owner_loop(pts, tol):
+    owner = []
     for i in range(pts.shape[0]):
-        if not any(np.max(np.abs(pts[i] - pts[j])) <= tol for j in keep):
-            keep.append(i)
-    return pts[keep]
+        kept = [j for j in range(i) if owner[j] == j]
+        owner.append(next((j for j in kept if np.max(np.abs(pts[i] - pts[j])) <= tol), i))
+    return np.array(owner)
+
+
+def _dedupe_loop(pts, tol):
+    owner = _owner_loop(pts, tol)
+    return pts[owner == np.arange(len(pts))]
 
 
 def _match_loop(a, b, tol):
@@ -301,12 +309,27 @@ def _point_sets(rng):
         yield pts
 
 
+def _chained_clusters(rng):
+    """Clusters of points 0.6e-9 apart along a random axis, shuffled: at
+    tol 1e-9 each point's first earlier neighbour may itself be dropped,
+    so the owner depends on the order of the whole chain."""
+    d = int(rng.integers(1, 4))
+    steps = np.zeros((int(rng.integers(2, 7)), d))
+    steps[:, int(rng.integers(d))] = 0.6e-9 * np.arange(len(steps))
+    starts = rng.integers(0, 3, size=(int(rng.integers(1, 4)), d)).astype(float)
+    pts = (starts[:, None, :] + steps[None, :, :]).reshape(-1, d)
+    return pts[rng.permutation(len(pts))]
+
+
 def test_dedupe_and_matching_match_the_loops():
     rng = np.random.default_rng(30)
-    for _ in range(60):
+    for t in range(90):
         d = int(rng.integers(1, 4))
         pts = rng.integers(0, 3, size=(int(rng.integers(1, 25)), d)) * 1e-9 * rng.uniform(0.5, 1.5)
         pts = pts + rng.integers(0, 2, size=pts.shape)
+        if t >= 60:
+            pts = _chained_clusters(rng)
+        assert np.array_equal(_first_match(pts, 1e-9), _owner_loop(pts, 1e-9))
         assert np.array_equal(_dedupe(pts, 1e-9), _dedupe_loop(pts, 1e-9))
         other = pts[rng.permutation(len(pts))] + rng.uniform(-2e-9, 2e-9, size=pts.shape)
         for tol in (1e-9, 3e-9, 1e-7):
@@ -377,6 +400,81 @@ def test_affine_component_against_halfspace_oracle():
         checked += 1
         assert _same_set(affine_component(phi, x, box).vertices, _lp_face(region, x))
     assert checked >= 20
+
+
+def _cuts_through(rng, x, k):
+    """k random half-spaces g.y + c <= 0 with x strictly inside each."""
+    return [HalfSpace(g, -g @ x - rng.uniform(0.1, 1.0)) for g in rng.normal(size=(k, len(x)))]
+
+
+def _region_cases(rng):
+    """Half-space lists clipped to [-2, 2]^d, d = 1-3: random cuts; a
+    slice between a constraint and its opposite (two slices, a line, in
+    3-D); a constraint equal to a box facet; one touching the box only at
+    a corner or, in 3-D, along an edge; and one cutting a corner 1e-6
+    deep, whose vertices lie 1e-6 inside the neighbouring box facets.
+    Then two that the inequalities cannot resolve within their 1e-8
+    slack, which qhull builds: a slab 5e-9 thick, and (in 1-D, where the
+    facets of such a cluster stay well-conditioned) a cut 5e-9 past an
+    end of the box, which leaves two candidates 5e-9 apart there."""
+    for t in range(45):
+        d = 1 + t % 3
+        x = rng.uniform(-1.5, 1.5, size=d)
+        cuts = _cuts_through(rng, x, int(rng.integers(1, 5)))
+        yield d, cuts
+        slices = []
+        for g in rng.normal(size=(2 if d == 3 and t % 2 else 1, d)):
+            slices += [HalfSpace(g, -g @ x), HalfSpace(-g, g @ x)]
+        yield d, cuts[:1] + slices
+        e = np.eye(d)[t % d] * (-1.0) ** (t // 3)
+        yield d, cuts + [HalfSpace(e, -2.0)]
+        ones = np.ones(d)
+        keep_corner = [HalfSpace(-ones, -rng.uniform(0.0, 2.0 * d))]
+        yield d, keep_corner + [HalfSpace(ones, -2.0 * d)]
+        if d == 3:
+            yield d, keep_corner + [HalfSpace(np.array([1.0, 1.0, 0.0]), -4.0)]
+        yield d, keep_corner + [HalfSpace(ones, -(2.0 * d - 1e-6))]
+    for d in (1, 2, 3):
+        g = np.linspace(1.0, 2.0, d) / np.linalg.norm(np.linspace(1.0, 2.0, d))
+        yield d, [HalfSpace(g, -0.3 - 2.5e-9), HalfSpace(-g, 0.3 - 2.5e-9)]
+    yield 1, [HalfSpace(np.ones(1), -(2.0 + 5e-9))]
+
+
+def _face_points(rng, V):
+    """Every vertex, the centroid, and points inside random faces."""
+    yield from V
+    yield V.mean(axis=0)
+    for _ in range(3):
+        S = V[rng.choice(len(V), size=int(rng.integers(1, len(V) + 1)), replace=False)]
+        lam = rng.uniform(0.05, 1.0, size=len(S))
+        yield lam @ S / lam.sum()
+
+
+def _rows(hs):
+    return np.array([np.append(h.normal, h.offset) for h in hs]) if hs else np.zeros((0, 1))
+
+
+def test_region_facets_match_qhull():
+    """The region's facets, read off its inequalities, are qhull's facets
+    of the same vertices (as unit normals and offsets, lifted to the
+    ambient space, within 1e-9, with no extra or missing row), every
+    candidate vertex is one qhull keeps, and minimal faces agree."""
+    rng = np.random.default_rng(33)
+    dims = set()
+    for d, cuts in _region_cases(rng):
+        box = Polytope(np.array(list(itertools.product((-2.0, 2.0), repeat=d))), minimal=True)
+        region = intersect_halfspaces_with_polytope(cuts, box)
+        if region is None:
+            continue
+        oracle = Polytope(region.vertices)
+        assert np.array_equal(oracle.vertices, region.vertices)
+        assert region.affine_dim == oracle.affine_dim
+        dims.add((d, region.affine_dim))
+        ours, theirs = _rows(halfspaces(region)), _rows(halfspaces(oracle))
+        assert len(ours) == len(theirs) and _match_loop(ours, theirs, 1e-9)
+        for x in _face_points(rng, region.vertices):
+            assert np.array_equal(minimal_face(x, region).vertices, minimal_face(x, oracle).vertices)
+    assert {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)} <= dims
 
 
 def test_convex_hull_keeps_a_cluster_of_near_duplicate_vertices():

@@ -7,7 +7,13 @@ from conftest import random_dilation_pair, random_pwl
 from mot import DiscreteMeasure, find_coupling, pairing
 from mot.errors import AtomOutsideD, DimensionMismatch, EmptyList, PointOutsideBox
 from mot.fixtures import discrete_k
-from mot.geometry import HalfSpace, Polytope, intersect_halfspaces_with_polytope, minimal_face
+from mot.geometry import (
+    HalfSpace,
+    Polytope,
+    convex_hull,
+    intersect_halfspaces_with_polytope,
+    minimal_face,
+)
 from mot.measures import potential_domain
 from mot.pwl import (
     PwlConvex,
@@ -300,6 +306,82 @@ def test_check_barycenter_face_rejects_outside_atom():
     alpha = DiscreteMeasure([[2.0, 2.0]], [1.0])
     with pytest.raises(AtomOutsideD):
         check_barycenter_face(alpha, D)
+
+
+def _off_face(D, F, p, delta):
+    """p moved toward D's vertex mean until it is delta from aff(F)."""
+    to_centre = D.vertices.mean(axis=0) - p
+    if F.n_vertices > 1:
+        V = F.vertices - F.vertices.mean(axis=0)
+        _, sv, vt = np.linalg.svd(V, full_matrices=False)
+        span = vt[sv > 1e-9]
+        perp = to_centre - (to_centre @ span.T) @ span
+    else:
+        perp = to_centre
+    return p + delta * to_centre / np.linalg.norm(perp)
+
+
+def _face_cases(rng):
+    """(alpha, D, band) in dims 1-3 built as in criterion 5: atoms on the
+    face of D spanned by random vertices, and copies of some moved 1e-10,
+    5e-9, 1e-8 and 1e-7 off it.  ``band`` holds the atoms 5e-9 and 1e-8
+    off a face of dimension one or more, which face.contains' affine
+    tolerance of 1e-8 * max(1, distance to the face's centre) takes or
+    only just rejects, while D's tight facets, at TAU_GEO, reject them.
+    Also a D of one vertex, a barycentre inside D, and a triangle 5e-8
+    thin."""
+    for t in range(60):
+        d = 1 + t % 3
+        D = convex_hull(rng.uniform(-2.0, 2.0, size=(d + 1 + t % (6 - d), d)))
+        D = Polytope(D.vertices, minimal=True)
+        S = D.vertices[rng.choice(D.n_vertices, size=1 + t % min(3, D.n_vertices), replace=False)]
+        lam = rng.uniform(0.0, 1.0, size=(2 + t % 4, len(S)))
+        atoms = list((lam / lam.sum(axis=1, keepdims=True)) @ S)
+        F = minimal_face(np.mean(atoms, axis=0), D)
+        band = []
+        if F.n_vertices < D.n_vertices:
+            deltas = (1e-10, 5e-9, 1e-8, 1e-7)
+            moved = [_off_face(D, F, p, delta) for p, delta in zip(atoms, deltas)]
+            band = moved[1:3] if F.n_vertices > 1 else []
+            atoms += moved
+        yield DiscreteMeasure(atoms, rng.uniform(0.1, 1.0, size=len(atoms))), D, band
+    yield DiscreteMeasure([[1.0, 2.0]], [1.0]), Polytope([[1.0, 2.0]]), []
+    square = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    yield DiscreteMeasure([[0.5, 0.5], [0.0, 0.2], [1e-8, 1e-8]], [1.0, 2.0, 3.0]), square, []
+    thin = Polytope([[0.0, 0.0], [1.0, 0.0], [0.5, 5e-8]])
+    yield DiscreteMeasure([[0.5, 2e-8], [0.9, 1e-9], [0.3, 0.0]], [1.0, 1.0, 1.0]), thin, []
+
+
+def test_barycenter_face_membership_matches_face_contains():
+    """Each atom is on the face exactly when the face's own polytope
+    contains it, also 1e-8 off a face of dimension one or more, and the
+    outside mass is summed in atom order as before."""
+    rng = np.random.default_rng(57)
+    outside = band_on = band_off = 0
+    for alpha, D, band in _face_cases(rng):
+        report = check_barycenter_face(alpha, D)
+        face = Polytope(report.face.vertices)
+        expected = 0.0
+        for p, w in zip(alpha.points, alpha.weights):
+            on = face.contains(p)
+            if not on:
+                expected += float(w)
+                outside += 1
+            if any(np.array_equal(p, q) for q in band):
+                band_on += on
+                band_off += not on
+        assert report.outside_mass == expected
+    assert outside >= 40
+    assert band_on >= 10 and band_off >= 1
+
+
+def test_check_barycenter_face_rejects_dimension_mismatch():
+    triangle = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        check_barycenter_face(DiscreteMeasure([[0.2], [0.4]], [1.0, 1.0]), triangle)
+    simplex = Polytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        check_barycenter_face(DiscreteMeasure([[0.1, 0.1]], [1.0]), simplex)
 
 
 def test_pwl_json_round_trip():
