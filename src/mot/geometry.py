@@ -190,7 +190,10 @@ class Polytope:
     def contains(self, x, tol: float = TAU_GEO) -> bool:
         """x lies on the affine hull and within tol of every facet's
         inner side."""
-        x = as_point(x, self.ambient_dim)
+        return self._contains(as_point(x, self.ambient_dim), tol)
+
+    def _contains(self, x: np.ndarray, tol: float = TAU_GEO) -> bool:
+        """``contains`` at a checked point of the ambient dimension."""
         if self.n_vertices == 1:
             return bool(np.max(np.abs(self.vertices[0] - x)) <= tol)
         values = self._facet_values(x, tol)
@@ -413,7 +416,18 @@ def halfspaces(P: Polytope) -> list[HalfSpace]:
 def intersect_halfspaces_with_polytope(
     constraints: list[HalfSpace], box: Polytope, tol: float = TAU_GEO
 ) -> Polytope | None:
-    """Vertices of box ∩ {y : g.y + c <= 0 for all constraints}.
+    """Vertices of box ∩ {y : g.y + c <= 0 for all constraints}, or None
+    when the intersection is empty (``_intersect_rows`` on the stacked
+    normals and offsets)."""
+    G = np.array([h.normal for h in constraints], dtype=float).reshape(-1, box.ambient_dim)
+    c = np.array([h.offset for h in constraints], dtype=float)
+    return _intersect_rows(G, c, box, tol)
+
+
+def _intersect_rows(
+    G: np.ndarray, c: np.ndarray, box: Polytope, tol: float = TAU_GEO
+) -> Polytope | None:
+    """Vertices of box ∩ {y : G y + c <= 0}, G of shape (k, ambient_dim).
 
     Every m-subset of the inequalities (box facets first, in the box's
     m-dimensional frame) is solved at once; the solutions that satisfy
@@ -425,13 +439,8 @@ def intersect_halfspaces_with_polytope(
     """
     sub = box.frame
     if sub.dim == 0:
-        p = box.vertices[0]
-        if all(h.normal @ p + h.offset <= tol for h in constraints):
-            return box
-        return None
+        return box if np.all(G @ box.vertices[0] + c <= tol) else None
     # constraints in frame coordinates u: y = p0 + B^T u
-    G = np.array([h.normal for h in constraints], dtype=float).reshape(-1, box.ambient_dim)
-    c = np.array([h.offset for h in constraints], dtype=float)
     normals, offsets = box.facets
     A = np.vstack([normals, G @ sub.basis.T])
     b = np.concatenate([offsets, G @ sub.base_point + c])

@@ -6,6 +6,14 @@ minimal face.  Unbounded flat regions are clipped by a caller-supplied
 bounding box.  The limit notion for sequences of convex functions is
 replaced by a tolerance-and-prefix surrogate whose testable contract is
 convergence as the sequence grows.
+
+The path from the pieces to a component stays in arrays: ties between
+active pieces are broken by one ``np.lexsort``, the flat region (or, for
+a sequence, the near-flat region) is one block of rows ``G y + c <= 0``
+computed from the piece arrays, and those rows go straight to the
+vertex enumeration (``geometry._intersect_rows``).  The point is
+validated once per call.  ``flat_region`` returns the same rows as
+``HalfSpace`` objects.
 """
 
 from __future__ import annotations
@@ -26,10 +34,9 @@ from .geometry import (
     TAU_GEO,
     HalfSpace,
     Polytope,
+    _intersect_rows,
     _minimal_face,
     as_point,
-    intersect_halfspaces_with_polytope,
-    minimal_face,
 )
 from .measures import DiscreteMeasure, barycenter
 
@@ -77,7 +84,10 @@ class PwlConvex:
 
     def active_pieces(self, x, tol: float = TAU_GEO) -> np.ndarray:
         """Indices of pieces achieving the maximum at x within tol."""
-        x = as_point(x, self.dim)
+        return self._active(as_point(x, self.dim), tol)
+
+    def _active(self, x: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
+        """``active_pieces`` at a checked point."""
         vals = self.gradients @ x + self.offsets
         return np.flatnonzero(vals >= vals.max() - tol)
 
@@ -107,43 +117,50 @@ def supporting_affine(phi: PwlConvex, x) -> AffineFunction:
     """The piece achieving the maximum at x; ties broken by the
     lexicographically smallest gradient, then smallest offset, giving a
     deterministic subgradient selector."""
-    x = as_point(x, phi.dim)
-    active = phi.active_pieces(x)
-    keys = sorted(
-        active,
-        key=lambda k: (tuple(phi.gradients[k]), phi.offsets[k]),
-    )
-    k = keys[0]
+    k = _supporting_piece(phi, as_point(x, phi.dim))
     return AffineFunction(phi.gradients[k].copy(), float(phi.offsets[k]))
+
+
+def _supporting_piece(phi: PwlConvex, x: np.ndarray) -> int:
+    """Index of ``supporting_affine``'s piece at a checked point: the
+    active piece first in the order of (gradient coordinates, offset),
+    the earliest of equal ones."""
+    active = phi._active(x)
+    if active.size > 1:
+        # np.lexsort sorts by its last key first
+        active = active[np.lexsort((phi.offsets[active], *phi.gradients[active].T[::-1]))]
+    return int(active[0])
 
 
 def delta(phi: PwlConvex, x, y) -> float:
     """phi(y) - (phi(x) + <grad(x), y - x>), always >= 0."""
     x = as_point(x, phi.dim)
     y = as_point(y, phi.dim)
-    b = supporting_affine(phi, x)
-    return phi(y) - (phi(x) + float(b.gradient @ (y - x)))
+    g = phi.gradients[_supporting_piece(phi, x)]
+    return phi(y) - (phi(x) + float(g @ (y - x)))
 
 
 def flat_region(phi: PwlConvex, x) -> list:
     """H-representation of {y : phi(y) = b(y)} for the tie-broken
     supporting piece b at x; possibly unbounded."""
-    x = as_point(x, phi.dim)
-    b = supporting_affine(phi, x)
-    out = []
-    for g, c in zip(phi.gradients, phi.offsets):
-        normal = g - b.gradient
-        off = c - b.offset
-        if np.max(np.abs(normal)) <= TAU_GEO and abs(off) <= TAU_GEO:
-            continue
-        out.append(HalfSpace(normal, off))
-    return out
+    G, c = _flat_rows(phi, _supporting_piece(phi, as_point(x, phi.dim)))
+    return [HalfSpace(g, off) for g, off in zip(G, c)]
+
+
+def _flat_rows(phi: PwlConvex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat region of piece k as rows G y + c <= 0: piece minus piece
+    k, without the rows whose normal and offset are both within TAU_GEO
+    of zero (k itself and its duplicates)."""
+    G = phi.gradients - phi.gradients[k]
+    c = phi.offsets - phi.offsets[k]
+    keep = (np.abs(G).max(axis=1) > TAU_GEO) | (np.abs(c) > TAU_GEO)
+    return G[keep], c[keep]
 
 
 def _require_in_box(x, box: Polytope):
     if x.shape[0] != box.ambient_dim:
         raise DimensionMismatch("point and box dimensions differ")
-    if not box.contains(x):
+    if not box._contains(x):
         raise PointOutsideBox(f"{x.tolist()} is not in the bounding box")
 
 
@@ -152,10 +169,10 @@ def affine_component(phi: PwlConvex, x, bounding_box: Polytope) -> Polytope:
     its relative interior is the affine-behaviour component of x."""
     x = as_point(x, phi.dim)
     _require_in_box(x, bounding_box)
-    region = intersect_halfspaces_with_polytope(flat_region(phi, x), bounding_box)
+    region = _intersect_rows(*_flat_rows(phi, _supporting_piece(phi, x)), bounding_box)
     if region is None:  # cannot happen: x itself satisfies the constraints
         raise AssertionError("flat region excludes its own base point")
-    return minimal_face(x, region)
+    return _minimal_face(x, region)[0]
 
 
 def asymptotic_component(
@@ -178,20 +195,19 @@ def asymptotic_component(
         raise DimensionMismatch("all functions and x must share one dimension")
     _require_in_box(x, bounding_box)
     half = (len(phis) + 1) // 2
-    constraints = []
+    G, c = [], []
     for phi in phis[-half:]:
-        for k in phi.active_pieces(x):
-            g_b, c_b = phi.gradients[k], phi.offsets[k]
-            for g, c in zip(phi.gradients, phi.offsets):
-                normal = g - g_b
-                off = (c - c_b) - tol
-                if np.max(np.abs(normal)) <= TAU_GEO and off <= TAU_GEO:
-                    continue
-                constraints.append(HalfSpace(normal, off))
-    region = intersect_halfspaces_with_polytope(constraints, bounding_box)
+        # every piece minus every active piece, active piece by active piece
+        active = phi._active(x)
+        normals = phi.gradients - phi.gradients[active, None]
+        offsets = (phi.offsets - phi.offsets[active, None]) - tol
+        keep = (np.abs(normals).max(axis=2) > TAU_GEO) | (offsets > TAU_GEO)
+        G.append(normals[keep])
+        c.append(offsets[keep])
+    region = _intersect_rows(np.concatenate(G), np.concatenate(c), bounding_box)
     if region is None:
         raise AssertionError("near-flat region excludes its own base point")
-    return minimal_face(x, region)
+    return _minimal_face(x, region)[0]
 
 
 @dataclass
@@ -211,11 +227,13 @@ def check_barycenter_face(alpha: DiscreteMeasure, D: Polytope) -> FaceConcentrat
     TAU_GEO of each of them is on it, and only the other atoms are put
     to ``face.contains``.
     """
+    if alpha.ambient_dim != D.ambient_dim:
+        raise DimensionMismatch("measure and polytope dimensions differ")
     points = alpha.points
     for p in points:
-        if not D.contains(p):
+        if not D._contains(p):
             raise AtomOutsideD(f"atom {p.tolist()} lies outside the polytope")
-    b = barycenter(alpha.normalized())
+    b = barycenter(alpha)
     face, tight = _minimal_face(b, D)
     if face is D:
         return FaceConcentrationReport(b, face, 0.0)
@@ -226,6 +244,6 @@ def check_barycenter_face(alpha: DiscreteMeasure, D: Polytope) -> FaceConcentrat
         near = np.all(values >= -TAU_GEO, axis=1)
     outside = 0.0
     for p, w, hit in zip(points, alpha.weights, near):
-        if not (hit or face.contains(p)):
+        if not (hit or face._contains(p)):
             outside += float(w)
     return FaceConcentrationReport(b, face, outside)

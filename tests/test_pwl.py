@@ -60,6 +60,83 @@ def test_supporting_affine_contract():
             assert b(y) <= phi(y) + 1e-9
 
 
+def _sorted_rule(phi, x):
+    """The supporting piece by the tuple sort the selector replaced."""
+    active = phi.active_pieces(x)
+    return sorted(active, key=lambda k: (tuple(phi.gradients[k]), phi.offsets[k]))[0]
+
+
+def test_supporting_affine_tie_break_matches_sorted_rule():
+    """Ties in the first gradient coordinate only go to the second one;
+    ties in the whole gradient go to the smaller offset, here apart by
+    less than the activity tolerance; equal pieces to the first."""
+    phi = PwlConvex(
+        [([1.0, 2.0], 0.0), ([1.0, -1.0], 0.0), ([3.0, -5.0], 0.0), ([1.0, -1.0], -5e-10)]
+    )
+    assert _sorted_rule(phi, [0.0, 0.0]) == 3
+    b = supporting_affine(phi, [0.0, 0.0])
+    assert np.array_equal(b.gradient, [1.0, -1.0]) and b.offset == -5e-10
+    same = PwlConvex([([0.0, 1.0], 0.0), ([-1.0, 2.0], 0.0), ([-1.0, 2.0], 0.0)])
+    assert _sorted_rule(same, [0.0, 0.0]) == 1
+    b = supporting_affine(same, [0.0, 0.0])
+    assert np.array_equal(b.gradient, [-1.0, 2.0]) and b.offset == 0.0
+    # small integer pieces at grid points: many ties of every kind
+    rng = np.random.default_rng(61)
+    for t in range(400):
+        dim = 1 + t % 4
+        grads = rng.integers(-1, 2, size=(6, dim)).astype(float)
+        offs = rng.choice([0.0, -4e-10, 4e-10, 1.0], size=6)
+        phi = PwlConvex(list(zip(grads, offs)))
+        x = rng.integers(-1, 2, size=dim).astype(float)
+        k = _sorted_rule(phi, x)
+        b = supporting_affine(phi, x)
+        assert np.array_equal(b.gradient, phi.gradients[k]) and b.offset == phi.offsets[k]
+
+
+def _flat_region_loop(phi, x):
+    """The flat region by the per-piece loop the array code replaced."""
+    b = supporting_affine(phi, x)
+    out = []
+    for g, c in zip(phi.gradients, phi.offsets):
+        normal = g - b.gradient
+        off = c - b.offset
+        if np.max(np.abs(normal)) <= 1e-9 and abs(off) <= 1e-9:
+            continue
+        out.append(HalfSpace(normal, off))
+    return out
+
+
+def test_flat_region_matches_piece_loop():
+    """Bit for bit and in order, in dims 1-4, with copies of pieces moved
+    by 5e-10 (dropped when they copy the supporting piece) and by 2e-9
+    (kept), in the gradient, the offset or both."""
+    rng = np.random.default_rng(67)
+    dropped = kept = 0
+    for t in range(240):
+        dim = 1 + t % 4
+        grads = rng.uniform(-2.0, 2.0, size=(4, dim))
+        offs = rng.uniform(-1.0, 1.0, size=4)
+        x = rng.uniform(-2.0, 2.0, size=dim)
+        k = int(np.argmax(grads @ x + offs))
+        pieces = list(zip(grads, offs))
+        for step in (0.0, 5e-10, 2e-9):
+            where = rng.integers(0, 3)  # gradient, offset or both
+            g = grads[k] + (step if where != 1 else 0.0)
+            c = offs[k] - (step if where != 0 else 0.0)
+            pieces.append((g, c))
+            pieces.append((grads[int(rng.integers(0, 4))] + step, offs[k] - 1.0))
+        phi = PwlConvex(pieces)
+        region = flat_region(phi, x)
+        loop = _flat_region_loop(phi, x)
+        assert len(region) == len(loop)
+        for h, r in zip(region, loop):
+            assert np.array_equal(h.normal, r.normal) and h.offset == r.offset
+            assert type(h.offset) is type(r.offset)
+        dropped += phi.n_pieces - len(region)
+        kept += len(region)
+    assert dropped >= 2 * 240 and kept >= 5 * 240
+
+
 def test_delta_same_piece():
     assert abs(delta(ABS, [1.0], [2.0])) <= 1e-12
 
@@ -373,6 +450,20 @@ def test_barycenter_face_membership_matches_face_contains():
         assert report.outside_mass == expected
     assert outside >= 40
     assert band_on >= 10 and band_off >= 1
+
+
+def test_check_barycenter_face_mass_scaling():
+    """Scaling alpha's weights by 1e-6 or 1e6 keeps the face and scales
+    the outside mass by the same factor."""
+    rng = np.random.default_rng(57)
+    for alpha, D, _ in _face_cases(rng):
+        report = check_barycenter_face(alpha, D)
+        for factor in (1e-6, 1e6):
+            scaled = check_barycenter_face(
+                DiscreteMeasure(alpha.points, alpha.weights * factor), D
+            )
+            assert np.array_equal(scaled.face.vertices, report.face.vertices)
+            assert scaled.outside_mass == pytest.approx(report.outside_mass * factor, rel=1e-12)
 
 
 def test_check_barycenter_face_rejects_dimension_mismatch():
