@@ -35,7 +35,6 @@ from .paving import (
     ConvexPaving,
     PavingCell,
     compute_paving,
-    domain,
     locate,
     verify_against_coupling,
 )

@@ -13,7 +13,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import coupling as coupling_mod
 from . import fixtures, geometry, measures, paving, pwl
@@ -178,15 +177,11 @@ def potential_cmd(mu_file, nu_file, out, tol):
     mu = _load_measure(mu_file)
     nu = _load_measure(nu_file)
     try:
-        u_mu = measures.potential(mu)
-        u_nu = measures.potential(nu)
-        intervals = measures.potential_domain(mu, nu, eps=_tol(tol))
+        bps, diff, intervals = measures._potential_domain(mu, nu, _tol(tol))
     except NotInConvexOrder as exc:
         _fail(exc, EXIT_ORDER)
     except MotError as exc:
         _fail(exc, EXIT_PARSE)
-    bps = np.unique(np.concatenate([u_mu.breakpoints, u_nu.breakpoints]))
-    diff = u_nu(bps) - u_mu(bps)
     _emit(
         {
             "breakpoints": bps.tolist(),

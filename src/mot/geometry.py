@@ -1,13 +1,18 @@
 """Convex geometry on finite point sets.
 
 Affine hulls, minimal V-representations, facet inequalities,
-relative-interior tests and minimal faces.  A ``Polytope`` holds its
-affine frame, vertices and facets, each computed once, from one of two
-sources: the convex hull of an arbitrary point set runs qhull in frame
-coordinates, the one case where no H-representation is known; a box cut
-by half-spaces (``intersect_halfspaces_with_polytope``) reads its facets
-off those inequalities, tight at its vertices, with no qhull call
-unless they cannot resolve its vertices within their slack.
+relative-interior tests and minimal faces.  A system of half-spaces is
+always a pair of arrays ``(G, c)``: the rows of ``G y + c <= 0``, in
+ambient coordinates, G of shape (k, d) and c of shape (k,).
+
+A ``Polytope`` holds its affine frame, vertices and facets, each
+computed once, from one of two sources: the convex hull of an arbitrary
+point set runs qhull in frame coordinates, the one case where no
+H-representation is known; a box cut by half-spaces
+(``intersect_halfspaces_with_polytope``) reads its facets off those
+inequalities, tight at its vertices, with no qhull call unless they
+cannot resolve its vertices within their slack.  ``halfspaces`` gives
+a polytope's facets back in the same ``(G, c)`` form.
 Every predicate is then read off the facet inequalities without solving
 a linear program.  Two tolerances:
 
@@ -24,9 +29,9 @@ linear program (``lp.highs``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -395,65 +400,66 @@ def relative_interiors_intersect(P: Polytope, Q: Polytope, eps: float = EPS_RI) 
     return res.status is lp.LpStatus.OPTIMAL and res.solution[-1] >= eps
 
 
-class HalfSpace(NamedTuple):
-    """The set {y : normal . y + offset <= 0}."""
-
-    normal: np.ndarray
-    offset: float
-
-
-def halfspaces(P: Polytope) -> list[HalfSpace]:
+def halfspaces(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Facet inequalities of P inside its affine hull, lifted to ambient
-    coordinates.  Points of aff(P) satisfy all of them iff they lie in P."""
+    coordinates as rows G y + c <= 0 (shapes (0, d) and (0,) for a
+    point).  Points of aff(P) satisfy all of them iff they lie in P."""
     sub = P.frame
     normals, offsets = P.facets
-    lifted = normals @ sub.basis
-    return [
-        HalfSpace(g, float(b - g @ sub.base_point)) for g, b in zip(lifted, offsets)
-    ]
+    G = normals @ sub.basis
+    return G, offsets - G @ sub.base_point
 
 
-def intersect_halfspaces_with_polytope(
-    constraints: list[HalfSpace], box: Polytope, tol: float = TAU_GEO
-) -> Polytope | None:
-    """Vertices of box ∩ {y : g.y + c <= 0 for all constraints}, or None
-    when the intersection is empty (``_intersect_rows`` on the stacked
-    normals and offsets)."""
-    G = np.array([h.normal for h in constraints], dtype=float).reshape(-1, box.ambient_dim)
-    c = np.array([h.offset for h in constraints], dtype=float)
-    return _intersect_rows(G, c, box, tol)
+# Every m-subset of the N rows is solved at once, and all N rows are then
+# evaluated at each solution: a (C(N, m), N) array, the largest one made
+# once N > m^2 (each subset's m x m matrix is copied once).  2**24 of its
+# entries are 128 MB, and a call at this bound peaks near 0.3 GB in
+# dimensions 1-4.  The tests and benchmarks stay below 10**5.
+_MAX_SUBSET_ROWS = 2**24
 
 
-def _intersect_rows(
-    G: np.ndarray, c: np.ndarray, box: Polytope, tol: float = TAU_GEO
-) -> Polytope | None:
-    """Vertices of box ∩ {y : G y + c <= 0}, G of shape (k, ambient_dim).
+def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
+    """Vertices of box ∩ {y : G y + c <= 0}, G of shape (k, ambient_dim)
+    and c of shape (k,), or None when the intersection is empty.
 
     Every m-subset of the inequalities (box facets first, in the box's
     m-dimensional frame) is solved at once; the solutions that satisfy
-    all inequalities within 10 tol are the candidate vertices, and they
-    are deduplicated at TAU_GEO in input order, as ``Polytope`` does.
+    all inequalities within 10 TAU_GEO are the candidate vertices, and
+    they are deduplicated at TAU_GEO in input order, as ``Polytope`` does.
     The frame and facets come from the same inequalities (``_region``),
-    without qhull, unless they cannot tell two candidates apart.
-    Returns None when the intersection is empty.
+    without qhull, unless they cannot tell two candidates apart.  An
+    enumeration of more than ``_MAX_SUBSET_ROWS`` subset-row pairs raises
+    InvalidInput before anything is allocated.
     """
+    G = np.asarray(G, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if G.ndim != 2 or c.shape != (G.shape[0],) or G.shape[1] != box.ambient_dim:
+        raise DimensionMismatch(
+            f"need rows G of shape (k, {box.ambient_dim}) and c of shape (k,), "
+            f"got {G.shape} and {c.shape}"
+        )
     sub = box.frame
     if sub.dim == 0:
-        return box if np.all(G @ box.vertices[0] + c <= tol) else None
+        return box if np.all(G @ box.vertices[0] + c <= TAU_GEO) else None
     # constraints in frame coordinates u: y = p0 + B^T u
     normals, offsets = box.facets
+    n, m = normals.shape[0] + G.shape[0], sub.dim
+    if math.comb(n, m) * n > _MAX_SUBSET_ROWS:
+        raise InvalidInput(
+            f"{n} inequalities in dimension {m}: {math.comb(n, m)} subsets of {n} "
+            f"rows, more than {_MAX_SUBSET_ROWS} subset-row pairs"
+        )
     A = np.vstack([normals, G @ sub.basis.T])
     b = np.concatenate([offsets, G @ sub.base_point + c])
-    m = sub.dim
     subsets = np.fromiter(
-        chain.from_iterable(combinations(range(A.shape[0]), m)), dtype=np.intp
+        chain.from_iterable(combinations(range(n), m)), dtype=np.intp
     ).reshape(-1, m)
     M = A[subsets]
     # exactly singular subsets are skipped; near-singular ones give far
     # points that fail the feasibility test
     regular = np.linalg.det(M) != 0.0
     u = np.linalg.solve(M[regular], -b[subsets[regular], None])[..., 0]
-    slack = 10 * tol
+    slack = 10 * TAU_GEO
     feasible = np.max(u @ A.T + b, axis=1) <= slack
     if not feasible.any():
         return None

@@ -21,7 +21,7 @@ from .errors import (
     MassMismatch,
     NotInConvexOrder,
 )
-from .geometry import TAU_GEO, EPS_RI, _first_match, as_points
+from .geometry import TAU_GEO, EPS_RI, _first_match, _match_point_sets, as_points
 
 
 class DiscreteMeasure:
@@ -55,29 +55,17 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def normalized(self) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.points, self.weights / self.total_mass)
-
     def equals(self, other: "DiscreteMeasure", tol: float = TAU_GEO) -> bool:
-        """Atom-by-atom equality of supports and weights within tol."""
+        """Atom-by-atom equality of supports and weights within tol: each
+        atom takes the first unused atom of other that is within tol in
+        every coordinate and in weight."""
         if self.ambient_dim != other.ambient_dim or self.n_atoms != other.n_atoms:
             return False
-        used = [False] * other.n_atoms
-        for p, w in zip(self.points, self.weights):
-            hit = -1
-            for j in range(other.n_atoms):
-                if used[j]:
-                    continue
-                if (
-                    np.max(np.abs(p - other.points[j])) <= tol
-                    and abs(w - other.weights[j]) <= tol
-                ):
-                    hit = j
-                    break
-            if hit < 0:
-                return False
-            used[hit] = True
-        return True
+        return _match_point_sets(
+            np.column_stack([self.points, self.weights]),
+            np.column_stack([other.points, other.weights]),
+            tol,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -197,6 +185,13 @@ def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float = EPS_
     ``eps`` counts as zero.  An ``eps`` that is negative or not finite
     raises InvalidInput.
     """
+    return _potential_domain(mu, nu, eps)[2]
+
+
+def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float):
+    """The sorted breakpoints of both potentials, the values of
+    u_nu - u_mu there, and ``potential_domain(mu, nu, eps)``, read from
+    them."""
     if not (np.isfinite(eps) and eps >= 0):
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
     if mu.ambient_dim != 1 or nu.ambient_dim != 1:
@@ -228,7 +223,7 @@ def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float = EPS_
             start = None
     if start is not None:
         intervals.append((float(start), float(bps[-1])))
-    return intervals
+    return bps, vals, intervals
 
 
 def pairing(mu: DiscreteMeasure, nu: DiscreteMeasure, phi) -> float:

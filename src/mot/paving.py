@@ -88,11 +88,6 @@ def compute_paving(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ConvexPaving:
     return ConvexPaving(cells, singles, mu.points.copy())
 
 
-def domain(p: ConvexPaving) -> list:
-    """The non-singleton cells (the paved part of space)."""
-    return list(p.cells)
-
-
 def locate(p: ConvexPaving, x) -> PavingCell:
     """The unique cell whose relative interior contains x; any other
     point gets its own singleton cell."""

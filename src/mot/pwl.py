@@ -8,12 +8,12 @@ replaced by a tolerance-and-prefix surrogate whose testable contract is
 convergence as the sequence grows.
 
 The path from the pieces to a component stays in arrays: ties between
-active pieces are broken by one ``np.lexsort``, the flat region (or, for
-a sequence, the near-flat region) is one block of rows ``G y + c <= 0``
-computed from the piece arrays, and those rows go straight to the
-vertex enumeration (``geometry._intersect_rows``).  The point is
-validated once per call.  ``flat_region`` returns the same rows as
-``HalfSpace`` objects.
+active pieces are broken by one ``np.lexsort``, the flat region
+(``flat_region``; for a sequence, the near-flat region) is one block of
+half-space rows in ``geometry``'s ``(G, c)`` form computed from the
+piece arrays, and those rows go straight to the vertex enumeration
+(``geometry.intersect_halfspaces_with_polytope``).  The point is
+validated once per call.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from .errors import (
 from .geometry import (
     EPS_RI,
     TAU_GEO,
-    HalfSpace,
     Polytope,
-    _intersect_rows,
     _minimal_face,
     as_point,
+    intersect_halfspaces_with_polytope,
 )
 from .measures import DiscreteMeasure, barycenter
 
@@ -140,11 +139,10 @@ def delta(phi: PwlConvex, x, y) -> float:
     return phi(y) - (phi(x) + float(g @ (y - x)))
 
 
-def flat_region(phi: PwlConvex, x) -> list:
-    """H-representation of {y : phi(y) = b(y)} for the tie-broken
+def flat_region(phi: PwlConvex, x) -> tuple[np.ndarray, np.ndarray]:
+    """H-representation (G, c) of {y : phi(y) = b(y)} for the tie-broken
     supporting piece b at x; possibly unbounded."""
-    G, c = _flat_rows(phi, _supporting_piece(phi, as_point(x, phi.dim)))
-    return [HalfSpace(g, off) for g, off in zip(G, c)]
+    return _flat_rows(phi, _supporting_piece(phi, as_point(x, phi.dim)))
 
 
 def _flat_rows(phi: PwlConvex, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +167,8 @@ def affine_component(phi: PwlConvex, x, bounding_box: Polytope) -> Polytope:
     its relative interior is the affine-behaviour component of x."""
     x = as_point(x, phi.dim)
     _require_in_box(x, bounding_box)
-    region = _intersect_rows(*_flat_rows(phi, _supporting_piece(phi, x)), bounding_box)
+    G, c = _flat_rows(phi, _supporting_piece(phi, x))
+    region = intersect_halfspaces_with_polytope(G, c, bounding_box)
     if region is None:  # cannot happen: x itself satisfies the constraints
         raise AssertionError("flat region excludes its own base point")
     return _minimal_face(x, region)[0]
@@ -204,7 +203,9 @@ def asymptotic_component(
         keep = (np.abs(normals).max(axis=2) > TAU_GEO) | (offsets > TAU_GEO)
         G.append(normals[keep])
         c.append(offsets[keep])
-    region = _intersect_rows(np.concatenate(G), np.concatenate(c), bounding_box)
+    region = intersect_halfspaces_with_polytope(
+        np.concatenate(G), np.concatenate(c), bounding_box
+    )
     if region is None:
         raise AssertionError("near-flat region excludes its own base point")
     return _minimal_face(x, region)[0]

@@ -1,6 +1,8 @@
 """Affine hulls, convex hulls, relative interiors and minimal faces."""
 
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from scipy.spatial import HalfspaceIntersection
 
 from mot.errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
 from mot.geometry import (
-    HalfSpace,
     Polytope,
     _dedupe,
     _first_match,
@@ -356,12 +357,12 @@ def test_geometry_against_lp_oracles():
         assert in_relative_interior(V.mean(axis=0), P)
 
 
-def _region_vertices(constraints, d):
-    """Vertices of [-2, 2]^d ∩ {g.y + c <= 0} by scipy's halfspace
+def _region_vertices(G, c, d):
+    """Vertices of [-2, 2]^d ∩ {G y + c <= 0} by scipy's halfspace
     intersection from a Chebyshev centre; None when the region is
     thinner than 1e-6."""
-    A = np.vstack([np.eye(d), -np.eye(d), [h.normal for h in constraints]])
-    b = np.concatenate([-2.0 * np.ones(2 * d), [h.offset for h in constraints]])
+    A = np.vstack([np.eye(d), -np.eye(d), G])
+    b = np.concatenate([-2.0 * np.ones(2 * d), c])
     norms = np.linalg.norm(A, axis=1)
     res = linprog(
         np.append(np.zeros(d), -1.0), A_ub=np.hstack([A, norms[:, None]]), b_ub=-b,
@@ -394,7 +395,7 @@ def test_affine_component_against_halfspace_oracle():
             g, c = rng.integers(-2, 3, size=(5, d)) * 1.0, rng.integers(-1, 2, size=5) * 1.0
             x = rng.integers(-2, 3, size=d) * 1.0
         phi = PwlConvex(list(zip(g, c)))
-        region = _region_vertices(flat_region(phi, x), d)
+        region = _region_vertices(*flat_region(phi, x), d)
         if region is None:
             continue
         checked += 1
@@ -403,16 +404,19 @@ def test_affine_component_against_halfspace_oracle():
 
 
 def _cuts_through(rng, x, k):
-    """k random half-spaces g.y + c <= 0 with x strictly inside each."""
-    return [HalfSpace(g, -g @ x - rng.uniform(0.1, 1.0)) for g in rng.normal(size=(k, len(x)))]
+    """k random half-spaces g.y + c <= 0 with x strictly inside each, as
+    rows [g, c]."""
+    G = rng.normal(size=(k, len(x)))
+    return np.column_stack([G, [-g @ x - rng.uniform(0.1, 1.0) for g in G]])
 
 
 def _region_cases(rng):
-    """Half-space lists clipped to [-2, 2]^d, d = 1-3: random cuts; a
-    slice between a constraint and its opposite (two slices, a line, in
-    3-D); a constraint equal to a box facet; one touching the box only at
-    a corner or, in 3-D, along an edge; and one cutting a corner 1e-6
-    deep, whose vertices lie 1e-6 inside the neighbouring box facets.
+    """Half-spaces g.y + c <= 0, as rows [g, c], clipped to [-2, 2]^d,
+    d = 1-3: random cuts; a slice between a constraint and its opposite
+    (two slices, a line, in 3-D); a constraint equal to a box facet; one
+    touching the box only at a corner or, in 3-D, along an edge; and one
+    cutting a corner 1e-6 deep, whose vertices lie 1e-6 inside the
+    neighbouring box facets.
     Then two that the inequalities cannot resolve within their 1e-8
     slack, which qhull builds: a slab 5e-9 thick, and (in 1-D, where the
     facets of such a cluster stay well-conditioned) a cut 5e-9 past an
@@ -424,20 +428,20 @@ def _region_cases(rng):
         yield d, cuts
         slices = []
         for g in rng.normal(size=(2 if d == 3 and t % 2 else 1, d)):
-            slices += [HalfSpace(g, -g @ x), HalfSpace(-g, g @ x)]
-        yield d, cuts[:1] + slices
+            slices += [np.append(g, -g @ x), np.append(-g, g @ x)]
+        yield d, np.vstack([cuts[:1], *slices])
         e = np.eye(d)[t % d] * (-1.0) ** (t // 3)
-        yield d, cuts + [HalfSpace(e, -2.0)]
+        yield d, np.vstack([cuts, np.append(e, -2.0)])
         ones = np.ones(d)
-        keep_corner = [HalfSpace(-ones, -rng.uniform(0.0, 2.0 * d))]
-        yield d, keep_corner + [HalfSpace(ones, -2.0 * d)]
+        keep_corner = np.append(-ones, -rng.uniform(0.0, 2.0 * d))
+        yield d, np.vstack([keep_corner, np.append(ones, -2.0 * d)])
         if d == 3:
-            yield d, keep_corner + [HalfSpace(np.array([1.0, 1.0, 0.0]), -4.0)]
-        yield d, keep_corner + [HalfSpace(ones, -(2.0 * d - 1e-6))]
+            yield d, np.vstack([keep_corner, [1.0, 1.0, 0.0, -4.0]])
+        yield d, np.vstack([keep_corner, np.append(ones, -(2.0 * d - 1e-6))])
     for d in (1, 2, 3):
         g = np.linspace(1.0, 2.0, d) / np.linalg.norm(np.linspace(1.0, 2.0, d))
-        yield d, [HalfSpace(g, -0.3 - 2.5e-9), HalfSpace(-g, 0.3 - 2.5e-9)]
-    yield 1, [HalfSpace(np.ones(1), -(2.0 + 5e-9))]
+        yield d, np.vstack([np.append(g, -0.3 - 2.5e-9), np.append(-g, 0.3 - 2.5e-9)])
+    yield 1, np.array([[1.0, -(2.0 + 5e-9)]])
 
 
 def _face_points(rng, V):
@@ -450,10 +454,6 @@ def _face_points(rng, V):
         yield lam @ S / lam.sum()
 
 
-def _rows(hs):
-    return np.array([np.append(h.normal, h.offset) for h in hs]) if hs else np.zeros((0, 1))
-
-
 def test_region_facets_match_qhull():
     """The region's facets, read off its inequalities, are qhull's facets
     of the same vertices (as unit normals and offsets, lifted to the
@@ -463,18 +463,49 @@ def test_region_facets_match_qhull():
     dims = set()
     for d, cuts in _region_cases(rng):
         box = Polytope(np.array(list(itertools.product((-2.0, 2.0), repeat=d))), minimal=True)
-        region = intersect_halfspaces_with_polytope(cuts, box)
+        region = intersect_halfspaces_with_polytope(cuts[:, :-1], cuts[:, -1], box)
         if region is None:
             continue
         oracle = Polytope(region.vertices)
         assert np.array_equal(oracle.vertices, region.vertices)
         assert region.affine_dim == oracle.affine_dim
         dims.add((d, region.affine_dim))
-        ours, theirs = _rows(halfspaces(region)), _rows(halfspaces(oracle))
+        ours = np.column_stack(halfspaces(region))
+        theirs = np.column_stack(halfspaces(oracle))
         assert len(ours) == len(theirs) and _match_loop(ours, theirs, 1e-9)
         for x in _face_points(rng, region.vertices):
             assert np.array_equal(minimal_face(x, region).vertices, minimal_face(x, oracle).vertices)
     assert {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)} <= dims
+
+
+def test_enumeration_above_the_subset_limit_raises():
+    """400 random rows through a point of [-2, 2]^4, with the 8 box
+    facets C(408, 4) = 1.1e9 subsets: InvalidInput at once, with no
+    allocation of that size (the full enumeration would need hundreds
+    of GB)."""
+    rng = np.random.default_rng(35)
+    box = Polytope(np.array(list(itertools.product((-2.0, 2.0), repeat=4))), minimal=True)
+    box.frame, box.facets  # computed before the measured call
+    x = rng.uniform(-2.0, 2.0, size=4)
+    G = rng.normal(size=(400, 4))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(InvalidInput, match="subsets"):
+            intersect_halfspaces_with_polytope(G, -G @ x, box)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 2**20
+
+
+def test_intersection_rejects_rows_of_another_shape():
+    with pytest.raises(DimensionMismatch):
+        intersect_halfspaces_with_polytope(np.ones((2, 3)), np.zeros(2), SQUARE)
+    with pytest.raises(DimensionMismatch):
+        intersect_halfspaces_with_polytope(np.ones((2, 2)), np.zeros(3), SQUARE)
 
 
 def test_convex_hull_keeps_a_cluster_of_near_duplicate_vertices():
@@ -496,12 +527,14 @@ def test_facets_merge_triangulated_duplicates():
     cube = Polytope(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
     normals, offsets = cube.facets
     assert normals.shape == (6, 3)
-    assert len(halfspaces(cube)) == 6
-    assert len(halfspaces(SEGMENT)) == 2
-    assert halfspaces(Polytope([[1.0, 2.0]])) == []
-    for h in halfspaces(cube):
-        assert abs(np.linalg.norm(h.normal) - 1.0) <= 1e-12
-        assert np.max(cube.vertices @ h.normal + h.offset) <= 1e-12
+    G, c = halfspaces(cube)
+    assert G.shape == (6, 3) and c.shape == (6,)
+    assert len(halfspaces(SEGMENT)[0]) == 2
+    G0, c0 = halfspaces(Polytope([[1.0, 2.0]]))
+    assert G0.shape == (0, 2) and c0.shape == (0,)
+    for g, off in zip(G, c):
+        assert abs(np.linalg.norm(g) - 1.0) <= 1e-12
+        assert np.max(cube.vertices @ g + off) <= 1e-12
 
 
 def test_qhull_failure_is_a_typed_error():

@@ -79,6 +79,74 @@ def test_near_duplicate_atoms_merge_like_the_loop():
     assert np.array_equal(chain.weights, [0.5, 0.5])
 
 
+def _equals_loop(a, b, tol):
+    """``equals`` by the double loop over atoms it replaced."""
+    if a.ambient_dim != b.ambient_dim or a.n_atoms != b.n_atoms:
+        return False
+    used = [False] * b.n_atoms
+    for p, w in zip(a.points, a.weights):
+        hit = -1
+        for j in range(b.n_atoms):
+            if used[j]:
+                continue
+            if np.max(np.abs(p - b.points[j])) <= tol and abs(w - b.weights[j]) <= tol:
+                hit = j
+                break
+        if hit < 0:
+            return False
+        used[hit] = True
+    return True
+
+
+def _equals_cases(rng, tol):
+    """(a, b, expected or None) in dims 1-3: reordered atoms, every atom
+    moved by 0.5 tol, one atom or one weight moved by 2 tol, one atom
+    fewer, another dimension, and a chain of atoms 0.6 tol apart moved by
+    0.5 tol, both shuffled, where the first-unused match decides (at tol
+    1e-9 the chain's atoms merge)."""
+    for t in range(60):
+        dim = 1 + t % 3
+        n = int(rng.integers(1, 7))
+        pts = rng.uniform(-2.0, 2.0, size=(n, dim))
+        w = rng.uniform(0.1, 1.0, size=n)
+        a = DiscreteMeasure(pts, w)
+        order = rng.permutation(n)
+        yield a, DiscreteMeasure(pts[order], w[order]), True
+        moved = pts + 0.5 * tol * rng.choice([-1.0, 1.0], size=pts.shape)
+        yield a, DiscreteMeasure(moved[order], w[order]), True
+        k = int(rng.integers(n))
+        far = pts.copy()
+        far[k, int(rng.integers(dim))] += 2 * tol
+        yield a, DiscreteMeasure(far[order], w[order]), False
+        heavy = w.copy()
+        heavy[k] += 2 * tol
+        yield a, DiscreteMeasure(pts[order], heavy[order]), False
+        if n > 1:
+            yield a, DiscreteMeasure(pts[order[1:]], w[order[1:]]), False
+        yield a, DiscreteMeasure(np.hstack([pts, pts[:, :1]]), w), False
+        chain = np.zeros((n, dim))
+        chain[:, 0] = 0.6 * tol * np.arange(n)
+        shifted = chain + 0.5 * tol
+        cw = np.full(n, 1.0 / n)
+        chained = DiscreteMeasure(chain[rng.permutation(n)], cw)
+        yield chained, DiscreteMeasure(shifted[order], cw), None
+
+
+def test_equals_matches_the_loop():
+    """``equals`` agrees with the double loop it replaced, at two tolerances."""
+    rng = np.random.default_rng(73)
+    chains = set()
+    for tol in (TOL, 1e-6):
+        for a, b, expected in _equals_cases(rng, tol):
+            got = a.equals(b, tol=tol)
+            assert got == _equals_loop(a, b, tol)
+            if expected is None:
+                chains.add(got)
+            else:
+                assert got == expected
+    assert chains == {True, False}
+
+
 def test_nonpositive_weights_rejected():
     with pytest.raises(InvalidInput):
         DiscreteMeasure([[0.0]], [0.0])

@@ -13,7 +13,7 @@ from mot.errors import NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
 from mot.geometry import TAU_GEO, Polytope, in_relative_interior, relative_interiors_intersect
 from mot.measures import potential_domain
-from mot.paving import ConvexPaving, PavingCell, domain, locate, verify_against_coupling
+from mot.paving import ConvexPaving, PavingCell, locate, verify_against_coupling
 
 TOL = 1e-7
 
@@ -57,7 +57,7 @@ def test_paving_identical_measures_all_singletons():
     p = compute_paving(m, m)
     assert not p.cells
     assert sorted(p.singletons) == [0, 1, 2]
-    assert domain(p) == []
+    assert p.cells == []
 
 
 def test_paving_rejects_unordered_pair():
@@ -68,7 +68,7 @@ def test_paving_rejects_unordered_pair():
 def test_domain_counts():
     for k in (2, 3):
         mu, nu = discrete_k(k)
-        assert len(domain(compute_paving(mu, nu))) == k
+        assert len(compute_paving(mu, nu).cells) == k
 
 
 def test_locate_on_discrete_k2():

@@ -1,14 +1,21 @@
 """Piecewise-linear convex functions and affine-behaviour components."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from conftest import random_dilation_pair, random_pwl
 from mot import DiscreteMeasure, find_coupling, pairing
-from mot.errors import AtomOutsideD, DimensionMismatch, EmptyList, PointOutsideBox
+from mot.errors import (
+    AtomOutsideD,
+    DimensionMismatch,
+    EmptyList,
+    InvalidInput,
+    PointOutsideBox,
+)
 from mot.fixtures import discrete_k
 from mot.geometry import (
-    HalfSpace,
     Polytope,
     convex_hull,
     intersect_halfspaces_with_polytope,
@@ -102,7 +109,7 @@ def _flat_region_loop(phi, x):
         off = c - b.offset
         if np.max(np.abs(normal)) <= 1e-9 and abs(off) <= 1e-9:
             continue
-        out.append(HalfSpace(normal, off))
+        out.append((normal, off))
     return out
 
 
@@ -126,14 +133,14 @@ def test_flat_region_matches_piece_loop():
             pieces.append((g, c))
             pieces.append((grads[int(rng.integers(0, 4))] + step, offs[k] - 1.0))
         phi = PwlConvex(pieces)
-        region = flat_region(phi, x)
+        G, c = flat_region(phi, x)
         loop = _flat_region_loop(phi, x)
-        assert len(region) == len(loop)
-        for h, r in zip(region, loop):
-            assert np.array_equal(h.normal, r.normal) and h.offset == r.offset
-            assert type(h.offset) is type(r.offset)
-        dropped += phi.n_pieces - len(region)
-        kept += len(region)
+        assert len(G) == len(c) == len(loop)
+        for g, off, (normal, r_off) in zip(G, c, loop):
+            assert np.array_equal(g, normal) and off == r_off
+            assert type(off) is type(r_off)
+        dropped += phi.n_pieces - len(G)
+        kept += len(G)
     assert dropped >= 2 * 240 and kept >= 5 * 240
 
 
@@ -163,19 +170,18 @@ def test_delta_nonnegative():
 
 
 def test_flat_region_abs_negative_side():
-    region = flat_region(ABS, [-1.0])
-    assert len(region) == 1
-    h = region[0]
+    G, c = flat_region(ABS, [-1.0])
+    assert len(G) == 1
     # {t <= 0} up to scaling
-    assert h.normal[0] > 0 and abs(h.offset) <= 1e-12
+    assert G[0, 0] > 0 and abs(c[0]) <= 1e-12
 
 
 def test_flat_region_trough():
     phi = PwlConvex([([0.0], 0.0), ([1.0], -1.0), ([-1.0], -1.0)])
-    region = flat_region(phi, [0.0])
+    G, c = flat_region(phi, [0.0])
     ts = np.linspace(-2.0, 2.0, 81)
     inside = np.array(
-        [all(h.normal[0] * t + h.offset <= 1e-9 for h in region) for t in ts]
+        [all(g[0] * t + off <= 1e-9 for g, off in zip(G, c)) for t in ts]
     )
     assert np.array_equal(inside, (ts >= -1.0) & (ts <= 1.0))
 
@@ -209,14 +215,14 @@ def test_flat_region_half_disk_grid_oracle():
     phi = _half_disk_pwl()
     x = np.array([0.0, -2.0])
     b = supporting_affine(phi, x)
-    region = flat_region(phi, x)
+    G, c = flat_region(phi, x)
     for t in (0.0, 0.5, 1.0):
         p = np.array([0.0, -2.0 - t])
-        assert all(h.normal @ p + h.offset <= 1e-9 for h in region)
+        assert all(g @ p + off <= 1e-9 for g, off in zip(G, c))
     rng = np.random.default_rng(19)
     for _ in range(200):
         p = rng.uniform(-2.5, 2.5, size=2)
-        in_h = all(h.normal @ p + h.offset <= 1e-9 for h in region)
+        in_h = all(g @ p + off <= 1e-9 for g, off in zip(G, c))
         flat = abs(phi(p) - b(p)) <= 1e-9
         assert in_h == flat
 
@@ -294,6 +300,20 @@ def test_asymptotic_component_errors():
         asymptotic_component([ABS], [0.0, 0.0], BOX2)
 
 
+def test_asymptotic_component_above_the_subset_limit_raises():
+    """Five functions of 12 symmetric pieces in 4-D, all active at 0: the
+    last three give 3 x 132 near-flat rows, with the box's 8 facets
+    C(404, 4) = 1.1e9 subsets, which raise InvalidInput."""
+    rng = np.random.default_rng(37)
+    box = Polytope(np.array(list(product((-2.0, 2.0), repeat=4))), minimal=True)
+    phis = []
+    for _ in range(5):
+        g = rng.normal(size=(6, 4))
+        phis.append(PwlConvex([(v, 0.0) for v in np.vstack([g, -g])]))
+    with pytest.raises(InvalidInput, match="404 inequalities"):
+        asymptotic_component(phis, np.zeros(4), box)
+
+
 def test_support_function_independence():
     """The component of t+ at 0 is {0} no matter which supporting piece
     defines the flat region."""
@@ -301,7 +321,7 @@ def test_support_function_independence():
     face = affine_component(relu, [0.0], BOX1)
     assert face.same_vertices(Polytope([[0.0]]), tol=1e-9)
     # force the other selector by hand: flat region of the slope-1 piece
-    other = intersect_halfspaces_with_polytope([HalfSpace(np.array([-1.0]), 0.0)], BOX1)
+    other = intersect_halfspaces_with_polytope(np.array([[-1.0]]), np.array([0.0]), BOX1)
     assert minimal_face(np.array([0.0]), other).same_vertices(
         Polytope([[0.0]]), tol=1e-9
     )
