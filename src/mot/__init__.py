@@ -5,8 +5,6 @@ affine-behaviour components of piecewise-linear convex functions."""
 
 from .coupling import (
     Coupling,
-    Kernel,
-    disintegrate,
     find_coupling,
     max_mass_on_pair,
     min_mass_on_pair,

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 not in convex order, 3 parse/validation error.
 Errors are reported as one JSON object on stderr.  ``potential --tol``
 or ``MOT_TOL`` overrides the strict-positivity tolerance of its domain
-decision; one that does not parse, is not finite or is negative exits 3.
+decision, a fraction of total mass times extent (README, "Tolerances");
+one that does not parse, is not finite or is negative exits 3.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import click
 
 from . import coupling as coupling_mod
-from . import fixtures, geometry, measures, paving, pwl
+from . import fixtures, geometry, measures, paving, pwl, tolerance
 from .errors import InvalidInput, MotError, NotInConvexOrder
 
 EXIT_ORDER = 2
@@ -58,7 +59,7 @@ def _tol(tol: float | None) -> float:
         return tol
     env = os.environ.get("MOT_TOL")
     if not env:
-        return geometry.EPS_RI
+        return tolerance.INTERIOR
     try:
         return float(env)
     except ValueError:

@@ -7,11 +7,22 @@ equality system (``_constraint_system``), written as the raw arrays of
 an ``lp.CscMatrix`` and solved by HiGHS (``_highs``, on the package's
 one backend ``lp.highs``); no ``scipy.sparse`` object is built.
 
+The LPs and the certificate work on normalised arrays (``_scaled``):
+theta over mu's total mass, weights over that mass, and points divided
+by the extent of both supports, so that their tolerances are relative
+(``tolerance``, and the README's "Tolerances").  mu's points are
+centred on mu's barycentre and nu's on nu's.
+``measures._require_comparable`` has already decided whether the two
+barycentres agree, at the LP's tolerance, so the LPs see first moments
+that agree to round-off and never decide that question again.
+
 A coupling an LP returns is certified before it is used (``_certify``):
 from theta as an n x m matrix, numpy computes the residuals of the
-system, which are the row sums minus mu, the column sums minus nu and
-the row barycenter defects theta @ y - rowsum * x.  A residual above
-COUPLING_RESIDUAL or an entry below -FEAS_TOL raises SolverError.
+normalised system, which are the row sums minus mu, the column sums
+minus nu and the row barycenter defects theta @ y - rowsum * x.  A
+residual above RESIDUAL or an entry below minus the system's
+feasibility tolerance (FEAS, or coarser far from the origin:
+``tolerance.feasibility``) raises SolverError.
 
 Polar pairs are pairs of atoms that carry zero mass under every
 martingale coupling.  One LP (Freund, Roundy & Todd 1985) finds a
@@ -22,22 +33,14 @@ exactly the non-polar pairs, and it is returned as their certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lp
 from .errors import InvalidInput, NotInConvexOrder, SolverError
-from .geometry import TAU_GEO
 from .measures import DiscreteMeasure, _require_comparable
-
-EPS_POLAR = 1e-8
-# HiGHS primal and dual feasibility tolerance of the plain coupling LPs;
-# the default (1e-7) leaves residuals above COUPLING_RESIDUAL on
-# gaussian_grid(9)
-FEAS_TOL = 1e-10
-# find_coupling certifies its answer: a residual of A x = b above this,
-# or an entry below -FEAS_TOL, raises SolverError instead of being clipped
-COUPLING_RESIDUAL = 1e-8
+from .tolerance import GEO, RESIDUAL, extent
 
 
 @dataclass
@@ -78,17 +81,37 @@ class Coupling:
         return cls(mu_s, nu_s, mat)
 
 
-@dataclass
-class Kernel:
-    """Disintegration gamma(x_i, .): one probability measure per mu-atom,
-    each with barycenter x_i."""
+class _Scaled(NamedTuple):
+    """An instance in the normalised arrays of the coupling LPs."""
 
-    mu_support: np.ndarray
-    conditionals: list  # list of DiscreteMeasure
+    mass: float  # mu's total mass
+    mu_w: np.ndarray  # weights over mass
+    nu_w: np.ndarray
+    x: np.ndarray  # points centred on their barycentre, over the extent
+    y: np.ndarray
+    feas: float  # feasibility tolerance of the normalised system
+
+
+def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -> _Scaled:
+    """The normalised arrays of mu and nu, from the scales of
+    ``measures._require_comparable``, which raises for measures that
+    cannot be coupled."""
+    mass, mu_centre, nu_centre, scale, feas = _require_comparable(mu, nu, martingale)
+    return _Scaled(
+        mass,
+        mu.weights / mass,
+        nu.weights / mass,
+        (mu.points - mu_centre) / scale,
+        (nu.points - nu_centre) / scale,
+        feas,
+    )
 
 
 def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True):
-    """Sparse coupling equalities ``A theta = b`` over theta_ij >= 0.
+    """Sparse coupling equalities ``A theta = b`` over theta_ij >= 0, in
+    the normalised arrays of ``_scaled``: theta is mass over mu's total
+    mass.  Returns A, b and the normalised instance (``_Scaled``), whose
+    ``feas`` is the system's feasibility tolerance.
 
     Column i*m + j is theta_ij.  It holds a 1 in row i (mass of mu-atom
     i), a 1 in row n + j (mass of nu-atom j) and, when ``martingale`` is
@@ -96,7 +119,7 @@ def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: boo
     of row i).  ``A`` is an ``lp.CscMatrix`` written directly from these
     indices; no ``scipy.sparse`` object is built.
     """
-    _require_comparable(mu, nu)
+    s = _scaled(mu, nu, martingale)
     n, m = mu.n_atoms, nu.n_atoms
     d = mu.ambient_dim if martingale else 0
     i, j = np.divmod(np.arange(n * m), m)
@@ -107,22 +130,25 @@ def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: boo
     data = np.ones((n * m, per_col))
     if martingale:
         indices[:, 2:] = (n + m + d * i)[:, None] + np.arange(d)
-        data[:, 2:] = (nu.points[None, :, :] - mu.points[:, None, :]).reshape(n * m, d)
+        data[:, 2:] = (s.y[None, :, :] - s.x[:, None, :]).reshape(n * m, d)
     indptr = np.arange(0, per_col * n * m + 1, per_col, dtype=np.int32)
     A = lp.CscMatrix(data.ravel(), indices.ravel(), indptr, (n + m + d * n, n * m))
-    b = np.concatenate([mu.weights, nu.weights, np.zeros(d * n)])
-    return A, b
+    b = np.concatenate([s.mu_w, s.nu_w, np.zeros(d * n)])
+    return A, b, s
 
 
-def _highs(c, A, rhs, upper=np.inf, tight=True) -> np.ndarray:
+def _highs(c, A, rhs, feas, upper=np.inf, max_value_scaling=False) -> np.ndarray:
     """min c @ x subject to A x = rhs and 0 <= x <= upper (``lp.highs``).
 
-    ``tight`` sets the feasibility tolerances to FEAS_TOL instead of the
-    HiGHS defaults.  Returns the optimal x.  An infeasible system raises
-    NotInConvexOrder; any other outcome raises SolverError.
+    ``feas`` sets the feasibility tolerances (None: the HiGHS defaults,
+    whose 1e-7 leaves residuals above RESIDUAL on gaussian_grid(9));
+    ``max_value_scaling`` is ``lp.highs``'s.  Returns the optimal x.  An
+    infeasible system raises NotInConvexOrder; any other outcome raises
+    SolverError.
     """
     res = lp.highs(
-        c, A, rhs, rhs, upper=upper, feas_tol=FEAS_TOL if tight else None, what="coupling LP"
+        c, A, rhs, rhs, upper=upper, feas_tol=feas, what="coupling LP",
+        max_value_scaling=max_value_scaling,
     )
     if res.status is lp.LpStatus.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
@@ -134,14 +160,13 @@ def _highs(c, A, rhs, upper=np.inf, tight=True) -> np.ndarray:
 def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     """Any feasible martingale coupling; raises NotInConvexOrder if none.
 
-    The solution is checked before its roundoff is clipped to 0:
-    marginal and martingale residuals above COUPLING_RESIDUAL or entries
-    below -FEAS_TOL raise SolverError.
+    The normalised solution is checked before its roundoff is clipped
+    to 0 (``_certify``), then scaled back to mu's total mass.
     """
-    A, b = _constraint_system(mu, nu)
-    x = _highs(np.zeros(A.shape[1]), A, b)
-    _certify(mu, nu, x)
-    matrix = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms)
+    A, b, s = _constraint_system(mu, nu)
+    x = _highs(np.zeros(A.shape[1]), A, b, s.feas)
+    _certify(s, x)
+    matrix = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms) * s.mass
     return Coupling(mu.points.copy(), nu.points.copy(), matrix)
 
 
@@ -152,25 +177,27 @@ def _martingale_defect(theta, x, y) -> float:
     return float(np.max(np.abs(theta @ y - theta.sum(axis=1)[:, None] * x), initial=0.0))
 
 
-def _residual(mu: DiscreteMeasure, nu: DiscreteMeasure, theta) -> float:
-    """max |A theta - b| of the martingale system, from theta as an
-    n x m matrix: row sums minus mu, column sums minus nu, and the row
-    barycenter residuals (``_martingale_defect``)."""
-    theta = theta.reshape(mu.n_atoms, nu.n_atoms)
+def _residual(s: _Scaled, theta) -> float:
+    """max |A theta - b| of the normalised martingale system
+    (``_constraint_system``) of the instance s, from the normalised
+    theta as an n x m matrix: row sums minus mu, column sums minus nu,
+    and the row barycenter residuals (``_martingale_defect``)."""
+    theta = theta.reshape(s.mu_w.shape[0], s.nu_w.shape[0])
     return max(
-        float(np.max(np.abs(theta.sum(axis=1) - mu.weights))),
-        float(np.max(np.abs(theta.sum(axis=0) - nu.weights))),
-        _martingale_defect(theta, mu.points, nu.points),
+        float(np.max(np.abs(theta.sum(axis=1) - s.mu_w))),
+        float(np.max(np.abs(theta.sum(axis=0) - s.nu_w))),
+        _martingale_defect(theta, s.x, s.y),
     )
 
 
-def _certify(mu: DiscreteMeasure, nu: DiscreteMeasure, theta):
-    """Raise SolverError unless theta is a martingale coupling of mu and
-    nu within COUPLING_RESIDUAL (``_residual``) with no entry below
-    -FEAS_TOL; a NaN entry fails both tests."""
-    residual = _residual(mu, nu, theta)
+def _certify(s: _Scaled, theta):
+    """Raise SolverError unless the normalised theta is a martingale
+    coupling of the instance s within RESIDUAL (``_residual``; within
+    the system's feasibility tolerance where that is coarser) with no
+    entry below minus that tolerance; a NaN entry fails both tests."""
+    residual = _residual(s, theta)
     lowest = float(theta.min())
-    if not (residual <= COUPLING_RESIDUAL and lowest >= -FEAS_TOL):
+    if not (residual <= max(RESIDUAL, s.feas) and lowest >= -s.feas):
         raise SolverError(
             f"coupling fails its certificate: residual {residual:.3g}, "
             f"lowest entry {lowest:.3g}"
@@ -182,21 +209,22 @@ def _check_indices(mu, nu, i, j):
         raise InvalidInput(f"pair index ({i}, {j}) out of range")
 
 
-def _extreme_entry(A, b, k, sign) -> float:
-    """max (sign 1) or min (sign -1) of theta_k over {A theta = b, theta >= 0}."""
+def _extreme_entry(A, b, feas, k, sign) -> float:
+    """max (sign 1) or min (sign -1) of theta_k over {A theta = b, theta >= 0},
+    in the units of b."""
     c = np.zeros(A.shape[1])
     c[k] = -sign
-    return float(_highs(c, A, b)[k])
+    return float(_highs(c, A, b, feas)[k])
 
 
 def max_mass_on_pair(
     mu: DiscreteMeasure, nu: DiscreteMeasure, i: int, j: int, martingale: bool = True
 ) -> float:
     """max theta_ij over all (martingale) couplings; the pair is polar
-    iff the value is <= EPS_POLAR."""
+    iff the value is at most ``tolerance.POLAR`` times the total mass."""
     _check_indices(mu, nu, i, j)
-    A, b = _constraint_system(mu, nu, martingale)
-    return _extreme_entry(A, b, i * nu.n_atoms + j, 1.0)
+    A, b, s = _constraint_system(mu, nu, martingale)
+    return _extreme_entry(A, b, s.feas, i * nu.n_atoms + j, 1.0) * s.mass
 
 
 def min_mass_on_pair(
@@ -204,24 +232,25 @@ def min_mass_on_pair(
 ) -> float:
     """min theta_ij over all (martingale) couplings."""
     _check_indices(mu, nu, i, j)
-    A, b = _constraint_system(mu, nu, martingale)
-    return _extreme_entry(A, b, i * nu.n_atoms + j, -1.0)
+    A, b, s = _constraint_system(mu, nu, martingale)
+    return _extreme_entry(A, b, s.feas, i * nu.n_atoms + j, -1.0) * s.mass
 
 
 def polar_matrix(
     mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True
 ) -> np.ndarray:
     """Matrix of max theta_ij over all pairs (one LP per pair)."""
-    A, b = _constraint_system(mu, nu, martingale)
-    out = [_extreme_entry(A, b, k, 1.0) for k in range(A.shape[1])]
-    return np.array(out).reshape(mu.n_atoms, nu.n_atoms)
+    A, b, s = _constraint_system(mu, nu, martingale)
+    out = [_extreme_entry(A, b, s.feas, k, 1.0) for k in range(A.shape[1])]
+    return np.array(out).reshape(mu.n_atoms, nu.n_atoms) * s.mass
 
 
 def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Non-polar mask and a martingale coupling positive on exactly it.
 
-    One LP (Freund, Roundy & Todd 1985) over z_ij = theta_ij / w_ij with
-    w_ij = min(mu_i, nu_j), the largest mass the pair can carry:
+    One LP (Freund, Roundy & Todd 1985) on the normalised system over
+    z_ij = theta_ij / w_ij with w_ij = min(mu_i, nu_j), the largest mass
+    the pair can carry:
     max sum s subject to A W y = tau b, 0 <= s <= 1, s <= y, tau >= 0,
     posed with y = s + t, t >= 0.  An optimum has s_ij = 1 on every pair
     some coupling charges and s_ij = 0 elsewhere, so the mask is s > 1/2
@@ -230,10 +259,10 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     and on gaussian_grid(9) HiGHS ends with status "Unknown".  No pair at
     all means no martingale coupling exists.
     """
-    A, b = _constraint_system(mu, nu)
+    A, b, inst = _constraint_system(mu, nu)
     n, m = mu.n_atoms, nu.n_atoms
     nm = n * m
-    w = np.minimum(mu.weights[:, None], nu.weights[None, :]).ravel()
+    w = np.minimum(inst.mu_w[:, None], inst.nu_w[None, :]).ravel()
     data = (A.data.reshape(nm, -1) * w[:, None]).ravel()
     b_rows = np.flatnonzero(b)
     nnz = data.shape[0]
@@ -248,18 +277,30 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     c[:nm] = -1.0
     upper = np.full(2 * nm + 1, np.inf)
     upper[:nm] = 1.0
-    # with tight tolerances HiGHS calls this bounded LP "Unbounded" on
-    # some random dilation pairs, so it keeps the defaults
-    x = _highs(c, big, np.zeros(A.shape[0]), upper, tight=False)
-    s, tau = x[:nm], x[-1]
-    mask = (s > 0.5).reshape(n, m)
-    if not mask.any():
-        raise NotInConvexOrder("no martingale coupling exists")
-    if not mask.any(axis=1).all():
-        raise SolverError("max-support LP left a mu-atom without any pair")
-    theta = w * (s + x[nm : 2 * nm]) / tau
-    _certify(mu, nu, theta)
-    return mask, Coupling(mu.points.copy(), nu.points.copy(), theta.reshape(n, m))
+    # With tight tolerances HiGHS calls this bounded LP "Unbounded" on
+    # some random dilation pairs, so it keeps the defaults.  With the
+    # scaling HiGHS chooses it ends in "Unknown" on gaussian_grid(9), and
+    # in "Solve error" or "Unknown" on a 1-D test instance translated by
+    # 5e5-1e6.  Scaling rows and columns by their largest entry solved
+    # every such case, but took about 15 % longer on the grid families,
+    # so it is the second attempt.
+    for max_value_scaling in (False, True):
+        try:
+            x = _highs(c, big, np.zeros(A.shape[0]), None, upper, max_value_scaling)
+            s, tau = x[:nm], x[-1]
+            mask = (s > 0.5).reshape(n, m)
+            if not mask.any():
+                raise NotInConvexOrder("no martingale coupling exists")
+            if not mask.any(axis=1).all():
+                raise SolverError("max-support LP left a mu-atom without any pair")
+            theta = w * (s + x[nm : 2 * nm]) / tau
+            _certify(inst, theta)
+            break
+        except SolverError:
+            if max_value_scaling:
+                raise
+    matrix = theta.reshape(n, m) * inst.mass
+    return mask, Coupling(mu.points.copy(), nu.points.copy(), matrix)
 
 
 def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
@@ -281,21 +322,8 @@ def reachable_set(mu: DiscreteMeasure, nu: DiscreteMeasure, i: int) -> np.ndarra
 def _reachable_from_mask(mu, nu, mask, i) -> np.ndarray:
     pts = [nu.points[j] for j in range(nu.n_atoms) if mask[i, j]]
     x = mu.points[i]
-    if not any(np.max(np.abs(x - p)) <= TAU_GEO for p in pts):
+    tol = GEO * extent(mu.points, nu.points)
+    if not any(np.max(np.abs(x - p)) <= tol for p in pts):
         pts.append(x)
     return np.array(pts)
 
-
-def disintegrate(c: Coupling) -> Kernel:
-    """gamma(x_i, y_j) = theta_ij / mu_i over the positive entries."""
-    conditionals = []
-    for i in range(c.mu_support.shape[0]):
-        row = c.matrix[i]
-        total = row.sum()
-        if total <= 0:
-            raise InvalidInput(f"coupling row {i} carries no mass")
-        keep = row > 0
-        conditionals.append(
-            DiscreteMeasure(c.nu_support[keep], row[keep] / total)
-        )
-    return Kernel(c.mu_support.copy(), conditionals)

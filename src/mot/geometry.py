@@ -14,11 +14,11 @@ inequalities, tight at its vertices, with no qhull call unless they
 cannot resolve its vertices within their slack.  ``halfspaces`` gives
 a polytope's facets back in the same ``(G, c)`` form.
 Every predicate is then read off the facet inequalities without solving
-a linear program.  Two tolerances:
-
-* ``TAU_GEO`` (1e-9) for rank, membership and tightness decisions,
-* ``EPS_RI``  (1e-7) for strict inequality in relative-interior tests
-  and minimal faces, a distance to the facets.
+a linear program.  Every threshold is relative to the point set or
+polytope in hand (``tolerance``, and the README's "Tolerances"): a
+polytope's ``scale`` is the extent of its vertices, and rank,
+membership and tightness are decided at ``GEO``, strict inequality in
+relative-interior tests and minimal faces at ``INTERIOR``, times it.
 
 Polytopes are bounded and stored by their vertices.  Lower-dimensional
 polytopes are handled in their affine-hull coordinates, so faces and
@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
 
 from . import lp
 from .errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
-
-TAU_GEO = 1e-9
-EPS_RI = 1e-7
+from .tolerance import GEO, INTERIOR, extent
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -68,11 +67,13 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """Affine hull base_point + span(basis); basis rows are orthonormal."""
+    """Affine hull base_point + span(basis); basis rows are orthonormal.
+    ``scale`` is the extent of the points it was fitted to."""
 
     base_point: np.ndarray
     basis: np.ndarray  # (dim, ambient_dim), orthonormal rows
     dim: int
+    scale: float
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Coordinates of ``points`` in the subspace frame."""
@@ -85,33 +86,37 @@ class AffineSubspace:
             return np.tile(self.base_point, (coords.shape[0], 1))
         return self.base_point + coords @ self.basis
 
-    def coordinates(self, x: np.ndarray, tol: float = TAU_GEO) -> np.ndarray | None:
+    def coordinates(self, x: np.ndarray) -> np.ndarray | None:
         """Frame coordinates of the point x, or None when x is off the
-        subspace by more than tol (scaled by |x - base_point| beyond 1)."""
+        subspace by more than 10 GEO times the larger of ``scale`` and
+        |x - base_point|."""
         diff = x - self.base_point
         u = self.basis @ diff
         residual = diff - u @ self.basis
-        bound = max(tol, 10 * tol * max(1.0, np.linalg.norm(diff)))
+        bound = 10 * GEO * max(self.scale, np.linalg.norm(diff))
         return u if np.linalg.norm(residual) <= bound else None
 
-    def contains(self, x: np.ndarray, tol: float = TAU_GEO) -> bool:
-        return self.coordinates(as_point(x, self.base_point.shape[0]), tol) is not None
+    def contains(self, x) -> bool:
+        return self.coordinates(as_point(x, self.base_point.shape[0])) is not None
 
 
 def affine_hull(points) -> AffineSubspace:
-    """Affine hull of a point set; dimension is the TAU_GEO-rank."""
-    return _hull_frame(as_points(points))[0]
+    """Affine hull of a point set; its dimension is the number of
+    singular values of the centred points above GEO times their extent."""
+    pts = as_points(points)
+    return _hull_frame(pts, extent(pts))[0]
 
 
-def _hull_frame(pts: np.ndarray) -> tuple[AffineSubspace, np.ndarray]:
-    """``affine_hull`` of checked points, and their coordinates in it."""
+def _hull_frame(pts: np.ndarray, scale: float) -> tuple[AffineSubspace, np.ndarray]:
+    """The affine hull of checked points at the rank threshold GEO
+    scale, with that scale, and their coordinates in it."""
     if pts.shape[0] == 1:
-        return AffineSubspace(pts[0], np.zeros((0, pts.shape[1])), 0), np.zeros((1, 0))
+        return AffineSubspace(pts[0], np.zeros((0, pts.shape[1])), 0, scale), np.zeros((1, 0))
     base = pts.mean(axis=0)
     centered = pts - base
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[: int(np.sum(s > TAU_GEO))]
-    return AffineSubspace(base, basis, basis.shape[0]), centered @ basis.T
+    basis = vt[: int(np.sum(s > GEO * scale))]
+    return AffineSubspace(base, basis, basis.shape[0], scale), centered @ basis.T
 
 
 class Polytope:
@@ -119,35 +124,46 @@ class Polytope:
 
     Without ``minimal`` the vertices are the input points that qhull
     finds extreme in the coordinates of their affine hull, kept in input
-    order; with it the caller vouches that every point is a vertex.  The
-    affine frame, the vertices' frame coordinates and the facets are each
-    computed once, on first use (``frame``, ``facets``).
+    order; with it the caller vouches that every point is a vertex.
+    ``scale`` is the extent of the input, which is that of the vertices,
+    and points within GEO ``scale`` of an earlier one are dropped first.
+    The affine frame, the vertices' frame coordinates and the facets are
+    each computed once, on first use (``frame``, ``facets``).
     """
 
     def __init__(self, vertices, *, minimal: bool = False):
-        pts = _dedupe(as_points(vertices))
+        pts = as_points(vertices)
+        self.scale = extent(pts)
+        pts = _dedupe(pts, GEO * self.scale)
         self._frame = self._coords = self._facets = None
         if not minimal and pts.shape[0] > 1:
-            self._frame, coords = _hull_frame(pts)
+            self._frame, coords = _hull_frame(pts, self.scale)
             keep, equations = _hull_vertices(coords)
             pts, self._coords = pts[keep], coords[keep]
             if equations is not None:
-                self._facets = _merge_facets(equations)
+                self._facets = _merge_facets(equations, self.scale)
         self.vertices = pts
         self.ambient_dim = pts.shape[1]
 
     @classmethod
-    def _built(cls, vertices, frame, coords, facets) -> "Polytope":
-        """A polytope whose builder already holds its minimal vertices,
-        their frame and frame coordinates, and its facets; nothing is
-        recomputed."""
+    def _built(cls, vertices, frame=None, coords=None, facets=None) -> "Polytope":
+        """A polytope whose builder already holds its minimal vertices
+        and, where given, their frame (whose scale is theirs) and frame
+        coordinates and its facets; nothing given is recomputed."""
         P = cls.__new__(cls)
         P.vertices, P.ambient_dim = vertices, vertices.shape[1]
         P._frame, P._coords, P._facets = frame, coords, facets
+        if frame is not None:
+            P.scale = frame.scale
         return P
 
     def __repr__(self):
         return f"Polytope({self.vertices.tolist()})"
+
+    @cached_property
+    def scale(self) -> float:
+        """The extent of the vertices (set from the input on construction)."""
+        return extent(self.vertices)
 
     @property
     def n_vertices(self) -> int:
@@ -157,7 +173,7 @@ class Polytope:
     def frame(self) -> AffineSubspace:
         """The affine hull of the vertices."""
         if self._frame is None:
-            self._frame = affine_hull(self.vertices)
+            self._frame = _hull_frame(self.vertices, self.scale)[0]
         return self._frame
 
     @property
@@ -177,34 +193,37 @@ class Polytope:
         point u of the frame lies in P iff A u + b <= 0.  A segment has
         two facets and a point none."""
         if self._facets is None:
-            self._facets = _facet_equations(self.coords)
+            self._facets = _facet_equations(self.coords, self.scale)
         return self._facets
 
     def is_singleton(self) -> bool:
         return self.n_vertices == 1
 
-    def _facet_values(self, x: np.ndarray, tol: float) -> np.ndarray | None:
+    def _facet_values(self, x: np.ndarray) -> np.ndarray | None:
         """A u + b at the point x, or None when x is off the affine hull
-        by more than tol."""
-        u = self.frame.coordinates(x, tol)
+        (``AffineSubspace.coordinates``)."""
+        u = self.frame.coordinates(x)
         if u is None:
             return None
         normals, offsets = self.facets
         return normals @ u + offsets
 
-    def contains(self, x, tol: float = TAU_GEO) -> bool:
-        """x lies on the affine hull and within tol of every facet's
-        inner side."""
-        return self._contains(as_point(x, self.ambient_dim), tol)
+    def contains(self, x) -> bool:
+        """x lies on the affine hull and within GEO ``scale`` of every
+        facet's inner side (of the vertex, for a point)."""
+        return self._contains(as_point(x, self.ambient_dim))
 
-    def _contains(self, x: np.ndarray, tol: float = TAU_GEO) -> bool:
+    def _contains(self, x: np.ndarray) -> bool:
         """``contains`` at a checked point of the ambient dimension."""
+        tol = GEO * self.scale
         if self.n_vertices == 1:
             return bool(np.max(np.abs(self.vertices[0] - x)) <= tol)
-        values = self._facet_values(x, tol)
+        values = self._facet_values(x)
         return values is not None and bool(np.all(values <= tol))
 
-    def same_vertices(self, other: "Polytope", tol: float = 1e-7) -> bool:
+    def same_vertices(self, other: "Polytope", tol: float = INTERIOR) -> bool:
+        """The vertex sets pair off one to one within the absolute tol
+        in every coordinate."""
         if self.n_vertices != other.n_vertices:
             return False
         return _match_point_sets(self.vertices, other.vertices, tol)
@@ -223,7 +242,7 @@ def _near(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return near
 
 
-def _first_match(pts: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
+def _first_match(pts: np.ndarray, tol: float) -> np.ndarray:
     """owner[k]: the first earlier kept point within tol of point k in
     every coordinate, or k itself, which is then kept.
 
@@ -258,22 +277,25 @@ def _first_match(pts: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
     return owner
 
 
-def _dedupe(pts: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
+def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
     """The points that have no earlier kept point within tol, in order."""
     return pts[_first_match(pts, tol) == np.arange(pts.shape[0])]
 
 
 def _match_point_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Each point of a takes the first unused point of b within tol; true
-    iff every point of a and of b is used."""
+    """True iff the points of a and of b pair off one to one, each pair
+    within tol in every coordinate: a maximum bipartite matching on
+    ``_near`` covers both sets."""
+    if a.shape[0] != b.shape[0]:
+        return False
     near = _near(a, b, tol)
-    used = np.zeros(b.shape[0], dtype=bool)
-    for row in near:
-        hits = np.flatnonzero(row & ~used)
-        if hits.size == 0:
-            return False
-        used[hits[0]] = True
-    return bool(used.all())
+    if not (near.any(axis=0).all() and near.any(axis=1).all()):
+        return False
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    match = maximum_bipartite_matching(csr_array(near), perm_type="column")
+    return bool(np.all(match >= 0))
 
 
 def _hull_vertices(coords: np.ndarray):
@@ -303,20 +325,24 @@ def _qhull(coords: np.ndarray):
         raise InvalidInput(f"qhull rejects the point set: {exc}") from exc
 
 
-def _facet_equations(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _facet_equations(coords: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     m = coords.shape[1]
     if m == 0:
         return np.zeros((0, 0)), np.zeros(0)
     if m == 1:
         u = coords[:, 0]
         return np.array([[1.0], [-1.0]]), np.array([-u.max(), u.min()])
-    return _merge_facets(_qhull(coords).equations)
+    return _merge_facets(_qhull(coords).equations, scale)
 
 
-def _merge_facets(equations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _merge_facets(equations: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """qhull triangulates its output, so one facet can come as several
-    equal equations (a 3-cube gives 12 for 6 facets); keep one each."""
-    eq = _dedupe(equations)
+    equal equations (a 3-cube gives 12 for 6 facets); keep one each,
+    comparing unit normals and offsets over ``scale`` at GEO."""
+    unit = np.ones(equations.shape[1])
+    unit[-1] = scale
+    keep = _first_match(equations / unit, GEO)
+    eq = equations[keep == np.arange(equations.shape[0])]
     return eq[:, :-1], eq[:, -1]
 
 
@@ -325,23 +351,23 @@ def convex_hull(points) -> Polytope:
     return Polytope(points)
 
 
-def in_relative_interior(x, P: Polytope, eps: float = EPS_RI) -> bool:
+def in_relative_interior(x, P: Polytope) -> bool:
     """True iff x lies on the affine hull of P and at distance at least
-    eps inside every facet (a distance margin, not a margin on the
-    barycentric weights)."""
+    INTERIOR ``P.scale`` inside every facet (a distance margin, not a
+    margin on the barycentric weights); for a point, iff x is in P."""
     x = as_point(x, P.ambient_dim)
     if P.n_vertices == 1:
-        return bool(np.max(np.abs(P.vertices[0] - x)) <= TAU_GEO)
-    values = P._facet_values(x, TAU_GEO)
-    return values is not None and bool(np.all(values <= -eps))
+        return P._contains(x)
+    values = P._facet_values(x)
+    return values is not None and bool(np.all(values <= -INTERIOR * P.scale))
 
 
 def minimal_face(x, P: Polytope) -> Polytope:
     """The unique face of P containing x in its relative interior.
 
-    The facets within EPS_RI of x are tight; the face is spanned by the
-    vertices lying (within EPS_RI) on every tight facet, and is P itself
-    when no facet is tight.
+    The facets within INTERIOR ``P.scale`` of x are tight; the face is
+    spanned by the vertices lying (as near) on every tight facet, and is
+    P itself when no facet is tight.
     """
     return _minimal_face(as_point(x, P.ambient_dim), P)[0]
 
@@ -350,42 +376,48 @@ def _minimal_face(x: np.ndarray, P: Polytope):
     """``minimal_face(x, P)`` and the mask of P's facets tight at x, read
     from one evaluation of the facets at x.  The face is P itself (with
     mask None) or P cut by the hyperplanes of the masked facets, except
-    where those facets share no vertex (P is thinner than EPS_RI there):
-    the face is then the vertex nearest to x, and the mask None."""
+    where those facets share no vertex (P is thinner than the margin
+    there): the face is then the vertex nearest to x, and the mask None."""
     if P.n_vertices == 1:
-        if not P.contains(x):
+        if not P._contains(x):
             raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
         return P, None
-    values = P._facet_values(x, TAU_GEO)
-    if values is None or not np.all(values <= TAU_GEO):
+    values = P._facet_values(x)
+    if values is None or not np.all(values <= GEO * P.scale):
         raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
     normals, offsets = P.facets
-    tight = values >= -EPS_RI
-    on = np.all(P.coords @ normals[tight].T + offsets[tight] >= -EPS_RI, axis=1)
+    margin = -INTERIOR * P.scale
+    tight = values >= margin
+    on = np.all(P.coords @ normals[tight].T + offsets[tight] >= margin, axis=1)
     if on.all():
         return P, None
-    if not on.any():  # tight facets with no common vertex: P is thinner than EPS_RI
+    if not on.any():  # tight facets with no common vertex: P is thinner than the margin
         on[np.argmin(np.linalg.norm(P.vertices - x, axis=1))] = True
-        return Polytope(P.vertices[on], minimal=True), None
-    return Polytope(P.vertices[on], minimal=True), tight
+        return Polytope._built(P.vertices[on]), None
+    return Polytope._built(P.vertices[on]), tight
 
 
-def relative_interiors_intersect(P: Polytope, Q: Polytope, eps: float = EPS_RI) -> bool:
-    """True iff some point is in the relative interior of both polytopes."""
+def relative_interiors_intersect(P: Polytope, Q: Polytope) -> bool:
+    """True iff some point is in the relative interior of both polytopes:
+    a common point has barycentric weights of at least INTERIOR in both
+    (one LP, on the vertices centred on one of P's and divided by the
+    extent of both).  A point polytope asks ``in_relative_interior``."""
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("polytopes live in different ambient spaces")
     if P.n_vertices == 1:
-        return in_relative_interior(P.vertices[0], Q, eps)
+        return in_relative_interior(P.vertices[0], Q)
     if Q.n_vertices == 1:
-        return in_relative_interior(Q.vertices[0], P, eps)
+        return in_relative_interior(Q.vertices[0], P)
     k, d = P.vertices.shape
     r = Q.vertices.shape[0]
+    centre = P.vertices[0]
+    scale = extent(P.vertices, Q.vertices)
     # variables l_1..l_k, m_1..m_r, s: maximise s subject to
     # sum l_a p_a = sum m_b q_b, sum l = sum m = 1, l, m >= s, s <= 1
     n = k + r + 1
     A = np.zeros((d + 2 + k + r, n))
-    A[:d, :k] = P.vertices.T
-    A[:d, k : k + r] = -Q.vertices.T
+    A[:d, :k] = ((P.vertices - centre) / scale).T
+    A[:d, k : k + r] = -((Q.vertices - centre) / scale).T
     A[d, :k] = 1.0
     A[d + 1, k : k + r] = 1.0
     A[d + 2 :, : k + r] = np.eye(k + r)
@@ -396,8 +428,8 @@ def relative_interiors_intersect(P: Polytope, Q: Polytope, eps: float = EPS_RI) 
     upper[-1] = 1.0
     c = np.zeros(n)
     c[-1] = -1.0
-    res = lp.highs(c, A, row_lo, row_hi, upper=upper, feas_tol=TAU_GEO)
-    return res.status is lp.LpStatus.OPTIMAL and res.solution[-1] >= eps
+    res = lp.highs(c, A, row_lo, row_hi, upper=upper, feas_tol=GEO)
+    return res.status is lp.LpStatus.OPTIMAL and res.solution[-1] >= INTERIOR
 
 
 def halfspaces(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
@@ -422,14 +454,17 @@ def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
     """Vertices of box ∩ {y : G y + c <= 0}, G of shape (k, ambient_dim)
     and c of shape (k,), or None when the intersection is empty.
 
-    Every m-subset of the inequalities (box facets first, in the box's
-    m-dimensional frame) is solved at once; the solutions that satisfy
-    all inequalities within 10 TAU_GEO are the candidate vertices, and
-    they are deduplicated at TAU_GEO in input order, as ``Polytope`` does.
-    The frame and facets come from the same inequalities (``_region``),
-    without qhull, unless they cannot tell two candidates apart.  An
-    enumeration of more than ``_MAX_SUBSET_ROWS`` subset-row pairs raises
-    InvalidInput before anything is allocated.
+    Rows are scaled to unit normals (a row with a zero normal is left
+    as it is), so that the slack is a distance: 10 GEO times the box's
+    scale.  Every m-subset of the inequalities (box facets first, in the
+    box's m-dimensional frame) is solved at once; the solutions that
+    satisfy all inequalities within the slack are the candidate
+    vertices, and they are deduplicated at GEO times the box's scale in
+    input order, as ``Polytope`` does.  The frame and
+    facets come from the same inequalities (``_region``), without qhull,
+    unless they cannot tell two candidates apart.  An enumeration of
+    more than ``_MAX_SUBSET_ROWS`` subset-row pairs raises InvalidInput
+    before anything is allocated.
     """
     G = np.asarray(G, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -438,9 +473,13 @@ def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
             f"need rows G of shape (k, {box.ambient_dim}) and c of shape (k,), "
             f"got {G.shape} and {c.shape}"
         )
+    norms = np.sqrt(np.einsum("ij,ij->i", G, G))
+    unit = np.where(norms > 0.0, norms, 1.0)
+    G, c = G / unit[:, None], c / unit
+    slack = 10 * GEO * box.scale
     sub = box.frame
     if sub.dim == 0:
-        return box if np.all(G @ box.vertices[0] + c <= TAU_GEO) else None
+        return box if np.all(G @ box.vertices[0] + c <= slack) else None
     # constraints in frame coordinates u: y = p0 + B^T u
     normals, offsets = box.facets
     n, m = normals.shape[0] + G.shape[0], sub.dim
@@ -459,28 +498,30 @@ def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
     # points that fail the feasibility test
     regular = np.linalg.det(M) != 0.0
     u = np.linalg.solve(M[regular], -b[subsets[regular], None])[..., 0]
-    slack = 10 * TAU_GEO
     feasible = np.max(u @ A.T + b, axis=1) <= slack
     if not feasible.any():
         return None
     u = u[feasible]
     pts = sub.lift(u)
-    kept = _first_match(pts) == np.arange(pts.shape[0])
-    region = _region(pts[kept], u[kept], A, b, sub, slack)
+    kept = _first_match(pts, GEO * box.scale) == np.arange(pts.shape[0])
+    region = _region(pts[kept], u[kept], A, b, sub, box.scale)
     # inequalities that cannot resolve the candidates within the slack
     # leave the region to qhull, as for any point set
     return region if region is not None else Polytope(pts[kept])
 
 
-def _region(candidates, u, A, b, box_frame: AffineSubspace, slack: float) -> Polytope | None:
-    """The polytope cut out by A u + b <= 0, from its candidate vertices
-    (u are their coordinates in ``box_frame``), or None when the rows
-    cannot resolve it within ``slack``.
+def _region(candidates, u, A, b, box_frame: AffineSubspace, scale: float) -> Polytope | None:
+    """The polytope cut out by A u + b <= 0, rows of unit or zero normal,
+    from its candidate vertices (u are their coordinates in
+    ``box_frame``), or None when the rows cannot resolve it within the
+    slack 10 GEO ``scale``, the box's.
 
-    Its frame is the affine hull of u composed with ``box_frame``.  Each
-    row is mapped into that frame; rows whose mapped normal is at most
-    TAU_GEO are dropped and the rest scaled to unit normals.  A row is
-    tight at a candidate when its value there is at least -slack.  The
+    Its frame is the affine hull of u, at the rank threshold of the
+    candidates' own extent as for any point set, composed with
+    ``box_frame``.  Each row is mapped into that frame; rows whose mapped
+    normal is at most GEO are dropped and the rest scaled to unit
+    normals.  A row is tight at a candidate when its value there is at
+    least -slack.  The
     facets are the rows whose tight sets are nonempty and maximal under
     inclusion, the first of equal sets kept: a lower face's set lies
     strictly inside a facet's.  The vertices are the candidates whose
@@ -491,12 +532,13 @@ def _region(candidates, u, A, b, box_frame: AffineSubspace, slack: float) -> Pol
     resolves, or the region is thinner than the slack across a row
     tight at every candidate, which is then the one facet left.
     """
-    hull, coords = _hull_frame(u)
+    own = extent(candidates)
+    hull, coords = _hull_frame(u, own)
     normals = A @ hull.basis.T
     offsets = A @ hull.base_point + b
     norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
-    tight = coords @ normals.T + offsets >= -slack * norms
-    tight &= norms > TAU_GEO
+    tight = coords @ normals.T + offsets >= -10 * GEO * scale * norms
+    tight &= norms > GEO
     inside, count = _inclusion(tight)
     # S_j beats S_i when it contains S_i and is larger, or equal and earlier
     rank = count * count.size - np.arange(count.size)
@@ -509,13 +551,14 @@ def _region(candidates, u, A, b, box_frame: AffineSubspace, slack: float) -> Pol
         box_frame.base_point + hull.base_point @ box_frame.basis,
         hull.basis @ box_frame.basis,
         hull.dim,
+        own,
     )
-    scale = norms[facets]
+    unit = norms[facets]
     return Polytope._built(
         candidates[vertex],
         frame,
         coords[vertex],
-        (normals[facets] / scale[:, None], offsets[facets] / scale),
+        (normals[facets] / unit[:, None], offsets[facets] / unit),
     )
 
 

@@ -14,9 +14,9 @@ time on small LPs.  Each thread keeps one HiGHS solver (``_solver``),
 built and configured on its first solve, because building and
 configuring one took about a quarter of a small LP's time.  Every
 solve loads its model afresh, which clears the previous model, basis
-and solution, and sets both feasibility tolerances again, so no call
-sees what an earlier one left behind.  HiGHS's dual simplex is
-deterministic: the same input gives the same output.  An outcome other
+and solution, and sets both feasibility tolerances and the scaling
+again, so no call sees what an earlier one left behind.  HiGHS's dual
+simplex is deterministic: the same input gives the same output.  An outcome other
 than optimal, infeasible or unbounded raises ``SolverError``.  scipy
 is imported on the first solve, so importing the package loads none
 of it.
@@ -55,6 +55,8 @@ class CscMatrix(NamedTuple):
 # this thread's solver and its default tolerances, set by ``_solver``
 _local = threading.local()
 _TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
+_SCALING = "simplex_scale_strategy"
+_MAX_VALUE_SCALING = 4  # rows and columns by their largest entry
 
 
 @dataclass
@@ -64,7 +66,8 @@ class LpResult:
 
 
 def highs(
-    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP"
+    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP",
+    max_value_scaling=False,
 ) -> LpResult:
     """min c @ x subject to row_lo <= A x <= row_hi, lower <= x <= upper.
 
@@ -79,7 +82,9 @@ def highs(
     so gives its answers bit for bit.  ``feas_tol`` sets HiGHS's primal
     and dual feasibility tolerances; None sets them back to HiGHS's
     defaults.  Both are set on every call, and a value HiGHS rejects
-    (below 1e-10, say) raises InvalidInput.
+    (below 1e-10, say) raises InvalidInput.  ``max_value_scaling`` has
+    HiGHS scale rows and columns by their largest entry instead of the
+    scaling it chooses; it too is set on every call.
     Returns an optimal result with x, or an infeasible (also a model
     HiGHS rejects) or unbounded one.  Any other outcome, or an optimum
     without a point, raises
@@ -116,6 +121,7 @@ def highs(
         tol = default if feas_tol is None else float(feas_tol)
         if solver.setOptionValue(name, tol) == error:
             raise InvalidInput(f"HiGHS rejects the feasibility tolerance {feas_tol}")
+    solver.setOptionValue(_SCALING, _MAX_VALUE_SCALING if max_value_scaling else defaults[-1])
     if solver.passModel(*model) == error:
         status, ran = _core.HighsModelStatus.kModelError, False
     else:
@@ -134,12 +140,14 @@ def highs(
 
 
 def _solver():
-    """This thread's HiGHS solver and its default feasibility tolerances.
+    """This thread's HiGHS solver and its default feasibility tolerances
+    and scaling.
 
     The solver is built on the thread's first solve, with the console
-    log and presolve off; the defaults are read from it then, before any
-    call changes them.  It is kept only once configured, so an exception
-    while it is built leaves none behind.
+    log and presolve off; the defaults (and the default scaling, last)
+    are read from it then, before any call changes them.  It is kept
+    only once configured, so an exception while it is built leaves none
+    behind.
     """
     held = getattr(_local, "held", None)
     if held is None:
@@ -148,7 +156,7 @@ def _solver():
         solver = _core._Highs()
         solver.setOptionValue("log_to_console", False)
         solver.setOptionValue("presolve", "off")
-        defaults = tuple(solver.getOptionValue(name)[1] for name in _TOLERANCES)
+        defaults = tuple(solver.getOptionValue(name)[1] for name in _TOLERANCES + (_SCALING,))
         held = _local.held = (solver, defaults)
     return held
 

@@ -3,15 +3,17 @@
 ``check_convex_order`` decides mu <=_c nu in any dimension by the
 feasibility of the martingale-coupling LP (Strassen).  In dimension one
 ``potential_domain`` decides it from the potentials it computes anyway:
-u_nu >= u_mu at every breakpoint, which at the outermost breakpoints
-also means equal first moments, within the absolute tolerance TAU_GEO
-that also bounds the mass mismatch in ``_require_comparable``; it
-solves no LP.
+u_nu >= u_mu at every breakpoint; it solves no LP.  Both first ask
+``_require_comparable``, which rejects measures of different mass or
+barycentre at the tolerances the coupling LP works to, so every way of
+asking gives one answer.  Thresholds follow the package's one policy
+(``tolerance``, and the README's "Tolerances").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,15 +23,16 @@ from .errors import (
     MassMismatch,
     NotInConvexOrder,
 )
-from .geometry import TAU_GEO, EPS_RI, _first_match, _match_point_sets, as_points
+from .geometry import _first_match, _match_point_sets, as_points
+from .tolerance import GEO, INTERIOR, box_extent, extent, feasibility
 
 
 class DiscreteMeasure:
     """Finite positive measure: support points with strictly positive weights.
 
-    Duplicate atoms (coordinate-wise within TAU_GEO) are merged on
-    construction by summing their weights, so a measure is identified by
-    its action, not by its representation.
+    Duplicate atoms (coordinate-wise within GEO times the extent of the
+    atoms) are merged on construction by summing their weights, so a
+    measure is identified by its action, not by its representation.
     """
 
     def __init__(self, points, weights):
@@ -53,12 +56,24 @@ class DiscreteMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(self.weights.sum())
+        return self._summary[0]
 
-    def equals(self, other: "DiscreteMeasure", tol: float = TAU_GEO) -> bool:
-        """Atom-by-atom equality of supports and weights within tol: each
-        atom takes the first unused atom of other that is within tol in
-        every coordinate and in weight."""
+    @cached_property
+    def _summary(self):
+        """Total mass, barycentre (as an offset from the first atom, free
+        of the round-off of large coordinates), the corners of the
+        bounding box and the largest absolute coordinate, computed once:
+        ``_require_comparable`` reads them for every LP."""
+        mass = float(self.weights.sum())
+        ref = self.points[0]
+        centre = ref + self.weights @ (self.points - ref) / mass
+        lo, hi = self.points.min(axis=0), self.points.max(axis=0)
+        return mass, centre, lo, hi, max(float(hi.max()), -float(lo.min()))
+
+    def equals(self, other: "DiscreteMeasure", tol: float = GEO) -> bool:
+        """Atom-by-atom equality of supports and weights: the atoms pair
+        off one to one, each pair within the absolute tol in every
+        coordinate and in weight."""
         if self.ambient_dim != other.ambient_dim or self.n_atoms != other.n_atoms:
             return False
         return _match_point_sets(
@@ -89,32 +104,47 @@ class DiscreteMeasure:
 
 
 def _merge_duplicates(pts: np.ndarray, w: np.ndarray):
-    """Points and summed weights after merging atoms within TAU_GEO.
+    """Points and summed weights after merging atoms within GEO times
+    their extent.
 
-    Each atom joins the first earlier kept atom within TAU_GEO in every
-    coordinate, if there is one, and is kept otherwise; kept atoms stay in
-    input order and collect their weights in input order.
+    Each atom joins the first earlier kept atom within that distance in
+    every coordinate, if there is one, and is kept otherwise; kept atoms
+    stay in input order and collect their weights in input order.
     """
-    owner = _first_match(pts)
+    owner = _first_match(pts, GEO * extent(pts))
     keep = owner == np.arange(pts.shape[0])
     return pts[keep], np.bincount(owner, weights=w, minlength=pts.shape[0])[keep]
 
 
 def barycenter(m: DiscreteMeasure) -> np.ndarray:
     """Mass-weighted mean of the atoms."""
-    total = m.total_mass
-    if total <= 0:
-        raise InvalidInput("zero-mass measure has no barycenter")
-    return (m.weights @ m.points) / total
+    return m._summary[1].copy()
 
 
-def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure):
+def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True):
+    """mu's total mass, mu's and nu's barycentres and the extent of both
+    supports (1 when every atom is at one point), which the coupling LPs
+    are normalised by, and the feasibility tolerance of the normalised
+    LP (``tolerance.feasibility``).
+
+    Measures in different dimensions raise DimensionMismatch, and
+    masses that differ by more than GEO times mu's raise MassMismatch.
+    With ``martingale`` set, barycentres that differ by more than that
+    tolerance times the extent in some coordinate raise
+    NotInConvexOrder: the LP holds its normalised barycentre rows to it,
+    so the LP, the potentials and the paving agree on such pairs.
+    """
     if mu.ambient_dim != nu.ambient_dim:
         raise DimensionMismatch("measures live in different dimensions")
-    if abs(mu.total_mass - nu.total_mass) > TAU_GEO:
-        raise MassMismatch(
-            f"total masses differ: {mu.total_mass} vs {nu.total_mass}"
-        )
+    mass, mu_centre, mu_lo, mu_hi, mu_size = mu._summary
+    nu_mass, nu_centre, nu_lo, nu_hi, nu_size = nu._summary
+    if abs(mass - nu_mass) > GEO * mass:
+        raise MassMismatch(f"total masses differ: {mass} vs {nu_mass}")
+    scale = box_extent(np.minimum(mu_lo, nu_lo), np.maximum(mu_hi, nu_hi)) or 1.0
+    feas = feasibility(scale, max(mu_size, nu_size))
+    if martingale and abs(nu_centre - mu_centre).max() > feas * scale:
+        raise NotInConvexOrder("barycenters differ: measures are not in convex order")
+    return mass, mu_centre, nu_centre, scale, feas
 
 
 def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -122,9 +152,9 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     (Strassen: convex order iff a martingale coupling exists)."""
     from .coupling import _constraint_system, _highs
 
-    A, b = _constraint_system(mu, nu)
     try:
-        _highs(np.zeros(A.shape[1]), A, b)
+        A, b, s = _constraint_system(mu, nu)
+        _highs(np.zeros(A.shape[1]), A, b, s.feas)
     except NotInConvexOrder:
         return False
     return True
@@ -171,19 +201,20 @@ def potential(lam: DiscreteMeasure) -> PotentialFunction:
     return PotentialFunction(lam, bps, vals, lam.total_mass)
 
 
-def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float = EPS_RI):
+def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float = INTERIOR):
     """Maximal open intervals where u_nu - u_mu is positive.
 
     The potentials decide the convex order without an LP (Beiglböck &
     Juillet 2016): for measures of equal mass on the line, mu <=_c nu iff
     their first moments agree and u_nu >= u_mu at every breakpoint of
-    either potential (the difference is linear between breakpoints).  At
-    the lowest and highest breakpoint the difference is plus and minus
-    the difference of the first moments, so one check covers both: a
-    breakpoint value below -TAU_GEO raises NotInConvexOrder.  Interval endpoints are exact roots of
-    the linear pieces of the difference; a breakpoint value below
-    ``eps`` counts as zero.  An ``eps`` that is negative or not finite
-    raises InvalidInput.
+    either potential (the difference is linear between breakpoints).
+    Barycentres are compared first (``_require_comparable``); then a
+    breakpoint value below minus the coupling LP's feasibility tolerance
+    raises NotInConvexOrder.  Interval endpoints are exact roots of the
+    linear pieces of the difference; a breakpoint value below ``eps``
+    counts as zero.  Both thresholds are fractions of mu's total mass
+    times the extent of both supports.  An ``eps`` that is negative or
+    not finite raises InvalidInput.
     """
     return _potential_domain(mu, nu, eps)[2]
 
@@ -196,14 +227,14 @@ def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float):
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
     if mu.ambient_dim != 1 or nu.ambient_dim != 1:
         raise DimensionMismatch("potential domain is one-dimensional")
-    _require_comparable(mu, nu)
+    mass, _, _, scale, feas = _require_comparable(mu, nu)
     u_mu = potential(mu)
     u_nu = potential(nu)
     bps = np.unique(np.concatenate([u_mu.breakpoints, u_nu.breakpoints]))
     vals = u_nu(bps) - u_mu(bps)
-    if vals.min() < -TAU_GEO:
+    if vals.min() < -feas * mass * scale:
         raise NotInConvexOrder("measures are not in convex order")
-    pos = vals > eps
+    pos = vals > eps * mass * scale
     intervals = []
     start = None
     for i in range(len(bps)):

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import EPS_POLAR, Coupling, nonpolar_mask
+from .coupling import Coupling, nonpolar_mask
 from .errors import DimensionMismatch
 from .geometry import (
-    TAU_GEO,
     Polytope,
     as_point,
     convex_hull,
@@ -24,6 +23,7 @@ from .geometry import (
     relative_interiors_intersect,
 )
 from .measures import DiscreteMeasure
+from .tolerance import GEO, POLAR, extent
 
 
 @dataclass
@@ -112,13 +112,17 @@ class ConfinementReport:
 
 
 def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
-    """Check that every positive coupling entry stays within the hull of
-    its source atom's cell, and that distinct cells have disjoint
-    relative interiors.  Two cells whose vertex bounding boxes are more
-    than TAU_GEO apart in some coordinate are disjoint; only the other
-    pairs are decided by ``relative_interiors_intersect`` (one LP each)."""
+    """Check that every coupling entry above POLAR times the coupling's
+    mass stays within the hull of its source atom's cell (within GEO
+    times the extent of both supports of the atom itself, for a
+    singleton), and that distinct cells have disjoint relative
+    interiors.  Two cells whose vertex bounding boxes are more than that
+    distance apart in some coordinate are disjoint; only the other pairs
+    are decided by ``relative_interiors_intersect`` (one LP each)."""
     if c.mu_support.shape[1] != p.mu_points.shape[1]:
         raise DimensionMismatch("coupling and paving dimensions differ")
+    tol = GEO * extent(c.mu_support, c.nu_support)
+    transport = POLAR * c.matrix.sum()
     hull_of = {}
     for cell in p.cells:
         for i in cell.members:
@@ -128,11 +132,11 @@ def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
         hull = hull_of.get(i)
         for j in range(c.nu_support.shape[0]):
             mass = c.matrix[i, j]
-            if mass <= EPS_POLAR:
+            if mass <= transport:
                 continue
             target = c.nu_support[j]
             if hull is None:
-                inside = bool(np.max(np.abs(target - c.mu_support[i])) <= TAU_GEO)
+                inside = bool(np.max(np.abs(target - c.mu_support[i])) <= tol)
             else:
                 inside = hull.contains(target)
             if not inside:
@@ -140,7 +144,7 @@ def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
     lo = np.array([cell.hull.vertices.min(axis=0) for cell in p.cells])
     hi = np.array([cell.hull.vertices.max(axis=0) for cell in p.cells])
     for a in range(len(p.cells)):
-        apart = (lo[a + 1 :] > hi[a] + TAU_GEO) | (hi[a + 1 :] < lo[a] - TAU_GEO)
+        apart = (lo[a + 1 :] > hi[a] + tol) | (hi[a + 1 :] < lo[a] - tol)
         for b in a + 1 + np.flatnonzero(~apart.any(axis=1)):
             if relative_interiors_intersect(p.cells[a].hull, p.cells[b].hull):
                 report.overlaps.append((a, int(b)))

@@ -30,14 +30,13 @@ from .errors import (
     PointOutsideBox,
 )
 from .geometry import (
-    EPS_RI,
-    TAU_GEO,
     Polytope,
     _minimal_face,
     as_point,
     intersect_halfspaces_with_polytope,
 )
 from .measures import DiscreteMeasure, barycenter
+from .tolerance import GEO
 
 
 @dataclass(frozen=True)
@@ -81,14 +80,15 @@ class PwlConvex:
             return float(np.max(self.gradients @ y + self.offsets))
         return np.max(y @ self.gradients.T + self.offsets, axis=1)
 
-    def active_pieces(self, x, tol: float = TAU_GEO) -> np.ndarray:
-        """Indices of pieces achieving the maximum at x within tol."""
-        return self._active(as_point(x, self.dim), tol)
+    def active_pieces(self, x) -> np.ndarray:
+        """Indices of pieces achieving the maximum at x within GEO, in
+        the function's units."""
+        return self._active(as_point(x, self.dim))
 
-    def _active(self, x: np.ndarray, tol: float = TAU_GEO) -> np.ndarray:
+    def _active(self, x: np.ndarray) -> np.ndarray:
         """``active_pieces`` at a checked point."""
         vals = self.gradients @ x + self.offsets
-        return np.flatnonzero(vals >= vals.max() - tol)
+        return np.flatnonzero(vals >= vals.max() - GEO)
 
     def to_json(self) -> dict:
         return {
@@ -147,11 +147,11 @@ def flat_region(phi: PwlConvex, x) -> tuple[np.ndarray, np.ndarray]:
 
 def _flat_rows(phi: PwlConvex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat region of piece k as rows G y + c <= 0: piece minus piece
-    k, without the rows whose normal and offset are both within TAU_GEO
-    of zero (k itself and its duplicates)."""
+    k, without the rows whose normal and offset are both within GEO of
+    zero (k itself and its duplicates)."""
     G = phi.gradients - phi.gradients[k]
     c = phi.offsets - phi.offsets[k]
-    keep = (np.abs(G).max(axis=1) > TAU_GEO) | (np.abs(c) > TAU_GEO)
+    keep = (np.abs(G).max(axis=1) > GEO) | (np.abs(c) > GEO)
     return G[keep], c[keep]
 
 
@@ -175,7 +175,7 @@ def affine_component(phi: PwlConvex, x, bounding_box: Polytope) -> Polytope:
 
 
 def asymptotic_component(
-    phis: list, x, bounding_box: Polytope, tol: float = 1e-9
+    phis: list, x, bounding_box: Polytope, tol: float = GEO
 ) -> Polytope:
     """Desk-scale surrogate for the asymptotically-affine component of a
     sequence of PWL convex functions.
@@ -200,7 +200,7 @@ def asymptotic_component(
         active = phi._active(x)
         normals = phi.gradients - phi.gradients[active, None]
         offsets = (phi.offsets - phi.offsets[active, None]) - tol
-        keep = (np.abs(normals).max(axis=2) > TAU_GEO) | (offsets > TAU_GEO)
+        keep = (np.abs(normals).max(axis=2) > GEO) | (offsets > GEO)
         G.append(normals[keep])
         c.append(offsets[keep])
     region = intersect_halfspaces_with_polytope(
@@ -222,11 +222,12 @@ def check_barycenter_face(alpha: DiscreteMeasure, D: Polytope) -> FaceConcentrat
     """Mass of alpha outside the minimal face of D at alpha's barycenter
     (zero for any measure concentrated on D).
 
-    Unless the face is D itself or, where D is thinner than EPS_RI, its
-    vertex nearest the barycenter (``_minimal_face``), it is D cut by the
-    hyperplanes of the facets tight at the barycenter: an atom within
-    TAU_GEO of each of them is on it, and only the other atoms are put
-    to ``face.contains``.
+    Unless the face is D itself or, where D is thinner than the
+    relative-interior margin, its vertex nearest the barycenter
+    (``_minimal_face``), it is D cut by the hyperplanes of the facets
+    tight at the barycenter: an atom within GEO ``face.scale`` of each
+    of them is on it, and only the other atoms are put to
+    ``face.contains``.
     """
     if alpha.ambient_dim != D.ambient_dim:
         raise DimensionMismatch("measure and polytope dimensions differ")
@@ -242,7 +243,7 @@ def check_barycenter_face(alpha: DiscreteMeasure, D: Polytope) -> FaceConcentrat
     if tight is not None:
         normals, offsets = D.facets
         values = D.frame.project(points) @ normals[tight].T + offsets[tight]
-        near = np.all(values >= -TAU_GEO, axis=1)
+        near = np.all(values >= -GEO * face.scale, axis=1)
     outside = 0.0
     for p, w, hit in zip(points, alpha.weights, near):
         if not (hit or face._contains(p)):

@@ -9,10 +9,8 @@ from scipy.sparse import csc_array
 from conftest import random_dilation_pair
 from mot import DiscreteMeasure, barycenter, compute_paving, find_coupling
 from mot.coupling import (
-    EPS_POLAR,
     Coupling,
     _constraint_system,
-    disintegrate,
     max_mass_on_pair,
     max_support_coupling,
     min_mass_on_pair,
@@ -25,6 +23,7 @@ from mot.fixtures import discrete_k, gaussian_grid, mixed_k
 from mot.geometry import convex_hull, in_relative_interior, minimal_face
 from mot.measures import check_convex_order
 from mot import lp
+from mot.tolerance import POLAR
 
 TOL = 1e-7
 
@@ -41,14 +40,14 @@ def _atom_index(m, point):
 
 def test_lp_shape_point_masses():
     mu = m1d([0.0], [1.0])
-    A, b = _constraint_system(mu, mu)
+    A, b, _ = _constraint_system(mu, mu)
     assert A.shape == (3, 1)  # row + col + martingale
     assert b.shape == (3,)
 
 
 def test_lp_shape_discrete_k2():
     mu, nu = discrete_k(2)
-    A, b = _constraint_system(mu, nu)
+    A, b, _ = _constraint_system(mu, nu)
     assert A.shape == (10, 8)  # 2 + 4 + 2*2 rows
     assert b.shape == (10,)
 
@@ -56,7 +55,7 @@ def test_lp_shape_discrete_k2():
 def test_lp_split_feasible():
     mu = DiscreteMeasure([[0.0, 0.0]], [1.0])
     nu = DiscreteMeasure([[0.0, 1.0], [0.0, -1.0]], [0.5, 0.5])
-    A, b = _constraint_system(mu, nu)
+    A, b, _ = _constraint_system(mu, nu)
     assert A.shape[1] == 2
     assert lp.highs(np.zeros(2), A, b, b).status is lp.LpStatus.OPTIMAL
     c = find_coupling(mu, nu)
@@ -95,7 +94,7 @@ def test_max_mass_examples():
     j_same = _atom_index(nu, [0.0, 1.0])
     j_cross = _atom_index(nu, [1.0, 1.0])
     assert abs(max_mass_on_pair(mu, nu, i, j_same) - 0.25) <= TOL
-    assert max_mass_on_pair(mu, nu, i, j_cross) <= EPS_POLAR
+    assert max_mass_on_pair(mu, nu, i, j_cross) <= POLAR
     point = m1d([0.0], [1.0])
     assert abs(max_mass_on_pair(point, point, 0, 0) - 1.0) <= TOL
 
@@ -133,11 +132,19 @@ def test_reachable_set_point_mass():
     assert abs(pts[0, 0]) <= 1e-12
 
 
+def _disintegrate(c: Coupling, i: int) -> DiscreteMeasure:
+    """The disintegration gamma(x_i, .) of a coupling: row i of its
+    matrix over the row's mass, on the nu-atoms the row charges."""
+    row = c.matrix[i]
+    keep = row > 0
+    return DiscreteMeasure(c.nu_support[keep], row[keep] / row.sum())
+
+
 def test_disintegrate_discrete_k2():
     mu, nu = discrete_k(2)
-    kernel = disintegrate(find_coupling(mu, nu))
+    c = find_coupling(mu, nu)
     i = _atom_index(mu, [0.0, 0.0])
-    gamma = kernel.conditionals[i]
+    gamma = _disintegrate(c, i)
     expected = DiscreteMeasure([[0.0, 1.0], [0.0, -1.0]], [0.5, 0.5])
     assert gamma.equals(expected, tol=1e-7)
 
@@ -145,8 +152,8 @@ def test_disintegrate_discrete_k2():
 def test_disintegrate_identity():
     m = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
     c = Coupling(m.points, m.points, np.diag(m.weights))
-    kernel = disintegrate(c)
-    for i, gamma in enumerate(kernel.conditionals):
+    for i in range(m.n_atoms):
+        gamma = _disintegrate(c, i)
         assert gamma.n_atoms == 1
         assert np.allclose(gamma.points[0], m.points[i])
 
@@ -171,9 +178,8 @@ def test_disintegrate_mixed_k3_supplied_coupling():
     assert np.allclose(c.row_marginals(), mu.weights, atol=1e-9)
     assert np.allclose(c.col_marginals(), nu.weights, atol=1e-9)
     assert c.martingale_defect() <= 1e-9
-    kernel = disintegrate(c)
     i = _atom_index(mu, [0.5, 0.0])
-    gamma = kernel.conditionals[i]
+    gamma = _disintegrate(c, i)
     j = _atom_index(nu, [0.5, 1.0])
     expected_w = (k / (k + 1)) * nu.weights[j] / nu.total_mass + 1.0 / (2 * (k + 1))
     got = gamma.weights[np.flatnonzero(np.max(np.abs(gamma.points - [0.5, 1.0]), axis=1) <= 1e-9)]
@@ -188,10 +194,17 @@ def test_coupling_invariants_random_instances(random_instances):
 
 
 def test_kernel_barycenter_property(random_instances):
-    for mu, nu, _, c in random_instances[:20]:
-        kernel = disintegrate(c)
-        for i, gamma in enumerate(kernel.conditionals):
+    """Each row's conditional law has barycentre x_i and charges only
+    nu-atoms in the closure of x_i's cell (x_i itself, for a singleton)."""
+    for mu, nu, p, c in random_instances[:20]:
+        hull_of = {i: cell.hull for cell in p.cells for i in cell.members}
+        for i in range(mu.n_atoms):
+            gamma = _disintegrate(c, i)
             assert np.max(np.abs(barycenter(gamma) - mu.points[i])) <= 1e-8
+            hull = hull_of.get(i)
+            for y, w in zip(gamma.points, gamma.weights):
+                if w > POLAR:
+                    assert hull.contains(y) if hull else np.allclose(y, mu.points[i])
 
 
 def test_polar_symmetry_with_barycenter_face():
@@ -201,16 +214,16 @@ def test_polar_symmetry_with_barycenter_face():
     for _ in range(5):
         mu, nu = random_dilation_pair(rng, dim=2)
         mask = nonpolar_mask(mu, nu)
-        kernel = disintegrate(find_coupling(mu, nu))
+        c = find_coupling(mu, nu)
         for i in range(mu.n_atoms):
             pts = [nu.points[j] for j in range(nu.n_atoms) if mask[i, j]]
             pts.append(mu.points[i])
             face = minimal_face(mu.points[i], convex_hull(np.array(pts)))
-            gamma = kernel.conditionals[i]
+            gamma = _disintegrate(c, i)
             outside = sum(
                 w for p, w in zip(gamma.points, gamma.weights) if not face.contains(p)
             )
-            assert outside <= EPS_POLAR
+            assert outside <= POLAR
 
 
 def test_kellerer_contrast_k2():
@@ -246,7 +259,7 @@ def test_identity_forced_on_three_points_oracle():
     """mu = nu uniform on {-1,0,1}: brute force over the vertices of the
     coupling polytope shows every off-diagonal pair is polar."""
     m = m1d([-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3])
-    S, b = _constraint_system(m, m)
+    S, b, _ = _constraint_system(m, m)
     A = csc_array((S.data, S.indices, S.indptr), shape=S.shape).toarray()
     for i in range(3):
         for j in range(3):
@@ -256,12 +269,12 @@ def test_identity_forced_on_three_points_oracle():
             got = max_mass_on_pair(m, m, i, j)
             assert abs(got - oracle) <= TOL
             if i != j:
-                assert got <= EPS_POLAR
+                assert got <= POLAR
 
 
 def test_transport_lp_has_no_martingale_rows():
     mu, nu = discrete_k(2)
-    A, b = _constraint_system(mu, nu, martingale=False)
+    A, b, _ = _constraint_system(mu, nu, martingale=False)
     assert A.shape == (6, 8)
     assert b.shape == (6,)
 
@@ -287,7 +300,7 @@ def test_nonpolar_mask_matches_pair_oracle():
     rng = np.random.default_rng(9)
     for trial in range(24):
         mu, nu = random_dilation_pair(rng, dim=1 + trial % 3, max_atoms=5)
-        oracle = polar_matrix(mu, nu) > EPS_POLAR
+        oracle = polar_matrix(mu, nu) > POLAR
         assert np.array_equal(nonpolar_mask(mu, nu), oracle)
 
 
@@ -295,7 +308,7 @@ def test_max_support_certificate_is_coupling_on_the_mask(random_instances):
     for mu, nu, _, _ in random_instances[:40]:
         mask, cert = max_support_coupling(mu, nu)
         _assert_martingale_coupling(mu, nu, cert.matrix)
-        assert np.all(cert.matrix[mask] > EPS_POLAR)
+        assert np.all(cert.matrix[mask] > POLAR)
         assert np.all(np.abs(cert.matrix[~mask]) <= 1e-12)
 
 
@@ -412,12 +425,12 @@ def test_numpy_residual_matches_sparse_product(random_instances, gaussian_pair):
     copies with residuals near 1e-3, and on copies whose first row is
     moved along a direction that keeps its mass and barycenter, so that
     only the column sums show it."""
-    from mot.coupling import _residual
+    from mot.coupling import _residual, _scaled
 
     rng = np.random.default_rng(4)
     pairs = [(mu, nu) for mu, nu, _, _ in random_instances] + [gaussian_pair]
     for mu, nu in pairs:
-        A, b = _constraint_system(mu, nu)
+        A, b, _ = _constraint_system(mu, nu)
         S = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
         # a unit vector orthogonal to the ones and to every coordinate of nu
         along = np.zeros((mu.n_atoms, nu.n_atoms))
@@ -427,7 +440,7 @@ def test_numpy_residual_matches_sparse_product(random_instances, gaussian_pair):
             noisy = theta + rng.uniform(0.0, 1e-3, size=theta.shape)
             for t in (theta, noisy, theta + 1e-3 * along):
                 expected = float(np.max(np.abs(S @ t.ravel() - b)))
-                assert abs(_residual(mu, nu, t) - expected) <= 1e-15
+                assert abs(_residual(_scaled(mu, nu), t) - expected) <= 1e-15
 
 
 def test_martingale_defect_matches_row_loop(random_instances, gaussian_pair):

@@ -218,8 +218,8 @@ def test_singleton_relative_interior_is_itself():
 
 # ---- reference implementations -------------------------------------------
 #
-# The loops that _dedupe and _match_point_sets replace, and linear-program
-# oracles (scipy's linprog) for membership, vertices, minimal faces and the
+# The loop that _dedupe replaces, a matching by augmenting paths for
+# _match_point_sets, and linear-program oracles (scipy's linprog) for membership, vertices, minimal faces and the
 # max-min barycentric weight.  They share no code with mot.geometry.
 
 
@@ -237,17 +237,23 @@ def _dedupe_loop(pts, tol):
 
 
 def _match_loop(a, b, tol):
-    used = [False] * b.shape[0]
-    for p in a:
-        hit = -1
-        for j in range(b.shape[0]):
-            if not used[j] and np.max(np.abs(p - b[j])) <= tol:
-                hit = j
-                break
-        if hit < 0:
-            return False
-        used[hit] = True
-    return all(used)
+    """Whether a and b pair off one to one within tol in every
+    coordinate: a maximum matching by augmenting paths (Kuhn)."""
+    if len(a) != len(b):
+        return False
+    near = [[j for j in range(len(b)) if np.max(np.abs(p - b[j])) <= tol] for p in a]
+    partner = [-1] * len(b)
+
+    def augment(i, seen):
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if partner[j] < 0 or augment(partner[j], seen):
+                    partner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(a)))
 
 
 def _lp_weight(V, x):
@@ -509,10 +515,10 @@ def test_intersection_rejects_rows_of_another_shape():
 
 
 def test_convex_hull_keeps_a_cluster_of_near_duplicate_vertices():
-    """Points 1e-9 apart (more than TAU_GEO, so not merged) at a corner
-    0.17 outside the hull of the rest: one of them must stay a vertex.
-    A leave-one-out membership test with a 1e-9 tolerance drops every
-    point of such a cluster."""
+    """Points about 1e-9 apart at a corner 0.17 outside the hull of the
+    rest: one of them must stay a vertex, and the hull contains them
+    all.  A leave-one-out membership test with a 1e-9 tolerance drops
+    every point of such a cluster."""
     pts = np.array([
         [-2.0, 2.0], [-2.0, -0.9994815384829892], [2.0, 2.0], [2.0, 1.333498199539],
         [-1.000510444582e-09, -1.000429949434e-09], [1.204994266188e-10, -4.396730988510e-10],
@@ -520,7 +526,7 @@ def test_convex_hull_keeps_a_cluster_of_near_duplicate_vertices():
     ])
     hull = convex_hull(pts)
     for p in pts:
-        assert hull.contains(p, tol=1e-8)
+        assert hull.contains(p)
 
 
 def test_facets_merge_triangulated_duplicates():
@@ -537,8 +543,20 @@ def test_facets_merge_triangulated_duplicates():
         assert np.max(cube.vertices @ g + off) <= 1e-12
 
 
+def test_affine_rank_is_relative_to_the_extent():
+    """Points 1e-8 off a segment of length 1e8 are flat at GEO times the
+    extent: the hull is the segment, as qhull would also find."""
+    pts = [[0.0, 0.0], [1e8, 0.0], [5e7, 1e-8], [1.0, -1e-8]]
+    assert affine_hull(pts).dim == 1
+    hull = convex_hull(pts)
+    assert hull.affine_dim == 1
+    assert np.array_equal(hull.vertices, [[0.0, 0.0], [1e8, 0.0]])
+
+
 def test_qhull_failure_is_a_typed_error():
-    """Rank 2 by the absolute TAU_GEO test, but flat at the precision of
-    coordinates of size 1e8: qhull's error becomes InvalidInput."""
+    """A unit square with its centre, scaled to 1e-300: full-dimensional
+    relative to its extent, but below qhull's own precision, so qhull's
+    error becomes InvalidInput."""
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
     with pytest.raises(InvalidInput, match="qhull"):
-        convex_hull([[0.0, 0.0], [1e8, 0.0], [5e7, 1e-8], [1.0, -1e-8]])
+        convex_hull(1e-300 * square)

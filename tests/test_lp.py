@@ -154,11 +154,15 @@ def test_highs_outcomes_map_to_status_or_solver_error(stub_highs):
     assert lp.highs(*args).solution.tolist() == [1.0]
 
 
-def _milp_reference(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP"):
+def _milp_reference(
+    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP",
+    max_value_scaling=False,
+):
     """``lp.highs``'s problem solved by ``scipy.optimize.milp`` with the
     same HiGHS options: presolve off, the feasibility tolerances when
-    given, no console log (milp's default).  A ``CscMatrix`` is handed to
-    milp as the ``csc_array`` of the same arrays."""
+    given, max-value scaling when asked, no console log (milp's
+    default).  A ``CscMatrix`` is handed to milp as the ``csc_array`` of
+    the same arrays."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csc_array
 
@@ -169,6 +173,8 @@ def _milp_reference(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None
     if feas_tol is not None:
         options["primal_feasibility_tolerance"] = feas_tol
         options["dual_feasibility_tolerance"] = feas_tol
+    if max_value_scaling:
+        options["simplex_scale_strategy"] = 4
     with warnings.catch_warnings():
         # milp passes options it does not know on to HiGHS, with a warning
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
@@ -242,10 +248,13 @@ def test_highs_matches_milp_bit_for_bit(monkeypatch):
     assert seen == set(lp.LpStatus)
 
 
-def _fresh_highs(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None):
+def _fresh_highs(
+    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, max_value_scaling=False
+):
     """``lp.highs``'s problem on a newly built HiGHS solver that is used
     once, with presolve off, no console log and the feasibility
-    tolerances set only when given: (status, x or None)."""
+    tolerances and max-value scaling set only when asked: (status, x or
+    None)."""
     from scipy.optimize._highspy import _core
     from scipy.sparse import csc_array
 
@@ -272,6 +281,8 @@ def _fresh_highs(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None):
     if feas_tol is not None:
         solver.setOptionValue("primal_feasibility_tolerance", float(feas_tol))
         solver.setOptionValue("dual_feasibility_tolerance", float(feas_tol))
+    if max_value_scaling:
+        solver.setOptionValue("simplex_scale_strategy", 4)
     assert solver.passModel(model) != _core.HighsStatus.kError
     solver.run()
     status = {
@@ -296,15 +307,15 @@ def _assert_as_fresh(args, kwargs):
 
 def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
     """One thread's solver, reused over a sequence that changes the
-    tolerances, fails, raises and swaps sizes, answers every LP bit for
-    bit as a solver built for that LP alone."""
-    from mot.coupling import FEAS_TOL, _constraint_system, find_coupling
+    tolerances and the scaling, fails, raises and swaps sizes, answers
+    every LP bit for bit as a solver built for that LP alone."""
+    from mot.coupling import _constraint_system, find_coupling
     from mot.fixtures import gaussian_grid, mixed_k
-    from mot.geometry import TAU_GEO
+    from mot.tolerance import FEAS, GEO
 
     reused = lp._solver()[0]
-    small = _constraint_system(*mixed_k(3))
-    large = _constraint_system(*gaussian_grid(7))
+    small = _constraint_system(*mixed_k(3))[:2]
+    large = _constraint_system(*gaussian_grid(7))[:2]
 
     def coupling_lp(system, tol):
         A, b = system
@@ -314,10 +325,11 @@ def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
     A = np.abs(rng.uniform(-1.0, 1.0, size=(5, 7)))
     dense = ((-rng.uniform(0.0, 1.0, size=7), A, -np.inf, A @ rng.uniform(0.0, 1.0, size=7)),
              {"upper": 2.0})
-    for tol in (None, FEAS_TOL, TAU_GEO, None):
+    for tol in (None, FEAS, GEO, None):
         _assert_as_fresh(*coupling_lp(small, tol))
         _assert_as_fresh(dense[0], dict(dense[1], feas_tol=tol))
-    _assert_as_fresh(([-1.0], [[1.0]], -np.inf, -1.0), {"feas_tol": FEAS_TOL})  # infeasible
+        _assert_as_fresh(dense[0], dict(dense[1], feas_tol=tol, max_value_scaling=True))
+    _assert_as_fresh(([-1.0], [[1.0]], -np.inf, -1.0), {"feas_tol": FEAS})  # infeasible
     _assert_as_fresh(([-1.0], [[0.0]], -np.inf, 1.0), {})  # unbounded
     _assert_as_fresh(*coupling_lp(small, None))
     with pytest.raises(InvalidInput):
@@ -327,18 +339,19 @@ def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
     _assert_as_fresh(*coupling_lp(small, None))
     stub_highs("kIterationLimit")
     with pytest.raises(SolverError, match="Iteration limit"):
-        lp.highs(*coupling_lp(small, FEAS_TOL)[0], feas_tol=FEAS_TOL)
+        lp.highs(*coupling_lp(small, FEAS)[0], feas_tol=FEAS)
     monkeypatch.undo()
     # the reused solver's last LP ran at HiGHS's default tolerance, at
-    # which this coupling fails its certificate; FEAS_TOL must hold again
+    # which this coupling fails its certificate; FEAS must hold again
     mu, nu = gaussian_grid(9)
     theta = find_coupling(mu, nu).matrix
-    A, b = _constraint_system(mu, nu)
-    _, x = _fresh_highs(np.zeros(A.shape[1]), A, b, b, feas_tol=FEAS_TOL)
-    assert theta.tobytes() == np.maximum(x, 0.0).reshape(theta.shape).tobytes()
-    _assert_as_fresh(*coupling_lp(small, TAU_GEO))
-    _assert_as_fresh(*coupling_lp(large, FEAS_TOL))
-    _assert_as_fresh(*coupling_lp(small, FEAS_TOL))
+    A, b, _ = _constraint_system(mu, nu)
+    _, x = _fresh_highs(np.zeros(A.shape[1]), A, b, b, feas_tol=FEAS)
+    expected = np.maximum(x, 0.0).reshape(theta.shape) * mu.total_mass
+    assert theta.tobytes() == expected.tobytes()
+    _assert_as_fresh(*coupling_lp(small, GEO))
+    _assert_as_fresh(*coupling_lp(large, FEAS))
+    _assert_as_fresh(*coupling_lp(small, FEAS))
     assert lp._solver()[0] is reused
 
 

@@ -11,9 +11,10 @@ from mot import DiscreteMeasure, compute_paving, find_coupling, fixtures
 from mot.coupling import Coupling
 from mot.errors import NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
-from mot.geometry import TAU_GEO, Polytope, in_relative_interior, relative_interiors_intersect
+from mot.geometry import Polytope, in_relative_interior, relative_interiors_intersect
 from mot.measures import potential_domain
 from mot.paving import ConvexPaving, PavingCell, locate, verify_against_coupling
+from mot.tolerance import GEO, extent
 
 TOL = 1e-7
 
@@ -127,8 +128,8 @@ def test_verify_against_coupling_reports_overlapping_cells():
 
 
 def test_overlap_shortcut_agrees_with_lp(random_instances, monkeypatch):
-    """Cells whose vertex bounding boxes are more than TAU_GEO apart in
-    some coordinate have disjoint relative interiors by the LP too, and
+    """Cells whose vertex bounding boxes are more than GEO times the
+    extent of the instance apart in some coordinate have disjoint relative interiors by the LP too, and
     verify_against_coupling reports the overlaps of one LP per pair while
     solving an LP only for the pairs the boxes leave open."""
     import mot.paving
@@ -146,10 +147,11 @@ def test_overlap_shortcut_agrees_with_lp(random_instances, monkeypatch):
     for p, c in cases:
         lp_pairs.clear()
         expected, open_pairs = [], 0
+        tol = GEO * extent(c.mu_support, c.nu_support)
         for a, b in combinations(range(len(p.cells)), 2):
             P, Q = p.cells[a].hull, p.cells[b].hull
-            apart = np.any(P.vertices.min(axis=0) > Q.vertices.max(axis=0) + TAU_GEO) or np.any(
-                Q.vertices.min(axis=0) > P.vertices.max(axis=0) + TAU_GEO
+            apart = np.any(P.vertices.min(axis=0) > Q.vertices.max(axis=0) + tol) or np.any(
+                Q.vertices.min(axis=0) > P.vertices.max(axis=0) + tol
             )
             meet = relative_interiors_intersect(P, Q)
             assert not (apart and meet)

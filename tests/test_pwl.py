@@ -421,10 +421,11 @@ def _off_face(D, F, p, delta):
 def _face_cases(rng):
     """(alpha, D, band) in dims 1-3 built as in criterion 5: atoms on the
     face of D spanned by random vertices, and copies of some moved 1e-10,
-    5e-9, 1e-8 and 1e-7 off it.  ``band`` holds the atoms 5e-9 and 1e-8
-    off a face of dimension one or more, which face.contains' affine
-    tolerance of 1e-8 * max(1, distance to the face's centre) takes or
-    only just rejects, while D's tight facets, at TAU_GEO, reject them.
+    5e-9, 1e-8 and 1e-7 times D's extent off it.  ``band`` holds the
+    atoms 5e-9 and 1e-8 times that off a face of dimension one or more,
+    which face.contains' affine tolerance of 1e-8 times the larger of the
+    face's extent and the distance to its centre takes or rejects, while
+    D's tight facets, at GEO times the face's extent, mostly reject them.
     Also a D of one vertex, a barycentre inside D, and a triangle 5e-8
     thin."""
     for t in range(60):
@@ -438,7 +439,7 @@ def _face_cases(rng):
         band = []
         if F.n_vertices < D.n_vertices:
             deltas = (1e-10, 5e-9, 1e-8, 1e-7)
-            moved = [_off_face(D, F, p, delta) for p, delta in zip(atoms, deltas)]
+            moved = [_off_face(D, F, p, delta * D.scale) for p, delta in zip(atoms, deltas)]
             band = moved[1:3] if F.n_vertices > 1 else []
             atoms += moved
         yield DiscreteMeasure(atoms, rng.uniform(0.1, 1.0, size=len(atoms))), D, band
