@@ -38,7 +38,7 @@ import numpy as np
 
 from . import lp
 from .errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
-from .tolerance import GEO, INTERIOR, extent
+from .tolerance import GEO, INTERIOR, SLACK, extent
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -88,12 +88,12 @@ class AffineSubspace:
 
     def coordinates(self, x: np.ndarray) -> np.ndarray | None:
         """Frame coordinates of the point x, or None when x is off the
-        subspace by more than 10 GEO times the larger of ``scale`` and
+        subspace by more than SLACK times the larger of ``scale`` and
         |x - base_point|."""
         diff = x - self.base_point
         u = self.basis @ diff
         residual = diff - u @ self.basis
-        bound = 10 * GEO * max(self.scale, np.linalg.norm(diff))
+        bound = SLACK * max(self.scale, np.linalg.norm(diff))
         return u if np.linalg.norm(residual) <= bound else None
 
     def contains(self, x) -> bool:
@@ -455,7 +455,7 @@ def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
     and c of shape (k,), or None when the intersection is empty.
 
     Rows are scaled to unit normals (a row with a zero normal is left
-    as it is), so that the slack is a distance: 10 GEO times the box's
+    as it is), so that the slack is a distance: SLACK times the box's
     scale.  Every m-subset of the inequalities (box facets first, in the
     box's m-dimensional frame) is solved at once; the solutions that
     satisfy all inequalities within the slack are the candidate
@@ -476,7 +476,7 @@ def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
     norms = np.sqrt(np.einsum("ij,ij->i", G, G))
     unit = np.where(norms > 0.0, norms, 1.0)
     G, c = G / unit[:, None], c / unit
-    slack = 10 * GEO * box.scale
+    slack = SLACK * box.scale
     sub = box.frame
     if sub.dim == 0:
         return box if np.all(G @ box.vertices[0] + c <= slack) else None
@@ -514,7 +514,7 @@ def _region(candidates, u, A, b, box_frame: AffineSubspace, scale: float) -> Pol
     """The polytope cut out by A u + b <= 0, rows of unit or zero normal,
     from its candidate vertices (u are their coordinates in
     ``box_frame``), or None when the rows cannot resolve it within the
-    slack 10 GEO ``scale``, the box's.
+    slack SLACK ``scale``, the box's.
 
     Its frame is the affine hull of u, at the rank threshold of the
     candidates' own extent as for any point set, composed with
@@ -537,7 +537,7 @@ def _region(candidates, u, A, b, box_frame: AffineSubspace, scale: float) -> Pol
     normals = A @ hull.basis.T
     offsets = A @ hull.base_point + b
     norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
-    tight = coords @ normals.T + offsets >= -10 * GEO * scale * norms
+    tight = coords @ normals.T + offsets >= -SLACK * scale * norms
     tight &= norms > GEO
     inside, count = _inclusion(tight)
     # S_j beats S_i when it contains S_i and is larger, or equal and earlier

@@ -40,6 +40,9 @@ import numpy as np
 # rank, merging, membership and tightness, per unit of extent; the
 # mass mismatch, per unit of mass
 GEO = 1e-9
+# points computed by solving (candidate vertices, points off an affine
+# hull) are held to this, per unit of extent
+SLACK = 10 * GEO
 # the relative-interior margin, per unit of extent; a barycentric weight
 # in relative_interiors_intersect; the default domain tolerance of
 # potential_domain and the default tol of Polytope.same_vertices
