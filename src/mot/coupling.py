@@ -21,8 +21,8 @@ from theta as an n x m matrix, numpy computes the residuals of the
 normalised system, which are the row sums minus mu, the column sums
 minus nu and the row barycenter defects theta @ y - rowsum * x.  A
 residual above RESIDUAL or an entry below minus the system's
-feasibility tolerance (FEAS, or coarser far from the origin:
-``tolerance.feasibility``) raises SolverError.
+feasibility tolerance (FEAS, or coarser far from the origin, but never
+above RESIDUAL: ``tolerance.feasibility``) raises SolverError.
 
 Polar pairs are pairs of atoms that carry zero mass under every
 martingale coupling.  One LP (Freund, Roundy & Todd 1985) finds a
@@ -137,19 +137,15 @@ def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: boo
     return A, b, s
 
 
-def _highs(c, A, rhs, feas, upper=np.inf, max_value_scaling=False) -> np.ndarray:
+def _highs(c, A, rhs, feas, upper=np.inf) -> np.ndarray:
     """min c @ x subject to A x = rhs and 0 <= x <= upper (``lp.highs``).
 
     ``feas`` sets the feasibility tolerances (None: the HiGHS defaults,
-    whose 1e-7 leaves residuals above RESIDUAL on gaussian_grid(9));
-    ``max_value_scaling`` is ``lp.highs``'s.  Returns the optimal x.  An
-    infeasible system raises NotInConvexOrder; any other outcome raises
-    SolverError.
+    whose 1e-7 leaves residuals above RESIDUAL on gaussian_grid(9)).
+    Returns the optimal x.  An infeasible system raises
+    NotInConvexOrder; any other outcome raises SolverError.
     """
-    res = lp.highs(
-        c, A, rhs, rhs, upper=upper, feas_tol=feas, what="coupling LP",
-        max_value_scaling=max_value_scaling,
-    )
+    res = lp.highs(c, A, rhs, rhs, upper=upper, feas_tol=feas, what="coupling LP")
     if res.status is lp.LpStatus.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
     if res.status is lp.LpStatus.UNBOUNDED:
@@ -192,12 +188,12 @@ def _residual(s: _Scaled, theta) -> float:
 
 def _certify(s: _Scaled, theta):
     """Raise SolverError unless the normalised theta is a martingale
-    coupling of the instance s within RESIDUAL (``_residual``; within
-    the system's feasibility tolerance where that is coarser) with no
-    entry below minus that tolerance; a NaN entry fails both tests."""
+    coupling of the instance s within RESIDUAL (``_residual``) with no
+    entry below minus the system's feasibility tolerance; a NaN entry
+    fails both tests."""
     residual = _residual(s, theta)
     lowest = float(theta.min())
-    if not (residual <= max(RESIDUAL, s.feas) and lowest >= -s.feas):
+    if not (residual <= RESIDUAL and lowest >= -s.feas):
         raise SolverError(
             f"coupling fails its certificate: residual {residual:.3g}, "
             f"lowest entry {lowest:.3g}"
@@ -279,26 +275,24 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     upper[:nm] = 1.0
     # With tight tolerances HiGHS calls this bounded LP "Unbounded" on
     # some random dilation pairs, so it keeps the defaults.  With the
-    # scaling HiGHS chooses it ends in "Unknown" on gaussian_grid(9), and
+    # scaling HiGHS chooses it ends in "Unknown" on gaussian_grid(9) and
     # in "Solve error" or "Unknown" on a 1-D test instance translated by
-    # 5e5-1e6.  Scaling rows and columns by their largest entry solved
-    # every such case, but took about 15 % longer on the grid families,
-    # so it is the second attempt.
-    for max_value_scaling in (False, True):
-        try:
-            x = _highs(c, big, np.zeros(A.shape[0]), None, upper, max_value_scaling)
-            s, tau = x[:nm], x[-1]
-            mask = (s > 0.5).reshape(n, m)
-            if not mask.any():
-                raise NotInConvexOrder("no martingale coupling exists")
-            if not mask.any(axis=1).all():
-                raise SolverError("max-support LP left a mu-atom without any pair")
-            theta = w * (s + x[nm : 2 * nm]) / tau
-            _certify(inst, theta)
-            break
-        except SolverError:
-            if max_value_scaling:
-                raise
+    # 5e5-1e6; scaled by the largest entry of each row and column, it
+    # solved every such case.  Zero is feasible and s is bounded, so
+    # any outcome but an optimum is a solver failure.
+    zero = np.zeros(A.shape[0])
+    res = lp.highs(c, big, zero, zero, upper=upper, what="coupling LP", max_value_scaling=True)
+    if res.status is not lp.LpStatus.OPTIMAL:
+        raise SolverError(f"coupling LP not solved: HiGHS reports it {res.status.value}")
+    x = res.solution
+    s, tau = x[:nm], x[-1]
+    mask = (s > 0.5).reshape(n, m)
+    if not mask.any():
+        raise NotInConvexOrder("no martingale coupling exists")
+    if not mask.any(axis=1).all():
+        raise SolverError("max-support LP left a mu-atom without any pair")
+    theta = w * (s + x[nm : 2 * nm]) / tau
+    _certify(inst, theta)
     matrix = theta.reshape(n, m) * inst.mass
     return mask, Coupling(mu.points.copy(), nu.points.copy(), matrix)
 

@@ -133,6 +133,8 @@ def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bo
     tolerance times the extent in some coordinate raise
     NotInConvexOrder: the LP holds its normalised barycentre rows to it,
     so the LP, the potentials and the paving agree on such pairs.
+    Coordinates too coarse for that extent raise InvalidInput
+    (``tolerance.feasibility``).
     """
     if mu.ambient_dim != nu.ambient_dim:
         raise DimensionMismatch("measures live in different dimensions")

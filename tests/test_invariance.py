@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import random_dilation_pair
 from mot import DiscreteMeasure, check_convex_order, compute_paving, find_coupling
-from mot.errors import NotInConvexOrder
+from mot.errors import InvalidInput, NotInConvexOrder
 from mot.fixtures import continuous_grid, discrete_k, gaussian_grid, mixed_k
 from mot.measures import potential_domain
 
@@ -164,3 +164,19 @@ def test_no_convex_order_at_small_mass_or_scale(mu, nu):
     if mu.ambient_dim == 1:
         with pytest.raises(NotInConvexOrder):
             potential_domain(mu, nu)
+
+
+
+_POINT = DiscreteMeasure([[1e8]], [1.0])
+_SPREAD = DiscreteMeasure([[1e8 - 5e-6], [1e8 + 5e-6]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("mu, nu", [(_POINT, _SPREAD), (_SPREAD, _POINT)])
+def test_tiny_extent_far_from_the_origin_is_too_coarse_to_decide(mu, nu):
+    """Atoms near 1e8 that span 1e-5 are known only to about 1e-8, a
+    thousandth of their extent, finer than which no coupling can be
+    certified: the pair in convex order and the pair that is not both
+    raise InvalidInput, however the question is asked."""
+    for ask in (check_convex_order, find_coupling, compute_paving, potential_domain):
+        with pytest.raises(InvalidInput, match="too coarse"):
+            ask(mu, nu)
