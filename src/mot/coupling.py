@@ -278,7 +278,9 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     # scaling HiGHS chooses it ends in "Unknown" on gaussian_grid(9) and
     # in "Solve error" or "Unknown" on a 1-D test instance translated by
     # 5e5-1e6; scaled by the largest entry of each row and column, it
-    # solved every such case.  Zero is feasible and s is bounded, so
+    # solved every such case.  The other LPs keep the default scaling:
+    # max-value scaling on all of them made the benchmark's pave-grid
+    # solve time 17 % longer.  Zero is feasible and s is bounded, so
     # any outcome but an optimum is a solver failure.
     zero = np.zeros(A.shape[0])
     res = lp.highs(c, big, zero, zero, upper=upper, what="coupling LP", max_value_scaling=True)

@@ -15,11 +15,11 @@ factor of the input:
 * The coupling LPs, their certificate and the non-polar mask work on
   normalised arrays: weights over mu's total mass, and points centred
   on their measure's barycentre and divided by the extent of supp mu
-  and supp nu together.  HiGHS's feasibility tolerance and the certificate's
-  lowest entry are then relative to the instance, but never finer than
-  the round-off of its coordinates (``feasibility``); where that
-  round-off exceeds RESIDUAL, the instance is too coarse to decide and
-  raises InvalidInput.  Two measures whose barycentres differ by more
+  and supp nu together.  HiGHS's feasibility tolerance and the
+  certificate's lowest entry are then relative to the instance, but
+  never finer than the round-off of its coordinates (``feasibility``);
+  where that round-off exceeds RESIDUAL, the instance is too coarse to
+  decide and raises InvalidInput.  Two measures whose barycentres differ by more
   than the LP holds its barycentre rows to are not in convex order,
   however the question is asked.
 
