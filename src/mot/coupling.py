@@ -28,6 +28,11 @@ Polar pairs are pairs of atoms that carry zero mass under every
 martingale coupling.  One LP (Freund, Roundy & Todd 1985) finds a
 martingale coupling of maximal support; its positive entries are
 exactly the non-polar pairs, and it is returned as their certificate.
+In dimension one ``nonpolar_mask`` solves no LP: it reads the pairs off
+the zeros of u_nu - u_mu (``_potential_mask``) and certifies the polar
+ones with the superhedge those zeros give (``_certify_polar``).
+``max_support_coupling``, ``find_coupling``, ``polar_matrix`` and
+``max_mass_on_pair`` solve their LPs in every dimension.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ import numpy as np
 
 from . import lp
 from .errors import InvalidInput, NotInConvexOrder, SolverError
-from .measures import DiscreteMeasure, _require_comparable
-from .tolerance import GEO, RESIDUAL, extent
+from .measures import DiscreteMeasure, _potential_gap, _require_comparable
+from .tolerance import GEO, INTERIOR, RESIDUAL, extent
 
 
 @dataclass
@@ -300,10 +305,73 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """Boolean matrix marking the non-polar pairs (one LP, see
-    ``max_support_coupling``); raises NotInConvexOrder if there is no
-    martingale coupling."""
+    """Boolean matrix marking the non-polar pairs; raises NotInConvexOrder
+    if there is no martingale coupling.  In dimension one it is read off
+    the potentials (``_potential_mask``), elsewhere from one LP
+    (``max_support_coupling``)."""
+    if mu.ambient_dim == 1:
+        return _potential_mask(mu, nu)
     return max_support_coupling(mu, nu)[0]
+
+
+def _potential_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """The 1-D non-polar mask, from the breakpoints of u_nu - u_mu
+    (``measures._potential_gap``) and no LP (Beiglböck, Nutz & Touzi
+    2017).
+
+    A zero is a breakpoint where u_nu - u_mu is at most
+    ``potential_domain``'s default threshold (INTERIOR times mass times
+    extent) and a nu-atom sits, within GEO times the extent: a
+    breakpoint without one is inside a component, since there u_nu -
+    u_mu is strictly concave.  The zeros split the other breakpoints
+    into runs, one per component.  A mu-atom inside a run reaches the
+    nu-atoms in the closed interval between the zeros on either side of
+    it; a mu-atom at a zero reaches only the nu-atom there.  Both
+    intervals are widened by GEO times the extent.  The mask is
+    certified by the superhedge of those zeros (``_certify_polar``).
+    """
+    bps, vals, mass, scale = _potential_gap(mu, nu)
+    tol = GEO * scale
+    y = nu.points[:, 0]
+    at_nu = (np.abs(bps[:, None] - y) <= tol).any(axis=1)
+    zero = (vals <= INTERIOR * mass * scale) & at_nu
+    idx = np.arange(bps.size)
+    left = np.maximum.accumulate(np.where(zero, idx, 0))
+    right = np.minimum.accumulate(np.where(zero, idx, bps.size - 1)[::-1])[::-1]
+    at = np.searchsorted(bps, mu.points[:, 0])
+    lo, hi = bps[left[at]] - tol, bps[right[at]] + tol
+    mask = (y >= lo[:, None]) & (y <= hi[:, None])
+    zeros = bps[np.unique(np.concatenate([left[at], right[at]]))]
+    _certify_polar(mu, nu, mask, zeros, INTERIOR * mass * scale, tol)
+    return mask
+
+
+def _certify_polar(mu, nu, mask, zeros, gap, tol):
+    """Raise SolverError unless the 1-D mask is certified by the
+    superhedge of the zeros a of u_nu - u_mu: psi(y) = sum |y - a|,
+    phi(x) = - sum |x - a|, h(x) = sum sign(x - a).  Its value
+    H = psi(y) + phi(x) - h(x) (y - x) is nonnegative by convexity, and
+    every martingale coupling gives it the cost
+    <nu, psi> + <mu, phi> = sum (u_nu - u_mu)(a), so a pair with H > 0
+    carries at most that cost over H.  The check, with the mask's own
+    position tolerance ``tol``: every row of the mask holds a pair,
+    -tol <= H <= 2 tol on the mask (a nu-atom up to tol past a zero) and
+    H > tol off it, and the cost is at most ``gap`` per zero.  O(n m)
+    work."""
+    x, y = mu.points[:, 0], nu.points[:, 0]
+    dx = x[:, None] - zeros
+    psi = np.abs(y[:, None] - zeros).sum(axis=1)
+    phi = -np.abs(dx).sum(axis=1)
+    H = psi + phi[:, None] - np.sign(dx).sum(axis=1)[:, None] * (y - x[:, None])
+    cost = float(nu.weights @ psi + mu.weights @ phi)
+    on = H[mask]
+    if not (
+        mask.any(axis=1).all()
+        and np.all((on >= -tol) & (on <= 2 * tol))
+        and np.all(H[~mask] > tol)
+        and cost <= gap * zeros.size
+    ):
+        raise SolverError(f"1-D non-polar mask fails its superhedge certificate (cost {cost:.3g})")
 
 
 def reachable_set(mu: DiscreteMeasure, nu: DiscreteMeasure, i: int) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Finitely supported measures, convex-order checks and 1-D potentials.
 
-``check_convex_order`` decides mu <=_c nu in any dimension by the
-feasibility of the martingale-coupling LP (Strassen).  In dimension one
-``potential_domain`` decides it from the potentials it computes anyway:
-u_nu >= u_mu at every breakpoint; it solves no LP.  Both first ask
-``_require_comparable``, which rejects measures of different mass or
-barycentre at the tolerances the coupling LP works to, so every way of
-asking gives one answer.  Thresholds follow the package's one policy
+``check_convex_order`` decides mu <=_c nu in dimension two and up by
+the feasibility of the martingale-coupling LP (Strassen).  In dimension
+one it and ``potential_domain`` decide it from the potentials, with no
+LP: u_nu >= u_mu at every breakpoint (``_potential_gap``, which the 1-D
+non-polar mask reads too).  Both first ask ``_require_comparable``,
+which rejects measures of different mass or barycentre at the
+tolerances the coupling LP works to, so every way of asking gives one
+answer.  Thresholds follow the package's one policy
 (``tolerance``, and the README's "Tolerances").
 """
 
@@ -150,13 +151,18 @@ def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bo
 
 
 def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
-    """mu <=_c nu, decided by feasibility of the martingale-coupling LP
-    (Strassen: convex order iff a martingale coupling exists)."""
-    from .coupling import _constraint_system, _highs
-
+    """mu <=_c nu.  In dimension one the potentials decide it
+    (``potential_domain``); elsewhere the feasibility of the
+    martingale-coupling LP does (Strassen: convex order iff a martingale
+    coupling exists)."""
     try:
-        A, b, s = _constraint_system(mu, nu)
-        _highs(np.zeros(A.shape[1]), A, b, s.feas)
+        if mu.ambient_dim == 1:
+            _potential_gap(mu, nu)
+        else:
+            from .coupling import _constraint_system, _highs
+
+            A, b, s = _constraint_system(mu, nu)
+            _highs(np.zeros(A.shape[1]), A, b, s.feas)
     except NotInConvexOrder:
         return False
     return True
@@ -199,7 +205,7 @@ def potential(lam: DiscreteMeasure) -> PotentialFunction:
     xs = lam.points[:, 0]
     order = np.argsort(xs, kind="stable")
     bps = xs[order]
-    vals = np.array([float(lam.weights @ np.abs(b - xs)) for b in bps])
+    vals = np.abs(bps[:, None] - xs) @ lam.weights
     return PotentialFunction(lam, bps, vals, lam.total_mass)
 
 
@@ -227,15 +233,7 @@ def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float):
     them."""
     if not (np.isfinite(eps) and eps >= 0):
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
-    if mu.ambient_dim != 1 or nu.ambient_dim != 1:
-        raise DimensionMismatch("potential domain is one-dimensional")
-    mass, _, _, scale, feas = _require_comparable(mu, nu)
-    u_mu = potential(mu)
-    u_nu = potential(nu)
-    bps = np.unique(np.concatenate([u_mu.breakpoints, u_nu.breakpoints]))
-    vals = u_nu(bps) - u_mu(bps)
-    if vals.min() < -feas * mass * scale:
-        raise NotInConvexOrder("measures are not in convex order")
+    bps, vals, mass, scale = _potential_gap(mu, nu)
     pos = vals > eps * mass * scale
     intervals = []
     start = None
@@ -257,6 +255,24 @@ def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float):
     if start is not None:
         intervals.append((float(start), float(bps[-1])))
     return bps, vals, intervals
+
+
+def _potential_gap(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The sorted breakpoints of both potentials, the values of
+    u_nu - u_mu there, mu's total mass and the extent of both supports
+    (``_require_comparable``).  A value below minus the coupling LP's
+    feasibility tolerance times mass times extent raises
+    NotInConvexOrder."""
+    if mu.ambient_dim != 1 or nu.ambient_dim != 1:
+        raise DimensionMismatch("potential domain is one-dimensional")
+    mass, _, _, scale, feas = _require_comparable(mu, nu)
+    u_mu = potential(mu)
+    u_nu = potential(nu)
+    bps = np.unique(np.concatenate([u_mu.breakpoints, u_nu.breakpoints]))
+    vals = u_nu(bps) - u_mu(bps)
+    if vals.min() < -feas * mass * scale:
+        raise NotInConvexOrder("measures are not in convex order")
+    return bps, vals, mass, scale
 
 
 def pairing(mu: DiscreteMeasure, nu: DiscreteMeasure, phi) -> float:

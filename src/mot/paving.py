@@ -1,10 +1,11 @@
 """Convex paving of a discrete martingale-transport instance.
 
 The cell of a mu-atom x is ri conv(supp P_x), where P is a martingale
-coupling of maximal support (``coupling.max_support_coupling``).  By the
-paving theorem two such cells are equal or disjoint, so cells are built
-by grouping atoms with equal hulls.  Every martingale coupling is
-confined to them row by row.
+coupling of maximal support: its support is the non-polar mask
+(``coupling.nonpolar_mask``; one LP in dimension two and up, the
+potentials in dimension one).  By the paving theorem two such cells are
+equal or disjoint, so cells are built by grouping atoms with equal
+hulls.  Every martingale coupling is confined to them row by row.
 """
 
 from __future__ import annotations

@@ -12,16 +12,20 @@ factor of the input:
   a single point the largest absolute coordinate, the only scale a
   point has.
 * Mass decisions compare a mass with a constant times the total mass.
-* The coupling LPs, their certificate and the non-polar mask work on
-  normalised arrays: weights over mu's total mass, and points centred
-  on their measure's barycentre and divided by the extent of supp mu
-  and supp nu together.  HiGHS's feasibility tolerance and the
+* The coupling LPs, their certificate and the non-polar mask in
+  dimension two and up work on normalised arrays: weights over mu's
+  total mass, and points centred on their measure's barycentre and
+  divided by the extent of supp mu and supp nu together.  HiGHS's feasibility tolerance and the
   certificate's lowest entry are then relative to the instance, but
   never finer than the round-off of its coordinates (``feasibility``);
   where that round-off exceeds RESIDUAL, the instance is too coarse to
   decide and raises InvalidInput.  Two measures whose barycentres differ by more
   than the LP holds its barycentre rows to are not in convex order,
   however the question is asked.
+* In dimension one the non-polar mask is read off the potentials: a
+  breakpoint where u_nu - u_mu is at most INTERIOR times mu's total
+  mass times the extent of both supports, as in ``potential_domain``,
+  and where a nu-atom sits, within GEO times that extent, is a zero.
 
 Tolerances a caller still sets: the ``tol`` of
 ``DiscreteMeasure.equals``, ``Polytope.same_vertices`` and
@@ -49,7 +53,8 @@ GEO = 1e-9
 SLACK = 10 * GEO
 # the relative-interior margin, per unit of extent; a barycentric weight
 # in relative_interiors_intersect; the default domain tolerance of
-# potential_domain and the default tol of Polytope.same_vertices
+# potential_domain, which the 1-D non-polar mask uses, and the default
+# tol of Polytope.same_vertices
 INTERIOR = 1e-7
 # a coupling entry above POLAR times the total mass is a transport
 POLAR = 1e-8

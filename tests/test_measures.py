@@ -199,6 +199,19 @@ def test_potential_homogeneous_in_mass():
         assert abs(u(x) - 2.0 * abs(x)) <= TOL
 
 
+def test_potential_matches_the_loop():
+    """The potential's values, one array expression, against a dot
+    product per breakpoint, to the round-off of a sum of n terms."""
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        n = int(rng.integers(1, 13))
+        m = m1d(rng.uniform(-3, 3, size=n), rng.uniform(0.1, 1.0, size=n))
+        u = potential(m)
+        xs = m.points[:, 0]
+        ref = np.array([float(m.weights @ np.abs(b - xs)) for b in u.breakpoints])
+        assert np.all(np.abs(u.values - ref) <= 2 * n * np.finfo(float).eps * ref)
+
+
 def test_potential_requires_dim_one():
     with pytest.raises(DimensionMismatch):
         potential(DiscreteMeasure([[0.0, 0.0]], [1.0]))
@@ -295,15 +308,16 @@ def _order_perturbations(mu, nu):
 
 
 def test_potential_domain_decides_order_like_the_lp(random_instances):
-    """The potentials raise NotInConvexOrder exactly when the coupling LP
-    finds no martingale coupling, on the 1-D random instances and their
-    perturbations."""
+    """The potentials raise NotInConvexOrder, and check_convex_order says
+    False, exactly when the coupling LP finds no martingale coupling, on
+    the 1-D random instances and their perturbations."""
     decided = {True: 0, False: 0}
     for mu, nu, _, _ in random_instances:
         if mu.ambient_dim != 1:
             continue
         for a, b in _order_perturbations(mu, nu):
-            ordered = check_convex_order(a, b)
+            ordered = _decides_in_order(lambda: find_coupling(a, b))
+            assert check_convex_order(a, b) == ordered
             decided[ordered] += 1
             if ordered:
                 potential_domain(a, b)
