@@ -16,7 +16,7 @@ import sys
 import click
 
 from . import coupling as coupling_mod
-from . import fixtures, geometry, measures, paving, pwl, tolerance
+from . import fixtures, geometry, measures, paving, pwl
 from .errors import InvalidInput, MotError, NotInConvexOrder
 
 EXIT_ORDER = 2
@@ -54,12 +54,12 @@ def _load_measure(path: str) -> measures.DiscreteMeasure:
         _fail(exc, EXIT_PARSE)
 
 
-def _tol(tol: float | None) -> float:
+def _tol(tol: float | None) -> float | None:
     if tol is not None:
         return tol
     env = os.environ.get("MOT_TOL")
     if not env:
-        return tolerance.INTERIOR
+        return None
     try:
         return float(env)
     except ValueError:

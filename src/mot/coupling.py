@@ -44,8 +44,8 @@ import numpy as np
 
 from . import lp
 from .errors import InvalidInput, NotInConvexOrder, SolverError
-from .measures import DiscreteMeasure, _potential_gap, _require_comparable
-from .tolerance import GEO, INTERIOR, RESIDUAL, extent
+from .measures import DiscreteMeasure, _potential_zeros, _require_comparable
+from .tolerance import GEO, POLAR, RESIDUAL, extent
 
 
 @dataclass
@@ -315,61 +315,52 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
 
 
 def _potential_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """The 1-D non-polar mask, from the breakpoints of u_nu - u_mu
-    (``measures._potential_gap``) and no LP (Beiglböck, Nutz & Touzi
+    """The 1-D non-polar mask, from the zeros of u_nu - u_mu and the
+    components between them (``measures._potential_zeros``, as
+    ``potential_domain`` reads them) and no LP (Beiglböck, Nutz & Touzi
     2017).
 
-    A zero is a breakpoint where u_nu - u_mu is at most
-    ``potential_domain``'s default threshold (INTERIOR times mass times
-    extent) and a nu-atom sits, within GEO times the extent: a
-    breakpoint without one is inside a component, since there u_nu -
-    u_mu is strictly concave.  The zeros split the other breakpoints
-    into runs, one per component.  A mu-atom inside a run reaches the
-    nu-atoms in the closed interval between the zeros on either side of
-    it; a mu-atom at a zero reaches only the nu-atom there.  Both
-    intervals are widened by GEO times the extent.  The mask is
-    certified by the superhedge of those zeros (``_certify_polar``).
+    A mu-atom inside a component reaches the nu-atoms in the closed
+    interval between the zeros on either side of it; a mu-atom at a
+    zero reaches only the nu-atom there.  Both intervals are widened by
+    GEO times the extent.  The mask is certified by the superhedge of
+    those zeros (``_certify_polar``).
     """
-    bps, vals, mass, scale = _potential_gap(mu, nu)
+    bps, _, _, left, right, mass, scale = _potential_zeros(mu, nu)
     tol = GEO * scale
     y = nu.points[:, 0]
-    at_nu = (np.abs(bps[:, None] - y) <= tol).any(axis=1)
-    zero = (vals <= INTERIOR * mass * scale) & at_nu
-    idx = np.arange(bps.size)
-    left = np.maximum.accumulate(np.where(zero, idx, 0))
-    right = np.minimum.accumulate(np.where(zero, idx, bps.size - 1)[::-1])[::-1]
     at = np.searchsorted(bps, mu.points[:, 0])
     lo, hi = bps[left[at]] - tol, bps[right[at]] + tol
     mask = (y >= lo[:, None]) & (y <= hi[:, None])
     zeros = bps[np.unique(np.concatenate([left[at], right[at]]))]
-    _certify_polar(mu, nu, mask, zeros, INTERIOR * mass * scale, tol)
+    _certify_polar(mu, nu, mask, zeros, POLAR * mass, tol)
     return mask
 
 
-def _certify_polar(mu, nu, mask, zeros, gap, tol):
+def _certify_polar(mu, nu, mask, zeros, polar, tol):
     """Raise SolverError unless the 1-D mask is certified by the
     superhedge of the zeros a of u_nu - u_mu: psi(y) = sum |y - a|,
     phi(x) = - sum |x - a|, h(x) = sum sign(x - a).  Its value
     H = psi(y) + phi(x) - h(x) (y - x) is nonnegative by convexity, and
     every martingale coupling gives it the cost
-    <nu, psi> + <mu, phi> = sum (u_nu - u_mu)(a), so a pair with H > 0
-    carries at most that cost over H.  The check, with the mask's own
-    position tolerance ``tol``: every row of the mask holds a pair,
-    -tol <= H <= 2 tol on the mask (a nu-atom up to tol past a zero) and
-    H > tol off it, and the cost is at most ``gap`` per zero.  O(n m)
-    work."""
+    <nu, psi> + <mu, phi> = sum (u_nu - u_mu)(a), so it puts at most
+    that cost over the least H off the mask on the pairs off the mask.
+    The check, with the mask's own position tolerance ``tol``: every row
+    of the mask holds a pair, -tol <= H <= 2 tol on the mask (a nu-atom
+    up to tol past a zero), H > tol off it, and the mass off it is at
+    most ``polar``, the least mass of a transport.  O(n m) work."""
     x, y = mu.points[:, 0], nu.points[:, 0]
     dx = x[:, None] - zeros
     psi = np.abs(y[:, None] - zeros).sum(axis=1)
     phi = -np.abs(dx).sum(axis=1)
     H = psi + phi[:, None] - np.sign(dx).sum(axis=1)[:, None] * (y - x[:, None])
     cost = float(nu.weights @ psi + mu.weights @ phi)
-    on = H[mask]
+    on, off = H[mask], H[~mask]
     if not (
         mask.any(axis=1).all()
         and np.all((on >= -tol) & (on <= 2 * tol))
-        and np.all(H[~mask] > tol)
-        and cost <= gap * zeros.size
+        and np.all(off > tol)
+        and (off.size == 0 or cost <= polar * off.min())
     ):
         raise SolverError(f"1-D non-polar mask fails its superhedge certificate (cost {cost:.3g})")
 

@@ -3,8 +3,10 @@
 ``check_convex_order`` decides mu <=_c nu in dimension two and up by
 the feasibility of the martingale-coupling LP (Strassen).  In dimension
 one it and ``potential_domain`` decide it from the potentials, with no
-LP: u_nu >= u_mu at every breakpoint (``_potential_gap``, which the 1-D
-non-polar mask reads too).  Both first ask ``_require_comparable``,
+LP: u_nu >= u_mu at every breakpoint (``_potential_gap``).  The zeros
+of u_nu - u_mu, and the components between them, are decided once
+(``_potential_zeros``) for ``potential_domain`` and the 1-D non-polar
+mask, so the two agree.  Both first ask ``_require_comparable``,
 which rejects measures of different mass or barycentre at the
 tolerances the coupling LP works to, so every way of asking gives one
 answer.  Thresholds follow the package's one policy
@@ -25,7 +27,7 @@ from .errors import (
     NotInConvexOrder,
 )
 from .geometry import _first_match, _match_point_sets, as_points
-from .tolerance import GEO, INTERIOR, box_extent, extent, feasibility
+from .tolerance import GEO, box_extent, extent, feasibility
 
 
 class DiscreteMeasure:
@@ -209,7 +211,7 @@ def potential(lam: DiscreteMeasure) -> PotentialFunction:
     return PotentialFunction(lam, bps, vals, lam.total_mass)
 
 
-def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float = INTERIOR):
+def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None = None):
     """Maximal open intervals where u_nu - u_mu is positive.
 
     The potentials decide the convex order without an LP (Beiglböck &
@@ -218,50 +220,33 @@ def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float = INTE
     either potential (the difference is linear between breakpoints).
     Barycentres are compared first (``_require_comparable``); then a
     breakpoint value below minus the coupling LP's feasibility tolerance
-    raises NotInConvexOrder.  Interval endpoints are exact roots of the
-    linear pieces of the difference; a breakpoint value below ``eps``
-    counts as zero.  Both thresholds are fractions of mu's total mass
-    times the extent of both supports.  An ``eps`` that is negative or
-    not finite raises InvalidInput.
+    raises NotInConvexOrder.  The difference vanishes only at
+    nu-atoms, and the intervals run from zero to zero
+    (``_potential_zeros``): a breakpoint holding a nu-atom whose value
+    is at most ``eps`` is one.  ``eps`` defaults to that feasibility
+    tolerance, as in the 1-D non-polar mask, so the intervals are the
+    hulls of the paving's 1-D cells.  Both thresholds are fractions of
+    mu's total mass times the extent of both supports.  An ``eps`` that
+    is negative or not finite raises InvalidInput.
     """
     return _potential_domain(mu, nu, eps)[2]
 
 
-def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float):
+def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None):
     """The sorted breakpoints of both potentials, the values of
-    u_nu - u_mu there, and ``potential_domain(mu, nu, eps)``, read from
-    them."""
-    if not (np.isfinite(eps) and eps >= 0):
-        raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
-    bps, vals, mass, scale = _potential_gap(mu, nu)
-    pos = vals > eps * mass * scale
-    intervals = []
-    start = None
-    for i in range(len(bps)):
-        if pos[i] and start is None:
-            if i == 0:
-                start = bps[0]
-            else:
-                # root of the linear piece between bps[i-1] and bps[i]
-                d0, d1 = vals[i - 1], vals[i]
-                t = 0.0 if d1 == d0 else max(0.0, -d0 / (d1 - d0))
-                start = bps[i - 1] + t * (bps[i] - bps[i - 1])
-        elif not pos[i] and start is not None:
-            d0, d1 = vals[i - 1], vals[i]
-            t = 1.0 if d1 == d0 else min(1.0, (d0 - 0.0) / (d0 - d1))
-            end = bps[i - 1] + t * (bps[i] - bps[i - 1])
-            intervals.append((float(start), float(end)))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(bps[-1])))
-    return bps, vals, intervals
+    u_nu - u_mu there, and ``potential_domain(mu, nu, eps)``: one
+    interval per run of non-zeros, between the zeros on either side of
+    it (``_potential_zeros``)."""
+    bps, vals, zero, left, right, _, _ = _potential_zeros(mu, nu, eps)
+    firsts = np.flatnonzero(~zero & np.r_[True, zero[:-1]])
+    return bps, vals, [(float(bps[left[i]]), float(bps[right[i]])) for i in firsts]
 
 
 def _potential_gap(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """The sorted breakpoints of both potentials, the values of
-    u_nu - u_mu there, mu's total mass and the extent of both supports
-    (``_require_comparable``).  A value below minus the coupling LP's
-    feasibility tolerance times mass times extent raises
+    u_nu - u_mu there, mu's total mass, the extent of both supports and
+    the feasibility tolerance (``_require_comparable``).  A value below
+    minus that tolerance times mass times extent raises
     NotInConvexOrder."""
     if mu.ambient_dim != 1 or nu.ambient_dim != 1:
         raise DimensionMismatch("potential domain is one-dimensional")
@@ -272,7 +257,35 @@ def _potential_gap(mu: DiscreteMeasure, nu: DiscreteMeasure):
     vals = u_nu(bps) - u_mu(bps)
     if vals.min() < -feas * mass * scale:
         raise NotInConvexOrder("measures are not in convex order")
-    return bps, vals, mass, scale
+    return bps, vals, mass, scale, feas
+
+
+def _potential_zeros(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None = None):
+    """The zeros of u_nu - u_mu and the components between them, which
+    ``potential_domain`` and the 1-D non-polar mask both read.
+
+    Returns the breakpoints and values of ``_potential_gap``, a flag per
+    breakpoint marking the zeros, for each breakpoint the index of the
+    last zero at or before it and of the first at or after it (the
+    first and the last breakpoint where there is none), mu's total mass
+    and the extent of both supports.  u_nu - u_mu is nonnegative and
+    strictly concave at a breakpoint that holds no nu-atom, so it
+    vanishes only at nu-atoms: a zero is a breakpoint within GEO times
+    the extent of a nu-atom whose value is at most ``eps`` times mass
+    times extent.  ``eps`` defaults to the feasibility tolerance, the
+    one below which a negative value refutes the order, so a value is a
+    zero only where the order check could not tell it from one.  Each
+    maximal run of non-zeros is one component.
+    """
+    if eps is not None and not (np.isfinite(eps) and eps >= 0):
+        raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
+    bps, vals, mass, scale, feas = _potential_gap(mu, nu)
+    at_nu = (np.abs(bps[:, None] - nu.points[:, 0]) <= GEO * scale).any(axis=1)
+    zero = at_nu & (vals <= (feas if eps is None else eps) * mass * scale)
+    idx = np.arange(bps.size)
+    left = np.maximum.accumulate(np.where(zero, idx, 0))
+    right = np.minimum.accumulate(np.where(zero, idx, bps.size - 1)[::-1])[::-1]
+    return bps, vals, zero, left, right, mass, scale
 
 
 def pairing(mu: DiscreteMeasure, nu: DiscreteMeasure, phi) -> float:

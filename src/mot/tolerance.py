@@ -22,19 +22,21 @@ factor of the input:
   decide and raises InvalidInput.  Two measures whose barycentres differ by more
   than the LP holds its barycentre rows to are not in convex order,
   however the question is asked.
-* In dimension one the non-polar mask is read off the potentials: a
-  breakpoint where u_nu - u_mu is at most INTERIOR times mu's total
-  mass times the extent of both supports, as in ``potential_domain``,
-  and where a nu-atom sits, within GEO times that extent, is a zero.
+* In dimension one the non-polar mask and ``potential_domain`` read
+  the potentials: a breakpoint where u_nu - u_mu is at most the
+  feasibility tolerance times mu's total mass times the extent of both
+  supports, and where a nu-atom sits, within GEO times that extent, is
+  a zero.  The mask's certificate holds the mass a martingale coupling
+  can put off the mask to POLAR times the total mass.
 
 Tolerances a caller still sets: the ``tol`` of
 ``DiscreteMeasure.equals``, ``Polytope.same_vertices`` and
 ``pwl.asymptotic_component``, absolute in the caller's own units and
 defaulting to the constants below; and the ``eps`` of
 ``potential_domain`` (``mot potential --tol`` or ``MOT_TOL``), a
-fraction of total mass times extent.  Values of piecewise-linear
-functions, whose scale no instance fixes, are compared at ``GEO`` in
-the function's own units.
+fraction of total mass times extent that defaults to the feasibility
+tolerance.  Values of piecewise-linear functions, whose scale no
+instance fixes, are compared at ``GEO`` in the function's own units.
 """
 
 from __future__ import annotations
@@ -52,15 +54,16 @@ GEO = 1e-9
 # hull) are held to this, per unit of extent
 SLACK = 10 * GEO
 # the relative-interior margin, per unit of extent; a barycentric weight
-# in relative_interiors_intersect; the default domain tolerance of
-# potential_domain, which the 1-D non-polar mask uses, and the default
-# tol of Polytope.same_vertices
+# in relative_interiors_intersect; the default tol of
+# Polytope.same_vertices
 INTERIOR = 1e-7
-# a coupling entry above POLAR times the total mass is a transport
+# a coupling entry above POLAR times the total mass is a transport; the
+# 1-D mask's certificate bounds the mass off the mask by it
 POLAR = 1e-8
 # HiGHS's primal and dual feasibility tolerance on the normalised
-# coupling LPs, the lowest entry a certified coupling may have, and the
-# barycentre mismatch, per unit of extent, the order tolerates
+# coupling LPs, the lowest entry a certified coupling may have, the
+# barycentre mismatch, per unit of extent, the order tolerates, and the
+# gap u_nu - u_mu, per unit of mass times extent, that is a zero in 1-D
 FEAS = 1e-10
 # the largest residual of a certified coupling on the normalised system
 RESIDUAL = 1e-8

@@ -14,10 +14,11 @@ import pytest
 
 from conftest import random_dilation_pair
 from mot import DiscreteMeasure, check_convex_order, compute_paving, lp
-from mot import coupling
+from mot import coupling, measures
 from mot.coupling import max_support_coupling, nonpolar_mask, polar_matrix
 from mot.errors import NotInConvexOrder, SolverError
-from mot.tolerance import POLAR
+from mot.measures import potential_domain
+from mot.tolerance import FEAS, INTERIOR, POLAR
 
 
 def m1d(pts, w):
@@ -120,10 +121,11 @@ def test_light_atom_paves_apart(e):
 
 @pytest.mark.parametrize("e", [1e-6, 1e-9])
 def test_light_component_paves_apart(e):
-    """A component whose gap u_nu - u_mu stays below the zero threshold:
-    mu's atom 5, of mass e, spreads to 4.999 and 5.001.  A breakpoint
+    """mu's atom 5, of mass e, spreads to 4.999 and 5.001; at e = 1e-9
+    the gap u_nu - u_mu at 5 is below the zero threshold.  A breakpoint
     with no nu-atom is never a zero, so the atom keeps its component,
-    as the max-support LP says where its masses are not too light."""
+    as the max-support LP says where its masses are not too light, and
+    ``potential_domain`` returns that component too."""
     mu = m1d([0.0, 5.0], [1.0 - e, e])
     nu = m1d([-1.0, 1.0, 4.999, 5.001], [(1.0 - e) / 2, (1.0 - e) / 2, e / 2, e / 2])
     mask = nonpolar_mask(mu, nu)
@@ -131,3 +133,69 @@ def test_light_component_paves_apart(e):
     if e >= 1e-8:
         assert np.array_equal(mask, _lp_mask(mu, nu))
     assert [c.members for c in compute_paving(mu, nu).cells] == [[0], [1]]
+    assert potential_domain(mu, nu) == [(-1.0, 1.0), (4.999, 5.001)]
+
+
+def _narrow(c, e, w):
+    """mu = (delta_c + delta_10)/2 against nu = (1/2 - e) delta_c +
+    e/2 (delta_{c-w} + delta_{c+w}) + delta_10/2: a component (c-w, c+w)
+    that moves mass e, whose gap u_nu - u_mu at the nu-atom c is e w."""
+    return (
+        m1d([c, 10.0], [0.5, 0.5]),
+        m1d([c - w, c, c + w, 10.0], [e / 2, 0.5 - e, e / 2, 0.5]),
+    )
+
+
+def test_narrow_light_component():
+    """The gap at 0 is 5e-7, below INTERIOR times mass times extent
+    (about 1e-6) but far above round-off: every martingale coupling
+    moves 5e-4 of mass from 0 to +-0.001, so 0 is not a zero of
+    u_nu - u_mu."""
+    mu, nu = _narrow(0.0, 5e-4, 1e-3)
+    mask = nonpolar_mask(mu, nu)
+    assert mask.tolist() == [[True, True, True, False], [False, False, False, True]]
+    assert np.array_equal(mask, _lp_mask(mu, nu))
+    p = compute_paving(mu, nu)
+    assert [c.members for c in p.cells] == [[0]] and p.singletons == [1]
+    assert sorted(p.cells[0].hull.vertices[:, 0].tolist()) == [-1e-3, 1e-3]
+    assert potential_domain(mu, nu) == [(-1e-3, 1e-3)]
+
+
+def test_narrow_light_components_against_the_lp():
+    """Over masses e from 1e-1 to 1e-7 and widths w from 1e-1 to 1e-7,
+    the mask equals the max-support LP's and the paving's cell is
+    ``potential_domain``'s interval wherever the gap e w is above the
+    zero threshold (FEAS times mass times extent here).  At or below it
+    the nu-atom c is a zero, and the certificate raises SolverError
+    where more than POLAR of the mass could cross it; the mask is never
+    silently wrong."""
+    raised = 0
+    for c in (0.0, 3.0):
+        for e in 10.0 ** -np.arange(1, 8):
+            for w in 10.0 ** -np.arange(1, 8):
+                mu, nu = _narrow(c, e, w)
+                try:
+                    mask = nonpolar_mask(mu, nu)
+                except SolverError:
+                    assert e * w <= FEAS * (10.0 - c + w) and e > POLAR
+                    raised += 1
+                    continue
+                assert np.array_equal(mask, _lp_mask(mu, nu)), (c, e, w)
+                if e * w > FEAS * (10.0 - c + w):
+                    assert mask[0].tolist() == [True, True, True, False]
+                    (cell,) = compute_paving(mu, nu).cells
+                    hull = sorted(cell.hull.vertices[:, 0].tolist())
+                    assert potential_domain(mu, nu) == [tuple(hull)]
+    assert 0 < raised < 49
+
+
+def test_certificate_bounds_the_mass_off_the_mask(monkeypatch):
+    """With the zeros read at INTERIOR times mass times extent, the
+    nu-atom 0 of ``test_narrow_light_component`` is a zero and mu's atom
+    0 reaches only itself; the certificate sees that 5e-4 of mass can
+    cross 0 and raises."""
+    mu, nu = _narrow(0.0, 5e-4, 1e-3)
+    real = measures._potential_zeros
+    monkeypatch.setattr(coupling, "_potential_zeros", lambda mu, nu: real(mu, nu, INTERIOR))
+    with pytest.raises(SolverError, match="superhedge"):
+        nonpolar_mask(mu, nu)
