@@ -30,9 +30,15 @@ martingale coupling of maximal support; its positive entries are
 exactly the non-polar pairs, and it is returned as their certificate.
 In dimension one ``nonpolar_mask`` solves no LP: it reads the pairs off
 the zeros of u_nu - u_mu (``_potential_mask``) and certifies the polar
-ones with the superhedge those zeros give (``_certify_polar``).
+ones with the superhedge those zeros give (``_certify_polar``).  In
+dimension two and up it first applies that rule to each coordinate
+projection, since a martingale coupling projects to a 1-D one
+(``_projection_filter``).  An axis drops the pairs it separates where
+the lifted superhedge bounds their mass by POLAR times the total; the
+LP is then posed over the pairs left (``_max_support``).
 ``max_support_coupling``, ``find_coupling``, ``polar_matrix`` and
-``max_mass_on_pair`` solve their LPs in every dimension.
+``max_mass_on_pair`` solve their LPs over every pair in every
+dimension.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 
 from . import lp
 from .errors import InvalidInput, NotInConvexOrder, SolverError
-from .measures import DiscreteMeasure, _potential_zeros, _require_comparable
+from .measures import DiscreteMeasure, _axis_zeros, _potential_zeros, _require_comparable
 from .tolerance import GEO, POLAR, RESIDUAL, extent
 
 
@@ -95,6 +101,7 @@ class _Scaled(NamedTuple):
     x: np.ndarray  # points centred on their barycentre, over the extent
     y: np.ndarray
     feas: float  # feasibility tolerance of the normalised system
+    scale: float  # the extent of both supports
 
 
 def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -> _Scaled:
@@ -109,6 +116,7 @@ def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -
         (mu.points - mu_centre) / scale,
         (nu.points - nu_centre) / scale,
         feas,
+        scale,
     )
 
 
@@ -247,11 +255,20 @@ def polar_matrix(
 
 
 def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Non-polar mask and a martingale coupling positive on exactly it.
+    """Non-polar mask and a martingale coupling positive on exactly it,
+    from the max-support LP over every pair (``_max_support``)."""
+    A, b, inst = _constraint_system(mu, nu)
+    return _max_support(mu, nu, A, b, inst, np.arange(A.shape[1]))
 
-    One LP (Freund, Roundy & Todd 1985) on the normalised system over
-    z_ij = theta_ij / w_ij with w_ij = min(mu_i, nu_j), the largest mass
-    the pair can carry:
+
+def _max_support(mu, nu, A, b, inst: _Scaled, cols: np.ndarray):
+    """Non-polar mask and a certified martingale coupling positive on
+    exactly it, from one LP (Freund, Roundy & Todd 1985) over the
+    columns ``cols`` of the normalised system ``A theta = b``; every
+    other pair is held at zero.
+
+    The LP is posed over z_ij = theta_ij / w_ij with w_ij = min(mu_i,
+    nu_j), the largest mass the pair can carry:
     max sum s subject to A W y = tau b, 0 <= s <= 1, s <= y, tau >= 0,
     posed with y = s + t, t >= 0.  An optimum has s_ij = 1 on every pair
     some coupling charges and s_ij = 0 elsewhere, so the mask is s > 1/2
@@ -260,24 +277,25 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     and on gaussian_grid(9) HiGHS ends with status "Unknown".  No pair at
     all means no martingale coupling exists.
     """
-    A, b, inst = _constraint_system(mu, nu)
     n, m = mu.n_atoms, nu.n_atoms
-    nm = n * m
-    w = np.minimum(inst.mu_w[:, None], inst.nu_w[None, :]).ravel()
-    data = (A.data.reshape(nm, -1) * w[:, None]).ravel()
+    k = cols.size
+    w = np.minimum(inst.mu_w[:, None], inst.nu_w[None, :]).ravel()[cols]
+    data = (A.data.reshape(n * m, -1)[cols] * w[:, None]).ravel()
+    indices = A.indices.reshape(n * m, -1)[cols].ravel()
+    indptr = A.indptr[: k + 1]
     b_rows = np.flatnonzero(b)
     nnz = data.shape[0]
     # columns [s | t | tau]
     big = lp.CscMatrix(
         np.concatenate([data, data, -b[b_rows]]),
-        np.concatenate([A.indices, A.indices, b_rows.astype(np.int32)]),
-        np.concatenate([A.indptr, A.indptr[1:] + nnz, [2 * nnz + b_rows.size]]),
-        (A.shape[0], 2 * nm + 1),
+        np.concatenate([indices, indices, b_rows.astype(np.int32)]),
+        np.concatenate([indptr, indptr[1:] + nnz, [2 * nnz + b_rows.size]]),
+        (A.shape[0], 2 * k + 1),
     )
-    c = np.zeros(2 * nm + 1)
-    c[:nm] = -1.0
-    upper = np.full(2 * nm + 1, np.inf)
-    upper[:nm] = 1.0
+    c = np.zeros(2 * k + 1)
+    c[:k] = -1.0
+    upper = np.full(2 * k + 1, np.inf)
+    upper[:k] = 1.0
     # With tight tolerances HiGHS calls this bounded LP "Unbounded" on
     # some random dilation pairs, so it keeps the defaults.  With the
     # scaling HiGHS chooses it ends in "Unknown" on gaussian_grid(9) and
@@ -292,33 +310,90 @@ def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     if res.status is not lp.LpStatus.OPTIMAL:
         raise SolverError(f"coupling LP not solved: HiGHS reports it {res.status.value}")
     x = res.solution
-    s, tau = x[:nm], x[-1]
-    mask = (s > 0.5).reshape(n, m)
+    s, tau = x[:k], x[-1]
+    mask = np.zeros(n * m, dtype=bool)
+    mask[cols] = s > 0.5
+    mask = mask.reshape(n, m)
     if not mask.any():
         raise NotInConvexOrder("no martingale coupling exists")
     if not mask.any(axis=1).all():
         raise SolverError("max-support LP left a mu-atom without any pair")
-    theta = w * (s + x[nm : 2 * nm]) / tau
+    theta = np.zeros(n * m)
+    theta[cols] = w * (s + x[k : 2 * k]) / tau
     _certify(inst, theta)
-    matrix = theta.reshape(n, m) * inst.mass
-    return mask, Coupling(mu.points.copy(), nu.points.copy(), matrix)
+    return mask, Coupling(mu.points.copy(), nu.points.copy(), theta.reshape(n, m) * inst.mass)
 
 
 def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """Boolean matrix marking the non-polar pairs; raises NotInConvexOrder
     if there is no martingale coupling.  In dimension one it is read off
-    the potentials (``_potential_mask``), elsewhere from one LP
-    (``max_support_coupling``)."""
+    the potentials (``_potential_mask``).  Elsewhere it is the
+    max-support LP's (``_max_support``), posed only over the pairs that
+    no coordinate projection proves polar (``_projection_filter``)."""
     if mu.ambient_dim == 1:
         return _potential_mask(mu, nu)
-    return max_support_coupling(mu, nu)[0]
+    A, b, inst = _constraint_system(mu, nu)
+    keep = _projection_filter(mu, nu, inst)
+    return _max_support(mu, nu, A, b, inst, np.flatnonzero(keep))[0]
+
+
+def _components(x, y, bps, left, right, tol):
+    """Pairs (i, j) whose y_j lies in the closed component of x_i on one
+    line (``measures._axis_zeros``'s bps, left and right), widened by
+    tol: between the zeros on either side of x_i, or at x_i when it is
+    a zero.  Also returns those zeros' positions, lo and hi, per x_i,
+    and a flag per breakpoint marking them."""
+    at = np.searchsorted(bps, x)
+    lo, hi = bps[left[at]], bps[right[at]]
+    mask = (y >= lo[:, None] - tol) & (y <= hi[:, None] + tol)
+    used = np.zeros(bps.size, dtype=bool)
+    used[left[at]] = used[right[at]] = True
+    return mask, lo, hi, used
+
+
+def _projection_filter(mu: DiscreteMeasure, nu: DiscreteMeasure, inst: _Scaled):
+    """The pairs that no coordinate projection proves polar, as an n x m
+    boolean matrix.
+
+    Projected on axis k, a martingale coupling is a 1-D martingale
+    coupling of the projected marginals.  So the 1-D mask's rule
+    (``_components``, on the zeros of ``measures._axis_zeros`` at the
+    instance's mass, extent and feasibility tolerance) drops the pairs
+    whose y_j lies, on that axis, outside the closed component of x_i.
+    The superhedge of those zeros a, lifted to the axis,
+    H(x, y) = sum over a of |y_k - a| - |x_k - a| - sign(x_k - a) (y_k - x_k),
+    is nonnegative, at least the distance y_k lies past x_k's zero on
+    every pair dropped, and every martingale coupling gives it the cost
+    sum (u_nu - u_mu)(a) over the projections.  The mass off the axis's
+    mask is therefore at most that cost over the least such distance.
+    An axis drops its pairs only where that bound is at most POLAR times
+    the mass; an axis whose only zeros are its two outer breakpoints
+    drops nothing.  O(n m) work per axis.
+    """
+    tol = GEO * inst.scale
+    keep = np.ones((mu.n_atoms, nu.n_atoms), dtype=bool)
+    for k in range(mu.ambient_dim):
+        x, y = mu.points[:, k], nu.points[:, k]
+        bps, vals, zero, left, right = _axis_zeros(
+            x, mu.weights, y, nu.weights, inst.mass, inst.scale, inst.feas
+        )
+        if not zero[1:-1].any():
+            continue
+        mask, lo, hi, zeros = _components(x, y, bps, left, right, tol)
+        if mask.all():
+            continue
+        past = np.maximum(lo[:, None] - y, y - hi[:, None])[~mask].min()
+        if vals[zeros].sum() > POLAR * inst.mass * past:
+            continue
+        keep &= mask
+    return keep
 
 
 def _potential_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """The 1-D non-polar mask, from the zeros of u_nu - u_mu and the
     components between them (``measures._potential_zeros``, as
-    ``potential_domain`` reads them) and no LP (Beiglböck, Nutz & Touzi
-    2017).
+    ``potential_domain`` reads them, and ``_components``) and no LP
+    (Beiglböck, Nutz & Touzi 2017).
 
     A mu-atom inside a component reaches the nu-atoms in the closed
     interval between the zeros on either side of it; a mu-atom at a
@@ -328,12 +403,8 @@ def _potential_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """
     bps, _, _, left, right, mass, scale = _potential_zeros(mu, nu)
     tol = GEO * scale
-    y = nu.points[:, 0]
-    at = np.searchsorted(bps, mu.points[:, 0])
-    lo, hi = bps[left[at]] - tol, bps[right[at]] + tol
-    mask = (y >= lo[:, None]) & (y <= hi[:, None])
-    zeros = bps[np.unique(np.concatenate([left[at], right[at]]))]
-    _certify_polar(mu, nu, mask, zeros, POLAR * mass, tol)
+    mask, _, _, zeros = _components(mu.points[:, 0], nu.points[:, 0], bps, left, right, tol)
+    _certify_polar(mu, nu, mask, bps[zeros], POLAR * mass, tol)
     return mask
 
 

@@ -137,11 +137,8 @@ class Polytope:
         pts = _dedupe(pts, GEO * self.scale)
         self._frame = self._coords = self._facets = None
         if not minimal and pts.shape[0] > 1:
-            self._frame, coords = _hull_frame(pts, self.scale)
-            keep, equations = _hull_vertices(coords)
-            pts, self._coords = pts[keep], coords[keep]
-            if equations is not None:
-                self._facets = _merge_facets(equations, self.scale)
+            keep, self._frame, self._coords, self._facets = _hull(pts, self.scale)
+            pts = pts[keep]
         self.vertices = pts
         self.ambient_dim = pts.shape[1]
 
@@ -296,6 +293,34 @@ def _match_point_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
     match = maximum_bipartite_matching(csr_array(near), perm_type="column")
     return bool(np.all(match >= 0))
+
+
+def _hull(pts: np.ndarray, scale: float):
+    """The convex hull of two or more checked points of extent scale, no
+    two within GEO scale of each other: the indices of its vertices,
+    ascending, its frame, the vertices' frame coordinates and its
+    facets, or None where qhull was not run."""
+    frame, coords = _hull_frame(pts, scale)
+    keep, equations = _hull_vertices(coords)
+    facets = None if equations is None else _merge_facets(equations, scale)
+    return keep, frame, coords[keep], facets
+
+
+def _distinct_hull(pts: np.ndarray) -> Polytope:
+    """``convex_hull`` of checked points no two of which are within GEO
+    times their extent of each other, such as a subset of a measure's
+    atoms: nothing to dedupe.  On the line its vertices are the least
+    and the greatest point, with no SVD."""
+    if pts.shape[0] == 1:
+        return Polytope._built(pts)
+    scale = extent(pts)
+    if pts.shape[1] == 1:
+        vertices = pts[np.unique([pts[:, 0].argmin(), pts[:, 0].argmax()])]
+        base = vertices.mean(axis=0)
+        frame = AffineSubspace(base, np.ones((1, 1)), 1, scale)
+        return Polytope._built(vertices, frame, vertices - base)
+    keep, frame, coords, facets = _hull(pts, scale)
+    return Polytope._built(pts[keep], frame, coords, facets)
 
 
 def _hull_vertices(coords: np.ndarray):

@@ -3,10 +3,11 @@
 ``check_convex_order`` decides mu <=_c nu in dimension two and up by
 the feasibility of the martingale-coupling LP (Strassen).  In dimension
 one it and ``potential_domain`` decide it from the potentials, with no
-LP: u_nu >= u_mu at every breakpoint (``_potential_gap``).  The zeros
-of u_nu - u_mu, and the components between them, are decided once
-(``_potential_zeros``) for ``potential_domain`` and the 1-D non-polar
-mask, so the two agree.  Both first ask ``_require_comparable``,
+LP: u_nu >= u_mu at every breakpoint (``_potential_zeros``).  The zeros
+of u_nu - u_mu, and the components between them, are decided by one
+rule on one line (``_axis_zeros``), for ``potential_domain``, the 1-D
+non-polar mask and the coordinate projections of the d >= 2 mask, so
+they agree.  Both first ask ``_require_comparable``,
 which rejects measures of different mass or barycentre at the
 tolerances the coupling LP works to, so every way of asking gives one
 answer.  Thresholds follow the package's one policy
@@ -159,7 +160,7 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     coupling exists)."""
     try:
         if mu.ambient_dim == 1:
-            _potential_gap(mu, nu)
+            _potential_zeros(mu, nu)
         else:
             from .coupling import _constraint_system, _highs
 
@@ -242,50 +243,56 @@ def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | Non
     return bps, vals, [(float(bps[left[i]]), float(bps[right[i]])) for i in firsts]
 
 
-def _potential_gap(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """The sorted breakpoints of both potentials, the values of
-    u_nu - u_mu there, mu's total mass, the extent of both supports and
-    the feasibility tolerance (``_require_comparable``).  A value below
-    minus that tolerance times mass times extent raises
-    NotInConvexOrder."""
-    if mu.ambient_dim != 1 or nu.ambient_dim != 1:
-        raise DimensionMismatch("potential domain is one-dimensional")
-    mass, _, _, scale, feas = _require_comparable(mu, nu)
-    u_mu = potential(mu)
-    u_nu = potential(nu)
-    bps = np.unique(np.concatenate([u_mu.breakpoints, u_nu.breakpoints]))
-    vals = u_nu(bps) - u_mu(bps)
-    if vals.min() < -feas * mass * scale:
-        raise NotInConvexOrder("measures are not in convex order")
-    return bps, vals, mass, scale, feas
-
-
 def _potential_zeros(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None = None):
     """The zeros of u_nu - u_mu and the components between them, which
-    ``potential_domain`` and the 1-D non-polar mask both read.
+    ``potential_domain``, ``check_convex_order`` and the 1-D non-polar
+    mask read.
 
-    Returns the breakpoints and values of ``_potential_gap``, a flag per
-    breakpoint marking the zeros, for each breakpoint the index of the
-    last zero at or before it and of the first at or after it (the
-    first and the last breakpoint where there is none), mu's total mass
-    and the extent of both supports.  u_nu - u_mu is nonnegative and
-    strictly concave at a breakpoint that holds no nu-atom, so it
-    vanishes only at nu-atoms: a zero is a breakpoint within GEO times
-    the extent of a nu-atom whose value is at most ``eps`` times mass
-    times extent.  ``eps`` defaults to the feasibility tolerance, the
-    one below which a negative value refutes the order, so a value is a
-    zero only where the order check could not tell it from one.  Each
-    maximal run of non-zeros is one component.
+    Returns ``_axis_zeros`` of the two measures, with mass, extent and
+    threshold from ``_require_comparable`` (``eps`` replaces the
+    feasibility tolerance as the zero threshold), then mu's total mass
+    and the extent of both supports.  A value below minus the
+    feasibility tolerance times mass times extent raises
+    NotInConvexOrder.
     """
     if eps is not None and not (np.isfinite(eps) and eps >= 0):
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
-    bps, vals, mass, scale, feas = _potential_gap(mu, nu)
-    at_nu = (np.abs(bps[:, None] - nu.points[:, 0]) <= GEO * scale).any(axis=1)
-    zero = at_nu & (vals <= (feas if eps is None else eps) * mass * scale)
+    if mu.ambient_dim != 1 or nu.ambient_dim != 1:
+        raise DimensionMismatch("potential domain is one-dimensional")
+    mass, _, _, scale, feas = _require_comparable(mu, nu)
+    x, y = mu.points[:, 0], nu.points[:, 0]
+    threshold = feas if eps is None else eps
+    bps, vals, zero, left, right = _axis_zeros(x, mu.weights, y, nu.weights, mass, scale, threshold)
+    if vals.min() < -feas * mass * scale:
+        raise NotInConvexOrder("measures are not in convex order")
+    return bps, vals, zero, left, right, mass, scale
+
+
+def _axis_zeros(x, mu_w, y, nu_w, mass: float, scale: float, eps: float):
+    """The zero rule on one line: x and y are the coordinates of mu's
+    and nu's atoms on it, mu_w and nu_w their weights, and mass, scale
+    and eps the total mass, extent and zero threshold of the instance
+    they come from (for a projection, the whole instance's).
+
+    Returns the sorted distinct breakpoints, the values of
+    u_nu - u_mu there (``sum |b - y| nu_w - sum |b - x| mu_w``, with no
+    interpolation), a flag per breakpoint marking the zeros, and for
+    each breakpoint the index of the last zero at or before it and of
+    the first at or after it (the first and the last breakpoint where
+    there is none).  u_nu - u_mu is strictly concave at a breakpoint
+    that holds no nu-atom, so it vanishes only at nu-atoms: a zero is a
+    breakpoint within GEO times scale of a y whose value is at most eps
+    times mass times scale.  Each maximal run of non-zeros is one
+    component.
+    """
+    bps = np.unique(np.concatenate([x, y]))
+    to_nu = np.abs(bps[:, None] - y)
+    vals = to_nu @ nu_w - np.abs(bps[:, None] - x) @ mu_w
+    zero = (vals <= eps * mass * scale) & (to_nu <= GEO * scale).any(axis=1)
     idx = np.arange(bps.size)
     left = np.maximum.accumulate(np.where(zero, idx, 0))
     right = np.minimum.accumulate(np.where(zero, idx, bps.size - 1)[::-1])[::-1]
-    return bps, vals, zero, left, right, mass, scale
+    return bps, vals, zero, left, right
 
 
 def pairing(mu: DiscreteMeasure, nu: DiscreteMeasure, phi) -> float:

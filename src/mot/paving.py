@@ -2,10 +2,14 @@
 
 The cell of a mu-atom x is ri conv(supp P_x), where P is a martingale
 coupling of maximal support: its support is the non-polar mask
-(``coupling.nonpolar_mask``; one LP in dimension two and up, the
-potentials in dimension one).  By the paving theorem two such cells are
-equal or disjoint, so cells are built by grouping atoms with equal
-hulls.  Every martingale coupling is confined to them row by row.
+(``coupling.nonpolar_mask``).  In dimension one the mask is read off the
+potentials.  In dimension two and up it comes from one LP, posed only
+over the pairs that no coordinate projection proves polar.  By the
+paving theorem two such cells are equal or disjoint, so cells are built
+by grouping atoms with equal hulls.  A mask row's nu-atoms are distinct
+atoms of one measure, so its hull is built with nothing to dedupe
+(``geometry._distinct_hull``).  Every martingale coupling is confined to
+the cells row by row.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from .coupling import Coupling, nonpolar_mask
 from .errors import DimensionMismatch
 from .geometry import (
     Polytope,
+    _distinct_hull,
     as_point,
-    convex_hull,
     in_relative_interior,
     relative_interiors_intersect,
 )
@@ -73,7 +77,7 @@ def compute_paving(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ConvexPaving:
     for i, row in enumerate(mask):
         raw = row.tobytes()
         if raw not in row_hulls:
-            hull = convex_hull(nu.points[row])
+            hull = _distinct_hull(nu.points[row])
             # hull vertices are exact copies of nu-atoms, so equal hulls
             # have equal keys
             row_hulls[raw] = (tuple(sorted(map(tuple, hull.vertices.tolist()))), hull)

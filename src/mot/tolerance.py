@@ -28,6 +28,11 @@ factor of the input:
   supports, and where a nu-atom sits, within GEO times that extent, is
   a zero.  The mask's certificate holds the mass a martingale coupling
   can put off the mask to POLAR times the total mass.
+* In dimension two and up the mask's LP is posed only over the pairs
+  that no coordinate projection separates, by that same zero rule at
+  the whole instance's mass, extent and feasibility tolerance.  An axis
+  separates pairs only where its superhedge bounds the mass on them by
+  POLAR times the total mass.
 
 Tolerances a caller still sets: the ``tol`` of
 ``DiscreteMeasure.equals``, ``Polytope.same_vertices`` and

@@ -16,6 +16,7 @@ from mot import (
 )
 from mot.errors import DimensionMismatch, InvalidInput, MassMismatch, NotInConvexOrder
 from mot.fixtures import discrete_k
+from mot import measures
 from mot.measures import potential, potential_domain
 from mot.pwl import PwlConvex
 from mot.tolerance import GEO, extent
@@ -210,6 +211,19 @@ def test_potential_matches_the_loop():
         xs = m.points[:, 0]
         ref = np.array([float(m.weights @ np.abs(b - xs)) for b in u.breakpoints])
         assert np.all(np.abs(u.values - ref) <= 2 * n * np.finfo(float).eps * ref)
+
+
+def test_gap_matches_the_potentials():
+    """The gap u_nu - u_mu at the breakpoints, summed directly, against
+    the difference of the two potentials interpolated there, to the
+    round-off of sums of n + m terms of mass times extent."""
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        mu, nu = random_dilation_pair(rng, dim=1, max_atoms=6)
+        bps, vals, _ = measures._potential_domain(mu, nu, None)
+        ref = potential(nu)(bps) - potential(mu)(bps)
+        size = 4 * (mu.n_atoms + nu.n_atoms) * np.finfo(float).eps
+        assert np.all(np.abs(vals - ref) <= size * mu.total_mass * extent(mu.points, nu.points))
 
 
 def test_potential_requires_dim_one():

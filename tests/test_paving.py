@@ -11,7 +11,13 @@ from mot import DiscreteMeasure, compute_paving, find_coupling, fixtures
 from mot.coupling import Coupling
 from mot.errors import NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
-from mot.geometry import Polytope, in_relative_interior, relative_interiors_intersect
+from mot.geometry import (
+    Polytope,
+    _distinct_hull,
+    convex_hull,
+    in_relative_interior,
+    relative_interiors_intersect,
+)
 from mot.measures import potential_domain
 from mot.paving import ConvexPaving, PavingCell, locate, verify_against_coupling
 from mot.tolerance import GEO, extent
@@ -283,3 +289,23 @@ def test_paving_json_schema():
     assert set(data) == {"cells", "singletons"}
     for cell in data["cells"]:
         assert set(cell) == {"members", "hull_vertices", "affine_dim"}
+
+
+def test_row_hulls_match_the_generic_hull(random_instances):
+    """Each mask row's hull, built from distinct atoms with nothing to
+    dedupe (and from the least and greatest atom on the line), has the
+    generic ``convex_hull``'s vertices in the same order, its affine
+    dimension and its answers on the measure's atoms."""
+    rng = np.random.default_rng(14)
+    for mu, nu, _, _ in random_instances:
+        atoms = np.vstack([mu.points, nu.points])
+        for _ in range(3):
+            pts = nu.points[rng.random(nu.n_atoms) < 0.6] if nu.n_atoms > 1 else nu.points
+            if pts.shape[0] == 0:
+                continue
+            fast, slow = _distinct_hull(pts), convex_hull(pts)
+            assert fast.vertices.tolist() == slow.vertices.tolist()
+            assert fast.affine_dim == slow.affine_dim
+            for p in atoms:
+                assert fast.contains(p) == slow.contains(p)
+                assert in_relative_interior(p, fast) == in_relative_interior(p, slow)

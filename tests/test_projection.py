@@ -1,0 +1,117 @@
+"""The coordinate-projection filter of the d >= 2 non-polar mask, against
+the max-support LP over every pair as its oracle.
+
+Projected on one axis a martingale coupling is a 1-D martingale coupling
+of the projected marginals, so ``nonpolar_mask`` drops the pairs that
+some projection proves polar before it poses the max-support LP.
+``max_support_coupling`` keeps every pair.
+"""
+
+import numpy as np
+import pytest
+
+from mot import DiscreteMeasure, compute_paving, lp
+from mot import coupling, measures
+from mot.coupling import max_support_coupling, nonpolar_mask, polar_matrix
+from mot.fixtures import continuous_grid, discrete_k, gaussian_grid, mixed_k
+from mot.tolerance import FEAS, INTERIOR, POLAR
+
+FAMILIES = [
+    discrete_k(3),
+    discrete_k(8),
+    mixed_k(3),
+    mixed_k(6),
+    continuous_grid(6),
+    continuous_grid(10),
+    gaussian_grid(3),
+    gaussian_grid(5),
+]
+
+
+def _lp_mask(mu, nu):
+    return max_support_coupling(mu, nu)[0]
+
+
+def _moved(m, f):
+    return DiscreteMeasure(f(m.points), m.weights)
+
+
+def test_filter_is_sound(random_instances):
+    """On the d = 2-3 random instances, the fixture families and rotated
+    and translated copies of both, the filtered mask is the full LP's."""
+    pairs = [(mu, nu) for mu, nu, _, _ in random_instances if mu.ambient_dim > 1]
+    assert len(pairs) >= 60
+    pairs += FAMILIES
+    rng = np.random.default_rng(14)
+    copies = []
+    for mu, nu in pairs:
+        d = mu.ambient_dim
+        rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        shift = rng.uniform(-1.0, 1.0, size=d) * 10.0 ** rng.uniform(2, 6)
+        for f in (lambda p: p @ rotation.T, lambda p: p + shift):
+            copies.append((_moved(mu, f), _moved(nu, f)))
+    for mu, nu in pairs + copies:
+        assert np.array_equal(nonpolar_mask(mu, nu), _lp_mask(mu, nu))
+
+
+def test_filter_shrinks_the_lp(monkeypatch):
+    """On continuous_grid(10) each mu-atom reaches only the two nu-atoms
+    of its own column, and the max-support LP is posed over those 20
+    pairs instead of all 200."""
+    mu, nu = continuous_grid(10)
+    real = lp.highs
+    columns = []
+
+    def counted(c, A, *args, **kwargs):
+        columns.append(A.shape[1])
+        return real(c, A, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "highs", counted)
+    pruned = nonpolar_mask(mu, nu)
+    full = _lp_mask(mu, nu)
+    assert np.array_equal(pruned, full) and pruned.sum() == 20
+    # columns [s | t | tau] over the pairs posed
+    assert columns == [2 * 20 + 1, 2 * 200 + 1]
+
+
+@pytest.mark.parametrize("e", [1e-9, 1e-10, 1e-12])
+def test_light_atom_paves_apart_in_two_dimensions(e):
+    """mu = (1-e) delta_0 + e delta_5 against nu with atoms (-1, 1),
+    (1, -1) and (5, 0): the first axis separates the light atom 5 from
+    the rest, as in one dimension.  The max-support LP over every pair
+    marks every pair non-polar here, because HiGHS drops the light
+    atom's scaled matrix entries."""
+    mu = DiscreteMeasure([[0.0, 0.0], [5.0, 0.0]], [1.0 - e, e])
+    nu = DiscreteMeasure([[-1.0, 1.0], [1.0, -1.0], [5.0, 0.0]], [(1.0 - e) / 2, (1.0 - e) / 2, e])
+    mask = nonpolar_mask(mu, nu)
+    assert mask.tolist() == [[True, True, False], [False, False, True]]
+    assert np.array_equal(polar_matrix(mu, nu)[0] > POLAR, mask[0])
+    p = compute_paving(mu, nu)
+    assert [c.members for c in p.cells] == [[0]] and p.singletons == [1]
+
+
+def test_an_axis_whose_bound_fails_drops_nothing(monkeypatch):
+    """The narrow light component of ``test_one_dimension`` on the first
+    axis of the plane: mu = (delta_0 + delta_10)/2 against nu =
+    (1/2 - e) delta_0 + e/2 (delta_-w + delta_w) + delta_10/2, e = 5e-4,
+    w = 1e-3.  With the zero threshold raised to INTERIOR, 0 is a zero
+    of the projection, but 5e-4 of mass can cross it; the axis's bound
+    fails, so the filter drops nothing and the LP gives its mask."""
+    e, w = 5e-4, 1e-3
+    mu = DiscreteMeasure([[0.0, 0.0], [10.0, 0.0]], [0.5, 0.5])
+    nu = DiscreteMeasure(
+        [[-w, 0.0], [0.0, 0.0], [w, 0.0], [10.0, 0.0]], [e / 2, 0.5 - e, e / 2, 0.5]
+    )
+    x, y = mu.points[:, 0], nu.points[:, 0]
+    real = measures._axis_zeros
+    for eps, is_zero in ((FEAS, False), (INTERIOR, True)):
+        bps, _, zero, _, _ = real(x, mu.weights, y, nu.weights, 1.0, 10.0 + w, eps)
+        assert zero[bps == 0.0].tolist() == [is_zero]
+
+    def raised(x, mu_w, y, nu_w, mass, scale, eps):
+        return real(x, mu_w, y, nu_w, mass, scale, INTERIOR)
+
+    monkeypatch.setattr(coupling, "_axis_zeros", raised)
+    mask = nonpolar_mask(mu, nu)
+    assert mask.tolist() == [[True, True, True, False], [False, False, False, True]]
+    assert np.array_equal(mask, _lp_mask(mu, nu))
