@@ -28,14 +28,14 @@ Polar pairs are pairs of atoms that carry zero mass under every
 martingale coupling.  One LP (Freund, Roundy & Todd 1985) finds a
 martingale coupling of maximal support; its positive entries are
 exactly the non-polar pairs, and it is returned as their certificate.
-In dimension one ``nonpolar_mask`` solves no LP: it reads the pairs off
-the zeros of u_nu - u_mu (``_potential_mask``) and certifies the polar
-ones with the superhedge those zeros give (``_certify_polar``).  In
-dimension two and up it first applies that rule to each coordinate
-projection, since a martingale coupling projects to a 1-D one
-(``_projection_filter``).  An axis drops the pairs it separates where
-the lifted superhedge bounds their mass by POLAR times the total; the
-LP is then posed over the pairs left (``_max_support``).
+``nonpolar_mask`` first reads the pairs off the zeros of u_nu - u_mu
+on each coordinate axis, since a martingale coupling projects to a 1-D
+one (``_projection_filter``; Beiglböck, Nutz & Touzi 2017).  An axis
+drops the pairs it separates where the superhedge of its zeros bounds
+their mass by POLAR times the total.  In dimension one, where it does,
+the pairs left are the mask, certified by that superhedge
+(``_certify_polar``), and no LP is solved; otherwise, in every
+dimension, the LP is posed over the pairs left (``_max_support``).
 ``max_support_coupling``, ``find_coupling``, ``polar_matrix`` and
 ``max_mass_on_pair`` solve their LPs over every pair in every
 dimension.
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import lp
 from .errors import InvalidInput, NotInConvexOrder, SolverError
-from .measures import DiscreteMeasure, _axis_zeros, _potential_zeros, _require_comparable
+from .measures import DiscreteMeasure, _axis_zeros, _require_comparable
 from .tolerance import GEO, POLAR, RESIDUAL, extent
 
 
@@ -120,7 +120,7 @@ def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -
     )
 
 
-def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True):
+def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale=True, s=None):
     """Sparse coupling equalities ``A theta = b`` over theta_ij >= 0, in
     the normalised arrays of ``_scaled``: theta is mass over mu's total
     mass.  Returns A, b and the normalised instance (``_Scaled``), whose
@@ -130,9 +130,10 @@ def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: boo
     i), a 1 in row n + j (mass of nu-atom j) and, when ``martingale`` is
     set, y_j - x_i in rows n + m + d*i ... n + m + d*i + d - 1 (barycenter
     of row i).  ``A`` is an ``lp.CscMatrix`` written directly from these
-    indices; no ``scipy.sparse`` object is built.
+    indices; no ``scipy.sparse`` object is built.  ``s``: the instance's
+    ``_scaled`` arrays, where the caller has them already.
     """
-    s = _scaled(mu, nu, martingale)
+    s = _scaled(mu, nu, martingale) if s is None else s
     n, m = mu.n_atoms, nu.n_atoms
     d = mu.ambient_dim if martingale else 0
     i, j = np.divmod(np.arange(n * m), m)
@@ -326,86 +327,77 @@ def _max_support(mu, nu, A, b, inst: _Scaled, cols: np.ndarray):
 
 def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """Boolean matrix marking the non-polar pairs; raises NotInConvexOrder
-    if there is no martingale coupling.  In dimension one it is read off
-    the potentials (``_potential_mask``).  Elsewhere it is the
-    max-support LP's (``_max_support``), posed only over the pairs that
-    no coordinate projection proves polar (``_projection_filter``)."""
-    if mu.ambient_dim == 1:
-        return _potential_mask(mu, nu)
-    A, b, inst = _constraint_system(mu, nu)
-    keep = _projection_filter(mu, nu, inst)
+    if there is no martingale coupling.  The pairs some coordinate
+    projection proves polar are dropped first (``_projection_filter``).
+    In dimension one, where the axis's bound holds, the pairs left are
+    the mask (Beiglböck, Nutz & Touzi 2017), certified by the superhedge
+    of its zeros (``_certify_polar``) with no LP.  Otherwise the mask is
+    the max-support LP's (``_max_support``) over the pairs left."""
+    inst = _scaled(mu, nu)
+    keep, zeros = _projection_filter(mu, nu, inst)
+    if mu.ambient_dim == 1 and zeros[0] is not None:
+        _certify_polar(mu, nu, keep, zeros[0], POLAR * inst.mass, GEO * inst.scale)
+        return keep
+    A, b, _ = _constraint_system(mu, nu, s=inst)
     return _max_support(mu, nu, A, b, inst, np.flatnonzero(keep))[0]
 
 
-def _components(x, y, bps, left, right, tol):
-    """Pairs (i, j) whose y_j lies in the closed component of x_i on one
-    line (``measures._axis_zeros``'s bps, left and right), widened by
-    tol: between the zeros on either side of x_i, or at x_i when it is
-    a zero.  Also returns those zeros' positions, lo and hi, per x_i,
-    and a flag per breakpoint marking them."""
+def _axis_mask(x, mu_w, y, nu_w, inst: _Scaled):
+    """The 1-D rule on one line, where mu's and nu's atoms lie at x and y
+    with weights mu_w and nu_w: the zeros of u_nu - u_mu are
+    ``measures._axis_zeros``'s at the instance's mass, extent and
+    feasibility tolerance, and a value below minus that tolerance times
+    mass times extent raises NotInConvexOrder.
+
+    Returns the pairs (i, j) whose y_j lies in the closed component of
+    x_i (between the zeros on either side of x_i, or at x_i when it is a
+    zero), widened by GEO times the extent; the positions of those
+    zeros; their superhedge's cost, the sum of u_nu - u_mu over them;
+    and the least value it takes off the mask (``_projection_filter``),
+    infinite on a full mask.  That superhedge gains 2 |y_j - z| where
+    y_j lies past the zero z bounding the component x_i lies strictly
+    inside, and |y_j - z| where x_i is z itself.  O(n m) work.
+    """
+    bps, vals, _, left, right = _axis_zeros(x, mu_w, y, nu_w, inst.mass, inst.scale, inst.feas)
+    if vals.min() < -inst.feas * inst.mass * inst.scale:
+        raise NotInConvexOrder("measures are not in convex order")
     at = np.searchsorted(bps, x)
     lo, hi = bps[left[at]], bps[right[at]]
-    mask = (y >= lo[:, None] - tol) & (y <= hi[:, None] + tol)
+    past = np.maximum(lo[:, None] - y, y - hi[:, None])
+    mask = past <= GEO * inst.scale
     used = np.zeros(bps.size, dtype=bool)
     used[left[at]] = used[right[at]] = True
-    return mask, lo, hi, used
+    least = (np.where(lo == hi, 1.0, 2.0)[:, None] * past)[~mask].min(initial=np.inf)
+    return mask, bps[used], vals[used].sum(), least
 
 
 def _projection_filter(mu: DiscreteMeasure, nu: DiscreteMeasure, inst: _Scaled):
     """The pairs that no coordinate projection proves polar, as an n x m
-    boolean matrix.
+    boolean matrix, and per axis the positions of the zeros that certify
+    what it drops, or None where its bound fails and it drops nothing.
 
     Projected on axis k, a martingale coupling is a 1-D martingale
-    coupling of the projected marginals.  So the 1-D mask's rule
-    (``_components``, on the zeros of ``measures._axis_zeros`` at the
-    instance's mass, extent and feasibility tolerance) drops the pairs
-    whose y_j lies, on that axis, outside the closed component of x_i.
-    The superhedge of those zeros a, lifted to the axis,
+    coupling of the projected marginals, so the 1-D rule (``_axis_mask``)
+    drops the pairs whose y_j lies, on that axis, outside the closed
+    component of x_i.  The superhedge of the axis's zeros a,
     H(x, y) = sum over a of |y_k - a| - |x_k - a| - sign(x_k - a) (y_k - x_k),
-    is nonnegative, at least the distance y_k lies past x_k's zero on
-    every pair dropped, and every martingale coupling gives it the cost
-    sum (u_nu - u_mu)(a) over the projections.  The mass off the axis's
-    mask is therefore at most that cost over the least such distance.
-    An axis drops its pairs only where that bound is at most POLAR times
-    the mass; an axis whose only zeros are its two outer breakpoints
-    drops nothing.  O(n m) work per axis.
+    is nonnegative, and every martingale coupling gives it the cost
+    sum (u_nu - u_mu)(a) over the projections, so the mass on the pairs
+    dropped is at most that cost over the least H on them.  An axis
+    drops its pairs only where that bound is at most POLAR times the mass.
     """
-    tol = GEO * inst.scale
     keep = np.ones((mu.n_atoms, nu.n_atoms), dtype=bool)
+    zeros = []
     for k in range(mu.ambient_dim):
-        x, y = mu.points[:, k], nu.points[:, k]
-        bps, vals, zero, left, right = _axis_zeros(
-            x, mu.weights, y, nu.weights, inst.mass, inst.scale, inst.feas
+        mask, z, cost, least = _axis_mask(
+            mu.points[:, k], mu.weights, nu.points[:, k], nu.weights, inst
         )
-        if not zero[1:-1].any():
-            continue
-        mask, lo, hi, zeros = _components(x, y, bps, left, right, tol)
-        if mask.all():
-            continue
-        past = np.maximum(lo[:, None] - y, y - hi[:, None])[~mask].min()
-        if vals[zeros].sum() > POLAR * inst.mass * past:
-            continue
-        keep &= mask
-    return keep
-
-
-def _potential_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """The 1-D non-polar mask, from the zeros of u_nu - u_mu and the
-    components between them (``measures._potential_zeros``, as
-    ``potential_domain`` reads them, and ``_components``) and no LP
-    (Beiglböck, Nutz & Touzi 2017).
-
-    A mu-atom inside a component reaches the nu-atoms in the closed
-    interval between the zeros on either side of it; a mu-atom at a
-    zero reaches only the nu-atom there.  Both intervals are widened by
-    GEO times the extent.  The mask is certified by the superhedge of
-    those zeros (``_certify_polar``).
-    """
-    bps, _, _, left, right, mass, scale = _potential_zeros(mu, nu)
-    tol = GEO * scale
-    mask, _, _, zeros = _components(mu.points[:, 0], nu.points[:, 0], bps, left, right, tol)
-    _certify_polar(mu, nu, mask, bps[zeros], POLAR * mass, tol)
-    return mask
+        if cost <= POLAR * inst.mass * least:
+            keep &= mask
+        else:
+            z = None
+        zeros.append(z)
+    return keep, zeros
 
 
 def _certify_polar(mu, nu, mask, zeros, polar, tol):

@@ -5,13 +5,12 @@ the feasibility of the martingale-coupling LP (Strassen).  In dimension
 one it and ``potential_domain`` decide it from the potentials, with no
 LP: u_nu >= u_mu at every breakpoint (``_potential_zeros``).  The zeros
 of u_nu - u_mu, and the components between them, are decided by one
-rule on one line (``_axis_zeros``), for ``potential_domain``, the 1-D
-non-polar mask and the coordinate projections of the d >= 2 mask, so
-they agree.  Both first ask ``_require_comparable``,
-which rejects measures of different mass or barycentre at the
-tolerances the coupling LP works to, so every way of asking gives one
-answer.  Thresholds follow the package's one policy
-(``tolerance``, and the README's "Tolerances").
+rule on one line (``_axis_zeros``), for ``potential_domain`` and for
+the non-polar mask on each coordinate axis, so they agree.  Both first
+ask ``_require_comparable``, which rejects measures of different mass
+or barycentre at the tolerances the coupling LP works to, so every way
+of asking gives one answer.  Thresholds follow the package's one
+policy (``tolerance``, and the README's "Tolerances").
 """
 
 from __future__ import annotations
@@ -99,11 +98,10 @@ class DiscreteMeasure:
     def from_json(cls, data: dict) -> "DiscreteMeasure":
         try:
             dim = int(data["dim"])
-            pts = [a["point"] for a in data["atoms"]]
-            w = [a["weight"] for a in data["atoms"]]
-        except (KeyError, TypeError) as exc:
+            pts = as_points([a["point"] for a in data["atoms"]], dim)
+            w = np.asarray([a["weight"] for a in data["atoms"]], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed measure JSON: {exc}") from exc
-        pts = as_points(pts, dim)
         return cls(pts, w)
 
 
@@ -225,7 +223,7 @@ def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None
     nu-atoms, and the intervals run from zero to zero
     (``_potential_zeros``): a breakpoint holding a nu-atom whose value
     is at most ``eps`` is one.  ``eps`` defaults to that feasibility
-    tolerance, as in the 1-D non-polar mask, so the intervals are the
+    tolerance, as in the non-polar mask, so the intervals are the
     hulls of the paving's 1-D cells.  Both thresholds are fractions of
     mu's total mass times the extent of both supports.  An ``eps`` that
     is negative or not finite raises InvalidInput.
@@ -238,21 +236,19 @@ def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | Non
     u_nu - u_mu there, and ``potential_domain(mu, nu, eps)``: one
     interval per run of non-zeros, between the zeros on either side of
     it (``_potential_zeros``)."""
-    bps, vals, zero, left, right, _, _ = _potential_zeros(mu, nu, eps)
+    bps, vals, zero, left, right = _potential_zeros(mu, nu, eps)
     firsts = np.flatnonzero(~zero & np.r_[True, zero[:-1]])
     return bps, vals, [(float(bps[left[i]]), float(bps[right[i]])) for i in firsts]
 
 
 def _potential_zeros(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None = None):
     """The zeros of u_nu - u_mu and the components between them, which
-    ``potential_domain``, ``check_convex_order`` and the 1-D non-polar
-    mask read.
+    ``potential_domain`` and ``check_convex_order`` read.
 
     Returns ``_axis_zeros`` of the two measures, with mass, extent and
     threshold from ``_require_comparable`` (``eps`` replaces the
-    feasibility tolerance as the zero threshold), then mu's total mass
-    and the extent of both supports.  A value below minus the
-    feasibility tolerance times mass times extent raises
+    feasibility tolerance as the zero threshold).  A value below minus
+    the feasibility tolerance times mass times extent raises
     NotInConvexOrder.
     """
     if eps is not None and not (np.isfinite(eps) and eps >= 0):
@@ -265,7 +261,7 @@ def _potential_zeros(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None
     bps, vals, zero, left, right = _axis_zeros(x, mu.weights, y, nu.weights, mass, scale, threshold)
     if vals.min() < -feas * mass * scale:
         raise NotInConvexOrder("measures are not in convex order")
-    return bps, vals, zero, left, right, mass, scale
+    return bps, vals, zero, left, right
 
 
 def _axis_zeros(x, mu_w, y, nu_w, mass: float, scale: float, eps: float):

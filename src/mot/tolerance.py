@@ -12,27 +12,26 @@ factor of the input:
   a single point the largest absolute coordinate, the only scale a
   point has.
 * Mass decisions compare a mass with a constant times the total mass.
-* The coupling LPs, their certificate and the non-polar mask in
-  dimension two and up work on normalised arrays: weights over mu's
-  total mass, and points centred on their measure's barycentre and
-  divided by the extent of supp mu and supp nu together.  HiGHS's feasibility tolerance and the
-  certificate's lowest entry are then relative to the instance, but
-  never finer than the round-off of its coordinates (``feasibility``);
-  where that round-off exceeds RESIDUAL, the instance is too coarse to
-  decide and raises InvalidInput.  Two measures whose barycentres differ by more
-  than the LP holds its barycentre rows to are not in convex order,
-  however the question is asked.
-* In dimension one the non-polar mask and ``potential_domain`` read
-  the potentials: a breakpoint where u_nu - u_mu is at most the
-  feasibility tolerance times mu's total mass times the extent of both
-  supports, and where a nu-atom sits, within GEO times that extent, is
-  a zero.  The mask's certificate holds the mass a martingale coupling
-  can put off the mask to POLAR times the total mass.
-* In dimension two and up the mask's LP is posed only over the pairs
-  that no coordinate projection separates, by that same zero rule at
-  the whole instance's mass, extent and feasibility tolerance.  An axis
-  separates pairs only where its superhedge bounds the mass on them by
-  POLAR times the total mass.
+* The coupling LPs and their certificate work on normalised arrays:
+  weights over mu's total mass, and points centred on their measure's
+  barycentre and divided by the extent of supp mu and supp nu together.
+  HiGHS's feasibility tolerance and the certificate's lowest entry are
+  then relative to the instance, but never finer than the round-off of
+  its coordinates (``feasibility``); where that round-off exceeds
+  RESIDUAL, the instance is too coarse to decide and raises
+  InvalidInput.  Two measures whose barycentres differ by more than the
+  LP holds its barycentre rows to are not in convex order, however the
+  question is asked.
+* The non-polar mask and ``potential_domain`` read u_nu - u_mu on each
+  coordinate axis, in dimension one on the line itself: a breakpoint
+  where it is at most the feasibility tolerance times mu's total mass
+  times the extent of both supports, and where a nu-atom sits, within
+  GEO times that extent, is a zero, and a value below minus that level
+  refutes the order.  An axis drops the pairs its zeros separate only
+  where their superhedge bounds the mass on them by POLAR times the
+  total mass.  In dimension one what such an axis leaves is the mask;
+  otherwise, in every dimension, the max-support LP decides the pairs
+  left.
 
 Tolerances a caller still sets: the ``tol`` of
 ``DiscreteMeasure.equals``, ``Polytope.same_vertices`` and
@@ -63,12 +62,12 @@ SLACK = 10 * GEO
 # Polytope.same_vertices
 INTERIOR = 1e-7
 # a coupling entry above POLAR times the total mass is a transport; the
-# 1-D mask's certificate bounds the mass off the mask by it
+# mask's superhedge bounds the mass on the pairs an axis drops by it
 POLAR = 1e-8
 # HiGHS's primal and dual feasibility tolerance on the normalised
 # coupling LPs, the lowest entry a certified coupling may have, the
 # barycentre mismatch, per unit of extent, the order tolerates, and the
-# gap u_nu - u_mu, per unit of mass times extent, that is a zero in 1-D
+# gap u_nu - u_mu, per unit of mass times extent, that is a zero on an axis
 FEAS = 1e-10
 # the largest residual of a certified coupling on the normalised system
 RESIDUAL = 1e-8

@@ -170,10 +170,22 @@ def test_parse_error_exit_code(runner, tmp_path):
 
 
 def test_invalid_measure_exit_code(runner, tmp_path):
+    """A measure with a negative weight, a dimension that is not a
+    number, ragged points or a weight that is not a number exits 3 with
+    a JSON error, from check-order and from pave."""
     bad = str(tmp_path / "bad.json")
-    _write(bad, {"dim": 1, "atoms": [{"point": [0.0], "weight": -1.0}]})
-    result = runner.invoke(main, ["check-order", "--mu", bad, "--nu", bad])
-    assert result.exit_code == 3
+    payloads = [
+        {"dim": 1, "atoms": [{"point": [0.0], "weight": -1.0}]},
+        {"dim": "x", "atoms": [{"point": [0.0], "weight": 1.0}]},
+        {"dim": 2, "atoms": [{"point": [0, 1], "weight": 0.5}, {"point": [0], "weight": 0.5}]},
+        {"dim": 1, "atoms": [{"point": [0.0], "weight": "heavy"}]},
+    ]
+    for payload in payloads:
+        _write(bad, payload)
+        for command in ("check-order", "pave"):
+            result = runner.invoke(main, [command, "--mu", bad, "--nu", bad])
+            assert result.exit_code == 3, (payload, command, result.output)
+            assert json.loads(result.output)["error"] == "InvalidInput"
 
 
 def test_invalid_example_parameter(runner, tmp_path):

@@ -90,17 +90,20 @@ def test_light_atom_paves_apart_in_two_dimensions(e):
     assert [c.members for c in p.cells] == [[0]] and p.singletons == [1]
 
 
-def test_an_axis_whose_bound_fails_drops_nothing(monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_an_axis_whose_bound_fails_drops_nothing(monkeypatch, dim):
     """The narrow light component of ``test_one_dimension`` on the first
-    axis of the plane: mu = (delta_0 + delta_10)/2 against nu =
-    (1/2 - e) delta_0 + e/2 (delta_-w + delta_w) + delta_10/2, e = 5e-4,
-    w = 1e-3.  With the zero threshold raised to INTERIOR, 0 is a zero
-    of the projection, but 5e-4 of mass can cross it; the axis's bound
-    fails, so the filter drops nothing and the LP gives its mask."""
+    axis: mu = (delta_0 + delta_10)/2 against nu = (1/2 - e) delta_0 +
+    e/2 (delta_-w + delta_w) + delta_10/2, e = 5e-4, w = 1e-3, on the
+    line and in the plane.  With the zero threshold raised to INTERIOR,
+    0 is a zero of the projection, but 5e-4 of mass can cross it; the
+    axis's bound fails, so the filter drops nothing, and the LP over
+    every pair gives the mask, in one dimension as in two."""
     e, w = 5e-4, 1e-3
-    mu = DiscreteMeasure([[0.0, 0.0], [10.0, 0.0]], [0.5, 0.5])
+    pad = [0.0] * (dim - 1)
+    mu = DiscreteMeasure([[0.0, *pad], [10.0, *pad]], [0.5, 0.5])
     nu = DiscreteMeasure(
-        [[-w, 0.0], [0.0, 0.0], [w, 0.0], [10.0, 0.0]], [e / 2, 0.5 - e, e / 2, 0.5]
+        [[-w, *pad], [0.0, *pad], [w, *pad], [10.0, *pad]], [e / 2, 0.5 - e, e / 2, 0.5]
     )
     x, y = mu.points[:, 0], nu.points[:, 0]
     real = measures._axis_zeros
@@ -112,6 +115,16 @@ def test_an_axis_whose_bound_fails_drops_nothing(monkeypatch):
         return real(x, mu_w, y, nu_w, mass, scale, INTERIOR)
 
     monkeypatch.setattr(coupling, "_axis_zeros", raised)
+    real_highs = lp.highs
+    columns = []
+
+    def counted(c, A, *args, **kwargs):
+        columns.append(A.shape[1])
+        return real_highs(c, A, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "highs", counted)
     mask = nonpolar_mask(mu, nu)
     assert mask.tolist() == [[True, True, True, False], [False, False, False, True]]
+    # columns [s | t | tau] over all 8 pairs
+    assert columns == [2 * 8 + 1]
     assert np.array_equal(mask, _lp_mask(mu, nu))
