@@ -9,6 +9,7 @@ one that does not parse, is not finite or is negative exits 3.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -43,14 +44,6 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        _fail(exc, EXIT_PARSE)
-
-
-def _load_measure(path: str) -> measures.DiscreteMeasure:
-    data = _load_json(path)
-    try:
-        return measures.DiscreteMeasure.from_json(data)
-    except MotError as exc:
         _fail(exc, EXIT_PARSE)
 
 
@@ -92,105 +85,81 @@ def example(family, k, grid, mu_out, nu_out):
     _emit(nu.to_json(), nu_out)
 
 
-@main.command("check-order")
-@click.option("--mu", "mu_file", required=True)
-@click.option("--nu", "nu_file", required=True)
-@click.option("--out", default=None)
-def check_order(mu_file, nu_file, out):
+def _pair_command(name: str):
+    """Declare the command ``name`` on a pair of measure files.
+
+    The command takes ``--mu``, ``--nu`` and ``--out`` and loads both
+    measures; the decorated function takes them (and the command's own
+    options, declared below this decorator) and returns the JSON payload,
+    which is emitted.  NotInConvexOrder exits 2, as does a payload that
+    answers ``convex_order`` false once emitted; any other MotError exits 3.
+    """
+
+    def decorate(fn):
+        # wraps also carries over the options declared on fn
+        @main.command(name)
+        @click.option("--mu", "mu_file", required=True)
+        @click.option("--nu", "nu_file", required=True)
+        @click.option("--out", default=None)
+        @functools.wraps(fn)
+        def run(mu_file, nu_file, out, **options):
+            try:
+                mu = measures.DiscreteMeasure.from_json(_load_json(mu_file))
+                nu = measures.DiscreteMeasure.from_json(_load_json(nu_file))
+                payload = fn(mu, nu, **options)
+            except NotInConvexOrder as exc:
+                _fail(exc, EXIT_ORDER)
+            except MotError as exc:
+                _fail(exc, EXIT_PARSE)
+            _emit(payload, out)
+            if payload.get("convex_order") is False:
+                sys.exit(EXIT_ORDER)
+
+        return run
+
+    return decorate
+
+
+@_pair_command("check-order")
+def check_order(mu, nu):
     """Decide whether mu precedes nu in convex order."""
-    mu = _load_measure(mu_file)
-    nu = _load_measure(nu_file)
-    try:
-        ok = measures.check_convex_order(mu, nu)
-    except MotError as exc:
-        _fail(exc, EXIT_PARSE)
-    _emit({"convex_order": bool(ok)}, out)
-    if not ok:
-        sys.exit(EXIT_ORDER)
+    return {"convex_order": bool(measures.check_convex_order(mu, nu))}
 
 
-@main.command()
-@click.option("--mu", "mu_file", required=True)
-@click.option("--nu", "nu_file", required=True)
-@click.option("--out", default=None)
-def couple(mu_file, nu_file, out):
+@_pair_command("couple")
+def couple(mu, nu):
     """Compute one feasible martingale coupling."""
-    mu = _load_measure(mu_file)
-    nu = _load_measure(nu_file)
-    try:
-        c = coupling_mod.find_coupling(mu, nu)
-    except NotInConvexOrder as exc:
-        _fail(exc, EXIT_ORDER)
-    except MotError as exc:
-        _fail(exc, EXIT_PARSE)
-    _emit(c.to_json(), out)
+    return coupling_mod.find_coupling(mu, nu).to_json()
 
 
-@main.command()
-@click.option("--mu", "mu_file", required=True)
-@click.option("--nu", "nu_file", required=True)
-@click.option("--out", default=None)
+@_pair_command("polar")
 @click.option("--no-martingale", is_flag=True, help="drop the martingale rows (plain transports)")
-def polar(mu_file, nu_file, out, no_martingale):
+def polar(mu, nu, no_martingale):
     """Matrix of maximal pair masses over all couplings."""
-    mu = _load_measure(mu_file)
-    nu = _load_measure(nu_file)
-    try:
-        matrix = coupling_mod.polar_matrix(mu, nu, martingale=not no_martingale)
-    except NotInConvexOrder as exc:
-        _fail(exc, EXIT_ORDER)
-    except MotError as exc:
-        _fail(exc, EXIT_PARSE)
-    _emit(
-        {
-            "mu_support": mu.points.tolist(),
-            "nu_support": nu.points.tolist(),
-            "max_mass": matrix.tolist(),
-        },
-        out,
-    )
+    matrix = coupling_mod.polar_matrix(mu, nu, martingale=not no_martingale)
+    return {
+        "mu_support": mu.points.tolist(),
+        "nu_support": nu.points.tolist(),
+        "max_mass": matrix.tolist(),
+    }
 
 
-@main.command()
-@click.option("--mu", "mu_file", required=True)
-@click.option("--nu", "nu_file", required=True)
-@click.option("--out", default=None)
-def pave(mu_file, nu_file, out):
+@_pair_command("pave")
+def pave(mu, nu):
     """Compute the convex paving of the instance."""
-    mu = _load_measure(mu_file)
-    nu = _load_measure(nu_file)
-    try:
-        p = paving.compute_paving(mu, nu)
-    except NotInConvexOrder as exc:
-        _fail(exc, EXIT_ORDER)
-    except MotError as exc:
-        _fail(exc, EXIT_PARSE)
-    _emit(p.to_json(), out)
+    return paving.compute_paving(mu, nu).to_json()
 
 
-@main.command("potential")
-@click.option("--mu", "mu_file", required=True)
-@click.option("--nu", "nu_file", required=True)
-@click.option("--out", default=None)
+@_pair_command("potential")
 @click.option("--tol", type=float, default=None)
-def potential_cmd(mu_file, nu_file, out, tol):
+def potential_cmd(mu, nu, tol):
     """Breakpoints of u_nu - u_mu and the domain intervals (1-D only)."""
-    mu = _load_measure(mu_file)
-    nu = _load_measure(nu_file)
-    try:
-        bps, diff, intervals = measures._potential_domain(mu, nu, _tol(tol))
-    except NotInConvexOrder as exc:
-        _fail(exc, EXIT_ORDER)
-    except MotError as exc:
-        _fail(exc, EXIT_PARSE)
-    _emit(
-        {
-            "breakpoints": bps.tolist(),
-            "values": diff.tolist(),
-            "domain": [[a, b] for a, b in intervals],
-        },
-        out,
-    )
+    bps, diff, intervals = measures._potential_domain(mu, nu, _tol(tol))
+    return {
+        "breakpoints": bps.tolist(),
+        "values": diff.tolist(),
+        "domain": [[a, b] for a, b in intervals],
+    }
 
 
 @main.command("affine-component")

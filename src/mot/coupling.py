@@ -258,11 +258,11 @@ def polar_matrix(
 def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Non-polar mask and a martingale coupling positive on exactly it,
     from the max-support LP over every pair (``_max_support``)."""
-    A, b, inst = _constraint_system(mu, nu)
-    return _max_support(mu, nu, A, b, inst, np.arange(A.shape[1]))
+    A, _, inst = _constraint_system(mu, nu)
+    return _max_support(mu, nu, A, inst, np.arange(A.shape[1]))
 
 
-def _max_support(mu, nu, A, b, inst: _Scaled, cols: np.ndarray):
+def _max_support(mu, nu, A, inst: _Scaled, cols: np.ndarray):
     """Non-polar mask and a certified martingale coupling positive on
     exactly it, from one LP (Freund, Roundy & Todd 1985) over the
     columns ``cols`` of the normalised system ``A theta = b``; every
@@ -275,22 +275,27 @@ def _max_support(mu, nu, A, b, inst: _Scaled, cols: np.ndarray):
     some coupling charges and s_ij = 0 elsewhere, so the mask is s > 1/2
     and W y / tau is a coupling of maximal support.  Without W, tau grows
     like one over the smallest charged mass (2.5e7 on gaussian_grid(7)),
-    and on gaussian_grid(9) HiGHS ends with status "Unknown".  No pair at
-    all means no martingale coupling exists.
+    and on gaussian_grid(9) HiGHS ends with status "Unknown".  Each row
+    is posed per unit of its atom's mass: a mass row over its right-hand
+    side, the barycentre rows of mu-atom i over mu_i.  Every column then
+    holds a 1 in one mass row, which HiGHS's drop of entries of at most
+    1e-9 cannot empty, and tau a -1 in every mass row; posed without
+    it, gaussian_grid(11) ends in status "Not Set".  No pair at all
+    means no martingale coupling exists.
     """
     n, m = mu.n_atoms, nu.n_atoms
     k = cols.size
     w = np.minimum(inst.mu_w[:, None], inst.nu_w[None, :]).ravel()[cols]
-    data = (A.data.reshape(n * m, -1)[cols] * w[:, None]).ravel()
     indices = A.indices.reshape(n * m, -1)[cols].ravel()
+    mass = np.concatenate([inst.mu_w, inst.nu_w, np.repeat(inst.mu_w, mu.ambient_dim)])
+    data = (A.data.reshape(n * m, -1)[cols] * w[:, None]).ravel() / mass[indices]
     indptr = A.indptr[: k + 1]
-    b_rows = np.flatnonzero(b)
     nnz = data.shape[0]
     # columns [s | t | tau]
     big = lp.CscMatrix(
-        np.concatenate([data, data, -b[b_rows]]),
-        np.concatenate([indices, indices, b_rows.astype(np.int32)]),
-        np.concatenate([indptr, indptr[1:] + nnz, [2 * nnz + b_rows.size]]),
+        np.concatenate([data, data, np.full(n + m, -1.0)]),
+        np.concatenate([indices, indices, np.arange(n + m, dtype=np.int32)]),
+        np.concatenate([indptr, indptr[1:] + nnz, [2 * nnz + n + m]]),
         (A.shape[0], 2 * k + 1),
     )
     c = np.zeros(2 * k + 1)
@@ -338,8 +343,8 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     if mu.ambient_dim == 1 and zeros[0] is not None:
         _certify_polar(mu, nu, keep, zeros[0], POLAR * inst.mass, GEO * inst.scale)
         return keep
-    A, b, _ = _constraint_system(mu, nu, s=inst)
-    return _max_support(mu, nu, A, b, inst, np.flatnonzero(keep))[0]
+    A, _, _ = _constraint_system(mu, nu, s=inst)
+    return _max_support(mu, nu, A, inst, np.flatnonzero(keep))[0]
 
 
 def _axis_mask(x, mu_w, y, nu_w, inst: _Scaled):

@@ -41,8 +41,17 @@ from .errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
 from .tolerance import GEO, INTERIOR, SLACK, extent
 
 
+def _floats(values) -> np.ndarray:
+    """``values`` as a float array; ragged or non-numeric input raises
+    InvalidInput."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"not an array of numbers: {exc}") from None
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.atleast_1d(_floats(x))
     if p.ndim != 1:
         raise InvalidInput("a point must be a flat coordinate list")
     if not np.all(np.isfinite(p)):
@@ -53,11 +62,13 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 
 def as_points(points, dim: int | None = None) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    pts = _floats(points)
     if pts.size == 0:
         raise InvalidInput("empty point list")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1) if dim == 1 else pts.reshape(1, -1)
+    if pts.ndim != 2:
+        raise InvalidInput("a point list must be a list of flat coordinate lists")
     if not np.all(np.isfinite(pts)):
         raise InvalidInput("point coordinates must be finite")
     if dim is not None and pts.shape[1] != dim:
@@ -109,13 +120,18 @@ def affine_hull(points) -> AffineSubspace:
 
 def _hull_frame(pts: np.ndarray, scale: float) -> tuple[AffineSubspace, np.ndarray]:
     """The affine hull of checked points at the rank threshold GEO
-    scale, with that scale, and their coordinates in it."""
+    scale, with that scale, and their coordinates in it.  On the line
+    the frame is the axis, found without an SVD."""
     if pts.shape[0] == 1:
         return AffineSubspace(pts[0], np.zeros((0, pts.shape[1])), 0, scale), np.zeros((1, 0))
     base = pts.mean(axis=0)
     centered = pts - base
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[: int(np.sum(s > GEO * scale))]
+    if pts.shape[1] == 1:
+        # the one singular value of a column is its norm, and the axis its direction
+        basis = np.ones((int(np.linalg.norm(centered) > GEO * scale), 1))
+    else:
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        basis = vt[: int(np.sum(s > GEO * scale))]
     return AffineSubspace(base, basis, basis.shape[0], scale), centered @ basis.T
 
 
@@ -309,17 +325,10 @@ def _hull(pts: np.ndarray, scale: float):
 def _distinct_hull(pts: np.ndarray) -> Polytope:
     """``convex_hull`` of checked points no two of which are within GEO
     times their extent of each other, such as a subset of a measure's
-    atoms: nothing to dedupe.  On the line its vertices are the least
-    and the greatest point, with no SVD."""
+    atoms: ``_hull`` with nothing to dedupe."""
     if pts.shape[0] == 1:
         return Polytope._built(pts)
-    scale = extent(pts)
-    if pts.shape[1] == 1:
-        vertices = pts[np.unique([pts[:, 0].argmin(), pts[:, 0].argmax()])]
-        base = vertices.mean(axis=0)
-        frame = AffineSubspace(base, np.ones((1, 1)), 1, scale)
-        return Polytope._built(vertices, frame, vertices - base)
-    keep, frame, coords, facets = _hull(pts, scale)
+    keep, frame, coords, facets = _hull(pts, extent(pts))
     return Polytope._built(pts[keep], frame, coords, facets)
 
 

@@ -14,10 +14,12 @@ time on small LPs.  Each thread keeps one HiGHS solver (``_solver``),
 built and configured on its first solve, because building and
 configuring one took about a quarter of a small LP's time.  Every
 solve loads its model afresh, which clears the previous model, basis
-and solution, and sets both feasibility tolerances and the scaling
-again, so no call sees what an earlier one left behind.  HiGHS's dual
-simplex is deterministic: the same input gives the same output.  An outcome other
-than optimal, infeasible or unbounded raises ``SolverError``.  scipy
+and solution, and sets both feasibility tolerances, the scaling and
+the time budget again, so no call sees what an earlier one left
+behind.  HiGHS's dual simplex is deterministic: the same input gives
+the same output.  An outcome other than optimal, infeasible or
+unbounded raises ``SolverError``; so does a solve that runs past its
+budget of ``TIME_LIMIT`` seconds, so no solve hangs.  scipy
 is imported on the first solve, so importing the package loads none
 of it.
 """
@@ -57,6 +59,8 @@ _local = threading.local()
 _TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
 _SCALING = "simplex_scale_strategy"
 _MAX_VALUE_SCALING = 4  # rows and columns by their largest entry
+# seconds of HiGHS run time one LP may take before it stops in SolverError
+TIME_LIMIT = 60.0
 
 
 @dataclass
@@ -84,11 +88,12 @@ def highs(
     defaults.  Both are set on every call, and a value HiGHS rejects
     (below 1e-10, say) raises InvalidInput.  ``max_value_scaling`` has
     HiGHS scale rows and columns by their largest entry instead of the
-    scaling it chooses; it too is set on every call.
+    scaling it chooses; it too is set on every call, as is the budget of
+    ``TIME_LIMIT`` seconds of HiGHS run time for this LP.
     Returns an optimal result with x, or an infeasible (also a model
-    HiGHS rejects) or unbounded one.  Any other outcome, or an optimum
-    without a point, raises
-    SolverError("<what> not solved: <HiGHS model status>").
+    HiGHS rejects) or unbounded one.  Any other outcome, the budget
+    spent among them, or an optimum without a point, raises
+    SolverError("<what> not solved: <HiGHS model status> (<size>, <budget>)").
     """
     from scipy.optimize._highspy import _core
 
@@ -122,6 +127,9 @@ def highs(
         if solver.setOptionValue(name, tol) == error:
             raise InvalidInput(f"HiGHS rejects the feasibility tolerance {feas_tol}")
     solver.setOptionValue(_SCALING, _MAX_VALUE_SCALING if max_value_scaling else defaults[-1])
+    # HiGHS's time limit bounds the solver's run time summed over every
+    # solve since it was built, so the budget starts from what is spent
+    solver.setOptionValue("time_limit", solver.getRunTime() + TIME_LIMIT)
     if solver.passModel(*model) == error:
         status, ran = _core.HighsModelStatus.kModelError, False
     else:
@@ -136,7 +144,10 @@ def highs(
         return LpResult(LpStatus.INFEASIBLE)
     elif status == _core.HighsModelStatus.kUnbounded:
         return LpResult(LpStatus.UNBOUNDED)
-    raise SolverError(f"{what} not solved: {solver.modelStatusToString(status)}")
+    raise SolverError(
+        f"{what} not solved: {solver.modelStatusToString(status)} "
+        f"({m} rows, {n} columns, {TIME_LIMIT:g} s budget)"
+    )
 
 
 def _solver():

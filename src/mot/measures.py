@@ -26,7 +26,7 @@ from .errors import (
     MassMismatch,
     NotInConvexOrder,
 )
-from .geometry import _first_match, _match_point_sets, as_points
+from .geometry import _first_match, _floats, _match_point_sets, as_points
 from .tolerance import GEO, box_extent, extent, feasibility
 
 
@@ -40,7 +40,7 @@ class DiscreteMeasure:
 
     def __init__(self, points, weights):
         pts = as_points(points)
-        w = np.asarray(weights, dtype=float)
+        w = _floats(weights)
         if w.ndim != 1 or w.shape[0] != pts.shape[0]:
             raise InvalidInput("one weight per support point required")
         if not np.all(np.isfinite(w)):
@@ -98,7 +98,9 @@ class DiscreteMeasure:
     def from_json(cls, data: dict) -> "DiscreteMeasure":
         try:
             dim = int(data["dim"])
-            pts = as_points([a["point"] for a in data["atoms"]], dim)
+            # converted here, so that a list numpy cannot convert reads
+            # as malformed JSON
+            pts = as_points(np.asarray([a["point"] for a in data["atoms"]], dtype=float), dim)
             w = np.asarray([a["weight"] for a in data["atoms"]], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed measure JSON: {exc}") from exc

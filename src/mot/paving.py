@@ -2,12 +2,13 @@
 
 The cell of a mu-atom x is ri conv(supp P_x), where P is a martingale
 coupling of maximal support: its support is the non-polar mask
-(``coupling.nonpolar_mask``).  In dimension one the mask is read off the
-potentials.  In dimension two and up it comes from one LP, posed only
-over the pairs that no coordinate projection proves polar.  By the
-paving theorem two such cells are equal or disjoint, so cells are built
-by grouping atoms with equal hulls.  A mask row's nu-atoms are distinct
-atoms of one measure, so its hull is built with nothing to dedupe
+(``coupling.nonpolar_mask``).  In every dimension the pairs that some
+coordinate projection proves polar are dropped first; in dimension one,
+where that projection's bound holds, the pairs left are the mask, and
+otherwise one LP over the pairs left decides it.  By the paving theorem
+two such cells are equal or disjoint, so cells are built by grouping
+atoms with equal hulls.  A mask row's nu-atoms are distinct atoms of one
+measure, so its hull is the generic hull with nothing to dedupe
 (``geometry._distinct_hull``).  Every martingale coupling is confined to
 the cells row by row.
 """

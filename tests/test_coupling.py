@@ -322,6 +322,24 @@ def test_max_support_on_gaussian_grid_9():
     assert np.all(cert.matrix > 0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_max_support_keeps_a_light_atom_apart(dim):
+    """mu = (1-e) delta_0 + e delta_5 against nu = (1-e)/2 on two atoms
+    around 0 and e on 5: with each row posed per unit of its atom's
+    mass, the full max-support LP keeps the light atom's entries above
+    HiGHS's drop threshold and marks only the pairs that carry mass."""
+    pad = [0.0] * (dim - 1)
+    side = [1.0] * (dim - 1)
+    for e in (1e-9, 1e-12):
+        mu = DiscreteMeasure([[0.0, *pad], [5.0, *pad]], [1.0 - e, e])
+        nu = DiscreteMeasure(
+            [[-1.0, *side], [1.0, *(-t for t in side)], [5.0, *pad]],
+            [(1.0 - e) / 2, (1.0 - e) / 2, e],
+        )
+        mask, _ = max_support_coupling(mu, nu)
+        assert mask.tolist() == [[True, True, False], [False, False, True]]
+
+
 @pytest.mark.parametrize(
     "status", ["kUnknown", "kIterationLimit", "kOptimal", "kUnboundedOrInfeasible"]
 )
@@ -332,6 +350,39 @@ def test_solver_without_answer_raises_solver_error(stub_highs, status):
     for call in (find_coupling, nonpolar_mask, check_convex_order):
         with pytest.raises(SolverError, match="coupling LP not solved"):
             call(mu, nu)
+
+
+def test_time_limit_raises_solver_error(stub_highs):
+    """A solve stopped at its budget raises, from the coupling, the order
+    and the paving."""
+    mu, nu = discrete_k(2)
+    stub_highs("kTimeLimit")
+    for call in (find_coupling, check_convex_order, compute_paving):
+        with pytest.raises(SolverError, match="Time limit reached"):
+            call(mu, nu)
+
+
+def test_budget_stops_a_long_solve(monkeypatch):
+    """gaussian_grid(13)'s coupling LP ran past 400 s without a budget;
+    with one it stops at the budget and the message names it and the
+    LP's size."""
+    monkeypatch.setattr(lp, "TIME_LIMIT", 0.3)
+    mu, nu = gaussian_grid(13)
+    message = r"Time limit reached \(732 rows, 38025 columns, 0.3 s budget\)"
+    with pytest.raises(SolverError, match=message):
+        find_coupling(mu, nu)
+
+
+def test_budget_is_per_solve(monkeypatch):
+    """HiGHS's time limit counts the reused solver's run time over all
+    its solves; each LP still gets the whole budget, so short solves
+    that take longer than the budget in total all finish."""
+    monkeypatch.setattr(lp, "TIME_LIMIT", 0.2)
+    mu, nu = gaussian_grid(7)
+    solver = lp._solver()[0]
+    start = solver.getRunTime()
+    while solver.getRunTime() - start < 0.5:
+        find_coupling(mu, nu)
 
 
 def test_infeasible_status_means_not_in_convex_order(stub_highs):

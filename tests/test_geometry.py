@@ -50,7 +50,7 @@ def test_affine_hull_full_rank():
 def test_affine_hull_errors():
     with pytest.raises(InvalidInput):
         affine_hull([])
-    with pytest.raises((DimensionMismatch, ValueError)):
+    with pytest.raises((DimensionMismatch, InvalidInput)):
         affine_hull([[0.0], [0.0, 1.0]])
 
 

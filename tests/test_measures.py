@@ -16,6 +16,7 @@ from mot import (
 )
 from mot.errors import DimensionMismatch, InvalidInput, MassMismatch, NotInConvexOrder
 from mot.fixtures import discrete_k
+from mot.geometry import as_point, as_points
 from mot import measures
 from mot.measures import potential, potential_domain
 from mot.pwl import PwlConvex
@@ -153,6 +154,22 @@ def test_nonpositive_weights_rejected():
         DiscreteMeasure([[0.0]], [0.0])
     with pytest.raises(InvalidInput):
         DiscreteMeasure([[0.0]], [-1.0])
+
+
+def test_input_that_is_not_numbers_is_invalid():
+    """Ragged, nested or non-numeric points and weights raise
+    InvalidInput, from the constructor and from the point checks."""
+    cases = [
+        lambda: DiscreteMeasure([[0.0]], ["heavy"]),
+        lambda: DiscreteMeasure([[0.0, 1.0], [0.0]], [0.5, 0.5]),
+        lambda: DiscreteMeasure([[[0.0]]], [1.0]),
+        lambda: DiscreteMeasure([["a"]], [1.0]),
+        lambda: as_points([[0.0], [0.0, 1.0]]),
+        lambda: as_point(["a", 1.0]),
+    ]
+    for case in cases:
+        with pytest.raises(InvalidInput):
+            case()
 
 
 def test_convex_order_split_atom():

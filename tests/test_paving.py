@@ -291,6 +291,17 @@ def test_paving_json_schema():
         assert set(cell) == {"members", "hull_vertices", "affine_dim"}
 
 
+def test_gaussian_grid_11_paves_into_one_cell():
+    """121 x 169 atoms, masses down to 5.5e-13 of the total: one 2-D
+    cell of every atom, spanned by nu's corners."""
+    mu, nu = fixtures.gaussian_grid(11)
+    p = compute_paving(mu, nu)
+    assert p.singletons == [] and len(p.cells) == 1
+    cell = p.cells[0]
+    assert cell.members == list(range(mu.n_atoms)) and cell.affine_dim == 2
+    assert cell.hull.same_vertices(convex_hull(nu.points))
+
+
 def test_row_hulls_match_the_generic_hull(random_instances):
     """Each mask row's hull, built from distinct atoms with nothing to
     dedupe (and from the least and greatest atom on the line), has the
