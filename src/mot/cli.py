@@ -172,11 +172,13 @@ def affine_component_cmd(phi_file, point, box_file, out):
     phi_data = _load_json(phi_file)
     box_data = _load_json(box_file)
     try:
+        if not (isinstance(box_data, dict) and "vertices" in box_data):
+            raise InvalidInput('box JSON must be an object {"vertices": [...]}')
         phi = pwl.PwlConvex.from_json(phi_data)
-        x = [float(t) for t in point.split(",")]
+        x = geometry.as_point(point.split(","))
         box = geometry.Polytope(box_data["vertices"])
         face = pwl.affine_component(phi, x, box)
-    except (MotError, KeyError, ValueError) as exc:
+    except MotError as exc:
         _fail(exc, EXIT_PARSE)
     _emit(
         {

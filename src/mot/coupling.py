@@ -7,14 +7,14 @@ equality system (``_constraint_system``), written as the raw arrays of
 an ``lp.CscMatrix`` and solved by HiGHS (``_highs``, on the package's
 one backend ``lp.highs``); no ``scipy.sparse`` object is built.
 
-The LPs and the certificate work on normalised arrays (``_scaled``):
-theta over mu's total mass, weights over that mass, and points divided
-by the extent of both supports, so that their tolerances are relative
-(``tolerance``, and the README's "Tolerances").  mu's points are
-centred on mu's barycentre and nu's on nu's.
-``measures._require_comparable`` has already decided whether the two
-barycentres agree, at the LP's tolerance, so the LPs see first moments
-that agree to round-off and never decide that question again.
+The LPs and the certificate work on the normalised arrays of
+``measures._scaled``: theta over mu's total mass, weights over that
+mass, and points divided by the extent of both supports, so that their
+tolerances are relative (``tolerance``, and the README's "Tolerances").
+mu's points are centred on mu's barycentre and nu's on nu's.
+``_scaled`` has already decided whether the two barycentres agree, at
+the LP's tolerance, so the LPs see first moments that agree to
+round-off and never decide that question again.
 
 A coupling an LP returns is certified before it is used (``_certify``):
 from theta as an n x m matrix, numpy computes the residuals of the
@@ -44,13 +44,12 @@ dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import lp
 from .errors import InvalidInput, NotInConvexOrder, SolverError
-from .measures import DiscreteMeasure, _axis_zeros, _require_comparable
+from .measures import DiscreteMeasure, _axis_zeros, _Scaled, _scaled
 from .tolerance import GEO, POLAR, RESIDUAL, extent
 
 
@@ -92,34 +91,6 @@ class Coupling:
         return cls(mu_s, nu_s, mat)
 
 
-class _Scaled(NamedTuple):
-    """An instance in the normalised arrays of the coupling LPs."""
-
-    mass: float  # mu's total mass
-    mu_w: np.ndarray  # weights over mass
-    nu_w: np.ndarray
-    x: np.ndarray  # points centred on their barycentre, over the extent
-    y: np.ndarray
-    feas: float  # feasibility tolerance of the normalised system
-    scale: float  # the extent of both supports
-
-
-def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -> _Scaled:
-    """The normalised arrays of mu and nu, from the scales of
-    ``measures._require_comparable``, which raises for measures that
-    cannot be coupled."""
-    mass, mu_centre, nu_centre, scale, feas = _require_comparable(mu, nu, martingale)
-    return _Scaled(
-        mass,
-        mu.weights / mass,
-        nu.weights / mass,
-        (mu.points - mu_centre) / scale,
-        (nu.points - nu_centre) / scale,
-        feas,
-        scale,
-    )
-
-
 def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale=True, s=None):
     """Sparse coupling equalities ``A theta = b`` over theta_ij >= 0, in
     the normalised arrays of ``_scaled``: theta is mass over mu's total
@@ -151,15 +122,15 @@ def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale=True
     return A, b, s
 
 
-def _highs(c, A, rhs, feas, upper=np.inf) -> np.ndarray:
-    """min c @ x subject to A x = rhs and 0 <= x <= upper (``lp.highs``).
+def _highs(c, A, rhs, feas) -> np.ndarray:
+    """min c @ x subject to A x = rhs and x >= 0 (``lp.highs``).
 
     ``feas`` sets the feasibility tolerances (None: the HiGHS defaults,
     whose 1e-7 leaves residuals above RESIDUAL on gaussian_grid(9)).
     Returns the optimal x.  An infeasible system raises
     NotInConvexOrder; any other outcome raises SolverError.
     """
-    res = lp.highs(c, A, rhs, rhs, upper=upper, feas_tol=feas, what="coupling LP")
+    res = lp.highs(c, A, rhs, rhs, feas_tol=feas, what="coupling LP")
     if res.status is lp.LpStatus.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
     if res.status is lp.LpStatus.UNBOUNDED:
@@ -350,9 +321,8 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
 def _axis_mask(x, mu_w, y, nu_w, inst: _Scaled):
     """The 1-D rule on one line, where mu's and nu's atoms lie at x and y
     with weights mu_w and nu_w: the zeros of u_nu - u_mu are
-    ``measures._axis_zeros``'s at the instance's mass, extent and
-    feasibility tolerance, and a value below minus that tolerance times
-    mass times extent raises NotInConvexOrder.
+    ``measures._axis_zeros``'s at the instance's scales, which raises
+    NotInConvexOrder where that line refutes the order.
 
     Returns the pairs (i, j) whose y_j lies in the closed component of
     x_i (between the zeros on either side of x_i, or at x_i when it is a
@@ -363,9 +333,7 @@ def _axis_mask(x, mu_w, y, nu_w, inst: _Scaled):
     y_j lies past the zero z bounding the component x_i lies strictly
     inside, and |y_j - z| where x_i is z itself.  O(n m) work.
     """
-    bps, vals, _, left, right = _axis_zeros(x, mu_w, y, nu_w, inst.mass, inst.scale, inst.feas)
-    if vals.min() < -inst.feas * inst.mass * inst.scale:
-        raise NotInConvexOrder("measures are not in convex order")
+    bps, vals, _, left, right = _axis_zeros(x, mu_w, y, nu_w, inst)
     at = np.searchsorted(bps, x)
     lo, hi = bps[left[at]], bps[right[at]]
     past = np.maximum(lo[:, None] - y, y - hi[:, None])
@@ -439,14 +407,7 @@ def reachable_set(mu: DiscreteMeasure, nu: DiscreteMeasure, i: int) -> np.ndarra
     if not (0 <= i < mu.n_atoms):
         raise InvalidInput(f"atom index {i} out of range")
     mask = nonpolar_mask(mu, nu)
-    return _reachable_from_mask(mu, nu, mask, i)
-
-
-def _reachable_from_mask(mu, nu, mask, i) -> np.ndarray:
-    pts = [nu.points[j] for j in range(nu.n_atoms) if mask[i, j]]
-    x = mu.points[i]
-    tol = GEO * extent(mu.points, nu.points)
-    if not any(np.max(np.abs(x - p)) <= tol for p in pts):
-        pts.append(x)
-    return np.array(pts)
-
+    pts, x = nu.points[mask[i]], mu.points[i]
+    if not (np.abs(pts - x).max(axis=1) <= GEO * extent(mu.points, nu.points)).any():
+        pts = np.vstack([pts, x])
+    return pts

@@ -1,22 +1,27 @@
 """Finitely supported measures, convex-order checks and 1-D potentials.
 
-``check_convex_order`` decides mu <=_c nu in dimension two and up by
-the feasibility of the martingale-coupling LP (Strassen).  In dimension
-one it and ``potential_domain`` decide it from the potentials, with no
-LP: u_nu >= u_mu at every breakpoint (``_potential_zeros``).  The zeros
-of u_nu - u_mu, and the components between them, are decided by one
-rule on one line (``_axis_zeros``), for ``potential_domain`` and for
-the non-polar mask on each coordinate axis, so they agree.  Both first
-ask ``_require_comparable``, which rejects measures of different mass
-or barycentre at the tolerances the coupling LP works to, so every way
-of asking gives one answer.  Thresholds follow the package's one
-policy (``tolerance``, and the README's "Tolerances").
+Every question about a pair of measures first asks ``_scaled``, the one
+place that decides the pair's mass, barycentres, extent and
+feasibility tolerance: it rejects measures of different mass or
+barycentre at the tolerances the coupling LPs work to, and returns the
+normalised arrays those LPs are posed on, so every way of asking gives
+one answer.  ``check_convex_order`` decides mu <=_c nu in dimension two
+and up by whether ``coupling.find_coupling`` returns a certified
+martingale coupling (Strassen).  In dimension one it and
+``potential_domain`` decide it from the potentials, with no LP:
+u_nu >= u_mu at every breakpoint.  The zeros of u_nu - u_mu, the
+components between them and that refutation of the order are decided
+by one rule on one line (``_axis_zeros``), for ``potential_domain`` and
+for the non-polar mask on each coordinate axis, so they agree.
+Thresholds follow the package's one policy (``tolerance``, and the
+README's "Tolerances").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +71,7 @@ class DiscreteMeasure:
         """Total mass, barycentre (as an offset from the first atom, free
         of the round-off of large coordinates), the corners of the
         bounding box and the largest absolute coordinate, computed once:
-        ``_require_comparable`` reads them for every LP."""
+        ``_scaled`` reads them for every LP."""
         mass = float(self.weights.sum())
         ref = self.points[0]
         centre = ref + self.weights @ (self.points - ref) / mass
@@ -125,11 +130,24 @@ def barycenter(m: DiscreteMeasure) -> np.ndarray:
     return m._summary[1].copy()
 
 
-def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True):
-    """mu's total mass, mu's and nu's barycentres and the extent of both
-    supports (1 when every atom is at one point), which the coupling LPs
-    are normalised by, and the feasibility tolerance of the normalised
-    LP (``tolerance.feasibility``).
+class _Scaled(NamedTuple):
+    """An instance in the normalised arrays of the coupling LPs."""
+
+    mass: float  # mu's total mass
+    mu_w: np.ndarray  # weights over mass
+    nu_w: np.ndarray
+    x: np.ndarray  # points centred on their barycentre, over the extent
+    y: np.ndarray
+    feas: float  # feasibility tolerance of the normalised system
+    scale: float  # the extent of both supports
+
+
+def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -> _Scaled:
+    """mu and nu in the normalised arrays of the coupling LPs: mu's total
+    mass, weights over it, each measure's points centred on its own
+    barycentre and divided by the extent of both supports (1 when every
+    atom is at one point), and the feasibility tolerance of the
+    normalised system (``tolerance.feasibility``).
 
     Measures in different dimensions raise DimensionMismatch, and
     masses that differ by more than GEO times mu's raise MassMismatch.
@@ -150,22 +168,30 @@ def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bo
     feas = feasibility(scale, max(mu_size, nu_size))
     if martingale and abs(nu_centre - mu_centre).max() > feas * scale:
         raise NotInConvexOrder("barycenters differ: measures are not in convex order")
-    return mass, mu_centre, nu_centre, scale, feas
+    return _Scaled(
+        mass,
+        mu.weights / mass,
+        nu.weights / mass,
+        (mu.points - mu_centre) / scale,
+        (nu.points - nu_centre) / scale,
+        feas,
+        scale,
+    )
 
 
 def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     """mu <=_c nu.  In dimension one the potentials decide it
-    (``potential_domain``); elsewhere the feasibility of the
-    martingale-coupling LP does (Strassen: convex order iff a martingale
-    coupling exists)."""
+    (``potential_domain``); elsewhere it holds iff ``find_coupling``
+    returns a martingale coupling, which passes its certificate before
+    it counts (Strassen: convex order iff a martingale coupling
+    exists)."""
     try:
         if mu.ambient_dim == 1:
             _potential_zeros(mu, nu)
         else:
-            from .coupling import _constraint_system, _highs
+            from .coupling import find_coupling
 
-            A, b, s = _constraint_system(mu, nu)
-            _highs(np.zeros(A.shape[1]), A, b, s.feas)
+            find_coupling(mu, nu)
     except NotInConvexOrder:
         return False
     return True
@@ -219,9 +245,9 @@ def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None
     Juillet 2016): for measures of equal mass on the line, mu <=_c nu iff
     their first moments agree and u_nu >= u_mu at every breakpoint of
     either potential (the difference is linear between breakpoints).
-    Barycentres are compared first (``_require_comparable``); then a
-    breakpoint value below minus the coupling LP's feasibility tolerance
-    raises NotInConvexOrder.  The difference vanishes only at
+    Barycentres are compared first (``_scaled``); then a breakpoint
+    value below minus the coupling LP's feasibility tolerance raises
+    NotInConvexOrder (``_axis_zeros``).  The difference vanishes only at
     nu-atoms, and the intervals run from zero to zero
     (``_potential_zeros``): a breakpoint holding a nu-atom whose value
     is at most ``eps`` is one.  ``eps`` defaults to that feasibility
@@ -245,48 +271,44 @@ def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | Non
 
 def _potential_zeros(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None = None):
     """The zeros of u_nu - u_mu and the components between them, which
-    ``potential_domain`` and ``check_convex_order`` read.
-
-    Returns ``_axis_zeros`` of the two measures, with mass, extent and
-    threshold from ``_require_comparable`` (``eps`` replaces the
-    feasibility tolerance as the zero threshold).  A value below minus
-    the feasibility tolerance times mass times extent raises
-    NotInConvexOrder.
+    ``potential_domain`` and ``check_convex_order`` read: ``_axis_zeros``
+    of the two measures on their line, at the scales of ``_scaled``
+    (``eps`` replaces the feasibility tolerance as the zero threshold).
     """
     if eps is not None and not (np.isfinite(eps) and eps >= 0):
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
     if mu.ambient_dim != 1 or nu.ambient_dim != 1:
         raise DimensionMismatch("potential domain is one-dimensional")
-    mass, _, _, scale, feas = _require_comparable(mu, nu)
-    x, y = mu.points[:, 0], nu.points[:, 0]
-    threshold = feas if eps is None else eps
-    bps, vals, zero, left, right = _axis_zeros(x, mu.weights, y, nu.weights, mass, scale, threshold)
-    if vals.min() < -feas * mass * scale:
-        raise NotInConvexOrder("measures are not in convex order")
-    return bps, vals, zero, left, right
+    inst = _scaled(mu, nu)
+    return _axis_zeros(mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights, inst, eps)
 
 
-def _axis_zeros(x, mu_w, y, nu_w, mass: float, scale: float, eps: float):
+def _axis_zeros(x, mu_w, y, nu_w, inst: _Scaled, eps: float | None = None):
     """The zero rule on one line: x and y are the coordinates of mu's
-    and nu's atoms on it, mu_w and nu_w their weights, and mass, scale
-    and eps the total mass, extent and zero threshold of the instance
-    they come from (for a projection, the whole instance's).
+    and nu's atoms on it and mu_w and nu_w their weights, from the
+    instance ``inst`` (for a projection, the whole instance's scales).
 
     Returns the sorted distinct breakpoints, the values of
     u_nu - u_mu there (``sum |b - y| nu_w - sum |b - x| mu_w``, with no
     interpolation), a flag per breakpoint marking the zeros, and for
     each breakpoint the index of the last zero at or before it and of
     the first at or after it (the first and the last breakpoint where
-    there is none).  u_nu - u_mu is strictly concave at a breakpoint
-    that holds no nu-atom, so it vanishes only at nu-atoms: a zero is a
-    breakpoint within GEO times scale of a y whose value is at most eps
-    times mass times scale.  Each maximal run of non-zeros is one
-    component.
+    there is none).  A value below minus the feasibility tolerance times
+    mass times extent refutes the order on this line, and so in the
+    whole instance: it raises NotInConvexOrder.  u_nu - u_mu is strictly
+    concave at a breakpoint that holds no nu-atom, so it vanishes only
+    at nu-atoms: a zero is a breakpoint within GEO times the extent of a
+    y whose value is at most ``eps`` (default: the feasibility
+    tolerance) times mass times extent.  Each maximal run of non-zeros
+    is one component.
     """
     bps = np.unique(np.concatenate([x, y]))
     to_nu = np.abs(bps[:, None] - y)
     vals = to_nu @ nu_w - np.abs(bps[:, None] - x) @ mu_w
-    zero = (vals <= eps * mass * scale) & (to_nu <= GEO * scale).any(axis=1)
+    if vals.min() < -inst.feas * inst.mass * inst.scale:
+        raise NotInConvexOrder("measures are not in convex order")
+    eps = inst.feas if eps is None else eps
+    zero = (vals <= eps * inst.mass * inst.scale) & (to_nu <= GEO * inst.scale).any(axis=1)
     idx = np.arange(bps.size)
     left = np.maximum.accumulate(np.where(zero, idx, 0))
     right = np.minimum.accumulate(np.where(zero, idx, bps.size - 1)[::-1])[::-1]

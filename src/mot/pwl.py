@@ -33,6 +33,7 @@ from .geometry import (
     Polytope,
     _minimal_face,
     as_point,
+    as_points,
     intersect_halfspaces_with_polytope,
 )
 from .measures import DiscreteMeasure, barycenter
@@ -54,16 +55,8 @@ class PwlConvex:
     def __init__(self, pieces):
         if not pieces:
             raise InvalidInput("a PWL convex function needs at least one piece")
-        grads = []
-        offs = []
-        for g, c in pieces:
-            g = np.atleast_1d(np.asarray(g, dtype=float))
-            if not np.all(np.isfinite(g)) or not np.isfinite(c):
-                raise InvalidInput("piece coefficients must be finite")
-            grads.append(g)
-            offs.append(float(c))
-        self.gradients = np.array(grads)
-        self.offsets = np.array(offs)
+        self.gradients = as_points([as_point(g) for g, _ in pieces])
+        self.offsets = as_point([c for _, c in pieces])
         self.dim = self.gradients.shape[1]
 
     @property
@@ -104,7 +97,7 @@ class PwlConvex:
         try:
             dim = int(data["dim"])
             pieces = [(p["gradient"], p["offset"]) for p in data["pieces"]]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed PWL JSON: {exc}") from exc
         phi = cls(pieces)
         if phi.dim != dim:

@@ -157,6 +157,24 @@ def test_affine_component_command(runner, tmp_path):
     assert data["affine_dim"] == 1
     xs = sorted(v[0] for v in data["vertices"])
     assert abs(xs[0] + 2.0) <= 1e-9 and abs(xs[1]) <= 1e-9
+    # a box that is not a JSON object or has no vertices, a dimension
+    # that is not a number, or a point that is not numbers exits 3
+    bad_phi = {"dim": "x", "pieces": [{"gradient": [1.0], "offset": 0.0}]}
+    good_phi = {"dim": 1, "pieces": [{"gradient": [1.0], "offset": 0.0}]}
+    cases = [
+        (good_phi, [[0.0], [1.0]], "0.5"),
+        (good_phi, {"corners": [[0.0], [1.0]]}, "0.5"),
+        (bad_phi, {"vertices": [[0.0], [1.0]]}, "0.5"),
+        (good_phi, {"vertices": [[0.0], [1.0]]}, "a"),
+    ]
+    for phi, box, point in cases:
+        _write(phi_f, phi)
+        _write(box_f, box)
+        result = runner.invoke(
+            main, ["affine-component", "--phi", phi_f, "--point", point, "--box", box_f]
+        )
+        assert result.exit_code == 3, (phi, box, point, result.output)
+        assert json.loads(result.output)["error"] == "InvalidInput"
 
 
 def test_parse_error_exit_code(runner, tmp_path):

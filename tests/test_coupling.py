@@ -406,6 +406,9 @@ def test_find_coupling_rejects_uncertified_solution(stub_highs):
         stub_highs("kOptimal", x)
         with pytest.raises(SolverError, match="certificate"):
             find_coupling(mu, nu)
+    # the order check in d >= 2 answers from the same certified solve
+    with pytest.raises(SolverError, match="certificate"):
+        check_convex_order(mu, nu)
 
 
 def test_find_coupling_certificate_gaussian_grid_9():

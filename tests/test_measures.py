@@ -157,8 +157,9 @@ def test_nonpositive_weights_rejected():
 
 
 def test_input_that_is_not_numbers_is_invalid():
-    """Ragged, nested or non-numeric points and weights raise
-    InvalidInput, from the constructor and from the point checks."""
+    """Ragged, nested or non-numeric points, weights and PWL pieces
+    raise InvalidInput, from the constructors, from the point checks and
+    from PWL JSON."""
     cases = [
         lambda: DiscreteMeasure([[0.0]], ["heavy"]),
         lambda: DiscreteMeasure([[0.0, 1.0], [0.0]], [0.5, 0.5]),
@@ -166,6 +167,11 @@ def test_input_that_is_not_numbers_is_invalid():
         lambda: DiscreteMeasure([["a"]], [1.0]),
         lambda: as_points([[0.0], [0.0, 1.0]]),
         lambda: as_point(["a", 1.0]),
+        lambda: PwlConvex([(["a"], 0.0)]),
+        lambda: PwlConvex([([1.0], "x")]),
+        lambda: PwlConvex([([[1.0]], 0.0)]),
+        lambda: PwlConvex([([1.0], 0.0), ([1.0, 2.0], 0.0)]),
+        lambda: PwlConvex.from_json({"dim": "x", "pieces": [{"gradient": [1.0], "offset": 0.0}]}),
     ]
     for case in cases:
         with pytest.raises(InvalidInput):

@@ -78,9 +78,10 @@ def test_filter_shrinks_the_lp(monkeypatch):
 def test_light_atom_paves_apart_in_two_dimensions(e):
     """mu = (1-e) delta_0 + e delta_5 against nu with atoms (-1, 1),
     (1, -1) and (5, 0): the first axis separates the light atom 5 from
-    the rest, as in one dimension.  The max-support LP over every pair
-    marks every pair non-polar here, because HiGHS drops the light
-    atom's scaled matrix entries."""
+    the rest, as in one dimension.  The LPs over every pair agree: the
+    per-pair masses on the first row, and the max-support LP, whose rows
+    are posed per unit of mass so that HiGHS keeps the light atom's
+    entries."""
     mu = DiscreteMeasure([[0.0, 0.0], [5.0, 0.0]], [1.0 - e, e])
     nu = DiscreteMeasure([[-1.0, 1.0], [1.0, -1.0], [5.0, 0.0]], [(1.0 - e) / 2, (1.0 - e) / 2, e])
     mask = nonpolar_mask(mu, nu)
@@ -106,13 +107,14 @@ def test_an_axis_whose_bound_fails_drops_nothing(monkeypatch, dim):
         [[-w, *pad], [0.0, *pad], [w, *pad], [10.0, *pad]], [e / 2, 0.5 - e, e / 2, 0.5]
     )
     x, y = mu.points[:, 0], nu.points[:, 0]
+    inst = measures._scaled(mu, nu)
     real = measures._axis_zeros
     for eps, is_zero in ((FEAS, False), (INTERIOR, True)):
-        bps, _, zero, _, _ = real(x, mu.weights, y, nu.weights, 1.0, 10.0 + w, eps)
+        bps, _, zero, _, _ = real(x, mu.weights, y, nu.weights, inst, eps)
         assert zero[bps == 0.0].tolist() == [is_zero]
 
-    def raised(x, mu_w, y, nu_w, mass, scale, eps):
-        return real(x, mu_w, y, nu_w, mass, scale, INTERIOR)
+    def raised(x, mu_w, y, nu_w, inst):
+        return real(x, mu_w, y, nu_w, inst, INTERIOR)
 
     monkeypatch.setattr(coupling, "_axis_zeros", raised)
     real_highs = lp.highs
