@@ -91,33 +91,36 @@ class Coupling:
         return cls(mu_s, nu_s, mat)
 
 
-def _constraint_system(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale=True, s=None):
+def _constraint_system(mu, nu, martingale=True, s=None, pairs=None):
     """Sparse coupling equalities ``A theta = b`` over theta_ij >= 0, in
     the normalised arrays of ``_scaled``: theta is mass over mu's total
     mass.  Returns A, b and the normalised instance (``_Scaled``), whose
     ``feas`` is the system's feasibility tolerance.
 
-    Column i*m + j is theta_ij.  It holds a 1 in row i (mass of mu-atom
-    i), a 1 in row n + j (mass of nu-atom j) and, when ``martingale`` is
-    set, y_j - x_i in rows n + m + d*i ... n + m + d*i + d - 1 (barycenter
-    of row i).  ``A`` is an ``lp.CscMatrix`` written directly from these
-    indices; no ``scipy.sparse`` object is built.  ``s``: the instance's
-    ``_scaled`` arrays, where the caller has them already.
+    One column per pair of ``pairs`` (flat indices i*m + j, in the order
+    given; default every pair, so that column i*m + j is theta_ij), and
+    none for any other pair.  The column of theta_ij holds a 1 in row i
+    (mass of mu-atom i), a 1 in row n + j (mass of nu-atom j) and, when
+    ``martingale`` is set, y_j - x_i in the d rows from n + m + d*i on
+    (barycenter of row i).  ``A`` is an ``lp.CscMatrix`` written
+    directly from these indices; no ``scipy.sparse`` object is built.
+    ``s``: the instance's ``_scaled`` arrays, where the caller has them.
     """
     s = _scaled(mu, nu, martingale) if s is None else s
     n, m = mu.n_atoms, nu.n_atoms
     d = mu.ambient_dim if martingale else 0
-    i, j = np.divmod(np.arange(n * m), m)
-    per_col = 2 + d
-    indices = np.empty((n * m, per_col), dtype=np.int32)
+    i, j = np.divmod(np.arange(n * m) if pairs is None else pairs, m)
+    k, per_col = i.size, 2 + d
+    indices = np.empty((k, per_col), dtype=np.int32)
     indices[:, 0] = i
     indices[:, 1] = n + j
-    data = np.ones((n * m, per_col))
+    data = np.ones((k, per_col))
     if martingale:
         indices[:, 2:] = (n + m + d * i)[:, None] + np.arange(d)
-        data[:, 2:] = (s.y[None, :, :] - s.x[:, None, :]).reshape(n * m, d)
-    indptr = np.arange(0, per_col * n * m + 1, per_col, dtype=np.int32)
-    A = lp.CscMatrix(data.ravel(), indices.ravel(), indptr, (n + m + d * n, n * m))
+        # np.take: a tenth of fancy indexing's time on 38 025 pairs
+        data[:, 2:] = np.take(s.y, j, axis=0) - np.take(s.x, i, axis=0)
+    indptr = np.arange(0, per_col * k + 1, per_col, dtype=np.int32)
+    A = lp.CscMatrix(data.ravel(), indices.ravel(), indptr, (n + m + d * n, k))
     b = np.concatenate([s.mu_w, s.nu_w, np.zeros(d * n)])
     return A, b, s
 
@@ -142,11 +145,18 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     """Any feasible martingale coupling; raises NotInConvexOrder if none.
 
     The normalised solution is checked before its roundoff is clipped
-    to 0 (``_certify``), then scaled back to mu's total mass.
+    to 0 (``_certify``), then scaled back to mu's total mass.  Where
+    it gives no certified answer, a coordinate line that refutes the
+    order (``_axis_zeros``) raises NotInConvexOrder, not SolverError.
     """
     A, b, s = _constraint_system(mu, nu)
-    x = _highs(np.zeros(A.shape[1]), A, b, s.feas)
-    _certify(s, x)
+    try:
+        x = _highs(np.zeros(A.shape[1]), A, b, s.feas)
+        _certify(s, x)
+    except SolverError:
+        for k in range(mu.ambient_dim):
+            _axis_zeros(mu.points[:, k], mu.weights, nu.points[:, k], nu.weights, s)
+        raise
     matrix = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms) * s.mass
     return Coupling(mu.points.copy(), nu.points.copy(), matrix)
 
@@ -229,15 +239,14 @@ def polar_matrix(
 def max_support_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Non-polar mask and a martingale coupling positive on exactly it,
     from the max-support LP over every pair (``_max_support``)."""
-    A, _, inst = _constraint_system(mu, nu)
-    return _max_support(mu, nu, A, inst, np.arange(A.shape[1]))
+    return _max_support(mu, nu, _scaled(mu, nu), np.arange(mu.n_atoms * nu.n_atoms))
 
 
-def _max_support(mu, nu, A, inst: _Scaled, cols: np.ndarray):
+def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
     """Non-polar mask and a certified martingale coupling positive on
-    exactly it, from one LP (Freund, Roundy & Todd 1985) over the
-    columns ``cols`` of the normalised system ``A theta = b``; every
-    other pair is held at zero.
+    exactly it, from one LP (Freund, Roundy & Todd 1985) over the pairs
+    ``cols`` (flat indices i*m + j), whose columns alone
+    ``_constraint_system`` writes; every other pair is held at zero.
 
     The LP is posed over z_ij = theta_ij / w_ij with w_ij = min(mu_i,
     nu_j), the largest mass the pair can carry:
@@ -256,17 +265,16 @@ def _max_support(mu, nu, A, inst: _Scaled, cols: np.ndarray):
     """
     n, m = mu.n_atoms, nu.n_atoms
     k = cols.size
+    A, _, _ = _constraint_system(mu, nu, s=inst, pairs=cols)
     w = np.minimum(inst.mu_w[:, None], inst.nu_w[None, :]).ravel()[cols]
-    indices = A.indices.reshape(n * m, -1)[cols].ravel()
     mass = np.concatenate([inst.mu_w, inst.nu_w, np.repeat(inst.mu_w, mu.ambient_dim)])
-    data = (A.data.reshape(n * m, -1)[cols] * w[:, None]).ravel() / mass[indices]
-    indptr = A.indptr[: k + 1]
+    data = (A.data.reshape(k, -1) * w[:, None]).ravel() / mass[A.indices]
     nnz = data.shape[0]
     # columns [s | t | tau]
     big = lp.CscMatrix(
         np.concatenate([data, data, np.full(n + m, -1.0)]),
-        np.concatenate([indices, indices, np.arange(n + m, dtype=np.int32)]),
-        np.concatenate([indptr, indptr[1:] + nnz, [2 * nnz + n + m]]),
+        np.concatenate([A.indices, A.indices, np.arange(n + m, dtype=np.int32)]),
+        np.concatenate([A.indptr, A.indptr[1:] + nnz, [2 * nnz + n + m]]),
         (A.shape[0], 2 * k + 1),
     )
     c = np.zeros(2 * k + 1)
@@ -314,8 +322,7 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     if mu.ambient_dim == 1 and zeros[0] is not None:
         _certify_polar(mu, nu, keep, zeros[0], POLAR * inst.mass, GEO * inst.scale)
         return keep
-    A, _, _ = _constraint_system(mu, nu, s=inst)
-    return _max_support(mu, nu, A, inst, np.flatnonzero(keep))[0]
+    return _max_support(mu, nu, inst, np.flatnonzero(keep))[0]
 
 
 def _axis_mask(x, mu_w, y, nu_w, inst: _Scaled):

@@ -18,16 +18,20 @@ from .measures import DiscreteMeasure, barycenter
 FAMILIES = ("discrete_k", "continuous_grid", "mixed_k", "gaussian_grid")
 
 
+def _columns(xs: np.ndarray):
+    """Equal atoms (t, 0), each split evenly to (t, +-1), for t in xs."""
+    k = xs.size
+    mu = DiscreteMeasure([[t, 0.0] for t in xs], [1.0 / k] * k)
+    nu = DiscreteMeasure([[t, s] for t in xs for s in (1.0, -1.0)], [0.5 / k] * (2 * k))
+    return mu, nu
+
+
 def discrete_k(k: int):
     """mu^k with k atoms of weight 1/k on the segment, nu^k with 2k atoms
     of weight 1/(2k) on the top and bottom edges."""
     if k < 2:
         raise InvalidParameter("discrete_k requires k >= 2")
-    xs = np.array([i / (k - 1) for i in range(k)])
-    mu = DiscreteMeasure([[t, 0.0] for t in xs], [1.0 / k] * k)
-    nu_pts = [[t, s] for t in xs for s in (1.0, -1.0)]
-    nu = DiscreteMeasure(nu_pts, [1.0 / (2 * k)] * (2 * k))
-    return mu, nu
+    return _columns(np.array([i / (k - 1) for i in range(k)]))
 
 
 def continuous_grid(n: int = 10):
@@ -35,11 +39,7 @@ def continuous_grid(n: int = 10):
     to n equally weighted columns at the column midpoints."""
     if n < 1:
         raise InvalidParameter("continuous_grid requires n >= 1")
-    xs = np.array([(i + 0.5) / n for i in range(n)])
-    mu = DiscreteMeasure([[t, 0.0] for t in xs], [1.0 / n] * n)
-    nu_pts = [[t, s] for t in xs for s in (1.0, -1.0)]
-    nu = DiscreteMeasure(nu_pts, [1.0 / (2 * n)] * (2 * n))
-    return mu, nu
+    return _columns(np.array([(i + 0.5) / n for i in range(n)]))
 
 
 def mixed_k(k: int):
@@ -52,25 +52,23 @@ def mixed_k(k: int):
     return mu, nu
 
 
-def gaussian_grid(n: int = 5, step: float = 1.0, spread: float | None = None):
-    """Standard-Gaussian weights on an n x n grid, recentered; nu is the
-    image of mu under the corner-spread dilation kernel
-    gamma(x, .) = 1/4 sum over (+-s, +-s) of delta_{x + (.,.)},
+def gaussian_grid(n: int = 5):
+    """Standard-Gaussian weights on the n x n unit grid, recentered; nu
+    is the image of mu under the corner-spread dilation kernel
+    gamma(x, .) = 1/4 sum over (+-1, +-1) of delta_{x + (.,.)},
     which certifies both the convex order and full-dimensional spreading.
     """
     if n < 2 or n % 2 == 0:
         raise InvalidParameter("gaussian_grid requires an odd n >= 3")
-    if spread is None:
-        spread = step
     half = n // 2
-    axis = np.arange(-half, half + 1) * step
+    axis = np.arange(-half, half + 1.0)
     pts = np.array([[a, b] for a in axis for b in axis])
     w = np.exp(-0.5 * np.sum(pts**2, axis=1))
     w /= w.sum()
     mu = DiscreteMeasure(pts, w)
     center = barycenter(mu)
     mu = DiscreteMeasure(mu.points - center, mu.weights)
-    corners = np.array([[s1 * spread, s2 * spread] for s1 in (-1, 1) for s2 in (-1, 1)])
+    corners = np.array([[s1, s2] for s1 in (-1.0, 1.0) for s2 in (-1.0, 1.0)])
     nu_pts = (mu.points[:, None, :] + corners[None, :, :]).reshape(-1, 2)
     nu_w = np.repeat(mu.weights / 4.0, 4)
     nu = DiscreteMeasure(nu_pts, nu_w)  # coincident corners merge
@@ -85,9 +83,5 @@ def make(name: str, **params):
     if name == "mixed_k":
         return mixed_k(int(params.get("k", 3)))
     if name == "gaussian_grid":
-        return gaussian_grid(
-            int(params.get("grid", 5)),
-            float(params.get("step", 1.0)),
-            params.get("spread"),
-        )
+        return gaussian_grid(int(params.get("grid", 5)))
     raise InvalidParameter(f"unknown example family {name!r}; pick from {FAMILIES}")

@@ -187,7 +187,7 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     exists)."""
     try:
         if mu.ambient_dim == 1:
-            _potential_zeros(mu, nu)
+            _potential_domain(mu, nu, None)
         else:
             from .coupling import find_coupling
 
@@ -248,9 +248,9 @@ def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None
     Barycentres are compared first (``_scaled``); then a breakpoint
     value below minus the coupling LP's feasibility tolerance raises
     NotInConvexOrder (``_axis_zeros``).  The difference vanishes only at
-    nu-atoms, and the intervals run from zero to zero
-    (``_potential_zeros``): a breakpoint holding a nu-atom whose value
-    is at most ``eps`` is one.  ``eps`` defaults to that feasibility
+    nu-atoms, and the intervals run from zero to zero, by the same rule
+    on the line as the mask's: a breakpoint holding a nu-atom whose
+    value is at most ``eps`` is one.  ``eps`` defaults to that feasibility
     tolerance, as in the non-polar mask, so the intervals are the
     hulls of the paving's 1-D cells.  Both thresholds are fractions of
     mu's total mass times the extent of both supports.  An ``eps`` that
@@ -263,24 +263,19 @@ def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | Non
     """The sorted breakpoints of both potentials, the values of
     u_nu - u_mu there, and ``potential_domain(mu, nu, eps)``: one
     interval per run of non-zeros, between the zeros on either side of
-    it (``_potential_zeros``)."""
-    bps, vals, zero, left, right = _potential_zeros(mu, nu, eps)
-    firsts = np.flatnonzero(~zero & np.r_[True, zero[:-1]])
-    return bps, vals, [(float(bps[left[i]]), float(bps[right[i]])) for i in firsts]
-
-
-def _potential_zeros(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None = None):
-    """The zeros of u_nu - u_mu and the components between them, which
-    ``potential_domain`` and ``check_convex_order`` read: ``_axis_zeros``
-    of the two measures on their line, at the scales of ``_scaled``
-    (``eps`` replaces the feasibility tolerance as the zero threshold).
+    it.  The one entry to the 1-D zero rule (``_axis_zeros`` on the
+    line, at the scales of ``_scaled``; ``eps`` replaces the feasibility
+    tolerance as the zero threshold), for ``check_convex_order`` too.
     """
     if eps is not None and not (np.isfinite(eps) and eps >= 0):
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
     if mu.ambient_dim != 1 or nu.ambient_dim != 1:
         raise DimensionMismatch("potential domain is one-dimensional")
-    inst = _scaled(mu, nu)
-    return _axis_zeros(mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights, inst, eps)
+    x, y, inst = mu.points[:, 0], nu.points[:, 0], _scaled(mu, nu)
+    bps, vals, zero, left, right = _axis_zeros(x, mu.weights, y, nu.weights, inst, eps)
+    first = ~zero  # the first breakpoint of each run of non-zeros
+    first[1:] &= zero[:-1]
+    return bps, vals, [(float(bps[left[i]]), float(bps[right[i]])) for i in np.flatnonzero(first)]
 
 
 def _axis_zeros(x, mu_w, y, nu_w, inst: _Scaled, eps: float | None = None):

@@ -55,8 +55,11 @@ class PwlConvex:
     def __init__(self, pieces):
         if not pieces:
             raise InvalidInput("a PWL convex function needs at least one piece")
-        self.gradients = as_points([as_point(g) for g, _ in pieces])
-        self.offsets = as_point([c for _, c in pieces])
+        try:
+            self.gradients = as_points([as_point(g) for g, _ in pieces])
+            self.offsets = as_point([c for _, c in pieces])
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"a PWL piece must be a (gradient, offset) pair: {exc}") from exc
         self.dim = self.gradients.shape[1]
 
     @property

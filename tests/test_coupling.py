@@ -392,6 +392,12 @@ def test_infeasible_status_means_not_in_convex_order(stub_highs):
         with pytest.raises(NotInConvexOrder):
             find_coupling(mu, nu)
         assert check_convex_order(mu, nu) is False
+    # a solve without an answer on the reversed pair, whose second
+    # coordinate line refutes the order
+    stub_highs("kUnknown")
+    with pytest.raises(NotInConvexOrder):
+        find_coupling(nu, mu)
+    assert check_convex_order(nu, mu) is False
 
 
 def test_find_coupling_rejects_uncertified_solution(stub_highs):

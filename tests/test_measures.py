@@ -171,6 +171,8 @@ def test_input_that_is_not_numbers_is_invalid():
         lambda: PwlConvex([([1.0], "x")]),
         lambda: PwlConvex([([[1.0]], 0.0)]),
         lambda: PwlConvex([([1.0], 0.0), ([1.0, 2.0], 0.0)]),
+        lambda: PwlConvex([1.0]),
+        lambda: PwlConvex([([1.0], 0.0, 2)]),
         lambda: PwlConvex.from_json({"dim": "x", "pieces": [{"gradient": [1.0], "offset": 0.0}]}),
     ]
     for case in cases:

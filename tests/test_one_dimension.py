@@ -106,9 +106,7 @@ def test_certificate_rejects_a_flipped_entry(monkeypatch):
 def test_light_atom_paves_apart(e):
     """mu = (1-e) delta_0 + e delta_5 against nu = (1-e)/2 (delta_-1 +
     delta_1) + e delta_5: the atom 0 reaches only -1 and 1, as its own
-    LPs say, and the light atom 5 only itself, however light it is.
-    The max-support LP marks every pair non-polar here, because HiGHS
-    drops the light atom's scaled matrix entries."""
+    LPs say, and the light atom 5 only itself, however light it is."""
     mu = m1d([0.0, 5.0], [1.0 - e, e])
     nu = m1d([-1.0, 1.0, 5.0], [(1.0 - e) / 2, (1.0 - e) / 2, e])
     mask = nonpolar_mask(mu, nu)

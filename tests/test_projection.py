@@ -57,21 +57,29 @@ def test_filter_is_sound(random_instances):
 def test_filter_shrinks_the_lp(monkeypatch):
     """On continuous_grid(10) each mu-atom reaches only the two nu-atoms
     of its own column, and the max-support LP is posed over those 20
-    pairs instead of all 200."""
+    pairs instead of all 200; the mask path writes only those columns
+    of the coupling system."""
     mu, nu = continuous_grid(10)
-    real = lp.highs
-    columns = []
+    real, real_system = lp.highs, coupling._constraint_system
+    columns, written = [], []
 
     def counted(c, A, *args, **kwargs):
         columns.append(A.shape[1])
         return real(c, A, *args, **kwargs)
 
+    def counted_system(*args, **kwargs):
+        out = real_system(*args, **kwargs)
+        written.append(out[0].shape[1])
+        return out
+
     monkeypatch.setattr(lp, "highs", counted)
+    monkeypatch.setattr(coupling, "_constraint_system", counted_system)
     pruned = nonpolar_mask(mu, nu)
     full = _lp_mask(mu, nu)
     assert np.array_equal(pruned, full) and pruned.sum() == 20
     # columns [s | t | tau] over the pairs posed
     assert columns == [2 * 20 + 1, 2 * 200 + 1]
+    assert written == [20, 200]
 
 
 @pytest.mark.parametrize("e", [1e-9, 1e-10, 1e-12])
