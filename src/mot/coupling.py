@@ -147,15 +147,15 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     The normalised solution is checked before its roundoff is clipped
     to 0 (``_certify``), then scaled back to mu's total mass.  Where
     it gives no certified answer, a coordinate line that refutes the
-    order (``_axis_zeros``) raises NotInConvexOrder, not SolverError.
+    order (``_projection_filter``) raises NotInConvexOrder, not
+    SolverError.
     """
     A, b, s = _constraint_system(mu, nu)
     try:
         x = _highs(np.zeros(A.shape[1]), A, b, s.feas)
         _certify(s, x)
     except SolverError:
-        for k in range(mu.ambient_dim):
-            _axis_zeros(mu.points[:, k], mu.weights, nu.points[:, k], nu.weights, s)
+        _projection_filter(mu, nu, s)
         raise
     matrix = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms) * s.mass
     return Coupling(mu.points.copy(), nu.points.copy(), matrix)
@@ -268,7 +268,7 @@ def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
     A, _, _ = _constraint_system(mu, nu, s=inst, pairs=cols)
     w = np.minimum(inst.mu_w[:, None], inst.nu_w[None, :]).ravel()[cols]
     mass = np.concatenate([inst.mu_w, inst.nu_w, np.repeat(inst.mu_w, mu.ambient_dim)])
-    data = (A.data.reshape(k, -1) * w[:, None]).ravel() / mass[A.indices]
+    data = (A.data.reshape(-1, 2 + mu.ambient_dim) * w[:, None]).ravel() / mass[A.indices]
     nnz = data.shape[0]
     # columns [s | t | tau]
     big = lp.CscMatrix(

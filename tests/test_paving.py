@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_dilation_pair
 from mot import DiscreteMeasure, compute_paving, find_coupling, fixtures
-from mot.coupling import Coupling
+from mot.coupling import Coupling, nonpolar_mask
 from mot.errors import NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
 from mot.geometry import (
@@ -70,6 +70,12 @@ def test_paving_identical_measures_all_singletons():
 def test_paving_rejects_unordered_pair():
     with pytest.raises(NotInConvexOrder):
         compute_paving(m1d([-1.0, 1.0], [0.5, 0.5]), m1d([0.0], [1.0]))
+    # each axis alone is in order, but together the axes drop every pair
+    mu = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    nu = DiscreteMeasure([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+    for f in (compute_paving, nonpolar_mask):
+        with pytest.raises(NotInConvexOrder):
+            f(mu, nu)
 
 
 def test_domain_counts():
