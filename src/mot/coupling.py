@@ -49,6 +49,7 @@ import numpy as np
 
 from . import lp
 from .errors import InvalidInput, NotInConvexOrder, SolverError
+from .geometry import as_points
 from .measures import DiscreteMeasure, _axis_zeros, _Scaled, _scaled
 from .tolerance import GEO, POLAR, RESIDUAL, extent
 
@@ -80,12 +81,21 @@ class Coupling:
 
     @classmethod
     def from_json(cls, data: dict) -> "Coupling":
+        """The coupling of ``to_json``'s dict.  The supports must be
+        finite (n, d) and (m, d) point lists of one d, and the matrix
+        n x m; anything else raises InvalidInput."""
         try:
             mu_s = np.asarray(data["mu_support"], dtype=float)
             nu_s = np.asarray(data["nu_support"], dtype=float)
             mat = np.asarray(data["matrix"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed coupling JSON: {exc}") from exc
+        if mu_s.ndim != 2 or nu_s.ndim != 2 or mu_s.shape[1] != nu_s.shape[1]:
+            raise InvalidInput(
+                f"coupling supports must be point lists of one dimension, "
+                f"got shapes {mu_s.shape} and {nu_s.shape}"
+            )
+        mu_s, nu_s = as_points(mu_s), as_points(nu_s)
         if mat.shape != (mu_s.shape[0], nu_s.shape[0]):
             raise InvalidInput("coupling matrix shape does not match supports")
         return cls(mu_s, nu_s, mat)

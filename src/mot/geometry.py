@@ -6,9 +6,10 @@ always a pair of arrays ``(G, c)``: the rows of ``G y + c <= 0``, in
 ambient coordinates, G of shape (k, d) and c of shape (k,).
 
 A ``Polytope`` holds its affine frame, vertices and facets, each
-computed once, from one of two sources: the convex hull of an arbitrary
-point set runs qhull in frame coordinates, the one case where no
-H-representation is known; a box cut by half-spaces
+computed once, on first use, from one of two sources: the convex hull
+of an arbitrary point set runs qhull in frame coordinates, the one case
+where no H-representation is known (two points are a segment, whose
+frame waits until something asks for it); a box cut by half-spaces
 (``intersect_halfspaces_with_polytope``) reads its facets off those
 inequalities, tight at its vertices, with no qhull call unless they
 cannot resolve its vertices within their slack.  ``halfspaces`` gives
@@ -144,7 +145,9 @@ class Polytope:
     ``scale`` is the extent of the input, which is that of the vertices,
     and points within GEO ``scale`` of an earlier one are dropped first.
     The affine frame, the vertices' frame coordinates and the facets are
-    each computed once, on first use (``frame``, ``facets``).
+    each computed once, on first use (``frame``, ``coords``,
+    ``facets``); a point or a segment answers ``affine_dim`` without
+    them.
     """
 
     def __init__(self, vertices, *, minimal: bool = False):
@@ -191,6 +194,12 @@ class Polytope:
 
     @property
     def affine_dim(self) -> int:
+        """The frame's dimension.  Without a frame, one or two vertices
+        span n_vertices - 1 dimensions and no frame is built: the one
+        singular value of two centred points is |v| / sqrt 2, above the
+        rank threshold GEO |v| of their extent |v|."""
+        if self._frame is None and self.n_vertices <= 2:
+            return self.n_vertices - 1
         return self.frame.dim
 
     @property
@@ -311,11 +320,21 @@ def _match_point_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return bool(np.all(match >= 0))
 
 
-def _hull(pts: np.ndarray, scale: float):
-    """The convex hull of two or more checked points of extent scale, no
-    two within GEO scale of each other: the indices of its vertices,
-    ascending, its frame, the vertices' frame coordinates and its
-    facets, or None where qhull was not run."""
+def _hull(pts: np.ndarray, scale: float | None = None):
+    """The convex hull of two or more checked points of extent scale
+    (their ``extent`` where not given), no two within GEO scale of each
+    other: the indices of its vertices, ascending, its frame, the
+    vertices' frame coordinates and its facets, or None where qhull was
+    not run.
+
+    Two points are a segment with both as vertices, and nothing else is
+    built: the holder builds the frame, coordinates and facets on first
+    use (``Polytope.frame``), as this would, and its ``affine_dim`` is 1
+    without them."""
+    if pts.shape[0] == 2:
+        return np.arange(2), None, None, None
+    if scale is None:
+        scale = extent(pts)
     frame, coords = _hull_frame(pts, scale)
     keep, equations = _hull_vertices(coords)
     facets = None if equations is None else _merge_facets(equations, scale)
@@ -325,10 +344,12 @@ def _hull(pts: np.ndarray, scale: float):
 def _distinct_hull(pts: np.ndarray) -> Polytope:
     """``convex_hull`` of checked points no two of which are within GEO
     times their extent of each other, such as a subset of a measure's
-    atoms: ``_hull`` with nothing to dedupe."""
+    atoms: ``_hull`` with nothing to dedupe.  One point or two (a mask
+    row that splits an atom in two) get no frame until one is asked
+    for."""
     if pts.shape[0] == 1:
         return Polytope._built(pts)
-    keep, frame, coords, facets = _hull(pts, extent(pts))
+    keep, frame, coords, facets = _hull(pts)
     return Polytope._built(pts[keep], frame, coords, facets)
 
 

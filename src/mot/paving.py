@@ -9,8 +9,11 @@ otherwise one LP over the pairs left decides it.  By the paving theorem
 two such cells are equal or disjoint, so cells are built by grouping
 atoms with equal hulls.  A mask row's nu-atoms are distinct atoms of one
 measure, so its hull is the generic hull with nothing to dedupe
-(``geometry._distinct_hull``).  Every martingale coupling is confined to
-the cells row by row.
+(``geometry._distinct_hull``).  A row of two atoms, an atom split in
+two as on the line, is a segment: its two atoms are its vertices and
+its dimension is 1, with no frame built; any hull builds its frame,
+coordinates and facets only when something asks for them.  Every
+martingale coupling is confined to the cells row by row.
 """
 
 from __future__ import annotations
@@ -124,8 +127,11 @@ def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
     singleton), and that distinct cells have disjoint relative
     interiors.  Two cells whose vertex bounding boxes are more than that
     distance apart in some coordinate are disjoint; only the other pairs
-    are decided by ``relative_interiors_intersect`` (one LP each)."""
-    if c.mu_support.shape[1] != p.mu_points.shape[1]:
+    are decided by ``relative_interiors_intersect`` (one LP each).  A
+    coupling with either support in another dimension than the paving's
+    raises DimensionMismatch."""
+    d = p.mu_points.shape[1]
+    if c.mu_support.shape[1] != d or c.nu_support.shape[1] != d:
         raise DimensionMismatch("coupling and paving dimensions differ")
     tol = GEO * extent(c.mu_support, c.nu_support)
     transport = POLAR * c.matrix.sum()

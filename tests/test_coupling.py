@@ -18,7 +18,7 @@ from mot.coupling import (
     polar_matrix,
     reachable_set,
 )
-from mot.errors import NotInConvexOrder, SolverError
+from mot.errors import InvalidInput, NotInConvexOrder, SolverError
 from mot.fixtures import discrete_k, gaussian_grid, mixed_k
 from mot.geometry import convex_hull, in_relative_interior, minimal_face
 from mot.measures import check_convex_order
@@ -285,6 +285,26 @@ def test_coupling_json_round_trip():
     again = Coupling.from_json(c.to_json())
     assert np.array_equal(c.matrix, again.matrix)
     assert np.array_equal(c.mu_support, again.mu_support)
+
+
+@pytest.mark.parametrize(
+    "mu_support, nu_support, matrix",
+    [
+        # supports of two dimensions: the defect would broadcast
+        ([[0.0]], [[-1.0, 0.0], [1.0, 0.0]], [[0.5, 0.5]]),
+        ([[0.0, 0.0]], [[-1.0], [1.0]], [[0.5, 0.5]]),
+        # flat lists, not lists of points
+        ([0.0], [-1.0, 1.0], [[0.5, 0.5]]),
+        ([[0.0]], [-1.0, 1.0], [[0.5, 0.5]]),
+        # a point that is not finite
+        ([[0.0]], [[-1.0], [float("inf")]], [[0.5, 0.5]]),
+    ],
+)
+def test_coupling_json_rejects_supports_that_are_not_point_lists_of_one_dimension(
+    mu_support, nu_support, matrix
+):
+    with pytest.raises(InvalidInput):
+        Coupling.from_json({"mu_support": mu_support, "nu_support": nu_support, "matrix": matrix})
 
 
 def _assert_martingale_coupling(mu, nu, matrix, tol=1e-8):

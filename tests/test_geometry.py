@@ -13,7 +13,10 @@ from mot.errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
 from mot.geometry import (
     Polytope,
     _dedupe,
+    _distinct_hull,
+    _facet_equations,
     _first_match,
+    _hull_frame,
     _match_point_sets,
     affine_hull,
     convex_hull,
@@ -24,6 +27,7 @@ from mot.geometry import (
     relative_interiors_intersect,
 )
 from mot.pwl import PwlConvex, affine_component, flat_region
+from mot.tolerance import extent
 
 SQUARE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 SEGMENT = Polytope([[0.0, 0.0], [1.0, 0.0]])
@@ -530,9 +534,11 @@ def test_convex_hull_keeps_a_cluster_of_near_duplicate_vertices():
 
 
 def test_facets_merge_triangulated_duplicates():
-    cube = Polytope(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+    cube = Polytope(corners)
     normals, offsets = cube.facets
     assert normals.shape == (6, 3)
+    assert _distinct_hull(corners).facets[0].shape == (6, 3)
     G, c = halfspaces(cube)
     assert G.shape == (6, 3) and c.shape == (6,)
     assert len(halfspaces(SEGMENT)[0]) == 2
@@ -560,3 +566,55 @@ def test_qhull_failure_is_a_typed_error():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
     with pytest.raises(InvalidInput, match="qhull"):
         convex_hull(1e-300 * square)
+
+
+def test_segment_frame_is_built_on_first_use():
+    """Two points, in dimensions 1-3, also translated by 1e6 and scaled
+    by 1e-6, are a segment through ``convex_hull``, ``_distinct_hull``
+    and ``Polytope(..., minimal=True)``: both points are its vertices in
+    input order and its ``affine_dim`` is 1 with no frame built.  The
+    frame, coordinates and facets it builds when asked, and its answers
+    at seeded points on and off its line, equal those of the frame the
+    rank rule builds eagerly (``_hull_frame``) from the same vertices and
+    scale."""
+    rng = np.random.default_rng(19)
+    for d in (1, 2, 3):
+        for shift, factor in ((0.0, 1.0), (1e6, 1.0), (0.0, 1e-6)):
+            for _ in range(5):
+                pts = shift + factor * rng.uniform(-2.0, 2.0, size=(2, d))
+                for build in (
+                    convex_hull,
+                    _distinct_hull,
+                    lambda v: Polytope(v, minimal=True),
+                ):
+                    P = build(pts)
+                    assert np.array_equal(P.vertices, pts)
+                    assert P.affine_dim == 1
+                    assert P._frame is None and P._coords is None and P._facets is None
+                    frame, coords = _hull_frame(pts, extent(pts))
+                    eager = Polytope._built(
+                        pts, frame, coords, _facet_equations(coords, frame.scale)
+                    )
+                    assert P.scale == frame.scale
+                    assert np.array_equal(P.frame.base_point, frame.base_point)
+                    assert np.array_equal(P.frame.basis, frame.basis)
+                    assert P.frame.dim == 1
+                    assert np.array_equal(P.coords, coords)
+                    for mine, theirs in zip(P.facets, eager.facets):
+                        assert np.array_equal(mine, theirs)
+                    t = rng.uniform(-0.5, 1.5, size=8)
+                    on_line = pts[0] + t[:, None] * (pts[1] - pts[0])
+                    off_line = on_line + factor * rng.normal(size=on_line.shape)
+                    for x in np.vstack([pts, on_line, off_line]):
+                        assert P.contains(x) == eager.contains(x)
+                        assert in_relative_interior(x, P) == in_relative_interior(x, eager)
+
+
+def test_a_given_frame_keeps_its_dimension():
+    """Two vertices handed a frame keep its dimension: here that of a
+    rank threshold far above their distance, 0."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    frame, coords = _hull_frame(pts, 1e12)
+    assert frame.dim == 0
+    assert Polytope._built(pts, frame, coords).affine_dim == 0
+    assert Polytope._built(pts).affine_dim == 1

@@ -9,11 +9,12 @@ import pytest
 from conftest import random_dilation_pair
 from mot import DiscreteMeasure, compute_paving, find_coupling, fixtures
 from mot.coupling import Coupling, nonpolar_mask
-from mot.errors import NotInConvexOrder
+from mot.errors import DimensionMismatch, NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
 from mot.geometry import (
     Polytope,
     _distinct_hull,
+    _hull_frame,
     convex_hull,
     in_relative_interior,
     relative_interiors_intersect,
@@ -121,6 +122,17 @@ def test_verify_against_coupling_detects_violation():
     report = verify_against_coupling(p, Coupling(c.mu_support, c.nu_support, bad))
     assert len(report.violations) == 1
     assert report.violations[0][:2] == (i, j)
+
+
+def test_verify_against_coupling_rejects_supports_of_another_dimension():
+    """Either support of the coupling in another dimension than the
+    paving's raises DimensionMismatch."""
+    mu, nu = discrete_k(2)
+    p = compute_paving(mu, nu)
+    c = find_coupling(mu, nu)
+    for mu_s, nu_s in ((c.mu_support[:, :1], c.nu_support), (c.mu_support, c.nu_support[:, :1])):
+        with pytest.raises(DimensionMismatch):
+            verify_against_coupling(p, Coupling(mu_s, nu_s, c.matrix))
 
 
 def test_verify_against_coupling_reports_overlapping_cells():
@@ -312,7 +324,7 @@ def test_row_hulls_match_the_generic_hull(random_instances):
     """Each mask row's hull, built from distinct atoms with nothing to
     dedupe (and from the least and greatest atom on the line), has the
     generic ``convex_hull``'s vertices in the same order, its affine
-    dimension and its answers on the measure's atoms."""
+    dimension, its facets and its answers on the measure's atoms."""
     rng = np.random.default_rng(14)
     for mu, nu, _, _ in random_instances:
         atoms = np.vstack([mu.points, nu.points])
@@ -323,6 +335,38 @@ def test_row_hulls_match_the_generic_hull(random_instances):
             fast, slow = _distinct_hull(pts), convex_hull(pts)
             assert fast.vertices.tolist() == slow.vertices.tolist()
             assert fast.affine_dim == slow.affine_dim
+            for mine, theirs in zip(fast.facets, slow.facets):
+                assert np.array_equal(mine, theirs)
             for p in atoms:
                 assert fast.contains(p) == slow.contains(p)
                 assert in_relative_interior(p, fast) == in_relative_interior(p, slow)
+
+
+def _fixture_and_random_pairs():
+    for k in range(2, 17):
+        yield fixtures.discrete_k(k)
+    for k in range(2, 13):
+        yield fixtures.mixed_k(k)
+    for n in range(1, 22):
+        yield fixtures.continuous_grid(n)
+    for n in (3, 5):
+        yield fixtures.gaussian_grid(n)
+    rng = np.random.default_rng(1919)
+    for trial in range(300):
+        yield random_dilation_pair(rng, dim=1 + trial % 3, max_atoms=5)
+
+
+def test_cell_dimensions_match_the_rank_rule():
+    """Every cell's ``affine_dim``, read off its vertex count where a
+    segment builds no frame, is the rank rule's dimension of its
+    vertices at their own extent, and the paving confines a coupling,
+    on the fixture families and 300 seeded dilation pairs in 1-3 D."""
+    segments = 0
+    for mu, nu in _fixture_and_random_pairs():
+        p = compute_paving(mu, nu)
+        for cell in p.cells:
+            V = cell.hull.vertices
+            assert cell.affine_dim == _hull_frame(V, extent(V))[0].dim
+            segments += V.shape[0] == 2
+        assert verify_against_coupling(p, find_coupling(mu, nu)).ok
+    assert segments > 0
