@@ -34,11 +34,14 @@ one (``_projection_filter``; Beiglböck, Nutz & Touzi 2017).  An axis
 drops the pairs it separates where the superhedge of its zeros bounds
 their mass by POLAR times the total.  In dimension one, where it does,
 the pairs left are the mask, certified by that superhedge
-(``_certify_polar``), and no LP is solved; otherwise, in every
-dimension, the LP is posed over the pairs left (``_max_support``).
-``max_support_coupling``, ``find_coupling``, ``polar_matrix`` and
-``max_mass_on_pair`` solve their LPs over every pair in every
-dimension.
+(``_certify_polar``), and no LP is solved.  Where every nu-atom keeps
+exactly one mu-atom, the only coupling over the pairs left sends nu_j
+from that atom to y_j; where it passes ``_certify`` (``_forced``) it is
+the answer of ``nonpolar_mask`` and ``find_coupling``, again with no
+LP.  Otherwise ``nonpolar_mask`` poses its LP over the pairs left
+(``_max_support``) and ``find_coupling`` over every pair.
+``max_support_coupling``, ``polar_matrix`` and ``max_mass_on_pair``
+solve their LPs over every pair in every dimension.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ class Coupling:
     def from_json(cls, data: dict) -> "Coupling":
         """The coupling of ``to_json``'s dict.  The supports must be
         finite (n, d) and (m, d) point lists of one d, and the matrix
-        n x m; anything else raises InvalidInput."""
+        n x m with finite nonnegative entries; anything else raises
+        InvalidInput."""
         try:
             mu_s = np.asarray(data["mu_support"], dtype=float)
             nu_s = np.asarray(data["nu_support"], dtype=float)
@@ -98,6 +102,8 @@ class Coupling:
         mu_s, nu_s = as_points(mu_s), as_points(nu_s)
         if mat.shape != (mu_s.shape[0], nu_s.shape[0]):
             raise InvalidInput("coupling matrix shape does not match supports")
+        if not (np.isfinite(mat).all() and (mat >= 0).all()):
+            raise InvalidInput("coupling matrix entries must be finite and nonnegative")
         return cls(mu_s, nu_s, mat)
 
 
@@ -154,21 +160,36 @@ def _highs(c, A, rhs, feas) -> np.ndarray:
 def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     """Any feasible martingale coupling; raises NotInConvexOrder if none.
 
-    The normalised solution is checked before its roundoff is clipped
-    to 0 (``_certify``), then scaled back to mu's total mass.  Where
-    it gives no certified answer, a coordinate line that refutes the
-    order (``_projection_filter``) raises NotInConvexOrder, not
-    SolverError.
+    A coordinate line that refutes the order raises NotInConvexOrder
+    first (``_projection_filter``).  Where the pairs the filter keeps
+    force the coupling (``_forced``), that coupling is the answer and no
+    LP is solved.  Otherwise the LP over every pair is solved and its
+    normalised solution checked before its roundoff is clipped to 0
+    (``_certify``).  Either is scaled back to mu's total mass.
     """
-    A, b, s = _constraint_system(mu, nu)
-    try:
+    s = _scaled(mu, nu)
+    theta = _forced(s, _projection_filter(mu, nu, s)[0])
+    if theta is None:
+        A, b, _ = _constraint_system(mu, nu, s=s)
         x = _highs(np.zeros(A.shape[1]), A, b, s.feas)
         _certify(s, x)
+        theta = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms)
+    return Coupling(mu.points.copy(), nu.points.copy(), theta * s.mass)
+
+
+def _forced(s: _Scaled, keep):
+    """The normalised coupling that the pairs ``keep`` (an n x m boolean
+    matrix) force where each nu-atom keeps exactly one mu-atom: theta_ij
+    = nu_j on them and 0 elsewhere, the only one that charges no other
+    pair.  Returned only where it passes ``_certify``; None otherwise."""
+    if not (np.count_nonzero(keep, axis=0) == 1).all():
+        return None
+    theta = np.where(keep, s.nu_w, 0.0)
+    try:
+        _certify(s, theta)
     except SolverError:
-        _projection_filter(mu, nu, s)
-        raise
-    matrix = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms) * s.mass
-    return Coupling(mu.points.copy(), nu.points.copy(), matrix)
+        return None
+    return theta
 
 
 def _martingale_defect(theta, x, y) -> float:
@@ -325,12 +346,17 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     projection proves polar are dropped first (``_projection_filter``).
     In dimension one, where the axis's bound holds, the pairs left are
     the mask (Beiglböck, Nutz & Touzi 2017), certified by the superhedge
-    of its zeros (``_certify_polar``) with no LP.  Otherwise the mask is
-    the max-support LP's (``_max_support``) over the pairs left."""
+    of its zeros (``_certify_polar``) with no LP.  Where the pairs left
+    force a certified coupling (``_forced``), it is positive on exactly
+    them and the axes' superhedges certify the pairs dropped, so they
+    are the mask, again with no LP.  Otherwise the mask is the
+    max-support LP's (``_max_support``) over the pairs left."""
     inst = _scaled(mu, nu)
     keep, zeros = _projection_filter(mu, nu, inst)
     if mu.ambient_dim == 1 and zeros[0] is not None:
         _certify_polar(mu, nu, keep, zeros[0], POLAR * inst.mass, GEO * inst.scale)
+        return keep
+    if _forced(inst, keep) is not None:
         return keep
     return _max_support(mu, nu, inst, np.flatnonzero(keep))[0]
 

@@ -184,7 +184,9 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     (``potential_domain``); elsewhere it holds iff ``find_coupling``
     returns a martingale coupling, which passes its certificate before
     it counts (Strassen: convex order iff a martingale coupling
-    exists)."""
+    exists).  There a coordinate line that refutes the order answers
+    before any LP, and where the pairs the projection filter keeps
+    force the coupling, no LP is solved."""
     try:
         if mu.ambient_dim == 1:
             _potential_domain(mu, nu, None)

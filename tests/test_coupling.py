@@ -307,6 +307,23 @@ def test_coupling_json_rejects_supports_that_are_not_point_lists_of_one_dimensio
         Coupling.from_json({"mu_support": mu_support, "nu_support": nu_support, "matrix": matrix})
 
 
+@pytest.mark.parametrize("damage", ["nan-row", "negative", "infinite"])
+def test_coupling_json_rejects_entries_that_are_not_masses(damage):
+    """discrete_k(2)'s coupling with a row of NaN, an entry of -5 or an
+    infinite entry is no coupling."""
+    c = find_coupling(*discrete_k(2))
+    matrix = c.matrix.copy()
+    if damage == "nan-row":
+        matrix[0] = np.nan
+    elif damage == "negative":
+        matrix[1, 0] = -5.0
+    else:
+        matrix[0, 0] = np.inf
+    data = dict(c.to_json(), matrix=matrix.tolist())
+    with pytest.raises(InvalidInput, match="finite and nonnegative"):
+        Coupling.from_json(data)
+
+
 def _assert_martingale_coupling(mu, nu, matrix, tol=1e-8):
     assert np.allclose(matrix.sum(axis=1), mu.weights, atol=tol, rtol=0)
     assert np.allclose(matrix.sum(axis=0), nu.weights, atol=tol, rtol=0)
@@ -364,8 +381,9 @@ def test_max_support_keeps_a_light_atom_apart(dim):
     "status", ["kUnknown", "kIterationLimit", "kOptimal", "kUnboundedOrInfeasible"]
 )
 def test_solver_without_answer_raises_solver_error(stub_highs, status):
-    """Stopped or undecided solves, and an optimum without a point."""
-    mu, nu = discrete_k(2)
+    """Stopped or undecided solves, and an optimum without a point, on
+    mixed_k(3), where the filter leaves nu-atoms shared and an LP runs."""
+    mu, nu = mixed_k(3)
     stub_highs(status)
     for call in (find_coupling, nonpolar_mask, check_convex_order):
         with pytest.raises(SolverError, match="coupling LP not solved"):
@@ -374,8 +392,8 @@ def test_solver_without_answer_raises_solver_error(stub_highs, status):
 
 def test_time_limit_raises_solver_error(stub_highs):
     """A solve stopped at its budget raises, from the coupling, the order
-    and the paving."""
-    mu, nu = discrete_k(2)
+    and the paving (mixed_k(3), whose coupling the filter does not force)."""
+    mu, nu = mixed_k(3)
     stub_highs("kTimeLimit")
     for call in (find_coupling, check_convex_order, compute_paving):
         with pytest.raises(SolverError, match="Time limit reached"):
@@ -406,7 +424,7 @@ def test_budget_is_per_solve(monkeypatch):
 
 
 def test_infeasible_status_means_not_in_convex_order(stub_highs):
-    mu, nu = discrete_k(2)
+    mu, nu = mixed_k(3)
     for status in ("kInfeasible", "kModelError"):
         stub_highs(status)
         with pytest.raises(NotInConvexOrder):
@@ -422,11 +440,12 @@ def test_infeasible_status_means_not_in_convex_order(stub_highs):
 
 def test_find_coupling_rejects_uncertified_solution(stub_highs):
     """A solution with a negative entry or a marginal residual is an
-    error, not something to clip."""
-    mu, nu = discrete_k(2)
+    error, not something to clip (mixed_k(3), where an LP runs)."""
+    mu, nu = mixed_k(3)
     good = find_coupling(mu, nu).matrix.ravel()
     negative = good.copy()
-    negative[[0, 1]] += [-1e-3, 1e-3]  # same row sum, one entry < 0
+    assert good[2] == 0.0 < good[1]
+    negative[[2, 1]] += [-1e-3, 1e-3]  # same row sum, one entry < 0
     off_marginal = good * (1.0 + 1e-6)
     for x in (negative, off_marginal):
         stub_highs("kOptimal", x)
@@ -555,7 +574,7 @@ def test_certificate_rejects_damaged_coupling(stub_highs, damage):
         "negative": "lowest entry -1e-09",
     }.get(damage, "residual nan, lowest entry nan")
     cases = []
-    for mu, nu in (discrete_k(2), mixed_k(4)):
+    for mu, nu in (mixed_k(3), mixed_k(4)):
         mask, cert = max_support_coupling(mu, nu)
         for theta in (find_coupling(mu, nu).matrix, cert.matrix):
             theta = theta.ravel().copy()

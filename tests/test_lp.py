@@ -233,7 +233,9 @@ def test_highs_matches_milp_bit_for_bit(monkeypatch):
         lp.highs([-1.0], [[0.0]], -np.inf, 1.0, feas_tol=1e-9)
 
     calls = _recorded_highs_calls(monkeypatch, run)
-    assert len(calls) == 2 * len(pairs) + 4
+    # find_coupling solves no LP on discrete_k(3) and on 15 of the random
+    # pairs, whose every nu-atom the projection filter leaves to one mu-atom
+    assert len(calls) == 2 * len(pairs) + 4 - 16
     seen = set()
     for args, kwargs in calls:
         status, x = _milp_reference(*args, **kwargs)

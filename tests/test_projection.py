@@ -3,16 +3,19 @@ the max-support LP over every pair as its oracle.
 
 Projected on one axis a martingale coupling is a 1-D martingale coupling
 of the projected marginals, so ``nonpolar_mask`` drops the pairs that
-some projection proves polar before it poses the max-support LP.
+some projection proves polar before it poses the max-support LP, and
+poses none where the pairs left force the coupling.
 ``max_support_coupling`` keeps every pair.
 """
 
 import numpy as np
 import pytest
 
-from mot import DiscreteMeasure, compute_paving, lp
+from conftest import random_dilation_pair
+from mot import DiscreteMeasure, check_convex_order, compute_paving, find_coupling, lp
 from mot import coupling, measures
 from mot.coupling import max_support_coupling, nonpolar_mask, polar_matrix
+from mot.errors import SolverError
 from mot.fixtures import continuous_grid, discrete_k, gaussian_grid, mixed_k
 from mot.tolerance import FEAS, INTERIOR, POLAR
 
@@ -54,12 +57,9 @@ def test_filter_is_sound(random_instances):
         assert np.array_equal(nonpolar_mask(mu, nu), _lp_mask(mu, nu))
 
 
-def test_filter_shrinks_the_lp(monkeypatch):
-    """On continuous_grid(10) each mu-atom reaches only the two nu-atoms
-    of its own column, and the max-support LP is posed over those 20
-    pairs instead of all 200; the mask path writes only those columns
-    of the coupling system."""
-    mu, nu = continuous_grid(10)
+def _count_lps(monkeypatch):
+    """The columns of each LP ``lp.highs`` is asked to solve and of each
+    coupling system written, appended to two lists as they happen."""
     real, real_system = lp.highs, coupling._constraint_system
     columns, written = [], []
 
@@ -74,12 +74,98 @@ def test_filter_shrinks_the_lp(monkeypatch):
 
     monkeypatch.setattr(lp, "highs", counted)
     monkeypatch.setattr(coupling, "_constraint_system", counted_system)
+    return columns, written
+
+
+def test_filter_shrinks_the_lp(monkeypatch):
+    """On continuous_grid(10) each mu-atom reaches only the two nu-atoms
+    of its own column, so the filter leaves 20 pairs of 200 and forces
+    the coupling: the mask poses no LP.  On mixed_k(9), where it leaves
+    130 pairs of 162 and nu-atoms shared, the max-support LP is posed
+    over those pairs only, and the mask path writes only their columns
+    of the coupling system."""
+    columns, written = _count_lps(monkeypatch)
+    mu, nu = continuous_grid(10)
     pruned = nonpolar_mask(mu, nu)
     full = _lp_mask(mu, nu)
     assert np.array_equal(pruned, full) and pruned.sum() == 20
-    # columns [s | t | tau] over the pairs posed
-    assert columns == [2 * 20 + 1, 2 * 200 + 1]
-    assert written == [20, 200]
+    # columns [s | t | tau] over the pairs posed: the oracle's alone
+    assert columns == [2 * 200 + 1]
+    assert written == [200]
+    columns.clear()
+    written.clear()
+    mu, nu = mixed_k(9)
+    pruned = nonpolar_mask(mu, nu)
+    full = _lp_mask(mu, nu)
+    assert np.array_equal(pruned, full) and pruned.sum() == 130
+    assert columns == [2 * 130 + 1, 2 * 162 + 1]
+    assert written == [130, 162]
+
+
+def _forced_pairs():
+    """continuous_grid(10), discrete_k(12) and the seeded dilation pairs
+    in dimensions 1-3 where the filter leaves every nu-atom to exactly
+    one mu-atom."""
+    rng = np.random.default_rng(20)
+    pairs = []
+    for trial in range(90):
+        mu, nu = random_dilation_pair(rng, dim=1 + trial % 3, max_atoms=6)
+        keep = coupling._projection_filter(mu, nu, measures._scaled(mu, nu))[0]
+        if (keep.sum(axis=0) == 1).all():
+            pairs.append((mu, nu))
+    assert len(pairs) >= 30 and {mu.ambient_dim for mu, _ in pairs} == {1, 2, 3}
+    return [continuous_grid(10), discrete_k(12)] + pairs
+
+
+def _full_lp_coupling(monkeypatch, mu, nu):
+    """find_coupling as the LP over every pair answers it."""
+    with monkeypatch.context() as m:
+        m.setattr(coupling, "_forced", lambda s, keep: None)
+        return find_coupling(mu, nu)
+
+
+def test_forced_pattern_solves_no_lp(monkeypatch):
+    """Where every nu-atom keeps one mu-atom, the mask, the coupling and
+    the order come with no LP: the mask is the full LP's, and the
+    coupling passes its certificate and is the full LP's within 1e-12."""
+    pairs = _forced_pairs()
+    answers = []
+    columns, _ = _count_lps(monkeypatch)
+    for mu, nu in pairs:
+        answers.append((nonpolar_mask(mu, nu), find_coupling(mu, nu)))
+        assert check_convex_order(mu, nu) is True
+    assert columns == []
+    for (mu, nu), (mask, c) in zip(pairs, answers):
+        assert np.array_equal(mask, _lp_mask(mu, nu))
+        s = measures._scaled(mu, nu)
+        coupling._certify(s, c.matrix / s.mass)
+        assert np.array_equal(c.matrix > 0, mask)
+        full = _full_lp_coupling(monkeypatch, mu, nu)
+        assert np.abs(c.matrix - full.matrix).max() <= 1e-12
+
+
+def test_forced_coupling_that_fails_its_certificate_falls_back_to_the_lp(monkeypatch):
+    """With the forced coupling's certificate made to fail, the mask and
+    the coupling come from one LP each and are the full LP's answers."""
+    real = coupling._certify
+    for mu, nu in _forced_pairs():
+        expected = _lp_mask(mu, nu), _full_lp_coupling(monkeypatch, mu, nu).matrix
+        keep = coupling._projection_filter(mu, nu, measures._scaled(mu, nu))[0]
+
+        def failed(s, theta):
+            if np.array_equal(theta, np.where(keep, s.nu_w, 0.0)):
+                raise SolverError("coupling fails its certificate")
+            real(s, theta)
+
+        with monkeypatch.context() as m:
+            columns, _ = _count_lps(m)
+            m.setattr(coupling, "_certify", failed)
+            mask = nonpolar_mask(mu, nu)
+            matrix = find_coupling(mu, nu).matrix
+        assert np.array_equal(mask, expected[0])
+        assert np.array_equal(matrix, expected[1])
+        # the 1-D mask is read off the potentials before the forced test
+        assert len(columns) == (1 if mu.ambient_dim == 1 else 2)
 
 
 @pytest.mark.parametrize("e", [1e-9, 1e-10, 1e-12])
