@@ -292,7 +292,10 @@ def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
     holds a 1 in one mass row, which HiGHS's drop of entries of at most
     1e-9 cannot empty, and tau a -1 in every mass row; posed without
     it, gaussian_grid(11) ends in status "Not Set".  No pair at all
-    means no martingale coupling exists.
+    means no martingale coupling exists where ``cols`` holds every pair.
+    The pairs left out may carry up to POLAR of the mass, so otherwise
+    the LP over every pair (``find_coupling``) decides: NotInConvexOrder,
+    or SolverError where a coupling exists.
     """
     n, m = mu.n_atoms, nu.n_atoms
     k = cols.size
@@ -313,16 +316,11 @@ def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
     upper = np.full(2 * k + 1, np.inf)
     upper[:k] = 1.0
     # With tight tolerances HiGHS calls this bounded LP "Unbounded" on
-    # some random dilation pairs, so it keeps the defaults.  With the
-    # scaling HiGHS chooses it ends in "Unknown" on gaussian_grid(9) and
-    # in "Solve error" or "Unknown" on a 1-D test instance translated by
-    # 5e5-1e6; scaled by the largest entry of each row and column, it
-    # solved every such case.  The other LPs keep the default scaling:
-    # max-value scaling on all of them made the benchmark's pave-grid
-    # solve time 17 % longer.  Zero is feasible and s is bounded, so
-    # any outcome but an optimum is a solver failure.
+    # some random dilation pairs, so it keeps the defaults.  Zero is
+    # feasible and s is bounded, so any outcome but an optimum is a
+    # solver failure.
     zero = np.zeros(A.shape[0])
-    res = lp.highs(c, big, zero, zero, upper=upper, what="coupling LP", max_value_scaling=True)
+    res = lp.highs(c, big, zero, zero, upper=upper, what="coupling LP")
     if res.status is not lp.LpStatus.OPTIMAL:
         raise SolverError(f"coupling LP not solved: HiGHS reports it {res.status.value}")
     x = res.solution
@@ -331,6 +329,9 @@ def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
     mask[cols] = s > 0.5
     mask = mask.reshape(n, m)
     if not mask.any():
+        if k < n * m:
+            find_coupling(mu, nu)
+            raise SolverError("coupling LP not solved: the pairs kept carry no coupling")
         raise NotInConvexOrder("no martingale coupling exists")
     if not mask.any(axis=1).all():
         raise SolverError("max-support LP left a mu-atom without any pair")

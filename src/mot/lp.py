@@ -12,12 +12,12 @@ presolve off; going through ``scipy.optimize.milp`` cost about 1.7 ms
 of option checks and re-validation per call, several times HiGHS's own
 time on small LPs.  Each thread keeps one HiGHS solver (``_solver``),
 built and configured on its first solve, because building and
-configuring one took about a quarter of a small LP's time.  Every
-solve loads its model afresh, which clears the previous model, basis
-and solution, and sets both feasibility tolerances, the scaling and
-the time budget again, so no call sees what an earlier one left
-behind.  HiGHS's dual simplex is deterministic: the same input gives
-the same output.  An outcome other than optimal, infeasible or
+configuring one took about a quarter of a small LP's time; it scales
+rows and columns by their largest entry for every LP.  Every solve
+loads its model afresh, which clears the previous model, basis and
+solution, and sets both feasibility tolerances and the time budget
+again, so no call sees what an earlier one left behind.  HiGHS's dual
+simplex is deterministic: the same input gives the same output.  An outcome other than optimal, infeasible or
 unbounded raises ``SolverError``; so does a solve that runs past its
 budget of ``TIME_LIMIT`` seconds, so no solve hangs.  scipy
 is imported on the first solve, so importing the package loads none
@@ -57,8 +57,6 @@ class CscMatrix(NamedTuple):
 # this thread's solver and its default tolerances, set by ``_solver``
 _local = threading.local()
 _TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
-_SCALING = "simplex_scale_strategy"
-_MAX_VALUE_SCALING = 4  # rows and columns by their largest entry
 # seconds of HiGHS run time one LP may take before it stops in SolverError
 TIME_LIMIT = 60.0
 
@@ -70,8 +68,7 @@ class LpResult:
 
 
 def highs(
-    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP",
-    max_value_scaling=False,
+    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP"
 ) -> LpResult:
     """min c @ x subject to row_lo <= A x <= row_hi, lower <= x <= upper.
 
@@ -82,13 +79,11 @@ def highs(
     raises InvalidInput; infinite bounds are legal.
     Scalar bounds are repeated to full length.  The LP runs on this
     thread's HiGHS solver (``_solver``), which has the options
-    ``scipy.optimize.milp`` would set (no console log, presolve off) and
-    so gives its answers bit for bit.  ``feas_tol`` sets HiGHS's primal
-    and dual feasibility tolerances; None sets them back to HiGHS's
-    defaults.  Both are set on every call, and a value HiGHS rejects
-    (below 1e-10, say) raises InvalidInput.  ``max_value_scaling`` has
-    HiGHS scale rows and columns by their largest entry instead of the
-    scaling it chooses; it too is set on every call, as is the budget of
+    ``scipy.optimize.milp`` would set with presolve off and max-value
+    scaling, and so gives its answers bit for bit.  ``feas_tol`` sets
+    HiGHS's primal and dual feasibility tolerances; None sets them back
+    to HiGHS's defaults.  Both are set on every call, and a value HiGHS
+    rejects (below 1e-10, say) raises InvalidInput.  So is the budget of
     ``TIME_LIMIT`` seconds of HiGHS run time for this LP.
     Returns an optimal result with x, or an infeasible (also a model
     HiGHS rejects) or unbounded one.  Any other outcome, the budget
@@ -126,7 +121,6 @@ def highs(
         tol = default if feas_tol is None else float(feas_tol)
         if solver.setOptionValue(name, tol) == error:
             raise InvalidInput(f"HiGHS rejects the feasibility tolerance {feas_tol}")
-    solver.setOptionValue(_SCALING, _MAX_VALUE_SCALING if max_value_scaling else defaults[-1])
     # HiGHS's time limit bounds the solver's run time summed over every
     # solve since it was built, so the budget starts from what is spent
     solver.setOptionValue("time_limit", solver.getRunTime() + TIME_LIMIT)
@@ -151,14 +145,14 @@ def highs(
 
 
 def _solver():
-    """This thread's HiGHS solver and its default feasibility tolerances
-    and scaling.
+    """This thread's HiGHS solver and its default feasibility tolerances.
 
     The solver is built on the thread's first solve, with the console
-    log and presolve off; the defaults (and the default scaling, last)
-    are read from it then, before any call changes them.  It is kept
-    only once configured, so an exception while it is built leaves none
-    behind.
+    log and presolve off and rows and columns scaled by their largest
+    entry (``simplex_scale_strategy`` 4) instead of the scaling HiGHS
+    chooses; the defaults are read from it then, before any call changes
+    them.  It is kept only once configured, so an exception while it is
+    built leaves none behind.
     """
     held = getattr(_local, "held", None)
     if held is None:
@@ -167,7 +161,8 @@ def _solver():
         solver = _core._Highs()
         solver.setOptionValue("log_to_console", False)
         solver.setOptionValue("presolve", "off")
-        defaults = tuple(solver.getOptionValue(name)[1] for name in _TOLERANCES + (_SCALING,))
+        solver.setOptionValue("simplex_scale_strategy", 4)
+        defaults = tuple(solver.getOptionValue(name)[1] for name in _TOLERANCES)
         held = _local.held = (solver, defaults)
     return held
 

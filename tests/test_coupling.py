@@ -10,6 +10,7 @@ from conftest import random_dilation_pair
 from mot import DiscreteMeasure, barycenter, compute_paving, find_coupling
 from mot.coupling import (
     Coupling,
+    _certify,
     _constraint_system,
     max_mass_on_pair,
     max_support_coupling,
@@ -21,7 +22,7 @@ from mot.coupling import (
 from mot.errors import InvalidInput, NotInConvexOrder, SolverError
 from mot.fixtures import discrete_k, gaussian_grid, mixed_k
 from mot.geometry import convex_hull, in_relative_interior, minimal_face
-from mot.measures import check_convex_order
+from mot.measures import _scaled, check_convex_order
 from mot import lp
 from mot.tolerance import POLAR
 
@@ -400,13 +401,23 @@ def test_time_limit_raises_solver_error(stub_highs):
             call(mu, nu)
 
 
-def test_budget_stops_a_long_solve(monkeypatch):
-    """gaussian_grid(13)'s coupling LP ran past 400 s without a budget;
-    with one it stops at the budget and the message names it and the
-    LP's size."""
-    monkeypatch.setattr(lp, "TIME_LIMIT", 0.3)
+def test_gaussian_grid_13_coupling_is_certified(monkeypatch):
+    """The coupling LP over gaussian_grid(13)'s 38 025 pairs, which no
+    line forces, is solved well inside a 10 s budget, and the coupling
+    passes the certificate."""
+    monkeypatch.setattr(lp, "TIME_LIMIT", 10.0)
     mu, nu = gaussian_grid(13)
-    message = r"Time limit reached \(732 rows, 38025 columns, 0.3 s budget\)"
+    s = _scaled(mu, nu)
+    _certify(s, find_coupling(mu, nu).matrix / s.mass)
+
+
+def test_budget_stops_a_long_solve(monkeypatch):
+    """gaussian_grid(13)'s coupling LP takes about half a second; with a
+    budget far below that it stops at the budget, and the message names
+    it and the LP's size."""
+    monkeypatch.setattr(lp, "TIME_LIMIT", 0.01)
+    mu, nu = gaussian_grid(13)
+    message = r"Time limit reached \(732 rows, 38025 columns, 0.01 s budget\)"
     with pytest.raises(SolverError, match=message):
         find_coupling(mu, nu)
 

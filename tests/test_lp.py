@@ -154,27 +154,22 @@ def test_highs_outcomes_map_to_status_or_solver_error(stub_highs):
     assert lp.highs(*args).solution.tolist() == [1.0]
 
 
-def _milp_reference(
-    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP",
-    max_value_scaling=False,
-):
+def _milp_reference(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP"):
     """``lp.highs``'s problem solved by ``scipy.optimize.milp`` with the
-    same HiGHS options: presolve off, the feasibility tolerances when
-    given, max-value scaling when asked, no console log (milp's
-    default).  A ``CscMatrix`` is handed to milp as the ``csc_array`` of
-    the same arrays."""
+    same HiGHS options: presolve off, max-value scaling, the feasibility
+    tolerances when given, no console log (milp's default).  A
+    ``CscMatrix`` is handed to milp as the ``csc_array`` of the same
+    arrays."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csc_array
 
     if isinstance(A, lp.CscMatrix):
         A = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
 
-    options = {"presolve": False}
+    options = {"presolve": False, "simplex_scale_strategy": 4}
     if feas_tol is not None:
         options["primal_feasibility_tolerance"] = feas_tol
         options["dual_feasibility_tolerance"] = feas_tol
-    if max_value_scaling:
-        options["simplex_scale_strategy"] = 4
     with warnings.catch_warnings():
         # milp passes options it does not know on to HiGHS, with a warning
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
@@ -250,13 +245,10 @@ def test_highs_matches_milp_bit_for_bit(monkeypatch):
     assert seen == set(lp.LpStatus)
 
 
-def _fresh_highs(
-    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, max_value_scaling=False
-):
+def _fresh_highs(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None):
     """``lp.highs``'s problem on a newly built HiGHS solver that is used
-    once, with presolve off, no console log and the feasibility
-    tolerances and max-value scaling set only when asked: (status, x or
-    None)."""
+    once, with presolve off, max-value scaling, no console log and the
+    feasibility tolerances set only when asked: (status, x or None)."""
     from scipy.optimize._highspy import _core
     from scipy.sparse import csc_array
 
@@ -280,11 +272,10 @@ def _fresh_highs(
     solver = _core._Highs()
     solver.setOptionValue("log_to_console", False)
     solver.setOptionValue("presolve", "off")
+    solver.setOptionValue("simplex_scale_strategy", 4)
     if feas_tol is not None:
         solver.setOptionValue("primal_feasibility_tolerance", float(feas_tol))
         solver.setOptionValue("dual_feasibility_tolerance", float(feas_tol))
-    if max_value_scaling:
-        solver.setOptionValue("simplex_scale_strategy", 4)
     assert solver.passModel(model) != _core.HighsStatus.kError
     solver.run()
     status = {
@@ -309,8 +300,8 @@ def _assert_as_fresh(args, kwargs):
 
 def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
     """One thread's solver, reused over a sequence that changes the
-    tolerances and the scaling, fails, raises and swaps sizes, answers
-    every LP bit for bit as a solver built for that LP alone."""
+    tolerances, fails, raises and swaps sizes, answers every LP bit for
+    bit as a solver built for that LP alone."""
     from mot.coupling import _constraint_system, find_coupling
     from mot.fixtures import gaussian_grid, mixed_k
     from mot.tolerance import FEAS, GEO
@@ -330,7 +321,6 @@ def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
     for tol in (None, FEAS, GEO, None):
         _assert_as_fresh(*coupling_lp(small, tol))
         _assert_as_fresh(dense[0], dict(dense[1], feas_tol=tol))
-        _assert_as_fresh(dense[0], dict(dense[1], feas_tol=tol, max_value_scaling=True))
     _assert_as_fresh(([-1.0], [[1.0]], -np.inf, -1.0), {"feas_tol": FEAS})  # infeasible
     _assert_as_fresh(([-1.0], [[0.0]], -np.inf, 1.0), {})  # unbounded
     _assert_as_fresh(*coupling_lp(small, None))

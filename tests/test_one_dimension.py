@@ -194,6 +194,31 @@ def test_narrow_light_components_against_the_lp(monkeypatch):
     assert 0 < fallbacks < 49
 
 
+def test_narrow_components_in_the_plane_are_not_refuted():
+    """``_narrow`` with masses e down to 1e-10, embedded in the plane:
+    every instance is in convex order, with a certified coupling.  Where
+    e is at most POLAR the first axis drops the pairs that carry it, and
+    the pairs left carry no coupling.  That does not refute the order,
+    so the mask and the paving answer or raise SolverError, never
+    NotInConvexOrder."""
+    unsettled = 0
+    for c in (0.0, 3.0):
+        for e in 10.0 ** -np.arange(1, 11):
+            for w in 10.0 ** -np.arange(1, 8):
+                mu, nu = (
+                    DiscreteMeasure(np.hstack([m.points, np.zeros_like(m.points)]), m.weights)
+                    for m in _narrow(c, e, w)
+                )
+                assert check_convex_order(mu, nu), (c, e, w)
+                for f in (nonpolar_mask, compute_paving):
+                    try:
+                        f(mu, nu)
+                    except SolverError as err:
+                        assert e <= POLAR, (c, e, w)
+                        unsettled += "carry no coupling" in str(err)
+    assert unsettled > 0
+
+
 class _Posed(Exception):
     """An LP was posed."""
 
