@@ -93,10 +93,7 @@ class AffineSubspace:
         return (pts - self.base_point) @ self.basis.T
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.atleast_2d(coords)
-        if self.dim == 0:
-            return np.tile(self.base_point, (coords.shape[0], 1))
-        return self.base_point + coords @ self.basis
+        return self.base_point + np.atleast_2d(coords) @ self.basis
 
     def coordinates(self, x: np.ndarray) -> np.ndarray | None:
         """Frame coordinates of the point x, or None when x is off the
@@ -123,8 +120,6 @@ def _hull_frame(pts: np.ndarray, scale: float) -> tuple[AffineSubspace, np.ndarr
     """The affine hull of checked points at the rank threshold GEO
     scale, with that scale, and their coordinates in it.  On the line
     the frame is the axis, found without an SVD."""
-    if pts.shape[0] == 1:
-        return AffineSubspace(pts[0], np.zeros((0, pts.shape[1])), 0, scale), np.zeros((1, 0))
     base = pts.mean(axis=0)
     centered = pts - base
     if pts.shape[1] == 1:
@@ -361,8 +356,6 @@ def _hull_vertices(coords: np.ndarray):
     points in dimension k - 1 form a simplex and are all vertices.
     """
     k, m = coords.shape
-    if m == 0:
-        return np.array([0]), None
     if k == m + 1:
         return np.arange(k), None
     if m == 1:

@@ -14,7 +14,9 @@ components between them and that refutation of the order are decided
 by one rule on one line (``_axis_zeros``), for ``potential_domain`` and
 for the non-polar mask on each coordinate axis, so they agree.
 Thresholds follow the package's one policy (``tolerance``, and the
-README's "Tolerances").
+README's "Tolerances").  A measure merges atoms within GEO times its
+extent into one at their weighted mean, so no two of its atoms lie
+that close and merging keeps its barycentre.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ class DiscreteMeasure:
     """Finite positive measure: support points with strictly positive weights.
 
     Duplicate atoms (coordinate-wise within GEO times the extent of the
-    atoms) are merged on construction by summing their weights, so a
-    measure is identified by its action, not by its representation.
+    atoms) are merged on construction into one atom at their weighted
+    mean, carrying their summed weight, until no two atoms lie that
+    close (``_merge_duplicates``); so a measure is identified by its
+    action, not by its representation, and merging keeps its barycentre.
     """
 
     def __init__(self, points, weights):
@@ -114,15 +118,27 @@ class DiscreteMeasure:
 
 def _merge_duplicates(pts: np.ndarray, w: np.ndarray):
     """Points and summed weights after merging atoms within GEO times
-    their extent.
+    their extent, so that no two atoms are that close.
 
     Each atom joins the first earlier kept atom within that distance in
     every coordinate, if there is one, and is kept otherwise; kept atoms
-    stay in input order and collect their weights in input order.
+    stay in input order and collect their weights in input order.  A
+    kept atom that absorbed others moves to their weighted mean, its
+    point plus the weighted mean of their offsets from it, so merging
+    keeps the barycentre (an exact duplicate moves it by nothing, and
+    the atom keeps its bits).  Moved atoms can come within that distance
+    of each other, so the pass repeats until nothing merges.
     """
-    owner = _first_match(pts, GEO * extent(pts))
-    keep = owner == np.arange(pts.shape[0])
-    return pts[keep], np.bincount(owner, weights=w, minlength=pts.shape[0])[keep]
+    while True:
+        n = pts.shape[0]
+        owner = _first_match(pts, GEO * extent(pts))
+        keep = owner == np.arange(n)
+        offsets = w[:, None] * (pts - pts[owner])
+        pts, w = pts[keep], np.bincount(owner, weights=w, minlength=n)[keep]
+        if keep.all():
+            return pts, w
+        shift = np.stack([np.bincount(owner, o, n)[keep] for o in offsets.T], axis=1) / w[:, None]
+        np.add(pts, shift, out=pts, where=shift != 0.0)
 
 
 def barycenter(m: DiscreteMeasure) -> np.ndarray:

@@ -122,13 +122,16 @@ class ConfinementReport:
 
 
 def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
-    """Check that every coupling entry above POLAR times the coupling's
-    mass stays within the hull of its source atom's cell (within GEO
-    times the extent of both supports of the atom itself, for a
-    singleton), and that distinct cells have disjoint relative
-    interiors.  Two cells whose vertex bounding boxes are more than that
-    distance apart in some coordinate are disjoint; only the other pairs
-    are decided by ``relative_interiors_intersect`` (one LP each).  A
+    """Check that every transport of the coupling stays within the hull
+    of its source atom's cell (within GEO times the extent of both
+    supports of the atom itself, for a singleton), and that distinct
+    cells have disjoint relative interiors.
+
+    Only the transports are checked, row by row: the entries above
+    POLAR times the coupling's mass, and any NaN entry.  Two cells
+    whose vertex bounding boxes are more than GEO times that extent
+    apart in some coordinate are disjoint; only the other pairs are
+    decided by ``relative_interiors_intersect`` (one LP each).  A
     coupling with either support in another dimension than the paving's
     raises DimensionMismatch."""
     d = p.mu_points.shape[1]
@@ -141,19 +144,16 @@ def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
         for i in cell.members:
             hull_of[i] = cell.hull
     report = ConfinementReport()
-    for i in range(c.mu_support.shape[0]):
+    # not light: a NaN entry is checked too
+    for i, j in np.argwhere(~(c.matrix <= transport)).tolist():
         hull = hull_of.get(i)
-        for j in range(c.nu_support.shape[0]):
-            mass = c.matrix[i, j]
-            if mass <= transport:
-                continue
-            target = c.nu_support[j]
-            if hull is None:
-                inside = bool(np.max(np.abs(target - c.mu_support[i])) <= tol)
-            else:
-                inside = hull.contains(target)
-            if not inside:
-                report.violations.append((i, j, float(mass)))
+        target = c.nu_support[j]
+        if hull is None:
+            inside = bool(np.max(np.abs(target - c.mu_support[i])) <= tol)
+        else:
+            inside = hull.contains(target)
+        if not inside:
+            report.violations.append((i, j, float(c.matrix[i, j])))
     lo = np.array([cell.hull.vertices.min(axis=0) for cell in p.cells])
     hi = np.array([cell.hull.vertices.max(axis=0) for cell in p.cells])
     for a in range(len(p.cells)):

@@ -391,6 +391,31 @@ def test_solver_without_answer_raises_solver_error(stub_highs, status):
             call(mu, nu)
 
 
+def test_unbounded_status_raises_solver_error(stub_highs):
+    """A coupling LP that HiGHS calls unbounded has no answer to read:
+    on mixed_k(3), where an LP runs, it raises SolverError."""
+    mu, nu = mixed_k(3)
+    stub_highs("kUnbounded")
+    for call in (find_coupling, nonpolar_mask, check_convex_order):
+        with pytest.raises(SolverError, match="HiGHS reports it unbounded"):
+            call(mu, nu)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 4)])
+def test_pair_indices_out_of_range_raise(i, j):
+    """discrete_k(2) has 2 mu-atoms and 4 nu-atoms."""
+    mu, nu = discrete_k(2)
+    with pytest.raises(InvalidInput, match="out of range"):
+        max_mass_on_pair(mu, nu, i, j)
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_atom_index_out_of_range_raises(i):
+    mu, nu = discrete_k(2)
+    with pytest.raises(InvalidInput, match="out of range"):
+        reachable_set(mu, nu, i)
+
+
 def test_time_limit_raises_solver_error(stub_highs):
     """A solve stopped at its budget raises, from the coupling, the order
     and the paving (mixed_k(3), whose coupling the filter does not force)."""

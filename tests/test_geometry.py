@@ -107,6 +107,23 @@ def test_minimal_face_outside_raises():
         minimal_face([2.0, 2.0], SQUARE)
 
 
+def test_minimal_face_of_a_polytope_thinner_than_the_margin():
+    """A 1 x 1.5e-7 rectangle: at its midline both long facets are within
+    INTERIOR times its extent of x, and no vertex is on both, so the face
+    is the vertex nearest to x (the first of the two equally near)."""
+    thin = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.5e-7], [1.0, 1.5e-7]])
+    assert thin.affine_dim == 2
+    face = minimal_face([0.3, 7.5e-8], thin)
+    assert face.vertices.tolist() == [[0.0, 0.0]]
+
+
+def test_minimal_face_of_a_point():
+    point = Polytope([[1.0, 2.0]])
+    assert minimal_face([1.0, 2.0], point) is point
+    with pytest.raises(PointOutsidePolytope):
+        minimal_face([1.0, 2.1], point)
+
+
 # a triangle in the plane z = 0 of R^3
 TRIANGLE_3D = Polytope([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
@@ -143,6 +160,36 @@ def test_ri_intersect_square_and_boundary_segment():
     for Q in (on_edge, at_vertex):
         assert not relative_interiors_intersect(TRIANGLE_3D, Q)
         assert not relative_interiors_intersect(Q, TRIANGLE_3D)
+
+
+def test_ri_intersect_with_a_point():
+    """A point polytope on either side asks whether it lies in the other's
+    relative interior."""
+    for x, inside in (([0.5, 0.5], True), ([0.0, 0.5], False), ([2.0, 2.0], False)):
+        point = Polytope([x])
+        assert relative_interiors_intersect(point, SQUARE) is inside
+        assert relative_interiors_intersect(SQUARE, point) is inside
+    assert relative_interiors_intersect(Polytope([[0.5, 0.0]]), Polytope([[0.5, 0.0]]))
+    assert not relative_interiors_intersect(Polytope([[0.5, 0.0]]), Polytope([[0.6, 0.0]]))
+
+
+def test_ri_intersect_rejects_another_dimension():
+    point = Polytope([[0.5, 0.5]])
+    for P, Q in ((SQUARE, TRIANGLE_3D), (point, TRIANGLE_3D), (SQUARE, Polytope([[0.0]]))):
+        with pytest.raises(DimensionMismatch):
+            relative_interiors_intersect(P, Q)
+
+
+def test_intersection_with_a_point_box():
+    """A point box is kept when the point satisfies the rows within the
+    slack and is cut away otherwise; a row that no point of a square
+    satisfies leaves nothing."""
+    box = Polytope([[1.0, 2.0]])
+    G = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert intersect_halfspaces_with_polytope(G, np.array([-1.0, -3.0]), box) is box
+    assert intersect_halfspaces_with_polytope(G, np.array([-0.5, -3.0]), box) is None
+    empty = intersect_halfspaces_with_polytope(np.array([[1.0, 1.0]]), np.array([3.0]), SQUARE)
+    assert empty is None
 
 
 def _random_polytope(rng, dim, n_points=6):

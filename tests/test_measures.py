@@ -52,26 +52,36 @@ def test_duplicate_atoms_merge():
 
 def _merge_reference(points, weights):
     """The first-match merge as a plain loop over the kept atoms, at GEO
-    times the extent of the points."""
-    points = np.asarray(points, dtype=float)
-    tol = GEO * extent(points)
-    kept_pts, kept_w = [], []
-    for p, wi in zip(points, weights):
-        for idx, q in enumerate(kept_pts):
-            if np.max(np.abs(p - q)) <= tol:
-                kept_w[idx] += wi
-                break
-        else:
-            kept_pts.append(p)
-            kept_w.append(wi)
-    return np.array(kept_pts), np.array(kept_w)
+    times the extent of the points: a kept atom that absorbed others
+    moves by the weighted mean of their offsets from it, and the loop
+    repeats until nothing merges."""
+    points, weights = np.asarray(points, dtype=float), np.asarray(weights, dtype=float)
+    while True:
+        tol = GEO * extent(points)
+        kept_pts, kept_w, kept_off = [], [], []
+        for p, wi in zip(points, weights):
+            for idx, q in enumerate(kept_pts):
+                if np.max(np.abs(p - q)) <= tol:
+                    kept_w[idx] += wi
+                    kept_off[idx] = kept_off[idx] + wi * (p - q)
+                    break
+            else:
+                kept_pts.append(p)
+                kept_w.append(wi)
+                kept_off.append(np.zeros_like(p))
+        if len(kept_pts) == len(points):
+            return points, weights
+        points = np.array([q + off / wk for q, off, wk in zip(kept_pts, kept_off, kept_w)])
+        weights = np.array(kept_w)
 
 
 def test_near_duplicate_atoms_merge_like_the_loop():
     """Chains of near-duplicates: each atom joins the first kept atom
     within GEO times the extent of the atoms (tol), even where a later
     kept atom is nearer; an atom within tol of a merged atom only is
-    kept.  The same holds for the set scaled by 1e-9."""
+    kept.  A kept atom that absorbed others sits at their weighted mean,
+    and atoms that this brings within tol of each other merge in turn.
+    The same holds for the set scaled by 1e-9."""
     rng = np.random.default_rng(5)
     base = rng.uniform(-1.0, 1.0, size=(40, 2))
     tol = GEO * extent(np.vstack([base, [[9.0, 0.0]]]))
@@ -84,8 +94,9 @@ def test_near_duplicate_atoms_merge_like_the_loop():
         ref_pts, ref_w = _merge_reference(p, wi)
         assert np.array_equal(m.points, ref_pts)
         assert np.array_equal(m.weights, ref_w)
+        assert np.allclose(barycenter(m), wi @ p / wi.sum(), rtol=0, atol=1e-15)
     chain = DiscreteMeasure([[0.0], [8e-10], [1.6e-9], [1.0]], [0.25, 0.25, 0.25, 0.25])
-    assert np.array_equal(chain.points[:, 0], [0.0, 1.6e-9, 1.0])
+    assert np.array_equal(chain.points[:, 0], [4e-10, 1.6e-9, 1.0])
     assert np.array_equal(chain.weights, [0.5, 0.25, 0.25])
     alone = DiscreteMeasure([[0.0], [8e-10], [1.6e-9]], [0.25, 0.25, 0.5])
     assert alone.n_atoms == 3

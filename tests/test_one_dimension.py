@@ -15,7 +15,13 @@ import pytest
 from conftest import random_dilation_pair
 from mot import DiscreteMeasure, check_convex_order, compute_paving, lp
 from mot import coupling
-from mot.coupling import max_mass_on_pair, max_support_coupling, nonpolar_mask, polar_matrix
+from mot.coupling import (
+    find_coupling,
+    max_mass_on_pair,
+    max_support_coupling,
+    nonpolar_mask,
+    polar_matrix,
+)
 from mot.errors import NotInConvexOrder, SolverError
 from mot.measures import potential_domain
 from mot.tolerance import FEAS, POLAR
@@ -217,6 +223,26 @@ def test_narrow_components_in_the_plane_are_not_refuted():
                         assert e <= POLAR, (c, e, w)
                         unsettled += "carry no coupling" in str(err)
     assert unsettled > 0
+
+
+@pytest.mark.parametrize("plane", [False, True])
+def test_merged_atoms_keep_the_barycentre(plane):
+    """``_narrow(0, e, 1e-8)``, on the line and embedded in the plane:
+    the extent is 10, so nu's atoms -1e-8 and 0 lie within GEO times it
+    and merge.  The merged atom sits at their weighted mean, so the
+    barycentres still agree: every pair is in convex order, and
+    ``find_coupling``'s coupling passes its certificate."""
+    for e in 10.0 ** -np.arange(1, 10):
+        mu, nu = _narrow(0.0, e, 1e-8)
+        if plane:
+            mu, nu = (
+                DiscreteMeasure(np.hstack([m.points, np.zeros_like(m.points)]), m.weights)
+                for m in (mu, nu)
+            )
+        assert nu.n_atoms == 3, e
+        assert check_convex_order(mu, nu), e
+        s = coupling._scaled(mu, nu)
+        coupling._certify(s, find_coupling(mu, nu).matrix / s.mass)
 
 
 class _Posed(Exception):

@@ -21,7 +21,7 @@ from mot.geometry import (
 )
 from mot.measures import potential_domain
 from mot.paving import ConvexPaving, PavingCell, locate, verify_against_coupling
-from mot.tolerance import GEO, extent
+from mot.tolerance import GEO, POLAR, extent
 
 TOL = 1e-7
 
@@ -122,6 +122,53 @@ def test_verify_against_coupling_detects_violation():
     report = verify_against_coupling(p, Coupling(c.mu_support, c.nu_support, bad))
     assert len(report.violations) == 1
     assert report.violations[0][:2] == (i, j)
+
+
+def _violations_loop(p, c):
+    """``verify_against_coupling``'s violations by a double loop over
+    every entry of the coupling, light ones skipped."""
+    tol = GEO * extent(c.mu_support, c.nu_support)
+    hull_of = {i: cell.hull for cell in p.cells for i in cell.members}
+    out = []
+    for i in range(c.matrix.shape[0]):
+        for j in range(c.matrix.shape[1]):
+            mass = c.matrix[i, j]
+            if mass <= POLAR * c.matrix.sum():
+                continue
+            hull = hull_of.get(i)
+            if hull is None:
+                inside = np.max(np.abs(c.nu_support[j] - c.mu_support[i])) <= tol
+            else:
+                inside = hull.contains(c.nu_support[j])
+            if not inside:
+                out.append((i, j, float(mass)))
+    return out
+
+
+def test_violations_match_a_loop_over_every_entry(random_instances):
+    """On damaged couplings the transports alone give the loop's
+    violations, in its order: a row's largest entry moved to each
+    nu-atom in turn, in its cell or outside it, or one entry set to NaN,
+    which is checked (and makes the total, and so the transport
+    threshold, NaN)."""
+    instances = [(mu, nu, compute_paving(mu, nu), find_coupling(mu, nu))
+                 for mu, nu in (discrete_k(2), mixed_k(3), fixtures.gaussian_grid(3))]
+    seen = 0
+    for mu, nu, p, c in instances + random_instances[:30]:
+        assert verify_against_coupling(p, c).violations == _violations_loop(p, c) == []
+        i, j = np.unravel_index(np.argmax(c.matrix), c.matrix.shape)
+        for k in range(c.matrix.shape[1]):
+            moved, nan = c.matrix.copy(), c.matrix.copy()
+            moved[i, k] += moved[i, j]
+            moved[i, j] = 0.0
+            nan[i, k] = np.nan
+            for bad in (moved, nan):
+                damaged = Coupling(c.mu_support, c.nu_support, bad)
+                expected = _violations_loop(p, damaged)
+                # NaN masses compare equal here
+                np.testing.assert_equal(verify_against_coupling(p, damaged).violations, expected)
+                seen += bool(expected)
+    assert seen > 50
 
 
 def test_verify_against_coupling_rejects_supports_of_another_dimension():
