@@ -233,10 +233,10 @@ def _check_indices(mu, nu, i, j):
 
 def _extreme_entry(A, b, feas, k, sign) -> float:
     """max (sign 1) or min (sign -1) of theta_k over {A theta = b, theta >= 0},
-    in the units of b."""
+    in the units of b; a zero is +0.0, whatever sign the LP gave it."""
     c = np.zeros(A.shape[1])
     c[k] = -sign
-    return float(_highs(c, A, b, feas)[k])
+    return float(_highs(c, A, b, feas)[k]) + 0.0
 
 
 def max_mass_on_pair(

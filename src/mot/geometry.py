@@ -7,8 +7,10 @@ ambient coordinates, G of shape (k, d) and c of shape (k,).
 
 A ``Polytope`` holds its affine frame, vertices and facets, each
 computed once, on first use, from one of two sources: the convex hull
-of an arbitrary point set runs qhull in frame coordinates, the one case
-where no H-representation is known (two points are a segment, whose
+of an arbitrary point set, the one case where no H-representation is
+known, runs qhull in frame coordinates for its vertices, and its facets
+come from a second qhull call on those vertices, made only when
+something reads them (one or two points are their own vertices, whose
 frame waits until something asks for it); a box cut by half-spaces
 (``intersect_halfspaces_with_polytope``) reads its facets off those
 inequalities, tight at its vertices, with no qhull call unless they
@@ -38,7 +40,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import lp
-from .errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
+from .errors import DimensionMismatch, InvalidInput, PointOutsidePolytope, SolverError
 from .tolerance import GEO, INTERIOR, SLACK, extent
 
 
@@ -139,10 +141,11 @@ class Polytope:
     order; with it the caller vouches that every point is a vertex.
     ``scale`` is the extent of the input, which is that of the vertices,
     and points within GEO ``scale`` of an earlier one are dropped first.
-    The affine frame, the vertices' frame coordinates and the facets are
-    each computed once, on first use (``frame``, ``coords``,
-    ``facets``); a point or a segment answers ``affine_dim`` without
-    them.
+    Finding the vertices of three or more points builds their frame and
+    frame coordinates; otherwise these are built on first use (``frame``,
+    ``coords``).  The facets come from a second qhull call, on the
+    vertices, made on first read (``facets``).  A point or a segment
+    answers ``affine_dim`` without any of them.
     """
 
     def __init__(self, vertices, *, minimal: bool = False):
@@ -150,8 +153,8 @@ class Polytope:
         self.scale = extent(pts)
         pts = _dedupe(pts, GEO * self.scale)
         self._frame = self._coords = self._facets = None
-        if not minimal and pts.shape[0] > 1:
-            keep, self._frame, self._coords, self._facets = _hull(pts, self.scale)
+        if not minimal:
+            keep, self._frame, self._coords = _hull(pts, self.scale)
             pts = pts[keep]
         self.vertices = pts
         self.ambient_dim = pts.shape[1]
@@ -316,52 +319,42 @@ def _match_point_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 
 def _hull(pts: np.ndarray, scale: float | None = None):
-    """The convex hull of two or more checked points of extent scale
-    (their ``extent`` where not given), no two within GEO scale of each
-    other: the indices of its vertices, ascending, its frame, the
-    vertices' frame coordinates and its facets, or None where qhull was
-    not run.
-
-    Two points are a segment with both as vertices, and nothing else is
-    built: the holder builds the frame, coordinates and facets on first
-    use (``Polytope.frame``), as this would, and its ``affine_dim`` is 1
-    without them."""
-    if pts.shape[0] == 2:
-        return np.arange(2), None, None, None
+    """The convex hull of checked points of extent scale (their
+    ``extent`` where not given), no two within GEO scale of each other:
+    the indices of its vertices, ascending, its frame and the vertices'
+    frame coordinates; the holder builds its facets on first read.
+    One or two points are their own vertices, with no frame: the holder
+    builds it on first use (``Polytope.frame``), as this would, and its
+    ``affine_dim`` is n_vertices - 1 without it."""
+    if pts.shape[0] <= 2:
+        return np.arange(pts.shape[0]), None, None
     if scale is None:
         scale = extent(pts)
     frame, coords = _hull_frame(pts, scale)
-    keep, equations = _hull_vertices(coords)
-    facets = None if equations is None else _merge_facets(equations, scale)
-    return keep, frame, coords[keep], facets
+    keep = _hull_vertices(coords)
+    return keep, frame, coords[keep]
 
 
 def _distinct_hull(pts: np.ndarray) -> Polytope:
     """``convex_hull`` of checked points no two of which are within GEO
     times their extent of each other, such as a subset of a measure's
-    atoms: ``_hull`` with nothing to dedupe.  One point or two (a mask
-    row that splits an atom in two) get no frame until one is asked
-    for."""
-    if pts.shape[0] == 1:
-        return Polytope._built(pts)
-    keep, frame, coords, facets = _hull(pts)
-    return Polytope._built(pts[keep], frame, coords, facets)
+    atoms: ``_hull`` with nothing to dedupe."""
+    keep, frame, coords = _hull(pts)
+    return Polytope._built(pts[keep], frame, coords)
 
 
-def _hull_vertices(coords: np.ndarray):
-    """Indices of the vertices of conv(coords), ascending, and qhull's
-    facet equations when qhull was run.
+def _hull_vertices(coords: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of conv(coords), ascending.
 
     ``coords`` are frame coordinates, so they span their own space: k
     points in dimension k - 1 form a simplex and are all vertices.
     """
     k, m = coords.shape
     if k == m + 1:
-        return np.arange(k), None
+        return np.arange(k)
     if m == 1:
-        return np.unique([coords[:, 0].argmin(), coords[:, 0].argmax()]), None
-    hull = _qhull(coords)
-    return np.sort(hull.vertices), hull.equations
+        return np.unique([coords[:, 0].argmin(), coords[:, 0].argmax()])
+    return np.sort(_qhull(coords).vertices)
 
 
 def _qhull(coords: np.ndarray):
@@ -449,7 +442,8 @@ def relative_interiors_intersect(P: Polytope, Q: Polytope) -> bool:
     """True iff some point is in the relative interior of both polytopes:
     a common point has barycentric weights of at least INTERIOR in both
     (one LP, on the vertices centred on one of P's and divided by the
-    extent of both).  A point polytope asks ``in_relative_interior``."""
+    extent of both; an "unbounded" report raises SolverError).  A point
+    polytope asks ``in_relative_interior``."""
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("polytopes live in different ambient spaces")
     if P.n_vertices == 1:
@@ -476,8 +470,10 @@ def relative_interiors_intersect(P: Polytope, Q: Polytope) -> bool:
     upper[-1] = 1.0
     c = np.zeros(n)
     c[-1] = -1.0
-    res = lp.highs(c, A, row_lo, row_hi, upper=upper, feas_tol=GEO)
-    return res.status is lp.LpStatus.OPTIMAL and res.solution[-1] >= INTERIOR
+    res = lp.highs(c, A, row_lo, row_hi, upper=upper, feas_tol=GEO, what="relative-interior LP")
+    if res.status is lp.LpStatus.UNBOUNDED:
+        raise SolverError("relative-interior LP not solved: HiGHS reports it unbounded")
+    return res.status is lp.LpStatus.OPTIMAL and bool(res.solution[-1] >= INTERIOR)
 
 
 def halfspaces(P: Polytope) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,8 @@ distinct atoms of one measure, so its hull is the generic hull with
 nothing to dedupe (``geometry._distinct_hull``).  A row of two atoms, an
 atom split in two as on the line, is a segment: its two atoms are its
 vertices and its dimension is 1, with no frame built; any hull builds
-its frame, coordinates and facets only when something asks for
-them.  Every martingale coupling is confined to the cells row by row.
+its facets only when something reads them.  Every martingale coupling
+is confined to the cells row by row.
 """
 
 from __future__ import annotations

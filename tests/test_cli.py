@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mot import fixtures
 from mot.cli import main
+from mot.errors import InvalidParameter
 from mot.measures import DiscreteMeasure
 
 
@@ -41,6 +43,16 @@ def test_example_round_trip(runner, tmp_path):
     assert np.allclose(mu.weights, [0.5, 0.5])
     # serialization round-trips bit-exactly
     assert mu.to_json() == data
+
+
+@pytest.mark.parametrize(
+    "family, grid, n_mu, n_nu", [("continuous_grid", 3, 3, 6), ("gaussian_grid", 3, 9, 25)]
+)
+def test_example_grid_families(runner, tmp_path, family, grid, n_mu, n_nu):
+    mu_f, nu_f = _measure_files(runner, tmp_path, family=family, grid=grid)
+    for path, n_atoms in ((mu_f, n_mu), (nu_f, n_nu)):
+        with open(path) as fh:
+            assert DiscreteMeasure.from_json(json.load(fh)).n_atoms == n_atoms
 
 
 def test_example_mixed_k3_center_weight(runner, tmp_path):
@@ -207,12 +219,20 @@ def test_invalid_measure_exit_code(runner, tmp_path):
 
 
 def test_invalid_example_parameter(runner, tmp_path):
-    result = runner.invoke(
-        main,
-        ["example", "discrete_k", "--k", "1",
-         "--mu", str(tmp_path / "a.json"), "--nu", str(tmp_path / "b.json")],
-    )
-    assert result.exit_code == 3
+    for family, flag, value in (
+        ("discrete_k", "--k", "1"),
+        ("gaussian_grid", "--grid", "4"),
+        ("continuous_grid", "--grid", "0"),
+    ):
+        result = runner.invoke(
+            main,
+            ["example", family, flag, value,
+             "--mu", str(tmp_path / "a.json"), "--nu", str(tmp_path / "b.json")],
+        )
+        assert result.exit_code == 3, (family, result.output)
+        assert json.loads(result.output)["error"] == "InvalidParameter"
+    with pytest.raises(InvalidParameter, match="unknown example family"):
+        fixtures.make("uniform_k")
 
 
 def test_mot_tol_env_override(runner, tmp_path, monkeypatch):

@@ -78,6 +78,10 @@ def test_find_coupling_discrete_k2_unique_values():
 def test_find_coupling_not_in_order():
     with pytest.raises(NotInConvexOrder):
         find_coupling(m1d([-1.0, 1.0], [0.5, 0.5]), m1d([0.0], [1.0]))
+    # equal barycentres: the max-support LP over every pair finds no pair
+    mu, nu = discrete_k(2)
+    with pytest.raises(NotInConvexOrder):
+        max_support_coupling(nu, mu)
 
 
 def test_find_coupling_identical_measures_feasible():
@@ -98,6 +102,19 @@ def test_max_mass_examples():
     assert max_mass_on_pair(mu, nu, i, j_cross) <= POLAR
     point = m1d([0.0], [1.0])
     assert abs(max_mass_on_pair(point, point, 0, 0) - 1.0) <= TOL
+
+
+def test_masses_have_no_negative_zero():
+    """Pairs that carry no mass read +0.0, not the LP's signed zero, in
+    ``polar_matrix`` and in the extreme masses of each pair."""
+    mu, nu = discrete_k(2)
+    M = polar_matrix(mu, nu)
+    assert np.count_nonzero(M == 0.0) == 4
+    assert not np.signbit(M).any()
+    for i in range(mu.n_atoms):
+        for j in range(nu.n_atoms):
+            assert not np.signbit(max_mass_on_pair(mu, nu, i, j))
+            assert not np.signbit(min_mass_on_pair(mu, nu, i, j))
 
 
 def test_uniqueness_certificate_discrete_k():
@@ -299,6 +316,8 @@ def test_coupling_json_round_trip():
         ([[0.0]], [-1.0, 1.0], [[0.5, 0.5]]),
         # a point that is not finite
         ([[0.0]], [[-1.0], [float("inf")]], [[0.5, 0.5]]),
+        # a matrix of another shape than the supports
+        ([[0.0]], [[-1.0], [1.0]], [[0.5], [0.5]]),
     ],
 )
 def test_coupling_json_rejects_supports_that_are_not_point_lists_of_one_dimension(
@@ -306,6 +325,14 @@ def test_coupling_json_rejects_supports_that_are_not_point_lists_of_one_dimensio
 ):
     with pytest.raises(InvalidInput):
         Coupling.from_json({"mu_support": mu_support, "nu_support": nu_support, "matrix": matrix})
+
+
+@pytest.mark.parametrize("key", ["mu_support", "nu_support", "matrix"])
+def test_coupling_json_without_a_key_is_invalid(key):
+    data = find_coupling(*discrete_k(2)).to_json()
+    del data[key]
+    with pytest.raises(InvalidInput, match="malformed coupling JSON"):
+        Coupling.from_json(data)
 
 
 @pytest.mark.parametrize("damage", ["nan-row", "negative", "infinite"])

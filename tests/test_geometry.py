@@ -9,13 +9,14 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
-from mot.errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
+from mot.errors import DimensionMismatch, InvalidInput, PointOutsidePolytope, SolverError
 from mot.geometry import (
     Polytope,
     _dedupe,
     _distinct_hull,
     _facet_equations,
     _first_match,
+    _hull,
     _hull_frame,
     _match_point_sets,
     affine_hull,
@@ -146,8 +147,18 @@ def test_ri_intersect_square_and_inner_segment():
     crossing = Polytope([[0.5, 0.5, -1.0], [0.5, 0.5, 1.0]])
     coplanar = Polytope([[0.5, 0.5, 0.0], [3.0, 0.5, 0.0], [0.5, 3.0, 0.0]])
     for Q in (crossing, coplanar):
-        assert relative_interiors_intersect(TRIANGLE_3D, Q)
-        assert relative_interiors_intersect(Q, TRIANGLE_3D)
+        assert relative_interiors_intersect(TRIANGLE_3D, Q) is True
+        assert relative_interiors_intersect(Q, TRIANGLE_3D) is True
+
+
+def test_ri_intersect_unbounded_report_raises(stub_highs):
+    """HiGHS can call a bounded LP unbounded at tight tolerances; two
+    overlapping triangles then raise SolverError, not "disjoint"."""
+    P = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    Q = Polytope([[0.2, 0.2], [2.0, 0.0], [0.0, 2.0]])
+    stub_highs("kUnbounded")
+    with pytest.raises(SolverError, match="relative-interior LP not solved"):
+        relative_interiors_intersect(P, Q)
 
 
 def test_ri_intersect_square_and_boundary_segment():
@@ -158,8 +169,8 @@ def test_ri_intersect_square_and_boundary_segment():
     on_edge = Polytope([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
     at_vertex = Polytope([[2.0, 0.0, 0.0], [3.0, 1.0, 1.0], [3.0, -1.0, 1.0]])
     for Q in (on_edge, at_vertex):
-        assert not relative_interiors_intersect(TRIANGLE_3D, Q)
-        assert not relative_interiors_intersect(Q, TRIANGLE_3D)
+        assert relative_interiors_intersect(TRIANGLE_3D, Q) is False
+        assert relative_interiors_intersect(Q, TRIANGLE_3D) is False
 
 
 def test_ri_intersect_with_a_point():
@@ -623,12 +634,17 @@ def test_segment_frame_is_built_on_first_use():
     frame, coordinates and facets it builds when asked, and its answers
     at seeded points on and off its line, equal those of the frame the
     rank rule builds eagerly (``_hull_frame``) from the same vertices and
-    scale."""
+    scale.  ``_hull`` gives one point or two as their own vertices, with
+    no frame or coordinates."""
     rng = np.random.default_rng(19)
     for d in (1, 2, 3):
         for shift, factor in ((0.0, 1.0), (1e6, 1.0), (0.0, 1e-6)):
             for _ in range(5):
                 pts = shift + factor * rng.uniform(-2.0, 2.0, size=(2, d))
+                for n in (1, 2):
+                    keep, frame, coords = _hull(pts[:n])
+                    assert keep.tolist() == list(range(n))
+                    assert frame is None and coords is None
                 for build in (
                     convex_hull,
                     _distinct_hull,

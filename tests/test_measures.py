@@ -170,9 +170,16 @@ def test_nonpositive_weights_rejected():
 def test_input_that_is_not_numbers_is_invalid():
     """Ragged, nested or non-numeric points, weights and PWL pieces
     raise InvalidInput, from the constructors, from the point checks and
-    from PWL JSON."""
+    from PWL JSON; so do a weight count other than one per point, an
+    infinite weight, a NaN coordinate, no PWL piece at all and a PWL
+    ``dim`` that its gradients contradict."""
     cases = [
         lambda: DiscreteMeasure([[0.0]], ["heavy"]),
+        lambda: DiscreteMeasure([[0.0], [1.0]], [1.0]),
+        lambda: DiscreteMeasure([[0.0]], [np.inf]),
+        lambda: as_point([np.nan, 1.0]),
+        lambda: PwlConvex([]),
+        lambda: PwlConvex.from_json({"dim": 2, "pieces": [{"gradient": [1.0], "offset": 0.0}]}),
         lambda: DiscreteMeasure([[0.0, 1.0], [0.0]], [0.5, 0.5]),
         lambda: DiscreteMeasure([[[0.0]]], [1.0]),
         lambda: DiscreteMeasure([["a"]], [1.0]),
@@ -188,6 +195,25 @@ def test_input_that_is_not_numbers_is_invalid():
     ]
     for case in cases:
         with pytest.raises(InvalidInput):
+            case()
+
+
+def test_dimension_mismatch_is_typed():
+    """Points of the wrong dimension for the check, measures of two
+    dimensions, and a function of another dimension than its measures
+    raise DimensionMismatch."""
+    line = m1d([-1.0, 1.0], [0.5, 0.5])
+    plane = DiscreteMeasure([[0.0, 0.0]], [1.0])
+    space = DiscreteMeasure([[0.0, 0.0, 0.0]], [1.0])
+    cases = [
+        lambda: as_point([0.0, 1.0], dim=3),
+        lambda: as_points([[0.0, 1.0]], dim=3),
+        lambda: pairing(line, plane, PwlConvex([([1.0], 0.0)])),
+        lambda: pairing(line, line, PwlConvex([([1.0, 0.0], 0.0)])),
+        lambda: find_coupling(plane, space),
+    ]
+    for case in cases:
+        with pytest.raises(DimensionMismatch):
             case()
 
 

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import random_dilation_pair
-from mot import DiscreteMeasure, compute_paving, find_coupling, fixtures
+from mot import DiscreteMeasure, compute_paving, find_coupling, fixtures, geometry
 from mot.coupling import Coupling, nonpolar_mask
 from mot.errors import DimensionMismatch, NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
 from mot.geometry import (
     Polytope,
     _distinct_hull,
+    _facet_equations,
     _hull_frame,
     convex_hull,
     in_relative_interior,
@@ -367,12 +368,22 @@ def test_gaussian_grid_11_paves_into_one_cell():
     assert cell.hull.same_vertices(convex_hull(nu.points))
 
 
-def test_row_hulls_match_the_generic_hull(random_instances):
+def test_row_hulls_match_the_generic_hull(random_instances, monkeypatch):
     """Each mask row's hull, built from distinct atoms with nothing to
     dedupe (and from the least and greatest atom on the line), has the
     generic ``convex_hull``'s vertices in the same order, its affine
-    dimension, its facets and its answers on the measure's atoms."""
+    dimension, its facets and its answers on the measure's atoms.
+    Neither builds facets (``_merge_facets``, qhull's facets merged)
+    until they are read, also where qhull found the vertices of d + 2
+    or more points in 2-D and 3-D; once read, they are the facets of
+    the vertices' frame coordinates, bit for bit."""
+    merges = []
+    merge = geometry._merge_facets
+    monkeypatch.setattr(
+        geometry, "_merge_facets", lambda *args: merges.append(1) or merge(*args)
+    )
     rng = np.random.default_rng(14)
+    qhull_dims = set()
     for mu, nu, _, _ in random_instances:
         atoms = np.vstack([mu.points, nu.points])
         for _ in range(3):
@@ -380,13 +391,21 @@ def test_row_hulls_match_the_generic_hull(random_instances):
             if pts.shape[0] == 0:
                 continue
             fast, slow = _distinct_hull(pts), convex_hull(pts)
+            assert merges == []
             assert fast.vertices.tolist() == slow.vertices.tolist()
             assert fast.affine_dim == slow.affine_dim
+            if fast.affine_dim >= 2 and pts.shape[0] >= fast.affine_dim + 2:
+                qhull_dims.add(fast.affine_dim)
+            for P in (fast, slow):
+                for mine, theirs in zip(P.facets, _facet_equations(P.coords, P.scale)):
+                    assert np.array_equal(mine, theirs)
+            merges.clear()
             for mine, theirs in zip(fast.facets, slow.facets):
                 assert np.array_equal(mine, theirs)
             for p in atoms:
                 assert fast.contains(p) == slow.contains(p)
                 assert in_relative_interior(p, fast) == in_relative_interior(p, slow)
+    assert qhull_dims == {2, 3}
 
 
 def _fixture_and_random_pairs():

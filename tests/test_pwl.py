@@ -259,6 +259,8 @@ def test_affine_component_hinge_is_boundary_segment():
 def test_affine_component_outside_box():
     with pytest.raises(PointOutsideBox):
         affine_component(ABS, [5.0], BOX1)
+    with pytest.raises(DimensionMismatch):
+        affine_component(ABS, [0.5], BOX2)
 
 
 def test_asymptotic_component_constant_list():
@@ -502,6 +504,18 @@ def test_pwl_json_round_trip():
     again = PwlConvex.from_json(phi.to_json())
     assert np.array_equal(phi.gradients, again.gradients)
     assert np.array_equal(phi.offsets, again.offsets)
+
+
+def test_batch_evaluation_matches_points():
+    """phi on a (k, d) batch gives, row by row, its values at the points
+    (to round-off: the batch is one matrix product)."""
+    rng = np.random.default_rng(59)
+    for d in (1, 2, 3):
+        phi = random_pwl(rng, d)
+        ys = rng.uniform(-2.0, 2.0, size=(7, d))
+        values = phi(ys)
+        assert values.shape == (7,)
+        assert np.allclose(values, [phi(y) for y in ys], rtol=1e-15, atol=1e-15)
 
 
 def test_lipschitz_constant():
