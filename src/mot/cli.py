@@ -31,7 +31,7 @@ def _fail(exc: Exception, code: int):
 
 
 def _emit(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -16,7 +16,8 @@ mu's points are centred on mu's barycentre and nu's on nu's.
 the LP's tolerance, so the LPs see first moments that agree to
 round-off and never decide that question again.
 
-A coupling an LP returns is certified before it is used (``_certify``):
+Every coupling, whether an LP returns it or not, is certified before
+it is used (``_certify``):
 from theta as an n x m matrix, numpy computes the residuals of the
 normalised system, which are the row sums minus mu, the column sums
 minus nu and the row barycenter defects theta @ y - rowsum * x.  A
@@ -39,7 +40,10 @@ exactly one mu-atom, the only coupling over the pairs left sends nu_j
 from that atom to y_j; where it passes ``_certify`` (``_forced``) it is
 the answer of ``nonpolar_mask`` and ``find_coupling``, again with no
 LP.  Otherwise ``nonpolar_mask`` poses its LP over the pairs left
-(``_max_support``) and ``find_coupling`` over every pair.
+(``_max_support``).  ``find_coupling`` in dimension one builds the
+left-curtain coupling (Beiglböck & Juillet 2016; ``_left_curtain``)
+and, where it passes ``_certify``, answers with it and no LP; in every
+other case it poses its LP over every pair.
 ``max_support_coupling``, ``polar_matrix`` and ``max_mass_on_pair``
 solve their LPs over every pair in every dimension.
 """
@@ -160,15 +164,22 @@ def _highs(c, A, rhs, feas) -> np.ndarray:
 def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     """Any feasible martingale coupling; raises NotInConvexOrder if none.
 
-    A coordinate line that refutes the order raises NotInConvexOrder
-    first (``_projection_filter``).  Where the pairs the filter keeps
-    force the coupling (``_forced``), that coupling is the answer and no
-    LP is solved.  Otherwise the LP over every pair is solved and its
-    normalised solution checked before its roundoff is clipped to 0
-    (``_certify``).  Either is scaled back to mu's total mass.
+    Answered by the first of these steps that applies:
+    1. a coordinate line that refutes the order raises NotInConvexOrder
+       (``_projection_filter``);
+    2. where the pairs the filter keeps force the coupling, that
+       coupling (``_forced``);
+    3. in dimension one, the left-curtain coupling (``_left_curtain``);
+    4. the LP over every pair, whose normalised solution is checked
+       before its roundoff is clipped to 0.
+    Steps 2 and 3 apply only where their coupling passes its certificate
+    (``_certify``), and only step 4 solves an LP.  The answer is scaled
+    back to mu's total mass.
     """
     s = _scaled(mu, nu)
     theta = _forced(s, _projection_filter(mu, nu, s)[0])
+    if theta is None and mu.ambient_dim == 1:
+        theta = _left_curtain(s)
     if theta is None:
         A, b, _ = _constraint_system(mu, nu, s=s)
         x = _highs(np.zeros(A.shape[1]), A, b, s.feas)
@@ -184,7 +195,43 @@ def _forced(s: _Scaled, keep):
     pair.  Returned only where it passes ``_certify``; None otherwise."""
     if not (np.count_nonzero(keep, axis=0) == 1).all():
         return None
-    theta = np.where(keep, s.nu_w, 0.0)
+    return _certified(s, np.where(keep, s.nu_w, 0.0))
+
+
+def _left_curtain(s: _Scaled):
+    """The normalised left-curtain coupling of a 1-D instance (Beiglböck
+    & Juillet 2016): the mu-atoms, left to right, each send their mass
+    to their shadow in what is left of nu.  The shadow of mass a at x is
+    the window [t, t + a] of quantile levels of the remaining nu whose
+    mean is x.  Taken in increasing order, the remaining nu-atoms have
+    cumulative masses M and first moments Q, and the first moment of the
+    levels below l is Q interpolated against M at l.  The window's first
+    moment Q(t + a) - Q(t) is then nondecreasing in t and linear between
+    the knots where t or t + a is in M, so t, where it equals a x, is
+    interpolated between two knots.  Returned only where it passes
+    ``_certify``; None otherwise."""
+    order = np.argsort(s.y[:, 0])
+    # nu in increasing order, after a massless atom at 0 so that M and Q
+    # start at level 0
+    y = np.concatenate([[0.0], s.y[order, 0]])
+    left = np.concatenate([[0.0], s.nu_w[order]])
+    rows = np.zeros((s.mu_w.size, y.size - 1))
+    for i in np.argsort(s.x[:, 0]):
+        a = s.mu_w[i]
+        M, Q = left.cumsum(), (left * y).cumsum()
+        knots = np.concatenate([M, M - a]).clip(0.0, M[-1] - a)
+        knots.sort()
+        window = np.interp(knots + a, M, Q) - np.interp(knots, M, Q)
+        t = np.interp(a * s.x[i, 0], window, knots)
+        rows[i] = np.diff(M.clip(t, t + a))
+        left[1:] = np.maximum(left[1:] - rows[i], 0.0)  # no round-off below 0
+    theta = np.empty_like(rows)
+    theta[:, order] = rows
+    return _certified(s, theta)
+
+
+def _certified(s: _Scaled, theta):
+    """theta where it passes ``_certify``; None otherwise."""
     try:
         _certify(s, theta)
     except SolverError:

@@ -9,7 +9,8 @@ and bounds the support sizes, so it doubles as an oracle.
 import numpy as np
 import pytest
 
-from mot import DiscreteMeasure, compute_paving, find_coupling
+from mot import DiscreteMeasure, compute_paving, coupling, find_coupling
+from mot.errors import SolverError
 from mot.fixtures import gaussian_grid
 from mot.pwl import PwlConvex
 
@@ -37,6 +38,22 @@ def random_dilation_pair(rng, dim=1, max_atoms=4, max_split=2.0):
             nu_pts.append(p - a * v)
             nu_w.append(wi * (1.0 - a))
     return DiscreteMeasure(pts, w), DiscreteMeasure(nu_pts, nu_w)
+
+
+def fail_the_curtain(monkeypatch):
+    """Make ``coupling._left_curtain`` build its coupling under a
+    certificate that every coupling fails, so that it returns None."""
+    real = coupling._left_curtain
+
+    def rejected(s, theta):
+        raise SolverError("coupling fails its certificate")
+
+    def failed(s):
+        with monkeypatch.context() as m:
+            m.setattr(coupling, "_certify", rejected)
+            return real(s)
+
+    monkeypatch.setattr(coupling, "_left_curtain", failed)
 
 
 def random_pwl(rng, dim, n_pieces=5, scale=2.0):

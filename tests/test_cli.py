@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mot import fixtures
+from mot import compute_paving, fixtures
 from mot.cli import main
 from mot.errors import InvalidParameter
 from mot.measures import DiscreteMeasure
@@ -115,6 +115,20 @@ def test_pave_mixed_k3(runner, tmp_path):
     data = json.loads(result.output)
     assert len(data["cells"]) == 3
     assert data["singletons"] == []
+
+
+def test_pave_writes_one_line_of_json(runner, tmp_path):
+    """``--out`` gets compact JSON on one line, which loads to the
+    paving's own JSON."""
+    mu_f, nu_f = _measure_files(runner, tmp_path, family="mixed_k", k=3)
+    out_f = str(tmp_path / "paving.json")
+    result = runner.invoke(main, ["pave", "--mu", mu_f, "--nu", nu_f, "--out", out_f])
+    assert result.exit_code == 0
+    with open(out_f) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 1
+    mu, nu = fixtures.mixed_k(3)
+    assert json.loads(lines[0]) == compute_paving(mu, nu).to_json()
 
 
 def test_pave_identical_measures(runner, tmp_path):

@@ -229,8 +229,10 @@ def test_highs_matches_milp_bit_for_bit(monkeypatch):
 
     calls = _recorded_highs_calls(monkeypatch, run)
     # find_coupling solves no LP on discrete_k(3) and on 15 of the random
-    # pairs, whose every nu-atom the projection filter leaves to one mu-atom
-    assert len(calls) == 2 * len(pairs) + 4 - 16
+    # pairs, whose every nu-atom the projection filter leaves to one
+    # mu-atom, nor on the other 3 one-dimensional random pairs, which get
+    # the left-curtain coupling
+    assert len(calls) == 2 * len(pairs) + 4 - 16 - 3
     seen = set()
     for args, kwargs in calls:
         status, x = _milp_reference(*args, **kwargs)

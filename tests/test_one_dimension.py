@@ -12,7 +12,7 @@ questions here.
 import numpy as np
 import pytest
 
-from conftest import random_dilation_pair
+from conftest import fail_the_curtain, random_dilation_pair
 from mot import DiscreteMeasure, check_convex_order, compute_paving, lp
 from mot import coupling
 from mot.coupling import (
@@ -24,7 +24,7 @@ from mot.coupling import (
 )
 from mot.errors import NotInConvexOrder, SolverError
 from mot.measures import potential_domain
-from mot.tolerance import FEAS, POLAR
+from mot.tolerance import FEAS, POLAR, extent
 
 
 def m1d(pts, w):
@@ -317,3 +317,111 @@ def test_bound_never_exceeds_the_superhedge():
         assert abs(least - H[~mask].min()) <= 1e-12 * inst.scale
         checked += 1
     assert checked >= 100
+
+
+def _moved(m, f):
+    return DiscreteMeasure(f(m.points), m.weights)
+
+
+def _curtain_pairs():
+    """200 seeded dilation pairs of up to 8 mu-atoms and the ``_narrow``
+    set of ``test_narrow_light_components_against_the_lp``, each as it
+    is and scaled by 1e-3 and by 50, and translated by 1e6 and by -1e6
+    where its extent is at least 1 (below about 0.36, coordinates of
+    1e6 are too coarse for the extent and raise InvalidInput)."""
+    rng = np.random.default_rng(24)
+    pairs = [random_dilation_pair(rng, dim=1, max_atoms=8) for _ in range(200)]
+    pairs += [
+        _narrow(c, e, w)
+        for c in (0.0, 3.0)
+        for e in 10.0 ** -np.arange(1, 8)
+        for w in 10.0 ** -np.arange(1, 8)
+    ]
+    out = []
+    for mu, nu in pairs:
+        maps = [lambda p: p, lambda p: 1e-3 * p, lambda p: 50 * p]
+        if extent(mu.points, nu.points) >= 1.0:
+            maps += [lambda p: p + 1e6, lambda p: p - 1e6]
+        out += [(_moved(mu, f), _moved(nu, f)) for f in maps]
+    return out
+
+
+def test_left_curtain_solves_no_lp(monkeypatch):
+    """On the curtain pairs find_coupling solves no LP: its coupling
+    passes its certificate, and every pair that carries more than POLAR
+    of the mass is on the non-polar mask."""
+    pairs = _curtain_pairs()
+    masks = [nonpolar_mask(mu, nu) for mu, nu in pairs]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "highs", no_lp)
+    for (mu, nu), mask in zip(pairs, masks):
+        c = find_coupling(mu, nu)
+        s = coupling._scaled(mu, nu)
+        coupling._certify(s, c.matrix / s.mass)
+        assert (c.matrix >= 0).all()
+        assert not (c.matrix > POLAR * s.mass)[~mask].any()
+
+
+def _forced_or_none(mu, nu):
+    s = coupling._scaled(mu, nu)
+    return s, coupling._forced(s, coupling._projection_filter(mu, nu, s)[0])
+
+
+def test_curtain_that_fails_its_certificate_falls_back_to_the_lp(monkeypatch):
+    """With the left-curtain coupling's certificate made to fail,
+    find_coupling solves the LP over every pair where the coupling is
+    not forced, and that LP's coupling passes its certificate."""
+    real = lp.highs
+    solved = []
+
+    def counted(*args, **kwargs):
+        solved.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "highs", counted)
+    fail_the_curtain(monkeypatch)
+    rng = np.random.default_rng(25)
+    unforced = 0
+    for _ in range(40):
+        mu, nu = random_dilation_pair(rng, dim=1, max_atoms=6)
+        s, forced = _forced_or_none(mu, nu)
+        solved.clear()
+        c = find_coupling(mu, nu)
+        coupling._certify(s, c.matrix / s.mass)
+        assert len(solved) == (forced is None)
+        unforced += forced is None
+    assert unforced >= 15
+
+
+def test_curtain_is_the_forced_coupling():
+    """Where every nu-atom keeps one mu-atom, the coupling is the only
+    one (``_forced``), and the left-curtain coupling is it to round-off."""
+    rng = np.random.default_rng(20)
+    forced_pairs = 0
+    for _ in range(200):
+        s, forced = _forced_or_none(*random_dilation_pair(rng, dim=1, max_atoms=6))
+        if forced is not None:
+            forced_pairs += 1
+            assert np.abs(coupling._left_curtain(s) - forced).max() <= 1e-14
+    assert forced_pairs >= 60
+
+
+def test_curtain_is_left_monotone():
+    """The left-curtain coupling is the one martingale coupling whose
+    transports are left-monotone (Beiglböck & Juillet 2016): where x
+    sends mass to y1 < y2, no x' > x sends mass strictly between them."""
+    rng = np.random.default_rng(26)
+    unforced = 0
+    for _ in range(100):
+        mu, nu = random_dilation_pair(rng, dim=1, max_atoms=8)
+        unforced += _forced_or_none(mu, nu)[1] is None
+        moved = find_coupling(mu, nu).matrix > POLAR
+        x, y = mu.points[:, 0], nu.points[:, 0]
+        for i, k in np.ndindex(mu.n_atoms, mu.n_atoms):
+            if x[i] < x[k]:
+                lo, hi = y[moved[i]].min(), y[moved[i]].max()
+                assert not ((lo < y[moved[k]]) & (y[moved[k]] < hi)).any()
+    assert unforced >= 40

@@ -11,7 +11,7 @@ poses none where the pairs left force the coupling.
 import numpy as np
 import pytest
 
-from conftest import random_dilation_pair
+from conftest import fail_the_curtain, random_dilation_pair
 from mot import DiscreteMeasure, check_convex_order, compute_paving, find_coupling, lp
 from mot import coupling, measures
 from mot.coupling import max_support_coupling, nonpolar_mask, polar_matrix
@@ -121,6 +121,7 @@ def _full_lp_coupling(monkeypatch, mu, nu):
     """find_coupling as the LP over every pair answers it."""
     with monkeypatch.context() as m:
         m.setattr(coupling, "_forced", lambda s, keep: None)
+        m.setattr(coupling, "_left_curtain", lambda s: None)
         return find_coupling(mu, nu)
 
 
@@ -145,8 +146,9 @@ def test_forced_pattern_solves_no_lp(monkeypatch):
 
 
 def test_forced_coupling_that_fails_its_certificate_falls_back_to_the_lp(monkeypatch):
-    """With the forced coupling's certificate made to fail, the mask and
-    the coupling come from one LP each and are the full LP's answers."""
+    """With the certificates of the forced coupling and, in 1-D, of the
+    left-curtain coupling made to fail, the mask and the coupling come
+    from one LP each and are the full LP's answers."""
     real = coupling._certify
     for mu, nu in _forced_pairs():
         expected = _lp_mask(mu, nu), _full_lp_coupling(monkeypatch, mu, nu).matrix
@@ -160,6 +162,7 @@ def test_forced_coupling_that_fails_its_certificate_falls_back_to_the_lp(monkeyp
         with monkeypatch.context() as m:
             columns, _ = _count_lps(m)
             m.setattr(coupling, "_certify", failed)
+            fail_the_curtain(m)
             mask = nonpolar_mask(mu, nu)
             matrix = find_coupling(mu, nu).matrix
         assert np.array_equal(mask, expected[0])
