@@ -23,23 +23,33 @@ normalised system, which are the row sums minus mu, the column sums
 minus nu and the row barycenter defects theta @ y - rowsum * x.  A
 residual above RESIDUAL or an entry below minus the system's
 feasibility tolerance (FEAS, or coarser far from the origin, but never
-above RESIDUAL: ``tolerance.feasibility``) raises SolverError.
+above RESIDUAL: ``tolerance.feasibility``) raises SolverError.  A
+forced coupling that is tight (``_tight``, below) needs no such pass:
+its bound implies every one of these checks.
 
 Polar pairs are pairs of atoms that carry zero mass under every
 martingale coupling.  One LP (Freund, Roundy & Todd 1985) finds a
 martingale coupling of maximal support; its positive entries are
 exactly the non-polar pairs, and it is returned as their certificate.
-``nonpolar_mask`` first reads the pairs off the zeros of u_nu - u_mu
-on each coordinate axis, since a martingale coupling projects to a 1-D
-one (``_projection_filter``; Beiglböck, Nutz & Touzi 2017).  An axis
-drops the pairs it separates where the superhedge of its zeros bounds
-their mass by POLAR times the total.  In dimension one, where it does,
-the pairs left are the mask, certified by that superhedge
+``nonpolar_mask`` first reads the pairs off the zeros of u_nu - u_mu on
+the coordinate axes in turn, since a martingale coupling projects to a
+1-D one (``_projection_filter``; Beiglböck, Nutz & Touzi 2017).  An
+axis drops the pairs it separates where the superhedge of its zeros
+bounds their mass by POLAR times the total.  In dimension one, where it
+does, the pairs left are the mask, certified by that superhedge
 (``_certify_polar``), and no LP is solved.  Where every nu-atom keeps
 exactly one mu-atom, the only coupling over the pairs left sends nu_j
-from that atom to y_j; where it passes ``_certify`` (``_forced``) it is
-the answer of ``nonpolar_mask`` and ``find_coupling``, again with no
-LP.  Otherwise ``nonpolar_mask`` poses its LP over the pairs left
+from that atom to y_j.  The filter stops at the first axis after which
+that coupling is tight: its row-mass defects and the norms of its row
+barycentre defects, in the instance's own frame, sum to at most
+``s.feas``, the level below which a line refutes the order
+(``_tight``).  Such a coupling passes ``_certify``, and by the triangle
+inequality it keeps u_nu - u_mu above minus that level on every line,
+so no axis left could refute the order; the filter returns it, and
+``nonpolar_mask`` and ``find_coupling`` answer with it and no LP.
+Where the pattern is forced but not tight, every axis is read, and the
+coupling answers where it passes ``_certify`` (``_forced``), again with
+no LP.  Otherwise ``nonpolar_mask`` poses its LP over the pairs left
 (``_max_support``).  ``find_coupling`` in dimension one builds the
 left-curtain coupling (Beiglböck & Juillet 2016; ``_left_curtain``)
 and, where it passes ``_certify``, answers with it and no LP; in every
@@ -167,17 +177,23 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     Answered by the first of these steps that applies:
     1. a coordinate line that refutes the order raises NotInConvexOrder
        (``_projection_filter``);
-    2. where the pairs the filter keeps force the coupling, that
+    2. the tight coupling at which the filter stops: the pairs kept after
+       an axis force it, and its defects are within the lines'
+       refutation level (``_tight``), so it passes ``_certify`` and no
+       axis left could refute the order;
+    3. where the pairs kept after every axis force the coupling, that
        coupling (``_forced``);
-    3. in dimension one, the left-curtain coupling (``_left_curtain``);
-    4. the LP over every pair, whose normalised solution is checked
+    4. in dimension one, the left-curtain coupling (``_left_curtain``);
+    5. the LP over every pair, whose normalised solution is checked
        before its roundoff is clipped to 0.
-    Steps 2 and 3 apply only where their coupling passes its certificate
-    (``_certify``), and only step 4 solves an LP.  The answer is scaled
+    Steps 3 and 4 apply only where their coupling passes its certificate
+    (``_certify``), and only step 5 solves an LP.  The answer is scaled
     back to mu's total mass.
     """
     s = _scaled(mu, nu)
-    theta = _forced(s, _projection_filter(mu, nu, s)[0])
+    keep, _, theta = _projection_filter(mu, nu, s)
+    if theta is None:
+        theta = _forced(s, keep)
     if theta is None and mu.ambient_dim == 1:
         theta = _left_curtain(s)
     if theta is None:
@@ -189,13 +205,50 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
 
 
 def _forced(s: _Scaled, keep):
+    """The coupling that the pairs ``keep`` force (``_pattern``),
+    returned only where it passes ``_certify``; None otherwise.  It is
+    asked only where the filter did not stop: a tight forced coupling
+    (``_tight``: its row-mass and barycentre defects sum to at most the
+    lines' refutation level) passes ``_certify`` by that bound and is
+    the filter's answer, so this certifies the pattern left once every
+    axis has been read."""
+    theta = _pattern(s, keep)
+    return None if theta is None else _certified(s, theta)
+
+
+def _pattern(s: _Scaled, keep):
     """The normalised coupling that the pairs ``keep`` (an n x m boolean
     matrix) force where each nu-atom keeps exactly one mu-atom: theta_ij
     = nu_j on them and 0 elsewhere, the only one that charges no other
-    pair.  Returned only where it passes ``_certify``; None otherwise."""
+    pair.  None where some nu-atom keeps none or several."""
     if not (np.count_nonzero(keep, axis=0) == 1).all():
         return None
-    return _certified(s, np.where(keep, s.nu_w, 0.0))
+    return np.where(keep, s.nu_w, 0.0)
+
+
+def _tight(s: _Scaled, theta) -> bool:
+    """Whether the normalised coupling theta, whose columns are nu and
+    whose entries are nonnegative, misses mu and the martingale rows by at
+    most the refutation level of a line, ``s.feas``:
+    sum_i |r_i - mu_i| + sum_i |b_i| <= s.feas, with r_i the row sums and
+    b_i = sum_j theta_ij (Y_j - X_i) / scale the row barycentre defects in
+    the instance's own frame (Euclidean norms).  The arrays of ``_scaled``
+    centre mu and nu on their own barycentres, so |b_i| is bounded by
+    |theta @ y - r x|_i plus r_i times the distance between the
+    barycentres (``s.shift``).
+
+    A tight coupling passes ``_certify``: each of its residuals is at
+    most that sum, and s.feas <= RESIDUAL.  And no line refutes the
+    order: along a unit vector v, at the projection a of any atom,
+    u_nu(a) = sum_ij theta_ij |<v, Y_j> - a| >= sum_i |r_i (<v, X_i> - a) + <v, b_i>|
+    by the triangle inequality, and |<v, X_i> - a| is at most the
+    extent, so u_nu(a) - u_mu(a) is at least -sum_i (|r_i - mu_i| + |b_i|)
+    times mass and extent: no lower than the level below which
+    ``_axis_zeros`` refutes."""
+    rows = theta.sum(axis=1)
+    defect = theta @ s.y - rows[:, None] * s.x
+    gap = np.abs(rows - s.mu_w).sum() + np.sqrt((defect * defect).sum(axis=1)).sum()
+    return float(gap) + float(rows.sum()) * s.shift <= s.feas
 
 
 def _left_curtain(s: _Scaled):
@@ -397,14 +450,17 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     of its zeros (``_certify_polar``) with no LP.  Where the pairs left
     force a certified coupling (``_forced``), it is positive on exactly
     them and the axes' superhedges certify the pairs dropped, so they
-    are the mask, again with no LP.  Otherwise the mask is the
-    max-support LP's (``_max_support``) over the pairs left."""
+    are the mask, again with no LP.  That holds too where the filter
+    stops early on a tight forced coupling (``_tight``): that coupling
+    passes ``_certify``, and no axis left could refute the order.
+    Otherwise the mask is the max-support LP's (``_max_support``) over
+    the pairs left."""
     inst = _scaled(mu, nu)
-    keep, zeros = _projection_filter(mu, nu, inst)
+    keep, zeros, theta = _projection_filter(mu, nu, inst)
     if mu.ambient_dim == 1 and zeros[0] is not None:
         _certify_polar(mu, nu, keep, zeros[0], POLAR * inst.mass, GEO * inst.scale)
         return keep
-    if _forced(inst, keep) is not None:
+    if theta is not None or _forced(inst, keep) is not None:
         return keep
     return _max_support(mu, nu, inst, np.flatnonzero(keep))[0]
 
@@ -436,9 +492,10 @@ def _axis_mask(x, mu_w, y, nu_w, inst: _Scaled):
 
 
 def _projection_filter(mu: DiscreteMeasure, nu: DiscreteMeasure, inst: _Scaled):
-    """The pairs that no coordinate projection proves polar, as an n x m
-    boolean matrix, and per axis the positions of the zeros that certify
-    what it drops, or None where its bound fails and it drops nothing.
+    """The pairs that no coordinate projection read proves polar, as an
+    n x m boolean matrix; per axis read, the positions of the zeros that
+    certify what it drops, or None where its bound fails and it drops
+    nothing; and the normalised coupling the filter stopped on, or None.
 
     Projected on axis k, a martingale coupling is a 1-D martingale
     coupling of the projected marginals, so the 1-D rule (``_axis_mask``)
@@ -449,6 +506,14 @@ def _projection_filter(mu: DiscreteMeasure, nu: DiscreteMeasure, inst: _Scaled):
     sum (u_nu - u_mu)(a) over the projections, so the mass on the pairs
     dropped is at most that cost over the least H on them.  An axis
     drops its pairs only where that bound is at most POLAR times the mass.
+
+    The axes are read in order, and the filter stops after the first one
+    at which the pairs kept force a tight coupling (``_pattern`` and
+    ``_tight``): it passes ``_certify``, and it keeps u_nu - u_mu above
+    the refutation level of ``_axis_zeros`` on any line, so no axis left
+    could refute the order.  It is returned, to be the answer of
+    ``find_coupling`` and ``nonpolar_mask``.  Where the pattern is forced
+    but not tight, the axes left are read, as they may refute the order.
     """
     keep = np.ones((mu.n_atoms, nu.n_atoms), dtype=bool)
     zeros = []
@@ -461,7 +526,10 @@ def _projection_filter(mu: DiscreteMeasure, nu: DiscreteMeasure, inst: _Scaled):
         else:
             z = None
         zeros.append(z)
-    return keep, zeros
+        theta = None if z is None else _pattern(inst, keep)
+        if theta is not None and _tight(inst, theta):
+            return keep, zeros, theta
+    return keep, zeros, None
 
 
 def _certify_polar(mu, nu, mask, zeros, polar, tol):

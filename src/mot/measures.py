@@ -156,14 +156,16 @@ class _Scaled(NamedTuple):
     y: np.ndarray
     feas: float  # feasibility tolerance of the normalised system
     scale: float  # the extent of both supports
+    shift: float  # the distance between the barycentres, over the extent
 
 
 def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -> _Scaled:
     """mu and nu in the normalised arrays of the coupling LPs: mu's total
     mass, weights over it, each measure's points centred on its own
     barycentre and divided by the extent of both supports (1 when every
-    atom is at one point), and the feasibility tolerance of the
-    normalised system (``tolerance.feasibility``).
+    atom is at one point), the feasibility tolerance of the normalised
+    system (``tolerance.feasibility``), and the distance between the
+    barycentres over that extent, which the centring takes out of y - x.
 
     Measures in different dimensions raise DimensionMismatch, and
     masses that differ by more than GEO times mu's raise MassMismatch.
@@ -192,6 +194,7 @@ def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -
         (nu.points - nu_centre) / scale,
         feas,
         scale,
+        float(np.linalg.norm(nu_centre - mu_centre)) / scale,
     )
 
 
@@ -202,7 +205,11 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     it counts (Strassen: convex order iff a martingale coupling
     exists).  There a coordinate line that refutes the order answers
     before any LP, and where the pairs the projection filter keeps
-    force the coupling, no LP is solved."""
+    force the coupling, no LP is solved.  The filter stops at the first
+    axis whose kept pairs force a tight coupling, one whose defects are
+    within the level below which a line refutes the order
+    (``coupling._tight``): no line could refute it, so the answer is
+    the one every axis would give."""
     try:
         if mu.ambient_dim == 1:
             _potential_domain(mu, nu, None)

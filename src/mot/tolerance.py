@@ -22,15 +22,20 @@ factor of the input:
   InvalidInput.  Two measures whose barycentres differ by more than the
   LP holds its barycentre rows to are not in convex order, however the
   question is asked.
-* The non-polar mask and ``potential_domain`` read u_nu - u_mu on each
-  coordinate axis, in dimension one on the line itself: a breakpoint
-  where it is at most the feasibility tolerance times mu's total mass
-  times the extent of both supports, and where a nu-atom sits, within
-  GEO times that extent, is a zero, and a value below minus that level
-  refutes the order.  An axis drops the pairs its zeros separate only
-  where their superhedge bounds the mass on them by POLAR times the
-  total mass.  In dimension one what such an axis leaves is the mask;
-  otherwise, in every dimension, the max-support LP decides the pairs
+* The non-polar mask and ``potential_domain`` read u_nu - u_mu on the
+  coordinate axes in turn, in dimension one on the line itself: a
+  breakpoint where it is at most the feasibility tolerance times mu's
+  total mass times the extent of both supports, and where a nu-atom
+  sits, within GEO times that extent, is a zero, and a value below
+  minus that level refutes the order.  An axis drops the pairs its
+  zeros separate only where their superhedge bounds the mass on them
+  by POLAR times the total mass.  The axes stop at the first after
+  which the pairs left force a coupling whose row-mass and barycentre
+  defects sum to at most the feasibility tolerance: that coupling is
+  certified, and it keeps u_nu - u_mu above minus that level on every
+  line, so no axis left could refute the order.  In dimension one what
+  an axis whose bound holds leaves is the mask; otherwise, in every
+  dimension, a forced coupling or the max-support LP decides the pairs
   left.
 
 Tolerances a caller still sets: the ``tol`` of

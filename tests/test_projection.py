@@ -15,7 +15,7 @@ from conftest import fail_the_curtain, random_dilation_pair
 from mot import DiscreteMeasure, check_convex_order, compute_paving, find_coupling, lp
 from mot import coupling, measures
 from mot.coupling import max_support_coupling, nonpolar_mask, polar_matrix
-from mot.errors import SolverError
+from mot.errors import NotInConvexOrder, SolverError
 from mot.fixtures import continuous_grid, discrete_k, gaussian_grid, mixed_k
 from mot.tolerance import FEAS, INTERIOR, POLAR
 
@@ -120,6 +120,7 @@ def _forced_pairs():
 def _full_lp_coupling(monkeypatch, mu, nu):
     """find_coupling as the LP over every pair answers it."""
     with monkeypatch.context() as m:
+        m.setattr(coupling, "_tight", lambda s, theta: False)
         m.setattr(coupling, "_forced", lambda s, keep: None)
         m.setattr(coupling, "_left_curtain", lambda s: None)
         return find_coupling(mu, nu)
@@ -146,9 +147,11 @@ def test_forced_pattern_solves_no_lp(monkeypatch):
 
 
 def test_forced_coupling_that_fails_its_certificate_falls_back_to_the_lp(monkeypatch):
-    """With the certificates of the forced coupling and, in 1-D, of the
-    left-curtain coupling made to fail, the mask and the coupling come
-    from one LP each and are the full LP's answers."""
+    """With the forced coupling made to fail both the tight bound, so
+    that the filter reads every axis and returns no coupling, and its
+    certificate, and in 1-D with the left-curtain coupling's certificate
+    made to fail too, the mask and the coupling come from one LP each
+    and are the full LP's answers."""
     real = coupling._certify
     for mu, nu in _forced_pairs():
         expected = _lp_mask(mu, nu), _full_lp_coupling(monkeypatch, mu, nu).matrix
@@ -161,6 +164,7 @@ def test_forced_coupling_that_fails_its_certificate_falls_back_to_the_lp(monkeyp
 
         with monkeypatch.context() as m:
             columns, _ = _count_lps(m)
+            m.setattr(coupling, "_tight", lambda s, theta: False)
             m.setattr(coupling, "_certify", failed)
             fail_the_curtain(m)
             mask = nonpolar_mask(mu, nu)
@@ -169,6 +173,123 @@ def test_forced_coupling_that_fails_its_certificate_falls_back_to_the_lp(monkeyp
         assert np.array_equal(matrix, expected[1])
         # the 1-D mask is read off the potentials before the forced test
         assert len(columns) == (1 if mu.ambient_dim == 1 else 2)
+
+
+def _count_lines(monkeypatch):
+    """A list that ``coupling._axis_mask`` appends to at each line read."""
+    real, lines = coupling._axis_mask, []
+
+    def counted(*args):
+        lines.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(coupling, "_axis_mask", counted)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "pair, per_call",
+    [
+        (continuous_grid(10), 1),
+        (discrete_k(12), 1),
+        (mixed_k(6), 2),
+        (gaussian_grid(5), 2),
+    ],
+    ids=["continuous_grid(10)", "discrete_k(12)", "mixed_k(6)", "gaussian_grid(5)"],
+)
+def test_filter_stops_at_the_first_settled_axis(monkeypatch, pair, per_call):
+    """The filter stops after the first axis whose kept pairs force a
+    tight coupling.  The pairs continuous_grid(10) and discrete_k(12)
+    keep on axis 0 force it, so each mask and coupling reads one line;
+    mixed_k(6) and gaussian_grid(5) never settle, so they read both."""
+    mu, nu = pair
+    lines = _count_lines(monkeypatch)
+    for f in (nonpolar_mask, find_coupling):
+        lines.clear()
+        f(mu, nu)
+        assert len(lines) == per_call, f.__name__
+
+
+def _every_axis(mu, nu, s):
+    """The pairs kept by every coordinate axis whose bound holds, read
+    one by one with ``_axis_mask``."""
+    keep = np.ones((mu.n_atoms, nu.n_atoms), dtype=bool)
+    for k in range(mu.ambient_dim):
+        mask, _, cost, least = coupling._axis_mask(
+            mu.points[:, k], mu.weights, nu.points[:, k], nu.weights, s
+        )
+        if cost <= POLAR * s.mass * least:
+            keep &= mask
+    return keep
+
+
+def test_early_stop_keeps_the_pairs_of_every_axis():
+    """On the forced pairs, rotated and translated copies of them, the
+    pairs the filter keeps where it stops early are those every axis
+    keeps, and the coupling it stops on passes its certificate."""
+    rng = np.random.default_rng(25)
+    pairs, stopped = [], 0
+    for mu, nu in _forced_pairs():
+        d = mu.ambient_dim
+        rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        pairs += [(mu, nu)] + [
+            (_moved(mu, f), _moved(nu, f))
+            for f in (lambda p: p @ rotation.T, lambda p: p + 1e6, lambda p: p - 3e5)
+        ]
+    for mu, nu in pairs:
+        s = measures._scaled(mu, nu)
+        keep, zeros, theta = coupling._projection_filter(mu, nu, s)
+        assert np.array_equal(keep, _every_axis(mu, nu, s))
+        if theta is not None:
+            coupling._certify(s, theta)
+            stopped += len(zeros) < mu.ambient_dim
+    assert stopped >= 100
+
+
+def _margin_pair(eta):
+    """mu = (delta_(0, 1) + delta_(10, -1))/2 against nu with a quarter
+    of the mass at each of (-1, 1 - eta), (1, 1 - eta), (9, -1 + eta) and
+    (11, -1 + eta): on axis 0 each nu-atom keeps one mu-atom, and on
+    axis 1 nu is mu pulled in by eta, so not in convex order."""
+    mu = DiscreteMeasure([[0.0, 1.0], [10.0, -1.0]], [0.5, 0.5])
+    nu = DiscreteMeasure(
+        [[-1.0, 1.0 - eta], [1.0, 1.0 - eta], [9.0, -1.0 + eta], [11.0, -1.0 + eta]], [0.25] * 4
+    )
+    return mu, nu
+
+
+def _shifted_pair():
+    """mu = 0.9 delta_(0, -1.32e-9) + 0.1 delta_(10, 2.4e-10) against nu
+    with masses 0.45, 0.45, 0.05 and 0.05 at (-1, 0), (1, 0), (9, 0) and
+    (11, 0): axis 0 forces the coupling as in ``_margin_pair``.  Its
+    barycentre defects in the centred arrays of ``_scaled`` sum to 2.3e-11
+    of the extent, but the barycentres differ by 9.7e-11 of it, within
+    FEAS, and on axis 1 u_nu - u_mu reaches -1.01 FEAS."""
+    mu = DiscreteMeasure([[0.0, -1.32e-9], [10.0, 2.4e-10]], [0.9, 0.1])
+    nu = DiscreteMeasure([[-1.0, 0.0], [1.0, 0.0], [9.0, 0.0], [11.0, 0.0]], [0.45, 0.45, 0.05, 0.05])
+    return mu, nu
+
+
+@pytest.mark.parametrize("pair", [_margin_pair(1e-8), _shifted_pair()], ids=["margin", "shifted"])
+def test_the_stop_never_skips_a_refutation(pair):
+    """The pairs axis 0 keeps force a coupling that passes ``_certify``
+    but is not tight, and axis 1 refutes the order.  In the margin pair
+    at eta = 1e-8 the coupling's barycentre defects are about 4e-10 and
+    sum to 8e-10 of the extent, above FEAS, and u_nu - u_mu reaches -eta
+    on axis 1.  In the shifted pair the defects are tight only where the
+    distance between the barycentres is left out.  So the filter reads
+    axis 1, and every question answers that the pair is not in convex
+    order."""
+    mu, nu = pair
+    s = measures._scaled(mu, nu)
+    mask, _, _, _ = coupling._axis_mask(mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights, s)
+    theta = coupling._pattern(s, mask)
+    assert theta is not None and not coupling._tight(s, theta)
+    coupling._certify(s, theta)
+    assert check_convex_order(mu, nu) is False
+    for f in (find_coupling, nonpolar_mask, compute_paving):
+        with pytest.raises(NotInConvexOrder):
+            f(mu, nu)
 
 
 @pytest.mark.parametrize("e", [1e-9, 1e-10, 1e-12])
