@@ -47,9 +47,7 @@ barycentre defects, in the instance's own frame, sum to at most
 inequality it keeps u_nu - u_mu above minus that level on every line,
 so no axis left could refute the order; the filter returns it, and
 ``nonpolar_mask`` and ``find_coupling`` answer with it and no LP.
-Where the pattern is forced but not tight, every axis is read, and the
-coupling answers where it passes ``_certify`` (``_forced``), again with
-no LP.  Otherwise ``nonpolar_mask`` poses its LP over the pairs left
+Otherwise ``nonpolar_mask`` poses its LP over the pairs left
 (``_max_support``).  ``find_coupling`` in dimension one builds the
 left-curtain coupling (Beiglböck & Juillet 2016; ``_left_curtain``)
 and, where it passes ``_certify``, answers with it and no LP; in every
@@ -181,19 +179,15 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
        an axis force it, and its defects are within the lines'
        refutation level (``_tight``), so it passes ``_certify`` and no
        axis left could refute the order;
-    3. where the pairs kept after every axis force the coupling, that
-       coupling (``_forced``);
-    4. in dimension one, the left-curtain coupling (``_left_curtain``);
-    5. the LP over every pair, whose normalised solution is checked
+    3. in dimension one, the left-curtain coupling (``_left_curtain``),
+       where it passes its certificate (``_certify``);
+    4. the LP over every pair, whose normalised solution is checked
        before its roundoff is clipped to 0.
-    Steps 3 and 4 apply only where their coupling passes its certificate
-    (``_certify``), and only step 5 solves an LP.  The answer is scaled
-    back to mu's total mass.
+    Only step 4 solves an LP.  The answer is scaled back to mu's total
+    mass.
     """
     s = _scaled(mu, nu)
     keep, _, theta = _projection_filter(mu, nu, s)
-    if theta is None:
-        theta = _forced(s, keep)
     if theta is None and mu.ambient_dim == 1:
         theta = _left_curtain(s)
     if theta is None:
@@ -202,18 +196,6 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
         _certify(s, x)
         theta = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms)
     return Coupling(mu.points.copy(), nu.points.copy(), theta * s.mass)
-
-
-def _forced(s: _Scaled, keep):
-    """The coupling that the pairs ``keep`` force (``_pattern``),
-    returned only where it passes ``_certify``; None otherwise.  It is
-    asked only where the filter did not stop: a tight forced coupling
-    (``_tight``: its row-mass and barycentre defects sum to at most the
-    lines' refutation level) passes ``_certify`` by that bound and is
-    the filter's answer, so this certifies the pattern left once every
-    axis has been read."""
-    theta = _pattern(s, keep)
-    return None if theta is None else _certified(s, theta)
 
 
 def _pattern(s: _Scaled, keep):
@@ -280,11 +262,6 @@ def _left_curtain(s: _Scaled):
         left[1:] = np.maximum(left[1:] - rows[i], 0.0)  # no round-off below 0
     theta = np.empty_like(rows)
     theta[:, order] = rows
-    return _certified(s, theta)
-
-
-def _certified(s: _Scaled, theta):
-    """theta where it passes ``_certify``; None otherwise."""
     try:
         _certify(s, theta)
     except SolverError:
@@ -447,12 +424,11 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     projection proves polar are dropped first (``_projection_filter``).
     In dimension one, where the axis's bound holds, the pairs left are
     the mask (Beiglböck, Nutz & Touzi 2017), certified by the superhedge
-    of its zeros (``_certify_polar``) with no LP.  Where the pairs left
-    force a certified coupling (``_forced``), it is positive on exactly
-    them and the axes' superhedges certify the pairs dropped, so they
-    are the mask, again with no LP.  That holds too where the filter
-    stops early on a tight forced coupling (``_tight``): that coupling
-    passes ``_certify``, and no axis left could refute the order.
+    of its zeros (``_certify_polar``) with no LP.  Where the filter
+    stops on a tight forced coupling (``_tight``), that coupling passes
+    ``_certify`` and is positive on exactly the pairs left, the axes'
+    superhedges certify the pairs dropped, and no axis left could refute
+    the order, so the pairs left are the mask, again with no LP.
     Otherwise the mask is the max-support LP's (``_max_support``) over
     the pairs left."""
     inst = _scaled(mu, nu)
@@ -460,7 +436,7 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     if mu.ambient_dim == 1 and zeros[0] is not None:
         _certify_polar(mu, nu, keep, zeros[0], POLAR * inst.mass, GEO * inst.scale)
         return keep
-    if theta is not None or _forced(inst, keep) is not None:
+    if theta is not None:
         return keep
     return _max_support(mu, nu, inst, np.flatnonzero(keep))[0]
 
@@ -507,13 +483,13 @@ def _projection_filter(mu: DiscreteMeasure, nu: DiscreteMeasure, inst: _Scaled):
     dropped is at most that cost over the least H on them.  An axis
     drops its pairs only where that bound is at most POLAR times the mass.
 
-    The axes are read in order, and the filter stops after the first one
-    at which the pairs kept force a tight coupling (``_pattern`` and
-    ``_tight``): it passes ``_certify``, and it keeps u_nu - u_mu above
-    the refutation level of ``_axis_zeros`` on any line, so no axis left
-    could refute the order.  It is returned, to be the answer of
-    ``find_coupling`` and ``nonpolar_mask``.  Where the pattern is forced
-    but not tight, the axes left are read, as they may refute the order.
+    The axes are read in order, and the filter stops after the first one,
+    whether its bound held or not, at which the pairs kept force a tight
+    coupling (``_pattern`` and ``_tight``): it passes ``_certify``, and it
+    keeps u_nu - u_mu above the refutation level of ``_axis_zeros`` on any
+    line, so no axis left could refute the order.  It is returned, to be
+    the answer of ``find_coupling`` and ``nonpolar_mask``.  Otherwise the
+    axes left are read, as they may refute the order.
     """
     keep = np.ones((mu.n_atoms, nu.n_atoms), dtype=bool)
     zeros = []
@@ -526,7 +502,7 @@ def _projection_filter(mu: DiscreteMeasure, nu: DiscreteMeasure, inst: _Scaled):
         else:
             z = None
         zeros.append(z)
-        theta = None if z is None else _pattern(inst, keep)
+        theta = _pattern(inst, keep)
         if theta is not None and _tight(inst, theta):
             return keep, zeros, theta
     return keep, zeros, None

@@ -204,10 +204,9 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     returns a martingale coupling, which passes its certificate before
     it counts (Strassen: convex order iff a martingale coupling
     exists).  There a coordinate line that refutes the order answers
-    before any LP, and where the pairs the projection filter keeps
-    force the coupling, no LP is solved.  The filter stops at the first
-    axis whose kept pairs force a tight coupling, one whose defects are
-    within the level below which a line refutes the order
+    before any LP, and the projection filter stops, with no LP solved,
+    at the first axis whose kept pairs force a tight coupling, one whose
+    defects are within the level below which a line refutes the order
     (``coupling._tight``): no line could refute it, so the answer is
     the one every axis would give."""
     try:
@@ -294,7 +293,9 @@ def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | Non
     """
     if eps is not None and not (np.isfinite(eps) and eps >= 0):
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
-    if mu.ambient_dim != 1 or nu.ambient_dim != 1:
+    # measures of two dimensions are left to _scaled's message, which
+    # find_coupling gives too, so check_convex_order names them alike
+    if mu.ambient_dim == nu.ambient_dim != 1:
         raise DimensionMismatch("potential domain is one-dimensional")
     x, y, inst = mu.points[:, 0], nu.points[:, 0], _scaled(mu, nu)
     bps, vals, zero, left, right = _axis_zeros(x, mu.weights, y, nu.weights, inst, eps)

@@ -6,15 +6,15 @@ coupling of maximal support: its support is the non-polar mask
 coordinate projection proves polar are dropped first; in dimension one,
 where that projection's bound holds, the pairs left are the mask, as
 they are where they leave each nu-atom to one mu-atom and so force a
-certified coupling; otherwise one LP over the pairs left decides it.  By
-the paving theorem two such cells are equal or disjoint, so cells are
-built by grouping atoms with equal hulls.  A mask row's nu-atoms are
-distinct atoms of one measure, so its hull is the generic hull with
-nothing to dedupe (``geometry._distinct_hull``).  A row of two atoms, an
-atom split in two as on the line, is a segment: its two atoms are its
-vertices and its dimension is 1, with no frame built; any hull builds
-its facets only when something reads them.  Every martingale coupling
-is confined to the cells row by row.
+tight coupling (``coupling._tight``); otherwise one LP over the pairs
+left decides it.  By the paving theorem two such cells are equal or
+disjoint, so cells are built by grouping atoms with equal hulls.  A mask
+row's nu-atoms are distinct atoms of one measure, so its hull is the
+generic hull with nothing to dedupe (``geometry._distinct_hull``).  A
+row of two atoms, an atom split in two as on the line, is a segment: its
+two atoms are its vertices and its dimension is 1, with no frame built;
+any hull builds its facets only when something reads them.  Every
+martingale coupling is confined to the cells row by row.
 """
 
 from __future__ import annotations

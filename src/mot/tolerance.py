@@ -35,8 +35,8 @@ factor of the input:
   certified, and it keeps u_nu - u_mu above minus that level on every
   line, so no axis left could refute the order.  In dimension one what
   an axis whose bound holds leaves is the mask; otherwise, in every
-  dimension, a forced coupling or the max-support LP decides the pairs
-  left.
+  dimension, the max-support LP decides the pairs left where the axes
+  stop on no such coupling.
 
 Tolerances a caller still sets: the ``tol`` of
 ``DiscreteMeasure.equals``, ``Polytope.same_vertices`` and

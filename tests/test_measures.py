@@ -201,7 +201,9 @@ def test_input_that_is_not_numbers_is_invalid():
 def test_dimension_mismatch_is_typed():
     """Points of the wrong dimension for the check, measures of two
     dimensions, and a function of another dimension than its measures
-    raise DimensionMismatch."""
+    raise DimensionMismatch.  Measures of two dimensions get one message
+    in either order, whether the 1-D potentials or the coupling would
+    answer."""
     line = m1d([-1.0, 1.0], [0.5, 0.5])
     plane = DiscreteMeasure([[0.0, 0.0]], [1.0])
     space = DiscreteMeasure([[0.0, 0.0, 0.0]], [1.0])
@@ -215,6 +217,12 @@ def test_dimension_mismatch_is_typed():
     for case in cases:
         with pytest.raises(DimensionMismatch):
             case()
+    for f in (check_convex_order, potential_domain):
+        for mu, nu in ((line, plane), (plane, line)):
+            with pytest.raises(DimensionMismatch, match="measures live in different dimensions"):
+                f(mu, nu)
+    with pytest.raises(DimensionMismatch, match="potential domain is one-dimensional"):
+        potential_domain(plane, plane)
 
 
 def test_convex_order_split_atom():

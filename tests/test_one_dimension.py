@@ -366,14 +366,16 @@ def test_left_curtain_solves_no_lp(monkeypatch):
 
 
 def _forced_or_none(mu, nu):
+    """The normalised instance and the coupling that the pairs the
+    filter keeps force (``_pattern``), or None where they force none."""
     s = coupling._scaled(mu, nu)
-    return s, coupling._forced(s, coupling._projection_filter(mu, nu, s)[0])
+    return s, coupling._pattern(s, coupling._projection_filter(mu, nu, s)[0])
 
 
 def test_curtain_that_fails_its_certificate_falls_back_to_the_lp(monkeypatch):
     """With the left-curtain coupling's certificate made to fail,
-    find_coupling solves the LP over every pair where the coupling is
-    not forced, and that LP's coupling passes its certificate."""
+    find_coupling solves the LP over every pair exactly where the filter
+    returns no coupling, and that LP's coupling passes its certificate."""
     real = lp.highs
     solved = []
 
@@ -384,21 +386,22 @@ def test_curtain_that_fails_its_certificate_falls_back_to_the_lp(monkeypatch):
     monkeypatch.setattr(lp, "highs", counted)
     fail_the_curtain(monkeypatch)
     rng = np.random.default_rng(25)
-    unforced = 0
+    unsettled = 0
     for _ in range(40):
         mu, nu = random_dilation_pair(rng, dim=1, max_atoms=6)
-        s, forced = _forced_or_none(mu, nu)
+        s = coupling._scaled(mu, nu)
+        settled = coupling._projection_filter(mu, nu, s)[2]
         solved.clear()
         c = find_coupling(mu, nu)
         coupling._certify(s, c.matrix / s.mass)
-        assert len(solved) == (forced is None)
-        unforced += forced is None
-    assert unforced >= 15
+        assert len(solved) == (settled is None)
+        unsettled += settled is None
+    assert unsettled >= 15
 
 
 def test_curtain_is_the_forced_coupling():
     """Where every nu-atom keeps one mu-atom, the coupling is the only
-    one (``_forced``), and the left-curtain coupling is it to round-off."""
+    one (``_pattern``), and the left-curtain coupling is it to round-off."""
     rng = np.random.default_rng(20)
     forced_pairs = 0
     for _ in range(200):

@@ -4,7 +4,7 @@ the max-support LP over every pair as its oracle.
 Projected on one axis a martingale coupling is a 1-D martingale coupling
 of the projected marginals, so ``nonpolar_mask`` drops the pairs that
 some projection proves polar before it poses the max-support LP, and
-poses none where the pairs left force the coupling.
+poses none where the pairs left force a tight coupling.
 ``max_support_coupling`` keeps every pair.
 """
 
@@ -15,7 +15,7 @@ from conftest import fail_the_curtain, random_dilation_pair
 from mot import DiscreteMeasure, check_convex_order, compute_paving, find_coupling, lp
 from mot import coupling, measures
 from mot.coupling import max_support_coupling, nonpolar_mask, polar_matrix
-from mot.errors import NotInConvexOrder, SolverError
+from mot.errors import NotInConvexOrder
 from mot.fixtures import continuous_grid, discrete_k, gaussian_grid, mixed_k
 from mot.tolerance import FEAS, INTERIOR, POLAR
 
@@ -121,7 +121,6 @@ def _full_lp_coupling(monkeypatch, mu, nu):
     """find_coupling as the LP over every pair answers it."""
     with monkeypatch.context() as m:
         m.setattr(coupling, "_tight", lambda s, theta: False)
-        m.setattr(coupling, "_forced", lambda s, keep: None)
         m.setattr(coupling, "_left_curtain", lambda s: None)
         return find_coupling(mu, nu)
 
@@ -146,32 +145,23 @@ def test_forced_pattern_solves_no_lp(monkeypatch):
         assert np.abs(c.matrix - full.matrix).max() <= 1e-12
 
 
-def test_forced_coupling_that_fails_its_certificate_falls_back_to_the_lp(monkeypatch):
-    """With the forced coupling made to fail both the tight bound, so
-    that the filter reads every axis and returns no coupling, and its
-    certificate, and in 1-D with the left-curtain coupling's certificate
-    made to fail too, the mask and the coupling come from one LP each
-    and are the full LP's answers."""
-    real = coupling._certify
+def test_forced_coupling_that_is_not_tight_falls_back_to_the_lp(monkeypatch):
+    """With the forced coupling made to fail the tight bound, so that
+    the filter reads every axis and returns no coupling, and in 1-D with
+    the left-curtain coupling's certificate made to fail too, the mask
+    and the coupling come from one LP each and are the full LP's
+    answers."""
     for mu, nu in _forced_pairs():
         expected = _lp_mask(mu, nu), _full_lp_coupling(monkeypatch, mu, nu).matrix
-        keep = coupling._projection_filter(mu, nu, measures._scaled(mu, nu))[0]
-
-        def failed(s, theta):
-            if np.array_equal(theta, np.where(keep, s.nu_w, 0.0)):
-                raise SolverError("coupling fails its certificate")
-            real(s, theta)
-
         with monkeypatch.context() as m:
             columns, _ = _count_lps(m)
             m.setattr(coupling, "_tight", lambda s, theta: False)
-            m.setattr(coupling, "_certify", failed)
             fail_the_curtain(m)
             mask = nonpolar_mask(mu, nu)
             matrix = find_coupling(mu, nu).matrix
         assert np.array_equal(mask, expected[0])
         assert np.array_equal(matrix, expected[1])
-        # the 1-D mask is read off the potentials before the forced test
+        # the 1-D mask is certified by the superhedge of the axis's zeros
         assert len(columns) == (1 if mu.ambient_dim == 1 else 2)
 
 
@@ -290,6 +280,30 @@ def test_the_stop_never_skips_a_refutation(pair):
     for f in (find_coupling, nonpolar_mask, compute_paving):
         with pytest.raises(NotInConvexOrder):
             f(mu, nu)
+
+
+@pytest.mark.parametrize(
+    "eta, in_order",
+    [(1e-7, False), (1e-8, False), (3e-9, False), (1e-9, True), (1e-10, True)],
+)
+def test_order_at_the_margin_does_not_depend_on_the_frame(eta, in_order):
+    """The margin pair turned by 0, 0.3, pi/2, 1.0 and 2.5 rad about the
+    origin: the order has one answer at every angle, and find_coupling
+    raises NotInConvexOrder exactly where it is False.  At 0.3 rad and
+    eta = 3e-9 no axis refutes the order, and the pairs both axes keep
+    force a coupling that passes ``_certify`` but is not tight; only a
+    tight one answers without an LP, so the LP over every pair decides,
+    as a line does at the other angles."""
+    for angle in (0.0, 0.3, np.pi / 2, 1.0, 2.5):
+        c, s = np.cos(angle), np.sin(angle)
+        rotation = np.array([[c, -s], [s, c]])
+        mu, nu = (_moved(m, lambda p: p @ rotation.T) for m in _margin_pair(eta))
+        assert check_convex_order(mu, nu) is in_order, angle
+        if in_order:
+            find_coupling(mu, nu)
+        else:
+            with pytest.raises(NotInConvexOrder):
+                find_coupling(mu, nu)
 
 
 @pytest.mark.parametrize("e", [1e-9, 1e-10, 1e-12])
