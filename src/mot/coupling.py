@@ -48,10 +48,9 @@ inequality it keeps u_nu - u_mu above minus that level on every line,
 so no axis left could refute the order; the filter returns it, and
 ``nonpolar_mask`` and ``find_coupling`` answer with it and no LP.
 Otherwise ``nonpolar_mask`` poses its LP over the pairs left
-(``_max_support``).  ``find_coupling`` in dimension one builds the
-left-curtain coupling (Beiglböck & Juillet 2016; ``_left_curtain``)
-and, where it passes ``_certify``, answers with it and no LP; in every
-other case it poses its LP over every pair.
+(``_max_support``), and ``find_coupling`` builds the left-curtain
+coupling in dimension one (Beiglböck & Juillet 2016; ``_left_curtain``)
+with no LP, or poses its LP over every pair in higher dimensions.
 ``max_support_coupling``, ``polar_matrix`` and ``max_mass_on_pair``
 solve their LPs over every pair in every dimension.
 """
@@ -66,7 +65,7 @@ from . import lp
 from .errors import InvalidInput, NotInConvexOrder, SolverError
 from .geometry import as_points
 from .measures import DiscreteMeasure, _axis_zeros, _Scaled, _scaled
-from .tolerance import GEO, POLAR, RESIDUAL, extent
+from .tolerance import GEO, POLAR, RESIDUAL, SOLVER_FEAS, extent
 
 
 @dataclass
@@ -154,18 +153,15 @@ def _constraint_system(mu, nu, martingale=True, s=None, pairs=None):
 
 
 def _highs(c, A, rhs, feas) -> np.ndarray:
-    """min c @ x subject to A x = rhs and x >= 0 (``lp.highs``).
-
-    ``feas`` sets the feasibility tolerances (None: the HiGHS defaults,
-    whose 1e-7 leaves residuals above RESIDUAL on gaussian_grid(9)).
-    Returns the optimal x.  An infeasible system raises
-    NotInConvexOrder; any other outcome raises SolverError.
+    """min c @ x subject to A x = rhs and x >= 0 (``lp.highs``), at the
+    feasibility tolerance ``feas`` (HiGHS's default, SOLVER_FEAS, leaves
+    residuals above RESIDUAL on gaussian_grid(9)).  Returns the optimal
+    x.  An infeasible system raises NotInConvexOrder; ``lp.highs``
+    raises SolverError on any other outcome but an optimum.
     """
     res = lp.highs(c, A, rhs, rhs, feas_tol=feas, what="coupling LP")
     if res.status is lp.LpStatus.INFEASIBLE:
         raise NotInConvexOrder("no martingale coupling exists")
-    if res.status is lp.LpStatus.UNBOUNDED:
-        raise SolverError("coupling LP not solved: HiGHS reports it unbounded")
     return res.solution
 
 
@@ -180,17 +176,17 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
        refutation level (``_tight``), so it passes ``_certify`` and no
        axis left could refute the order;
     3. in dimension one, the left-curtain coupling (``_left_curtain``),
-       where it passes its certificate (``_certify``);
-    4. the LP over every pair, whose normalised solution is checked
-       before its roundoff is clipped to 0.
+       which passes its certificate (``_certify``) or raises SolverError;
+    4. in higher dimensions, the LP over every pair, whose normalised
+       solution is checked before its roundoff is clipped to 0.
     Only step 4 solves an LP.  The answer is scaled back to mu's total
     mass.
     """
     s = _scaled(mu, nu)
-    keep, _, theta = _projection_filter(mu, nu, s)
+    theta = _projection_filter(mu, nu, s)[2]
     if theta is None and mu.ambient_dim == 1:
         theta = _left_curtain(s)
-    if theta is None:
+    elif theta is None:
         A, b, _ = _constraint_system(mu, nu, s=s)
         x = _highs(np.zeros(A.shape[1]), A, b, s.feas)
         _certify(s, x)
@@ -243,8 +239,8 @@ def _left_curtain(s: _Scaled):
     levels below l is Q interpolated against M at l.  The window's first
     moment Q(t + a) - Q(t) is then nondecreasing in t and linear between
     the knots where t or t + a is in M, so t, where it equals a x, is
-    interpolated between two knots.  Returned only where it passes
-    ``_certify``; None otherwise."""
+    interpolated between two knots.  It must pass ``_certify``, which
+    raises SolverError where it does not."""
     order = np.argsort(s.y[:, 0])
     # nu in increasing order, after a massless atom at 0 so that M and Q
     # start at level 0
@@ -262,10 +258,7 @@ def _left_curtain(s: _Scaled):
         left[1:] = np.maximum(left[1:] - rows[i], 0.0)  # no round-off below 0
     theta = np.empty_like(rows)
     theta[:, order] = rows
-    try:
-        _certify(s, theta)
-    except SolverError:
-        return None
+    _certify(s, theta)
     return theta
 
 
@@ -289,11 +282,11 @@ def _residual(s: _Scaled, theta) -> float:
     )
 
 
-def _certify(s: _Scaled, theta):
+def _certify(s: _Scaled, theta) -> float:
     """Raise SolverError unless the normalised theta is a martingale
     coupling of the instance s within RESIDUAL (``_residual``) with no
     entry below minus the system's feasibility tolerance; a NaN entry
-    fails both tests."""
+    fails both tests.  Returns the residual."""
     residual = _residual(s, theta)
     lowest = float(theta.min())
     if not (residual <= RESIDUAL and lowest >= -s.feas):
@@ -301,6 +294,7 @@ def _certify(s: _Scaled, theta):
             f"coupling fails its certificate: residual {residual:.3g}, "
             f"lowest entry {lowest:.3g}"
         )
+    return residual
 
 
 def _check_indices(mu, nu, i, j):
@@ -372,7 +366,10 @@ def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
     means no martingale coupling exists where ``cols`` holds every pair.
     The pairs left out may carry up to POLAR of the mass, so otherwise
     the LP over every pair (``find_coupling``) decides: NotInConvexOrder,
-    or SolverError where a coupling exists.
+    or SolverError where a coupling exists.  The LP runs at SOLVER_FEAS,
+    coarser than ``inst.feas``, the level below which a line refutes the
+    order: where the certified coupling misses the system by more than
+    that, ``find_coupling`` must find the order holds for the mask to stand.
     """
     n, m = mu.n_atoms, nu.n_atoms
     k = cols.size
@@ -392,12 +389,9 @@ def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
     c[:k] = -1.0
     upper = np.full(2 * k + 1, np.inf)
     upper[:k] = 1.0
-    # With tight tolerances HiGHS calls this bounded LP "Unbounded" on
-    # some random dilation pairs, so it keeps the defaults.  Zero is
-    # feasible and s is bounded, so any outcome but an optimum is a
-    # solver failure.
+    # zero is feasible, so an infeasible report is a solver failure
     zero = np.zeros(A.shape[0])
-    res = lp.highs(c, big, zero, zero, upper=upper, what="coupling LP")
+    res = lp.highs(c, big, zero, zero, upper=upper, feas_tol=SOLVER_FEAS, what="coupling LP")
     if res.status is not lp.LpStatus.OPTIMAL:
         raise SolverError(f"coupling LP not solved: HiGHS reports it {res.status.value}")
     x = res.solution
@@ -414,7 +408,8 @@ def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
         raise SolverError("max-support LP left a mu-atom without any pair")
     theta = np.zeros(n * m)
     theta[cols] = w * (s + x[k : 2 * k]) / tau
-    _certify(inst, theta)
+    if _certify(inst, theta) > inst.feas:
+        find_coupling(mu, nu)
     return mask, Coupling(mu.points.copy(), nu.points.copy(), theta.reshape(n, m) * inst.mass)
 
 
@@ -430,7 +425,7 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     superhedges certify the pairs dropped, and no axis left could refute
     the order, so the pairs left are the mask, again with no LP.
     Otherwise the mask is the max-support LP's (``_max_support``) over
-    the pairs left."""
+    the pairs left, where the order holds."""
     inst = _scaled(mu, nu)
     keep, zeros, theta = _projection_filter(mu, nu, inst)
     if mu.ambient_dim == 1 and zeros[0] is not None:

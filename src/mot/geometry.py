@@ -40,7 +40,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import lp
-from .errors import DimensionMismatch, InvalidInput, PointOutsidePolytope, SolverError
+from .errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
 from .tolerance import GEO, INTERIOR, SLACK, extent
 
 
@@ -442,8 +442,9 @@ def relative_interiors_intersect(P: Polytope, Q: Polytope) -> bool:
     """True iff some point is in the relative interior of both polytopes:
     a common point has barycentric weights of at least INTERIOR in both
     (one LP, on the vertices centred on one of P's and divided by the
-    extent of both; an "unbounded" report raises SolverError).  A point
-    polytope asks ``in_relative_interior``."""
+    extent of both; it is bounded, as s <= 1, so ``lp.highs`` raises
+    SolverError on an "unbounded" report).  A point polytope asks
+    ``in_relative_interior``."""
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("polytopes live in different ambient spaces")
     if P.n_vertices == 1:
@@ -471,8 +472,6 @@ def relative_interiors_intersect(P: Polytope, Q: Polytope) -> bool:
     c = np.zeros(n)
     c[-1] = -1.0
     res = lp.highs(c, A, row_lo, row_hi, upper=upper, feas_tol=GEO, what="relative-interior LP")
-    if res.status is lp.LpStatus.UNBOUNDED:
-        raise SolverError("relative-interior LP not solved: HiGHS reports it unbounded")
     return res.status is lp.LpStatus.OPTIMAL and bool(res.solution[-1] >= INTERIOR)
 
 

@@ -15,13 +15,15 @@ built and configured on its first solve, because building and
 configuring one took about a quarter of a small LP's time; it scales
 rows and columns by their largest entry for every LP.  Every solve
 loads its model afresh, which clears the previous model, basis and
-solution, and sets both feasibility tolerances and the time budget
-again, so no call sees what an earlier one left behind.  HiGHS's dual
-simplex is deterministic: the same input gives the same output.  An outcome other than optimal, infeasible or
-unbounded raises ``SolverError``; so does a solve that runs past its
-budget of ``TIME_LIMIT`` seconds, so no solve hangs.  scipy
-is imported on the first solve, so importing the package loads none
-of it.
+solution, and sets both feasibility tolerances (``SOLVER_FEAS`` unless
+the caller names one) and the time budget again, so no call sees what
+an earlier one left behind.  HiGHS's dual simplex is deterministic: the
+same input gives the same output.  Every LP the package poses is
+bounded, so an outcome other than optimal or infeasible raises
+``SolverError``, an "unbounded" report among them; so does a solve that
+runs past its budget of ``TIME_LIMIT`` seconds, so no solve hangs.
+scipy is imported on the first solve, so importing the package loads
+none of it.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, SolverError
+from .tolerance import SOLVER_FEAS
 
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 class CscMatrix(NamedTuple):
@@ -54,7 +56,7 @@ class CscMatrix(NamedTuple):
     shape: tuple
 
 
-# this thread's solver and its default tolerances, set by ``_solver``
+# this thread's solver, set by ``_solver``
 _local = threading.local()
 _TOLERANCES = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
 # seconds of HiGHS run time one LP may take before it stops in SolverError
@@ -68,7 +70,7 @@ class LpResult:
 
 
 def highs(
-    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP"
+    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=SOLVER_FEAS, what="LP"
 ) -> LpResult:
     """min c @ x subject to row_lo <= A x <= row_hi, lower <= x <= upper.
 
@@ -81,13 +83,12 @@ def highs(
     thread's HiGHS solver (``_solver``), which has the options
     ``scipy.optimize.milp`` would set with presolve off and max-value
     scaling, and so gives its answers bit for bit.  ``feas_tol`` sets
-    HiGHS's primal and dual feasibility tolerances; None sets them back
-    to HiGHS's defaults.  Both are set on every call, and a value HiGHS
-    rejects (below 1e-10, say) raises InvalidInput.  So is the budget of
-    ``TIME_LIMIT`` seconds of HiGHS run time for this LP.
-    Returns an optimal result with x, or an infeasible (also a model
-    HiGHS rejects) or unbounded one.  Any other outcome, the budget
-    spent among them, or an optimum without a point, raises
+    HiGHS's primal and dual feasibility tolerances, on every call, and a
+    value HiGHS rejects (below 1e-10, say) raises InvalidInput.  So is
+    the budget of ``TIME_LIMIT`` seconds of HiGHS run time for this LP.
+    Returns an optimal result with x, or an infeasible one (also a model
+    HiGHS rejects).  Any other outcome, "unbounded" and the budget spent
+    among them, or an optimum without a point, raises
     SolverError("<what> not solved: <HiGHS model status> (<size>, <budget>)").
     """
     from scipy.optimize._highspy import _core
@@ -116,10 +117,9 @@ def highs(
     )
 
     error = _core.HighsStatus.kError
-    solver, defaults = _solver()
-    for name, default in zip(_TOLERANCES, defaults):
-        tol = default if feas_tol is None else float(feas_tol)
-        if solver.setOptionValue(name, tol) == error:
+    solver = _solver()
+    for name in _TOLERANCES:
+        if solver.setOptionValue(name, float(feas_tol)) == error:
             raise InvalidInput(f"HiGHS rejects the feasibility tolerance {feas_tol}")
     # HiGHS's time limit bounds the solver's run time summed over every
     # solve since it was built, so the budget starts from what is spent
@@ -136,8 +136,6 @@ def highs(
             return LpResult(LpStatus.OPTIMAL, x)
     elif status in (_core.HighsModelStatus.kInfeasible, _core.HighsModelStatus.kModelError):
         return LpResult(LpStatus.INFEASIBLE)
-    elif status == _core.HighsModelStatus.kUnbounded:
-        return LpResult(LpStatus.UNBOUNDED)
     raise SolverError(
         f"{what} not solved: {solver.modelStatusToString(status)} "
         f"({m} rows, {n} columns, {TIME_LIMIT:g} s budget)"
@@ -145,26 +143,24 @@ def highs(
 
 
 def _solver():
-    """This thread's HiGHS solver and its default feasibility tolerances.
+    """This thread's HiGHS solver.
 
-    The solver is built on the thread's first solve, with the console
-    log and presolve off and rows and columns scaled by their largest
-    entry (``simplex_scale_strategy`` 4) instead of the scaling HiGHS
-    chooses; the defaults are read from it then, before any call changes
-    them.  It is kept only once configured, so an exception while it is
-    built leaves none behind.
+    It is built on the thread's first solve, with the console log and
+    presolve off and rows and columns scaled by their largest entry
+    (``simplex_scale_strategy`` 4) instead of the scaling HiGHS chooses.
+    It is kept only once configured, so an exception while it is built
+    leaves none behind.
     """
-    held = getattr(_local, "held", None)
-    if held is None:
+    solver = getattr(_local, "solver", None)
+    if solver is None:
         from scipy.optimize._highspy import _core
 
         solver = _core._Highs()
         solver.setOptionValue("log_to_console", False)
         solver.setOptionValue("presolve", "off")
         solver.setOptionValue("simplex_scale_strategy", 4)
-        defaults = tuple(solver.getOptionValue(name)[1] for name in _TOLERANCES)
-        held = _local.held = (solver, defaults)
-    return held
+        _local.solver = solver
+    return solver
 
 
 def _filled(bound, k: int) -> np.ndarray:

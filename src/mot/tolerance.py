@@ -21,7 +21,9 @@ factor of the input:
   RESIDUAL, the instance is too coarse to decide and raises
   InvalidInput.  Two measures whose barycentres differ by more than the
   LP holds its barycentre rows to are not in convex order, however the
-  question is asked.
+  question is asked.  The max-support LP runs at SOLVER_FEAS; its mask
+  stands where its coupling's residual is within the feasibility
+  tolerance, or else where ``find_coupling`` finds the order holds.
 * The non-polar mask and ``potential_domain`` read u_nu - u_mu on the
   coordinate axes in turn, in dimension one on the line itself: a
   breakpoint where it is at most the feasibility tolerance times mu's
@@ -76,6 +78,10 @@ POLAR = 1e-8
 FEAS = 1e-10
 # the largest residual of a certified coupling on the normalised system
 RESIDUAL = 1e-8
+# HiGHS's default feasibility tolerance, and lp.highs's: the max-support
+# LP runs at it, since at finer ones HiGHS ends "Unknown" on an instance
+# translated by 1e6 and "Unbounded" on some random dilation pairs
+SOLVER_FEAS = 1e-7
 # the round-off of a coordinate, per unit of its magnitude: an instance
 # translated far from the origin is known no more finely than that.  16
 # units in the last place is the smallest power of two at which each of

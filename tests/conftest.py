@@ -42,7 +42,8 @@ def random_dilation_pair(rng, dim=1, max_atoms=4, max_split=2.0):
 
 def fail_the_curtain(monkeypatch):
     """Make ``coupling._left_curtain`` build its coupling under a
-    certificate that every coupling fails, so that it returns None."""
+    certificate that every coupling fails, so that it raises
+    SolverError."""
     real = coupling._left_curtain
 
     def rejected(s, theta):

@@ -424,7 +424,7 @@ def test_unbounded_status_raises_solver_error(stub_highs):
     mu, nu = mixed_k(3)
     stub_highs("kUnbounded")
     for call in (find_coupling, nonpolar_mask, check_convex_order):
-        with pytest.raises(SolverError, match="HiGHS reports it unbounded"):
+        with pytest.raises(SolverError, match=r"coupling LP not solved: Unbounded \("):
             call(mu, nu)
 
 
@@ -480,7 +480,7 @@ def test_budget_is_per_solve(monkeypatch):
     that take longer than the budget in total all finish."""
     monkeypatch.setattr(lp, "TIME_LIMIT", 0.2)
     mu, nu = gaussian_grid(7)
-    solver = lp._solver()[0]
+    solver = lp._solver()
     start = solver.getRunTime()
     while solver.getRunTime() - start < 0.5:
         find_coupling(mu, nu)
@@ -659,3 +659,16 @@ def test_certificate_rejects_damaged_coupling(stub_highs, damage):
         stub_highs("kOptimal", np.concatenate([s, theta / w - s, [1.0]]))
         with pytest.raises(SolverError, match=message):
             max_support_coupling(mu, nu)
+
+
+def test_max_support_that_leaves_a_row_empty_raises(stub_highs):
+    """An FRT optimum whose s is 1 on every pair of mu-atom 0 and 0 on
+    every other pair marks no pair of the other rows, though every
+    mu-atom of a coupling sends its mass somewhere: SolverError."""
+    mu, nu = mixed_k(3)
+    n, m = mu.n_atoms, nu.n_atoms
+    s = np.zeros((n, m))
+    s[0] = 1.0
+    stub_highs("kOptimal", np.concatenate([s.ravel(), np.zeros(n * m), [1.0]]))
+    with pytest.raises(SolverError, match="left a mu-atom without any pair"):
+        max_support_coupling(mu, nu)

@@ -13,6 +13,7 @@ import pytest
 
 from mot import lp
 from mot.errors import InvalidInput, SolverError
+from mot.tolerance import SOLVER_FEAS
 
 TOL = 1e-7
 
@@ -32,9 +33,10 @@ def test_solve_infeasible():
 
 
 def test_solve_unbounded():
-    # minimise -x with no upper constraint
-    res = lp.highs([-1.0], [[0.0]], -np.inf, 1.0)
-    assert res.status is lp.LpStatus.UNBOUNDED
+    # minimise -x with no upper constraint: no LP of the package is
+    # unbounded, so the report is a failure
+    with pytest.raises(SolverError, match=r"LP not solved: Unbounded \(1 rows, 1 columns"):
+        lp.highs([-1.0], [[0.0]], -np.inf, 1.0)
 
 
 def test_feasible_point_in_box():
@@ -133,14 +135,13 @@ def test_lower_bounds_shift():
 
 def test_highs_outcomes_map_to_status_or_solver_error(stub_highs):
     args = ([-1.0], [[1.0]], -np.inf, 1.0)
-    stub_highs("kUnbounded")
-    assert lp.highs(*args).status is lp.LpStatus.UNBOUNDED
     for status, load_error in [("kInfeasible", False), ("kModelError", False),
                                ("kNotset", True)]:
         stub_highs(status, load_error=load_error)
         assert lp.highs(*args).status is lp.LpStatus.INFEASIBLE
     for status, message in [("kIterationLimit", "Iteration limit reached"),
                             ("kUnknown", "Unknown"),
+                            ("kUnbounded", "Unbounded"),
                             ("kUnboundedOrInfeasible", "Primal infeasible or unbounded"),
                             ("kOptimal", "Optimal")]:
         stub_highs(status)
@@ -154,22 +155,26 @@ def test_highs_outcomes_map_to_status_or_solver_error(stub_highs):
     assert lp.highs(*args).solution.tolist() == [1.0]
 
 
-def _milp_reference(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None, what="LP"):
+def _milp_reference(
+    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=SOLVER_FEAS, what="LP"
+):
     """``lp.highs``'s problem solved by ``scipy.optimize.milp`` with the
     same HiGHS options: presolve off, max-value scaling, the feasibility
-    tolerances when given, no console log (milp's default).  A
-    ``CscMatrix`` is handed to milp as the ``csc_array`` of the same
-    arrays."""
+    tolerances, no console log (milp's default).  A ``CscMatrix`` is
+    handed to milp as the ``csc_array`` of the same arrays.  The status
+    is None where milp reports the LP unbounded."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csc_array
 
     if isinstance(A, lp.CscMatrix):
         A = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
 
-    options = {"presolve": False, "simplex_scale_strategy": 4}
-    if feas_tol is not None:
-        options["primal_feasibility_tolerance"] = feas_tol
-        options["dual_feasibility_tolerance"] = feas_tol
+    options = {
+        "presolve": False,
+        "simplex_scale_strategy": 4,
+        "primal_feasibility_tolerance": feas_tol,
+        "dual_feasibility_tolerance": feas_tol,
+    }
     with warnings.catch_warnings():
         # milp passes options it does not know on to HiGHS, with a warning
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
@@ -179,7 +184,7 @@ def _milp_reference(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None
             bounds=Bounds(lower, upper),
             options=options,
         )
-    status = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: lp.LpStatus.UNBOUNDED}
+    status = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: None}
     return status[res.status], res.x
 
 
@@ -200,8 +205,8 @@ def _recorded_highs_calls(monkeypatch, run):
 
 def test_highs_matches_milp_bit_for_bit(monkeypatch):
     """Same status and the same x, bit for bit, as scipy.optimize.milp
-    on the coupling LPs, a per-pair LP, a dense program, an infeasible
-    and an unbounded LP."""
+    on the coupling LPs, a per-pair LP, a dense program and an
+    infeasible LP; SolverError where milp reports an LP unbounded."""
     from conftest import random_dilation_pair
     from mot.coupling import find_coupling, max_mass_on_pair, max_support_coupling
     from mot.fixtures import discrete_k, gaussian_grid, mixed_k
@@ -225,7 +230,8 @@ def test_highs_matches_milp_bit_for_bit(monkeypatch):
         upper = np.array([np.inf, 2.0, np.inf, np.inf, 1.5, np.inf, np.inf])
         lp.highs(c, A, row_lo, row_hi, upper=upper, feas_tol=1e-9)
         lp.highs([-1.0], [[1.0]], -np.inf, -1.0, feas_tol=1e-9)
-        lp.highs([-1.0], [[0.0]], -np.inf, 1.0, feas_tol=1e-9)
+        with pytest.raises(SolverError):
+            lp.highs([-1.0], [[0.0]], -np.inf, 1.0, feas_tol=1e-9)
 
     calls = _recorded_highs_calls(monkeypatch, run)
     # find_coupling solves no LP on discrete_k(3) and on 15 of the random
@@ -236,15 +242,19 @@ def test_highs_matches_milp_bit_for_bit(monkeypatch):
     seen = set()
     for args, kwargs in calls:
         status, x = _milp_reference(*args, **kwargs)
+        seen.add(status)
+        if status is None:
+            with pytest.raises(SolverError, match="LP not solved: Unbounded"):
+                lp.highs(*args, **kwargs)
+            continue
         res = lp.highs(*args, **kwargs)
-        seen.add(res.status)
         assert res.status is status
         if status is lp.LpStatus.OPTIMAL:
             assert res.solution.dtype == x.dtype
             assert res.solution.tobytes() == x.tobytes()
         else:
             assert res.solution is None
-    assert seen == set(lp.LpStatus)
+    assert seen == {*lp.LpStatus, None}
 
 
 def _fresh_highs(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None):
@@ -283,7 +293,6 @@ def _fresh_highs(c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=None):
     status = {
         _core.HighsModelStatus.kOptimal: lp.LpStatus.OPTIMAL,
         _core.HighsModelStatus.kInfeasible: lp.LpStatus.INFEASIBLE,
-        _core.HighsModelStatus.kUnbounded: lp.LpStatus.UNBOUNDED,
     }[solver.getModelStatus()]
     x = np.array(solver.getSolution().col_value) if status is lp.LpStatus.OPTIMAL else None
     return status, x
@@ -308,13 +317,18 @@ def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
     from mot.fixtures import gaussian_grid, mixed_k
     from mot.tolerance import FEAS, GEO
 
-    reused = lp._solver()[0]
+    reused = lp._solver()
     small = _constraint_system(*mixed_k(3))[:2]
     large = _constraint_system(*gaussian_grid(7))[:2]
 
+    def tolerance(tol):
+        """No tolerance named (None): lp.highs's default, SOLVER_FEAS,
+        against the fresh solver's own."""
+        return {} if tol is None else {"feas_tol": tol}
+
     def coupling_lp(system, tol):
         A, b = system
-        return (np.zeros(A.shape[1]), A, b, b), {"feas_tol": tol}
+        return (np.zeros(A.shape[1]), A, b, b), tolerance(tol)
 
     rng = np.random.default_rng(8)
     A = np.abs(rng.uniform(-1.0, 1.0, size=(5, 7)))
@@ -322,9 +336,10 @@ def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
              {"upper": 2.0})
     for tol in (None, FEAS, GEO, None):
         _assert_as_fresh(*coupling_lp(small, tol))
-        _assert_as_fresh(dense[0], dict(dense[1], feas_tol=tol))
+        _assert_as_fresh(dense[0], {**dense[1], **tolerance(tol)})
     _assert_as_fresh(([-1.0], [[1.0]], -np.inf, -1.0), {"feas_tol": FEAS})  # infeasible
-    _assert_as_fresh(([-1.0], [[0.0]], -np.inf, 1.0), {})  # unbounded
+    with pytest.raises(SolverError, match="Unbounded"):
+        lp.highs([-1.0], [[0.0]], -np.inf, 1.0)
     _assert_as_fresh(*coupling_lp(small, None))
     with pytest.raises(InvalidInput):
         lp.highs([np.nan], [[1.0]], 0.0, 1.0)
@@ -335,7 +350,7 @@ def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
     with pytest.raises(SolverError, match="Iteration limit"):
         lp.highs(*coupling_lp(small, FEAS)[0], feas_tol=FEAS)
     monkeypatch.undo()
-    # the reused solver's last LP ran at HiGHS's default tolerance, at
+    # the reused solver's last LP ran at SOLVER_FEAS, HiGHS's default, at
     # which this coupling fails its certificate; FEAS must hold again
     mu, nu = gaussian_grid(9)
     theta = find_coupling(mu, nu).matrix
@@ -346,7 +361,7 @@ def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
     _assert_as_fresh(*coupling_lp(small, GEO))
     _assert_as_fresh(*coupling_lp(large, FEAS))
     _assert_as_fresh(*coupling_lp(small, FEAS))
-    assert lp._solver()[0] is reused
+    assert lp._solver() is reused
 
 
 def test_threads_solve_on_their_own_solvers():
@@ -363,7 +378,7 @@ def test_threads_solve_on_their_own_solvers():
     def work(part):
         start.wait()
         out = [find_coupling(mu, nu).matrix.tobytes() for mu, nu in part]
-        return out, lp._solver()[0]
+        return out, lp._solver()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -374,7 +389,18 @@ def test_threads_solve_on_their_own_solvers():
     finally:
         sys.setswitchinterval(interval)
     assert even == serial[0::2] and odd == serial[1::2]
-    assert len({id(first), id(second), id(lp._solver()[0])}) == 3
+    assert len({id(first), id(second), id(lp._solver())}) == 3
+
+
+def test_solver_feas_is_the_highs_default():
+    """``SOLVER_FEAS``, the tolerance ``lp.highs`` sets unless told
+    otherwise, is a fresh HiGHS solver's own primal and dual feasibility
+    tolerance, so the LPs run at it answer as at HiGHS's defaults."""
+    from scipy.optimize._highspy import _core
+
+    solver = _core._Highs()
+    for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+        assert solver.getOptionValue(name)[1] == SOLVER_FEAS
 
 
 def test_import_loads_no_scipy():

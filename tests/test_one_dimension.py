@@ -62,7 +62,8 @@ def test_one_dimension_solves_no_lp(monkeypatch, random_instances):
     """On the 1-D random instances the mask equals the max-support LP's,
     and with the LP backend raising, 1-D masks, pavings and order checks
     still give the same answers, for pairs in convex order and pairs
-    that are not."""
+    that are not, and find_coupling still answers with a certified
+    coupling or NotInConvexOrder."""
 
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
@@ -79,9 +80,11 @@ def test_one_dimension_solves_no_lp(monkeypatch, random_instances):
         assert compute_paving(mu, nu).to_json() == paving
         assert check_convex_order(mu, nu)
         assert not check_convex_order(nu, mu) or mu.equals(nu)
+        s = coupling._scaled(mu, nu)
+        coupling._certify(s, find_coupling(mu, nu).matrix / s.mass)
     mu, nu = m1d([-1.0, 1.0], [0.5, 0.5]), m1d([0.0], [1.0])
     assert not check_convex_order(mu, nu)
-    for call in (nonpolar_mask, compute_paving):
+    for call in (nonpolar_mask, compute_paving, find_coupling):
         with pytest.raises(NotInConvexOrder):
             call(mu, nu)
 
@@ -372,10 +375,11 @@ def _forced_or_none(mu, nu):
     return s, coupling._pattern(s, coupling._projection_filter(mu, nu, s)[0])
 
 
-def test_curtain_that_fails_its_certificate_falls_back_to_the_lp(monkeypatch):
+def test_curtain_that_fails_its_certificate_raises(monkeypatch):
     """With the left-curtain coupling's certificate made to fail,
-    find_coupling solves the LP over every pair exactly where the filter
-    returns no coupling, and that LP's coupling passes its certificate."""
+    find_coupling raises SolverError exactly where the filter returns no
+    coupling, answers with the filter's coupling elsewhere, and solves
+    no LP either way: no LP stands behind the curtain."""
     real = lp.highs
     solved = []
 
@@ -391,11 +395,13 @@ def test_curtain_that_fails_its_certificate_falls_back_to_the_lp(monkeypatch):
         mu, nu = random_dilation_pair(rng, dim=1, max_atoms=6)
         s = coupling._scaled(mu, nu)
         settled = coupling._projection_filter(mu, nu, s)[2]
-        solved.clear()
-        c = find_coupling(mu, nu)
-        coupling._certify(s, c.matrix / s.mass)
-        assert len(solved) == (settled is None)
-        unsettled += settled is None
+        if settled is None:
+            with pytest.raises(SolverError, match="certificate"):
+                find_coupling(mu, nu)
+            unsettled += 1
+        else:
+            coupling._certify(s, find_coupling(mu, nu).matrix / s.mass)
+    assert solved == []
     assert unsettled >= 15
 
 

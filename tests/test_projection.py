@@ -15,7 +15,7 @@ from conftest import fail_the_curtain, random_dilation_pair
 from mot import DiscreteMeasure, check_convex_order, compute_paving, find_coupling, lp
 from mot import coupling, measures
 from mot.coupling import max_support_coupling, nonpolar_mask, polar_matrix
-from mot.errors import NotInConvexOrder
+from mot.errors import NotInConvexOrder, SolverError
 from mot.fixtures import continuous_grid, discrete_k, gaussian_grid, mixed_k
 from mot.tolerance import FEAS, INTERIOR, POLAR
 
@@ -117,12 +117,13 @@ def _forced_pairs():
     return [continuous_grid(10), discrete_k(12)] + pairs
 
 
-def _full_lp_coupling(monkeypatch, mu, nu):
-    """find_coupling as the LP over every pair answers it."""
-    with monkeypatch.context() as m:
-        m.setattr(coupling, "_tight", lambda s, theta: False)
-        m.setattr(coupling, "_left_curtain", lambda s: None)
-        return find_coupling(mu, nu)
+def _full_lp_coupling(mu, nu):
+    """The coupling matrix of the LP over every pair, posed and
+    certified as find_coupling poses it where no step before answers."""
+    A, b, s = coupling._constraint_system(mu, nu)
+    x = coupling._highs(np.zeros(A.shape[1]), A, b, s.feas)
+    coupling._certify(s, x)
+    return np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms) * s.mass
 
 
 def test_forced_pattern_solves_no_lp(monkeypatch):
@@ -141,28 +142,32 @@ def test_forced_pattern_solves_no_lp(monkeypatch):
         s = measures._scaled(mu, nu)
         coupling._certify(s, c.matrix / s.mass)
         assert np.array_equal(c.matrix > 0, mask)
-        full = _full_lp_coupling(monkeypatch, mu, nu)
-        assert np.abs(c.matrix - full.matrix).max() <= 1e-12
+        assert np.abs(c.matrix - _full_lp_coupling(mu, nu)).max() <= 1e-12
 
 
 def test_forced_coupling_that_is_not_tight_falls_back_to_the_lp(monkeypatch):
     """With the forced coupling made to fail the tight bound, so that
-    the filter reads every axis and returns no coupling, and in 1-D with
-    the left-curtain coupling's certificate made to fail too, the mask
-    and the coupling come from one LP each and are the full LP's
-    answers."""
+    the filter reads every axis and returns no coupling, the mask is the
+    full LP's.  In d >= 2 the mask and the coupling come from one LP
+    each, and the coupling is the full LP's.  In 1-D the mask is
+    certified by the superhedge of the axis's zeros, and with the
+    left-curtain coupling's certificate made to fail too, find_coupling
+    raises SolverError; neither solves an LP."""
     for mu, nu in _forced_pairs():
-        expected = _lp_mask(mu, nu), _full_lp_coupling(monkeypatch, mu, nu).matrix
+        one_dim = mu.ambient_dim == 1
+        expected = _lp_mask(mu, nu), None if one_dim else _full_lp_coupling(mu, nu)
         with monkeypatch.context() as m:
             columns, _ = _count_lps(m)
             m.setattr(coupling, "_tight", lambda s, theta: False)
             fail_the_curtain(m)
             mask = nonpolar_mask(mu, nu)
-            matrix = find_coupling(mu, nu).matrix
+            if one_dim:
+                with pytest.raises(SolverError, match="certificate"):
+                    find_coupling(mu, nu)
+            else:
+                assert np.array_equal(find_coupling(mu, nu).matrix, expected[1])
         assert np.array_equal(mask, expected[0])
-        assert np.array_equal(matrix, expected[1])
-        # the 1-D mask is certified by the superhedge of the axis's zeros
-        assert len(columns) == (1 if mu.ambient_dim == 1 else 2)
+        assert len(columns) == (0 if one_dim else 2)
 
 
 def _count_lines(monkeypatch):
@@ -288,22 +293,26 @@ def test_the_stop_never_skips_a_refutation(pair):
 )
 def test_order_at_the_margin_does_not_depend_on_the_frame(eta, in_order):
     """The margin pair turned by 0, 0.3, pi/2, 1.0 and 2.5 rad about the
-    origin: the order has one answer at every angle, and find_coupling
-    raises NotInConvexOrder exactly where it is False.  At 0.3 rad and
-    eta = 3e-9 no axis refutes the order, and the pairs both axes keep
-    force a coupling that passes ``_certify`` but is not tight; only a
-    tight one answers without an LP, so the LP over every pair decides,
-    as a line does at the other angles."""
+    origin: the order has one answer at every angle, and find_coupling,
+    nonpolar_mask and compute_paving raise NotInConvexOrder exactly
+    where it is False.  At 0.3 rad and eta = 3e-9 no axis refutes the
+    order, and the pairs both axes keep force a coupling that passes
+    ``_certify`` but is not tight; only a tight one answers without an
+    LP, so the LP over every pair decides, as a line does at the other
+    angles.  There the max-support LP, at HiGHS's coarser tolerance,
+    finds a coupling whose residual exceeds the system's feasibility
+    tolerance, so the LP over every pair decides the mask too."""
     for angle in (0.0, 0.3, np.pi / 2, 1.0, 2.5):
         c, s = np.cos(angle), np.sin(angle)
         rotation = np.array([[c, -s], [s, c]])
         mu, nu = (_moved(m, lambda p: p @ rotation.T) for m in _margin_pair(eta))
         assert check_convex_order(mu, nu) is in_order, angle
-        if in_order:
-            find_coupling(mu, nu)
-        else:
-            with pytest.raises(NotInConvexOrder):
-                find_coupling(mu, nu)
+        for f in (find_coupling, nonpolar_mask, compute_paving):
+            if in_order:
+                f(mu, nu)
+            else:
+                with pytest.raises(NotInConvexOrder):
+                    f(mu, nu)
 
 
 @pytest.mark.parametrize("e", [1e-9, 1e-10, 1e-12])
