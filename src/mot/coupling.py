@@ -199,7 +199,10 @@ def _pattern(s: _Scaled, keep):
     matrix) force where each nu-atom keeps exactly one mu-atom: theta_ij
     = nu_j on them and 0 elsewhere, the only one that charges no other
     pair.  None where some nu-atom keeps none or several."""
-    if not (np.count_nonzero(keep, axis=0) == 1).all():
+    # exactly one per column: m pairs in all, and no column without one
+    if np.count_nonzero(keep) != keep.shape[1] or not np.logical_and.reduce(
+        np.logical_or.reduce(keep, axis=0)
+    ):
         return None
     return np.where(keep, s.nu_w, 0.0)
 
@@ -223,10 +226,11 @@ def _tight(s: _Scaled, theta) -> bool:
     extent, so u_nu(a) - u_mu(a) is at least -sum_i (|r_i - mu_i| + |b_i|)
     times mass and extent: no lower than the level below which
     ``_axis_zeros`` refutes."""
-    rows = theta.sum(axis=1)
+    add = np.add.reduce
+    rows = add(theta, axis=1)
     defect = theta @ s.y - rows[:, None] * s.x
-    gap = np.abs(rows - s.mu_w).sum() + np.sqrt((defect * defect).sum(axis=1)).sum()
-    return float(gap) + float(rows.sum()) * s.shift <= s.feas
+    gap = add(np.abs(rows - s.mu_w)) + add(np.sqrt(add(defect * defect, axis=1)))
+    return float(gap) + float(add(rows)) * s.shift <= s.feas
 
 
 def _left_curtain(s: _Scaled):
@@ -254,8 +258,9 @@ def _left_curtain(s: _Scaled):
         knots.sort()
         window = np.interp(knots + a, M, Q) - np.interp(knots, M, Q)
         t = np.interp(a * s.x[i, 0], window, knots)
-        rows[i] = np.diff(M.clip(t, t + a))
-        left[1:] = np.maximum(left[1:] - rows[i], 0.0)  # no round-off below 0
+        ends = M.clip(t, t + a)
+        rows[i] = ends[1:] - ends[:-1]
+        np.maximum(left[1:] - rows[i], 0.0, out=left[1:])  # no round-off below 0
     theta = np.empty_like(rows)
     theta[:, order] = rows
     _certify(s, theta)
@@ -266,7 +271,8 @@ def _martingale_defect(theta, x, y) -> float:
     """max |theta @ y - rowsum * x|: the largest row barycenter residual
     sum_j theta_ij (y_j - x_i) of the n x m matrix theta, over every
     coordinate (0 for no rows)."""
-    return float(np.max(np.abs(theta @ y - theta.sum(axis=1)[:, None] * x), initial=0.0))
+    defect = theta @ y - np.add.reduce(theta, axis=1)[:, None] * x
+    return float(np.maximum.reduce(np.abs(defect), axis=None, initial=0.0))
 
 
 def _residual(s: _Scaled, theta) -> float:
@@ -275,9 +281,10 @@ def _residual(s: _Scaled, theta) -> float:
     theta as an n x m matrix: row sums minus mu, column sums minus nu,
     and the row barycenter residuals (``_martingale_defect``)."""
     theta = theta.reshape(s.mu_w.shape[0], s.nu_w.shape[0])
+    add, top = np.add.reduce, np.maximum.reduce
     return max(
-        float(np.max(np.abs(theta.sum(axis=1) - s.mu_w))),
-        float(np.max(np.abs(theta.sum(axis=0) - s.nu_w))),
+        float(top(np.abs(add(theta, axis=1) - s.mu_w))),
+        float(top(np.abs(add(theta, axis=0) - s.nu_w))),
         _martingale_defect(theta, s.x, s.y),
     )
 
@@ -288,7 +295,7 @@ def _certify(s: _Scaled, theta) -> float:
     entry below minus the system's feasibility tolerance; a NaN entry
     fails both tests.  Returns the residual."""
     residual = _residual(s, theta)
-    lowest = float(theta.min())
+    lowest = float(np.minimum.reduce(theta, axis=None))
     if not (residual <= RESIDUAL and lowest >= -s.feas):
         raise SolverError(
             f"coupling fails its certificate: residual {residual:.3g}, "
@@ -449,17 +456,19 @@ def _axis_mask(x, mu_w, y, nu_w, inst: _Scaled):
     and the least value it takes off the mask (``_projection_filter``),
     infinite on a full mask.  That superhedge gains 2 |y_j - z| where
     y_j lies past the zero z bounding the component x_i lies strictly
-    inside, and |y_j - z| where x_i is z itself.  O(n m) work.
+    inside, and |y_j - z| where x_i is z itself.  The n x m distances
+    past the zeros add O(n m) to the zero rule's O((n + m)^2) work.
     """
     bps, vals, _, left, right = _axis_zeros(x, mu_w, y, nu_w, inst)
-    at = np.searchsorted(bps, x)
-    lo, hi = bps[left[at]], bps[right[at]]
-    past = np.maximum(lo[:, None] - y, y - hi[:, None])
+    at = bps.searchsorted(x)
+    first, last = left[at], right[at]
+    past = np.maximum(bps[first][:, None] - y, y - bps[last][:, None])
     mask = past <= GEO * inst.scale
+    factor = 2.0 - (first == last)  # 1 where x_i is itself the zero
+    least = np.minimum.reduce(past * factor[:, None], axis=None, initial=np.inf, where=~mask)
     used = np.zeros(bps.size, dtype=bool)
-    used[left[at]] = used[right[at]] = True
-    least = (np.where(lo == hi, 1.0, 2.0)[:, None] * past)[~mask].min(initial=np.inf)
-    return mask, bps[used], vals[used].sum(), least
+    used[first] = used[last] = True
+    return mask, bps[used], np.add.reduce(vals[used]), least
 
 
 def _projection_filter(mu: DiscreteMeasure, nu: DiscreteMeasure, inst: _Scaled):
@@ -514,19 +523,26 @@ def _certify_polar(mu, nu, mask, zeros, polar, tol):
     The check, with the mask's own position tolerance ``tol``: every row
     of the mask holds a pair, -tol <= H <= 2 tol on the mask (a nu-atom
     up to tol past a zero), H > tol off it, and the mass off it is at
-    most ``polar``, the least mass of a transport.  O(n m) work."""
+    most ``polar``, the least mass of a transport.  With z <= n + m
+    zeros, O((n + m) z + n m) work, at most O((n + m)^2)."""
     x, y = mu.points[:, 0], nu.points[:, 0]
+    add = np.add.reduce
     dx = x[:, None] - zeros
-    psi = np.abs(y[:, None] - zeros).sum(axis=1)
-    phi = -np.abs(dx).sum(axis=1)
-    H = psi + phi[:, None] - np.sign(dx).sum(axis=1)[:, None] * (y - x[:, None])
+    psi = add(np.abs(y[:, None] - zeros), axis=1)
+    phi = -add(np.abs(dx), axis=1)
+    H = psi + phi[:, None] - add(np.sign(dx), axis=1)[:, None] * (y - x[:, None])
     cost = float(nu.weights @ psi + mu.weights @ phi)
-    on, off = H[mask], H[~mask]
+    # the extremes of H on and off the mask (infinite where there is no
+    # entry), for the bounds every entry must meet
+    on_lo = np.minimum.reduce(H, axis=None, initial=np.inf, where=mask)
+    on_hi = np.maximum.reduce(H, axis=None, initial=-np.inf, where=mask)
+    off_lo = np.minimum.reduce(H, axis=None, initial=np.inf, where=~mask)
     if not (
-        mask.any(axis=1).all()
-        and np.all((on >= -tol) & (on <= 2 * tol))
-        and np.all(off > tol)
-        and (off.size == 0 or cost <= polar * off.min())
+        np.logical_and.reduce(np.logical_or.reduce(mask, axis=1))
+        and on_lo >= -tol
+        and on_hi <= 2 * tol
+        and off_lo > tol
+        and cost <= polar * off_lo
     ):
         raise SolverError(f"1-D non-polar mask fails its superhedge certificate (cost {cost:.3g})")
 

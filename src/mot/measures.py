@@ -21,6 +21,7 @@ that close and merging keeps its barycentre.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -184,7 +185,8 @@ def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -
         raise MassMismatch(f"total masses differ: {mass} vs {nu_mass}")
     scale = box_extent(np.minimum(mu_lo, nu_lo), np.maximum(mu_hi, nu_hi)) or 1.0
     feas = feasibility(scale, max(mu_size, nu_size))
-    if martingale and abs(nu_centre - mu_centre).max() > feas * scale:
+    gap = nu_centre - mu_centre
+    if martingale and np.maximum.reduce(np.abs(gap)) > feas * scale:
         raise NotInConvexOrder("barycenters differ: measures are not in convex order")
     return _Scaled(
         mass,
@@ -194,7 +196,7 @@ def _scaled(mu: DiscreteMeasure, nu: DiscreteMeasure, martingale: bool = True) -
         (nu.points - nu_centre) / scale,
         feas,
         scale,
-        float(np.linalg.norm(nu_centre - mu_centre)) / scale,
+        math.sqrt(gap.dot(gap)) / scale,
     )
 
 
@@ -322,17 +324,33 @@ def _axis_zeros(x, mu_w, y, nu_w, inst: _Scaled, eps: float | None = None):
     y whose value is at most ``eps`` (default: the feasibility
     tolerance) times mass times extent.  Each maximal run of non-zeros
     is one component.
+
+    The k <= n + m breakpoints are sorted, and the distances from each
+    to every atom broadcast, so the work is O((n + m) log(n + m)) plus
+    O(k (n + m)), at most O((n + m)^2).  The sort with a run mask, in
+    place of ``np.unique``, and ufunc methods such as
+    ``np.minimum.reduce``, in place of ``.min()`` and ``.any()``, give
+    the same bits: on lines of a few atoms the per-call overhead of those
+    wrappers, not the arithmetic, is most of the cost.
     """
-    bps = np.unique(np.concatenate([x, y]))
+    pts = np.concatenate((x, y))
+    pts.sort()  # np.unique's own sort, so that of 0.0 and -0.0 the same one is kept
+    run = np.empty(pts.size, dtype=bool)
+    run[0] = True
+    np.not_equal(pts[1:], pts[:-1], out=run[1:])
+    bps = pts[run]
     to_nu = np.abs(bps[:, None] - y)
     vals = to_nu @ nu_w - np.abs(bps[:, None] - x) @ mu_w
-    if vals.min() < -inst.feas * inst.mass * inst.scale:
+    level = inst.feas * inst.mass * inst.scale
+    if np.minimum.reduce(vals) < -level:
         raise NotInConvexOrder("measures are not in convex order")
-    eps = inst.feas if eps is None else eps
-    zero = (vals <= eps * inst.mass * inst.scale) & (to_nu <= GEO * inst.scale).any(axis=1)
-    idx = np.arange(bps.size)
-    left = np.maximum.accumulate(np.where(zero, idx, 0))
-    right = np.minimum.accumulate(np.where(zero, idx, bps.size - 1)[::-1])[::-1]
+    if eps is not None:
+        level = eps * inst.mass * inst.scale
+    zero = (vals <= level) & np.logical_or.reduce(to_nu <= GEO * inst.scale, axis=1)
+    k = bps.size
+    idx = np.arange(k)
+    left = np.maximum.accumulate(idx * zero)
+    right = np.minimum.accumulate(np.where(zero, idx, k - 1)[::-1])[::-1]
     return bps, vals, zero, left, right
 
 

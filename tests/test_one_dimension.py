@@ -14,7 +14,7 @@ import pytest
 
 from conftest import fail_the_curtain, random_dilation_pair
 from mot import DiscreteMeasure, check_convex_order, compute_paving, lp
-from mot import coupling
+from mot import coupling, measures
 from mot.coupling import (
     find_coupling,
     max_mass_on_pair,
@@ -22,9 +22,9 @@ from mot.coupling import (
     nonpolar_mask,
     polar_matrix,
 )
-from mot.errors import NotInConvexOrder, SolverError
-from mot.measures import potential_domain
-from mot.tolerance import FEAS, POLAR, extent
+from mot.errors import InvalidInput, NotInConvexOrder, SolverError
+from mot.measures import barycenter, potential_domain
+from mot.tolerance import FEAS, GEO, POLAR, extent
 
 
 def m1d(pts, w):
@@ -434,3 +434,149 @@ def test_curtain_is_left_monotone():
                 lo, hi = y[moved[i]].min(), y[moved[i]].max()
                 assert not ((lo < y[moved[k]]) & (y[moved[k]] < hi)).any()
     assert unforced >= 40
+
+
+def _zeros_reference(x, mu_w, y, nu_w, inst, eps=None):
+    """The zero rule of ``measures._axis_zeros`` in its plain numpy
+    form: ``np.unique``, ``.any(axis=1)`` and ``.min()``."""
+    bps = np.unique(np.concatenate([x, y]))
+    to_nu = np.abs(bps[:, None] - y)
+    vals = to_nu @ nu_w - np.abs(bps[:, None] - x) @ mu_w
+    if vals.min() < -inst.feas * inst.mass * inst.scale:
+        raise NotInConvexOrder("measures are not in convex order")
+    eps = inst.feas if eps is None else eps
+    zero = (vals <= eps * inst.mass * inst.scale) & (to_nu <= GEO * inst.scale).any(axis=1)
+    idx = np.arange(bps.size)
+    left = np.maximum.accumulate(np.where(zero, idx, 0))
+    right = np.minimum.accumulate(np.where(zero, idx, bps.size - 1)[::-1])[::-1]
+    return bps, vals, zero, left, right
+
+
+def _mask_reference(x, mu_w, y, nu_w, inst):
+    """``coupling._axis_mask`` in its plain numpy form: the least value
+    off the mask is the minimum of a boolean-indexed array."""
+    bps, vals, _, left, right = _zeros_reference(x, mu_w, y, nu_w, inst)
+    at = np.searchsorted(bps, x)
+    lo, hi = bps[left[at]], bps[right[at]]
+    past = np.maximum(lo[:, None] - y, y - hi[:, None])
+    mask = past <= GEO * inst.scale
+    used = np.zeros(bps.size, dtype=bool)
+    used[left[at]] = used[right[at]] = True
+    least = (np.where(lo == hi, 1.0, 2.0)[:, None] * past)[~mask].min(initial=np.inf)
+    return mask, bps[used], vals[used].sum(), least
+
+
+def _pattern_reference(s, keep):
+    if not (np.count_nonzero(keep, axis=0) == 1).all():
+        return None
+    return np.where(keep, s.nu_w, 0.0)
+
+
+def _tight_reference(s, theta):
+    rows = theta.sum(axis=1)
+    defect = theta @ s.y - rows[:, None] * s.x
+    gap = np.abs(rows - s.mu_w).sum() + np.sqrt((defect * defect).sum(axis=1)).sum()
+    return float(gap) + float(rows.sum()) * s.shift <= s.feas
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotInConvexOrder:
+        return NotInConvexOrder
+
+
+def _same_bits(a, b):
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray)
+            and (a.dtype, a.shape) == (b.dtype, b.shape)
+            and a.tobytes() == b.tobytes()
+        )
+    if a is None or a is NotInConvexOrder:
+        return a is b
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _lattice_pair(rng, dim):
+    """A dilation pair on the half-integer lattice with some signs of
+    zero flipped: on each axis mu's and nu's atoms share coordinates,
+    and the atoms of one measure repeat coordinates, some as 0.0 and
+    some as -0.0.  One pair in five is reversed, so not in order."""
+    n = int(rng.integers(1, 7))
+    pts = rng.integers(-2, 3, (n, dim)).astype(float)
+    w = rng.integers(1, 4, n).astype(float)
+    ys, ws = [], []
+    for p, wi in zip(pts, w):
+        if rng.random() < 0.3:
+            ys.append(p)
+            ws.append(wi)
+            continue
+        v = rng.integers(1, 3, dim) * rng.choice([-1.0, 1.0], dim)
+        a = rng.choice([0.25, 0.5, 0.75])
+        ys += [p + (1.0 - a) * v, p - a * v]
+        ws += [wi * a, wi * (1.0 - a)]
+    ys = np.array(ys)
+    for arr in (pts, ys):
+        arr[(arr == 0.0) & (rng.random(arr.shape) < 0.5)] = -0.0
+    pair = [(pts, w), (ys, np.array(ws))]
+    return pair[::-1] if rng.random() < 0.2 else pair
+
+
+def test_line_rule_matches_its_plain_numpy_form():
+    """The zero rule, the mask of a line, the forced pattern, the settle
+    test and ``_scaled``'s shift give the same bits as their plain numpy
+    forms above, on seeded lattice lines and on dilation lines, each as
+    it is, translated by 1e6 and scaled by 1e-3, and on a single
+    breakpoint and a mask that keeps every pair."""
+    rng = np.random.default_rng(28)
+    bases = [_lattice_pair(rng, int(rng.integers(1, 4))) for _ in range(150)]
+    for _ in range(50):
+        mu, nu = random_dilation_pair(rng, dim=int(rng.integers(1, 4)), max_atoms=6)
+        bases.append([(mu.points, mu.weights), (nu.points, nu.weights)])
+    bases.append([(np.array([[-0.0]]), [1.0]), (np.array([[0.0]]), [1.0])])
+    bases.append([(np.zeros((1, 1)), [1.0]), (np.array([[-1.0], [1.0], [3.0], [-3.0]]), [0.25] * 4)])
+    seen = dict(lines=0, refuted=0, single=0, full=0, signed_zeros=0, shared=0, repeated=0, tight=0)
+    for (x_pts, x_w), (y_pts, y_w) in bases:
+        for move in (lambda p: p, lambda p: p + 1e6, lambda p: p * 1e-3):
+            mu, nu = DiscreteMeasure(move(x_pts), x_w), DiscreteMeasure(move(y_pts), y_w)
+            try:
+                s = coupling._scaled(mu, nu)
+            except (InvalidInput, NotInConvexOrder):
+                continue  # a reversed pair's barycentres, or too coarse for its extent
+            gap = barycenter(nu) - barycenter(mu)
+            assert _same_bits(s.shift, float(np.linalg.norm(gap)) / s.scale)
+            keep = np.ones((mu.n_atoms, nu.n_atoms), dtype=bool)
+            for k in range(mu.ambient_dim):
+                x, y = mu.points[:, k], nu.points[:, k]
+                line = (x, mu.weights, y, nu.weights, s)
+                for eps in (None, 1e-7):
+                    assert _same_bits(
+                        _outcome(measures._axis_zeros, *line, eps),
+                        _outcome(_zeros_reference, *line, eps),
+                    )
+                got = _outcome(coupling._axis_mask, *line)
+                assert _same_bits(got, _outcome(_mask_reference, *line))
+                seen["lines"] += 1
+                if got is NotInConvexOrder:
+                    seen["refuted"] += 1
+                    break
+                both = np.concatenate([x, y])
+                seen["single"] += np.unique(both).size == 1
+                seen["full"] += bool(got[3] == np.inf)
+                seen["signed_zeros"] += bool((both == 0).any() and np.signbit(both[both == 0]).any())
+                seen["shared"] += bool(np.isin(x, y).any())
+                seen["repeated"] += np.unique(x).size < x.size or np.unique(y).size < y.size
+                keep &= got[0]
+                one = np.zeros_like(keep)
+                one[rng.integers(0, mu.n_atoms, nu.n_atoms), np.arange(nu.n_atoms)] = True
+                for kept in (keep, one, rng.random(keep.shape) < 0.5):
+                    theta = coupling._pattern(s, kept)
+                    assert _same_bits(theta, _pattern_reference(s, kept))
+                    if theta is not None:
+                        tight = coupling._tight(s, theta)
+                        assert tight is _tight_reference(s, theta)
+                        seen["tight"] += tight
+    assert min(seen.values()) >= 5, seen
