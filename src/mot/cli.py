@@ -1,17 +1,16 @@
 """Command line interface: JSON in, JSON out.
 
-Exit codes: 0 success, 2 not in convex order, 3 parse/validation error.
-Errors are reported as one JSON object on stderr.  ``potential --tol``
-or ``MOT_TOL`` overrides the strict-positivity tolerance of its domain
-decision, a fraction of total mass times extent (README, "Tolerances");
-one that does not parse, is not finite or is negative exits 3.
+Exit codes: 0 success, 2 not in convex order, 3 parse/validation error,
+click's own usage errors among them (a missing or unknown option, a
+value that does not parse, an unknown or missing command).  Errors are
+reported as one JSON object on stderr.  No option or environment
+variable sets a tolerance (README, "Tolerances").
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 
 import click
@@ -25,7 +24,8 @@ EXIT_PARSE = 3
 
 
 def _fail(exc: Exception, code: int):
-    payload = {"error": type(exc).__name__, "message": str(exc)}
+    message = exc.format_message() if isinstance(exc, click.ClickException) else str(exc)
+    payload = {"error": type(exc).__name__, "message": message}
     click.echo(json.dumps(payload), err=True)
     sys.exit(code)
 
@@ -47,19 +47,26 @@ def _load_json(path: str) -> dict:
         _fail(exc, EXIT_PARSE)
 
 
-def _tol(tol: float | None) -> float | None:
-    if tol is not None:
-        return tol
-    env = os.environ.get("MOT_TOL")
-    if not env:
-        return None
-    try:
-        return float(env)
-    except ValueError:
-        raise InvalidInput(f"MOT_TOL is not a number: {env!r}") from None
+class _Commands(click.Group):
+    """The command group, whose usage errors (raised while the group or
+    a command parses its arguments) exit 3 with one JSON object, like
+    every other input error, and not 2 with click's text."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _fail(exc, EXIT_PARSE)
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(exc, EXIT_PARSE)
 
 
-@click.group()
+# with no arguments, "Missing command." is a usage error like any other
+@click.group(cls=_Commands, no_args_is_help=False)
 def main():
     """Structural decomposition of discrete martingale optimal transport."""
 
@@ -151,10 +158,9 @@ def pave(mu, nu):
 
 
 @_pair_command("potential")
-@click.option("--tol", type=float, default=None)
-def potential_cmd(mu, nu, tol):
+def potential_cmd(mu, nu):
     """Breakpoints of u_nu - u_mu and the domain intervals (1-D only)."""
-    bps, diff, intervals = measures._potential_domain(mu, nu, _tol(tol))
+    bps, diff, intervals = measures._potential_domain(mu, nu)
     return {
         "breakpoints": bps.tolist(),
         "values": diff.tolist(),

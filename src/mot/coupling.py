@@ -436,7 +436,7 @@ def nonpolar_mask(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     inst = _scaled(mu, nu)
     keep, zeros, theta = _projection_filter(mu, nu, inst)
     if mu.ambient_dim == 1 and zeros[0] is not None:
-        _certify_polar(mu, nu, keep, zeros[0], POLAR * inst.mass, GEO * inst.scale)
+        _certify_polar(mu, nu, keep, zeros[0], inst)
         return keep
     if theta is not None:
         return keep
@@ -512,7 +512,7 @@ def _projection_filter(mu: DiscreteMeasure, nu: DiscreteMeasure, inst: _Scaled):
     return keep, zeros, None
 
 
-def _certify_polar(mu, nu, mask, zeros, polar, tol):
+def _certify_polar(mu, nu, mask, zeros, inst: _Scaled):
     """Raise SolverError unless the 1-D mask is certified by the
     superhedge of the zeros a of u_nu - u_mu: psi(y) = sum |y - a|,
     phi(x) = - sum |x - a|, h(x) = sum sign(x - a).  Its value
@@ -520,12 +520,14 @@ def _certify_polar(mu, nu, mask, zeros, polar, tol):
     every martingale coupling gives it the cost
     <nu, psi> + <mu, phi> = sum (u_nu - u_mu)(a), so it puts at most
     that cost over the least H off the mask on the pairs off the mask.
-    The check, with the mask's own position tolerance ``tol``: every row
-    of the mask holds a pair, -tol <= H <= 2 tol on the mask (a nu-atom
-    up to tol past a zero), H > tol off it, and the mass off it is at
-    most ``polar``, the least mass of a transport.  With z <= n + m
-    zeros, O((n + m) z + n m) work, at most O((n + m)^2)."""
+    The check, with the mask's own position tolerance tol, GEO times the
+    instance's extent: every row of the mask holds a pair, -tol <= H <=
+    2 tol on the mask (a nu-atom up to tol past a zero), H > tol off it,
+    and the mass off it is at most POLAR times the total mass, the least
+    mass of a transport.  With z <= n + m zeros, O((n + m) z + n m)
+    work, at most O((n + m)^2)."""
     x, y = mu.points[:, 0], nu.points[:, 0]
+    tol = GEO * inst.scale
     add = np.add.reduce
     dx = x[:, None] - zeros
     psi = add(np.abs(y[:, None] - zeros), axis=1)
@@ -542,7 +544,7 @@ def _certify_polar(mu, nu, mask, zeros, polar, tol):
         and on_lo >= -tol
         and on_hi <= 2 * tol
         and off_lo > tol
-        and cost <= polar * off_lo
+        and cost <= POLAR * inst.mass * off_lo
     ):
         raise SolverError(f"1-D non-polar mask fails its superhedge certificate (cost {cost:.3g})")
 

@@ -75,13 +75,23 @@ def gaussian_grid(n: int = 5):
     return mu, nu
 
 
+# each family's builder, the one parameter it reads and that parameter's default
+_MAKERS = {
+    "discrete_k": (discrete_k, "k", 2),
+    "continuous_grid": (continuous_grid, "grid", 10),
+    "mixed_k": (mixed_k, "k", 3),
+    "gaussian_grid": (gaussian_grid, "grid", 5),
+}
+
+
 def make(name: str, **params):
-    if name == "discrete_k":
-        return discrete_k(int(params.get("k", 2)))
-    if name == "continuous_grid":
-        return continuous_grid(int(params.get("grid", 10)))
-    if name == "mixed_k":
-        return mixed_k(int(params.get("k", 3)))
-    if name == "gaussian_grid":
-        return gaussian_grid(int(params.get("grid", 5)))
-    raise InvalidParameter(f"unknown example family {name!r}; pick from {FAMILIES}")
+    """The pair of the family ``name``, sized by the one parameter it
+    reads (``k`` or ``grid``, as in ``_MAKERS``).  An unknown family, or
+    a parameter the family does not read, raises InvalidParameter."""
+    if name not in _MAKERS:
+        raise InvalidParameter(f"unknown example family {name!r}; pick from {FAMILIES}")
+    build, key, default = _MAKERS[name]
+    other = sorted(set(params) - {key})
+    if other:
+        raise InvalidParameter(f"{name} is sized by {key!r} only, not by {', '.join(other)}")
+    return build(int(params.get(key, default)))

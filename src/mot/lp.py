@@ -1,7 +1,7 @@
 """The package's one LP backend, HiGHS.
 
 ``highs`` solves min c @ x subject to row_lo <= A x <= row_hi and
-lower <= x <= upper, and every LP of the package goes through it: the
+0 <= x <= upper, and every LP of the package goes through it: the
 sparse coupling LPs of ``coupling`` and the relative-interior LP of
 ``geometry``.  It takes the constraint matrix as a ``CscMatrix`` (the
 raw compressed-column arrays, which the coupling LPs write directly
@@ -69,17 +69,16 @@ class LpResult:
     solution: np.ndarray | None = None
 
 
-def highs(
-    c, A, row_lo, row_hi, lower=0.0, upper=np.inf, feas_tol=SOLVER_FEAS, what="LP"
-) -> LpResult:
-    """min c @ x subject to row_lo <= A x <= row_hi, lower <= x <= upper.
+def highs(c, A, row_lo, row_hi, upper=np.inf, feas_tol=SOLVER_FEAS, what="LP") -> LpResult:
+    """min c @ x subject to row_lo <= A x <= row_hi, 0 <= x <= upper.
 
     ``A`` is a ``CscMatrix``, whose arrays go to HiGHS as they are, or
     anything ``scipy.sparse.csc_array`` accepts (a dense array, another
     sparse format), which is converted.  A non-finite entry of ``c`` or
     ``A``, a NaN bound or a ``c`` that is not one entry per column
     raises InvalidInput; infinite bounds are legal.
-    Scalar bounds are repeated to full length.  The LP runs on this
+    Scalar bounds are repeated to full length.  Every column's lower
+    bound is 0: each LP the package poses has x >= 0.  The LP runs on this
     thread's HiGHS solver (``_solver``), which has the options
     ``scipy.optimize.milp`` would set with presolve off and max-value
     scaling, and so gives its answers bit for bit.  ``feas_tol`` sets
@@ -110,7 +109,7 @@ def highs(
     # the coupling LPs
     model = (
         n, m, values.shape[0], _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
-        c, _filled(lower, n), _filled(upper, n), _filled(row_lo, m), _filled(row_hi, m),
+        c, np.zeros(n), _filled(upper, n), _filled(row_lo, m), _filled(row_hi, m),
         A.indptr, A.indices, values,
         # all columns continuous; an empty integrality array makes passModel fail
         np.zeros(n, dtype=np.int32),

@@ -213,7 +213,7 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     the one every axis would give."""
     try:
         if mu.ambient_dim == 1:
-            _potential_domain(mu, nu, None)
+            _potential_domain(mu, nu)
         else:
             from .coupling import find_coupling
 
@@ -264,7 +264,7 @@ def potential(lam: DiscreteMeasure) -> PotentialFunction:
     return PotentialFunction(lam, bps, vals, lam.total_mass)
 
 
-def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None = None):
+def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Maximal open intervals where u_nu - u_mu is positive.
 
     The potentials decide the convex order without an LP (Beiglböck &
@@ -276,37 +276,32 @@ def potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None
     NotInConvexOrder (``_axis_zeros``).  The difference vanishes only at
     nu-atoms, and the intervals run from zero to zero, by the same rule
     on the line as the mask's: a breakpoint holding a nu-atom whose
-    value is at most ``eps`` is one.  ``eps`` defaults to that feasibility
-    tolerance, as in the non-polar mask, so the intervals are the
-    hulls of the paving's 1-D cells.  Both thresholds are fractions of
-    mu's total mass times the extent of both supports.  An ``eps`` that
-    is negative or not finite raises InvalidInput.
+    value is at most that feasibility tolerance is one, so the intervals
+    are the hulls of the paving's 1-D cells.  The tolerance is a
+    fraction of mu's total mass times the extent of both supports.
     """
-    return _potential_domain(mu, nu, eps)[2]
+    return _potential_domain(mu, nu)[2]
 
 
-def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float | None):
+def _potential_domain(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """The sorted breakpoints of both potentials, the values of
-    u_nu - u_mu there, and ``potential_domain(mu, nu, eps)``: one
-    interval per run of non-zeros, between the zeros on either side of
-    it.  The one entry to the 1-D zero rule (``_axis_zeros`` on the
-    line, at the scales of ``_scaled``; ``eps`` replaces the feasibility
-    tolerance as the zero threshold), for ``check_convex_order`` too.
+    u_nu - u_mu there, and ``potential_domain(mu, nu)``: one interval
+    per run of non-zeros, between the zeros on either side of it.  The
+    one entry to the 1-D zero rule (``_axis_zeros`` on the line, at the
+    scales of ``_scaled``), for ``check_convex_order`` too.
     """
-    if eps is not None and not (np.isfinite(eps) and eps >= 0):
-        raise InvalidInput(f"tolerance must be finite and nonnegative, got {eps!r}")
     # measures of two dimensions are left to _scaled's message, which
     # find_coupling gives too, so check_convex_order names them alike
     if mu.ambient_dim == nu.ambient_dim != 1:
         raise DimensionMismatch("potential domain is one-dimensional")
     x, y, inst = mu.points[:, 0], nu.points[:, 0], _scaled(mu, nu)
-    bps, vals, zero, left, right = _axis_zeros(x, mu.weights, y, nu.weights, inst, eps)
+    bps, vals, zero, left, right = _axis_zeros(x, mu.weights, y, nu.weights, inst)
     first = ~zero  # the first breakpoint of each run of non-zeros
     first[1:] &= zero[:-1]
     return bps, vals, [(float(bps[left[i]]), float(bps[right[i]])) for i in np.flatnonzero(first)]
 
 
-def _axis_zeros(x, mu_w, y, nu_w, inst: _Scaled, eps: float | None = None):
+def _axis_zeros(x, mu_w, y, nu_w, inst: _Scaled):
     """The zero rule on one line: x and y are the coordinates of mu's
     and nu's atoms on it and mu_w and nu_w their weights, from the
     instance ``inst`` (for a projection, the whole instance's scales).
@@ -321,9 +316,8 @@ def _axis_zeros(x, mu_w, y, nu_w, inst: _Scaled, eps: float | None = None):
     whole instance: it raises NotInConvexOrder.  u_nu - u_mu is strictly
     concave at a breakpoint that holds no nu-atom, so it vanishes only
     at nu-atoms: a zero is a breakpoint within GEO times the extent of a
-    y whose value is at most ``eps`` (default: the feasibility
-    tolerance) times mass times extent.  Each maximal run of non-zeros
-    is one component.
+    y whose value is at most that same level, the one zero threshold of
+    every line.  Each maximal run of non-zeros is one component.
 
     The k <= n + m breakpoints are sorted, and the distances from each
     to every atom broadcast, so the work is O((n + m) log(n + m)) plus
@@ -344,8 +338,6 @@ def _axis_zeros(x, mu_w, y, nu_w, inst: _Scaled, eps: float | None = None):
     level = inst.feas * inst.mass * inst.scale
     if np.minimum.reduce(vals) < -level:
         raise NotInConvexOrder("measures are not in convex order")
-    if eps is not None:
-        level = eps * inst.mass * inst.scale
     zero = (vals <= level) & np.logical_or.reduce(to_nu <= GEO * inst.scale, axis=1)
     k = bps.size
     idx = np.arange(k)

@@ -40,14 +40,13 @@ factor of the input:
   dimension, the max-support LP decides the pairs left where the axes
   stop on no such coupling.
 
-Tolerances a caller still sets: the ``tol`` of
+The one tolerance a caller still sets is the ``tol`` of
 ``DiscreteMeasure.equals``, ``Polytope.same_vertices`` and
 ``pwl.asymptotic_component``, absolute in the caller's own units and
-defaulting to the constants below; and the ``eps`` of
-``potential_domain`` (``mot potential --tol`` or ``MOT_TOL``), a
-fraction of total mass times extent that defaults to the feasibility
-tolerance.  Values of piecewise-linear functions, whose scale no
-instance fixes, are compared at ``GEO`` in the function's own units.
+defaulting to the constants below; the zero threshold of the line
+rule is always the feasibility tolerance.  Values of piecewise-linear
+functions, whose scale no instance fixes, are compared at ``GEO`` in
+the function's own units.
 """
 
 from __future__ import annotations

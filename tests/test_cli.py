@@ -237,6 +237,9 @@ def test_invalid_example_parameter(runner, tmp_path):
         ("discrete_k", "--k", "1"),
         ("gaussian_grid", "--grid", "4"),
         ("continuous_grid", "--grid", "0"),
+        # a size flag the family does not read
+        ("discrete_k", "--grid", "7"),
+        ("gaussian_grid", "--k", "7"),
     ):
         result = runner.invoke(
             main,
@@ -249,33 +252,28 @@ def test_invalid_example_parameter(runner, tmp_path):
         fixtures.make("uniform_k")
 
 
-def test_mot_tol_env_override(runner, tmp_path, monkeypatch):
-    mu_f = str(tmp_path / "mu.json")
-    nu_f = str(tmp_path / "nu.json")
-    _write(mu_f, {"dim": 1, "atoms": [{"point": [0.0], "weight": 1.0}]})
-    _write(nu_f, {"dim": 1, "atoms": [{"point": [-1.0], "weight": 0.5},
-                                      {"point": [1.0], "weight": 0.5}]})
-    monkeypatch.setenv("MOT_TOL", "1e-6")
-    result = runner.invoke(main, ["potential", "--mu", mu_f, "--nu", nu_f])
-    assert result.exit_code == 0
-    assert len(json.loads(result.output)["domain"]) == 1
-
-
-def test_bad_tolerance_exit_code(runner, tmp_path, monkeypatch):
-    """A tolerance that does not parse, is not finite or is negative
-    exits 3 with a JSON error, from MOT_TOL or from --tol."""
-    mu_f = str(tmp_path / "mu.json")
-    nu_f = str(tmp_path / "nu.json")
-    _write(mu_f, {"dim": 1, "atoms": [{"point": [0.0], "weight": 1.0}]})
-    _write(nu_f, {"dim": 1, "atoms": [{"point": [-1.0], "weight": 0.5},
-                                      {"point": [1.0], "weight": 0.5}]})
-    args = ["potential", "--mu", mu_f, "--nu", nu_f]
-    cases = [({"MOT_TOL": bad}, []) for bad in ("abc", "nan", "-1e-6")]
-    cases += [({}, ["--tol", bad]) for bad in ("nan", "inf", "-1e-6")]
-    for env, flags in cases:
-        monkeypatch.delenv("MOT_TOL", raising=False)
-        for key, val in env.items():
-            monkeypatch.setenv(key, val)
-        result = runner.invoke(main, args + flags)
-        assert result.exit_code == 3, (env, flags, result.output)
-        assert json.loads(result.output)["error"] == "InvalidInput"
+def test_usage_error_exit_code(runner, tmp_path):
+    """click's own usage errors exit 3 with one JSON object, as any other
+    input error does, and not 2, the exit code of "not in convex order":
+    an unknown option (the removed ``--tol`` among them), a missing
+    option, a value that does not parse, an unknown command and no
+    command at all.  ``--help`` still exits 0."""
+    mu_f, nu_f = _measure_files(runner, tmp_path)
+    out = ["--mu", str(tmp_path / "a.json"), "--nu", str(tmp_path / "b.json")]
+    cases = [
+        (["potential", "--mu", mu_f, "--nu", nu_f, "--tol", "1e-6"], "No such option '--tol'"),
+        (["pave", "--mu", mu_f, "--bogus"], "No such option '--bogus'"),
+        (["pave", "--mu", mu_f], "Missing option '--nu'."),
+        (["example", "discrete_k", "--k", "x", *out], "'x' is not a valid integer"),
+        (["example", "uniform_k", *out], "'uniform_k' is not one of"),
+        (["bogus"], "No such command 'bogus'."),
+        ([], "Missing command."),
+    ]
+    for args, message in cases:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, (args, result.output)
+        error = json.loads(result.output)
+        assert set(error) == {"error", "message"}
+        assert message in error["message"], (args, error)
+    for args in (["--help"], ["pave", "--help"]):
+        assert runner.invoke(main, args).exit_code == 0

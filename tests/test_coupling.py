@@ -501,6 +501,22 @@ def test_infeasible_status_means_not_in_convex_order(stub_highs):
     assert check_convex_order(nu, mu) is False
 
 
+def test_max_support_infeasible_report_is_a_solver_error(stub_highs):
+    """Zero is feasible for the max-support LP, so HiGHS calling it
+    infeasible is a solver failure, not a refutation of the order: on
+    mixed_k(3), where the filter leaves the mask to that LP, the mask
+    calls raise SolverError, never NotInConvexOrder, while the coupling
+    LP, which can be infeasible, reads the same report as
+    NotInConvexOrder."""
+    mu, nu = mixed_k(3)
+    stub_highs("kInfeasible")
+    for call in (max_support_coupling, nonpolar_mask):
+        with pytest.raises(SolverError, match="HiGHS reports it infeasible"):
+            call(mu, nu)
+    with pytest.raises(NotInConvexOrder):
+        find_coupling(mu, nu)
+
+
 def test_find_coupling_rejects_uncertified_solution(stub_highs):
     """A solution with a negative entry or a marginal residual is an
     error, not something to clip (mixed_k(3), where an LP runs)."""

@@ -104,13 +104,12 @@ def test_non_finite_coefficients_rejected():
         ([1.0], [[-np.inf]], [-np.inf], [1.0], {}),
         ([1.0], one, [np.nan], [1.0], {}),
         ([1.0], one, [0.0], np.nan, {}),
-        ([1.0], one, [0.0], [1.0], {"lower": [np.nan]}),
         ([1.0], one, [0.0], [1.0], {"upper": np.nan}),
     ]
     for c, A, lo, hi, kw in bad:
         with pytest.raises(InvalidInput):
             lp.highs(np.array(c), A, lo, hi, **kw)
-    res = lp.highs([1.0], one, -np.inf, np.inf, lower=-1.0, upper=np.inf)
+    res = lp.highs([1.0], one, -np.inf, np.inf, upper=np.inf)
     assert res.status is lp.LpStatus.OPTIMAL
 
 
@@ -124,13 +123,6 @@ def test_highs_rejects_bounds_of_wrong_length():
     with pytest.raises(InvalidInput):
         lp.highs(np.zeros(3), A, [0.0, 0.0], [1.0, 1.0])
     assert lp.highs(np.zeros(2), A, 0.0, [1.0, 1.0], upper=2.0).status is lp.LpStatus.OPTIMAL
-
-
-def test_lower_bounds_shift():
-    # minimise x subject to x <= 5 with x >= 2 attains the bound
-    res = lp.highs([1.0], [[1.0]], -np.inf, 5.0, lower=2.0)
-    assert res.status is lp.LpStatus.OPTIMAL
-    assert abs(res.solution[0] - 2.0) <= TOL
 
 
 def test_highs_outcomes_map_to_status_or_solver_error(stub_highs):

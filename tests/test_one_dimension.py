@@ -436,7 +436,7 @@ def test_curtain_is_left_monotone():
     assert unforced >= 40
 
 
-def _zeros_reference(x, mu_w, y, nu_w, inst, eps=None):
+def _zeros_reference(x, mu_w, y, nu_w, inst):
     """The zero rule of ``measures._axis_zeros`` in its plain numpy
     form: ``np.unique``, ``.any(axis=1)`` and ``.min()``."""
     bps = np.unique(np.concatenate([x, y]))
@@ -444,8 +444,7 @@ def _zeros_reference(x, mu_w, y, nu_w, inst, eps=None):
     vals = to_nu @ nu_w - np.abs(bps[:, None] - x) @ mu_w
     if vals.min() < -inst.feas * inst.mass * inst.scale:
         raise NotInConvexOrder("measures are not in convex order")
-    eps = inst.feas if eps is None else eps
-    zero = (vals <= eps * inst.mass * inst.scale) & (to_nu <= GEO * inst.scale).any(axis=1)
+    zero = (vals <= inst.feas * inst.mass * inst.scale) & (to_nu <= GEO * inst.scale).any(axis=1)
     idx = np.arange(bps.size)
     left = np.maximum.accumulate(np.where(zero, idx, 0))
     right = np.minimum.accumulate(np.where(zero, idx, bps.size - 1)[::-1])[::-1]
@@ -552,10 +551,11 @@ def test_line_rule_matches_its_plain_numpy_form():
             for k in range(mu.ambient_dim):
                 x, y = mu.points[:, k], nu.points[:, k]
                 line = (x, mu.weights, y, nu.weights, s)
-                for eps in (None, 1e-7):
+                # also with the zero level raised, as a coarser instance's is
+                for raised in (s, s._replace(feas=1e-7)):
                     assert _same_bits(
-                        _outcome(measures._axis_zeros, *line, eps),
-                        _outcome(_zeros_reference, *line, eps),
+                        _outcome(measures._axis_zeros, *line[:4], raised),
+                        _outcome(_zeros_reference, *line[:4], raised),
                     )
                 got = _outcome(coupling._axis_mask, *line)
                 assert _same_bits(got, _outcome(_mask_reference, *line))

@@ -350,12 +350,12 @@ def test_an_axis_whose_bound_fails_drops_nothing(monkeypatch, dim):
     x, y = mu.points[:, 0], nu.points[:, 0]
     inst = measures._scaled(mu, nu)
     real = measures._axis_zeros
-    for eps, is_zero in ((FEAS, False), (INTERIOR, True)):
-        bps, _, zero, _, _ = real(x, mu.weights, y, nu.weights, inst, eps)
+    for feas, is_zero in ((FEAS, False), (INTERIOR, True)):
+        bps, _, zero, _, _ = real(x, mu.weights, y, nu.weights, inst._replace(feas=feas))
         assert zero[bps == 0.0].tolist() == [is_zero]
 
     def raised(x, mu_w, y, nu_w, inst):
-        return real(x, mu_w, y, nu_w, inst, INTERIOR)
+        return real(x, mu_w, y, nu_w, inst._replace(feas=INTERIOR))
 
     monkeypatch.setattr(coupling, "_axis_zeros", raised)
     real_highs = lp.highs
