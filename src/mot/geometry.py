@@ -28,13 +28,29 @@ polytopes are handled in their affine-hull coordinates, so faces and
 half-space descriptions are genuine ones of the set itself and not of
 the ambient space.  Only ``relative_interiors_intersect`` solves a
 linear program (``lp.highs``).
+
+The sets are small: a flat region in dimension m has its 2m box facets
+and a few rows more, and hulls and faces a handful of vertices.  A call
+then costs what its numpy calls cost, a microsecond or more each
+whatever the size, not their arithmetic: a ``pwl.affine_component``
+makes about 160 Python-level calls (cProfile) and takes about 150, 200
+and 260 us in dimensions 1, 2 and 3 on a shared 2-core machine.  So
+reductions are ufunc methods (``np.maximum.reduce``,
+``np.logical_and.reduce``, ``np.add.reduce(...) / n`` for a mean), which
+the wrappers ``np.max``, ``np.all`` and ``.mean`` end in, with the same
+bits; a length is ``math.sqrt(v @ v)``, the dot product that
+``np.linalg.norm`` takes; and the m-subsets of N rows are built once per
+(N, m).  A matrix-vector product and a matrix-matrix product of the
+same numbers can differ in their last bits, so where many points are
+tested at once (``Polytope._contains_each``) the products are stacks of
+the matrix-vector products that one point gets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -54,10 +70,12 @@ def _floats(values) -> np.ndarray:
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    p = np.atleast_1d(_floats(x))
-    if p.ndim != 1:
+    p = _floats(x)
+    if p.ndim == 0:
+        p = p.reshape(1)
+    elif p.ndim != 1:
         raise InvalidInput("a point must be a flat coordinate list")
-    if not np.all(np.isfinite(p)):
+    if not np.logical_and.reduce(np.isfinite(p)):
         raise InvalidInput("point coordinates must be finite")
     if dim is not None and p.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.shape[0]}")
@@ -72,7 +90,7 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
         pts = pts.reshape(-1, 1) if dim == 1 else pts.reshape(1, -1)
     if pts.ndim != 2:
         raise InvalidInput("a point list must be a list of flat coordinate lists")
-    if not np.all(np.isfinite(pts)):
+    if not np.logical_and.reduce(np.isfinite(pts), axis=None):
         raise InvalidInput("point coordinates must be finite")
     if dim is not None and pts.shape[1] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {pts.shape[1]}")
@@ -104,8 +122,21 @@ class AffineSubspace:
         diff = x - self.base_point
         u = self.basis @ diff
         residual = diff - u @ self.basis
-        bound = SLACK * max(self.scale, np.linalg.norm(diff))
-        return u if np.linalg.norm(residual) <= bound else None
+        # |v| is sqrt(v @ v), as np.linalg.norm takes it, in fewer calls
+        bound = SLACK * max(self.scale, math.sqrt(diff @ diff))
+        return u if math.sqrt(residual @ residual) <= bound else None
+
+    def _each_coordinates(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``coordinates`` of each of the points pts, shape (n,
+        ambient_dim): their frame coordinates u, and whether each is on
+        the subspace.  Every product is a stack of the matrix-vector and
+        dot products ``coordinates`` makes, one per point, so each point
+        gets the bits it gets alone (a matrix-matrix product would not)."""
+        diff = pts - self.base_point
+        u = (self.basis @ diff[:, :, None])[:, :, 0]
+        residual = diff - (u[:, None, :] @ self.basis)[:, 0]
+        bound = SLACK * np.maximum(self.scale, _norms(diff))
+        return u, _norms(residual) <= bound
 
     def contains(self, x) -> bool:
         return self.coordinates(as_point(x, self.base_point.shape[0])) is not None
@@ -118,18 +149,25 @@ def affine_hull(points) -> AffineSubspace:
     return _hull_frame(pts, extent(pts))[0]
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """|v| of each row of v: the square root of a dot product per row, as
+    ``np.linalg.norm`` takes of one vector."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def _hull_frame(pts: np.ndarray, scale: float) -> tuple[AffineSubspace, np.ndarray]:
     """The affine hull of checked points at the rank threshold GEO
     scale, with that scale, and their coordinates in it.  On the line
     the frame is the axis, found without an SVD."""
-    base = pts.mean(axis=0)
+    base = np.add.reduce(pts, axis=0) / pts.shape[0]  # the mean
     centered = pts - base
     if pts.shape[1] == 1:
         # the one singular value of a column is its norm, and the axis its direction
-        basis = np.ones((int(np.linalg.norm(centered) > GEO * scale), 1))
+        column = centered[:, 0]
+        basis = np.ones((int(math.sqrt(column @ column) > GEO * scale), 1))
     else:
         _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        basis = vt[: int(np.sum(s > GEO * scale))]
+        basis = vt[: np.count_nonzero(s > GEO * scale)]
     return AffineSubspace(base, basis, basis.shape[0], scale), centered @ basis.T
 
 
@@ -237,9 +275,25 @@ class Polytope:
         """``contains`` at a checked point of the ambient dimension."""
         tol = GEO * self.scale
         if self.n_vertices == 1:
-            return bool(np.max(np.abs(self.vertices[0] - x)) <= tol)
+            return bool(np.maximum.reduce(np.abs(self.vertices[0] - x)) <= tol)
         values = self._facet_values(x)
-        return values is not None and bool(np.all(values <= tol))
+        return values is not None and bool(np.logical_and.reduce(values <= tol))
+
+    def _contains_each(self, pts: np.ndarray) -> np.ndarray:
+        """``_contains`` at each of the checked points pts, shape (n,
+        ambient_dim), from one evaluation of the facets, each point's
+        with the bits it has alone (``AffineSubspace._each_coordinates``).
+        The facets are read only when some point is on the affine hull,
+        as ``_contains`` reads them only for such a point."""
+        tol = GEO * self.scale
+        if self.n_vertices == 1:
+            return np.maximum.reduce(np.abs(self.vertices[0] - pts), axis=1) <= tol
+        u, on = self.frame._each_coordinates(pts)
+        if not np.logical_or.reduce(on):
+            return on
+        normals, offsets = self.facets
+        values = (normals @ u[:, :, None])[:, :, 0] + offsets
+        return on & np.logical_and.reduce(values <= tol, axis=1)
 
     def same_vertices(self, other: "Polytope", tol: float = INTERIOR) -> bool:
         """The vertex sets pair off one to one within the absolute tol
@@ -254,10 +308,11 @@ _MATCH_BLOCK = 2**18
 
 
 def _near(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """near[i, j]: a[i] and b[j] agree within tol in every coordinate."""
-    near = np.ones((a.shape[0], b.shape[0]), dtype=bool)
+    """near[i, j]: a[i] and b[j] agree within tol in every coordinate
+    (points of one or more coordinates)."""
     # coordinate by coordinate: a max over a short last axis is ~10x slower
-    for c in range(a.shape[1]):
+    near = np.abs(a[:, None, 0] - b[None, :, 0]) <= tol
+    for c in range(1, a.shape[1]):
         near &= np.abs(a[:, None, c] - b[None, :, c]) <= tol
     return near
 
@@ -273,16 +328,17 @@ def _first_match(pts: np.ndarray, tol: float) -> np.ndarray:
     is already final when it is read.
     """
     n = pts.shape[0]
-    owner = np.arange(n)
+    index = np.arange(n)
     if n == 1:
-        return owner
+        return index
+    owner = index.copy()
     alone = np.ones(n, dtype=bool)  # no earlier point within tol
     step = max(1, _MATCH_BLOCK // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         near = _near(pts[lo:hi], pts[:hi], tol)
-        near &= np.arange(hi) < np.arange(lo, hi)[:, None]
-        rows = np.flatnonzero(near.any(axis=1))
+        near &= index[:hi] < index[lo:hi, None]
+        rows = np.logical_or.reduce(near, axis=1).nonzero()[0]
         if rows.size == 0:
             continue
         alone[lo + rows] = False
@@ -291,7 +347,7 @@ def _first_match(pts: np.ndarray, tol: float) -> np.ndarray:
         owner[lo + rows[direct]] = first[direct]
         for r in rows[~direct]:
             k = lo + r
-            hits = np.flatnonzero(near[r, :k] & (owner[:k] == np.arange(k)))
+            hits = (near[r, :k] & (owner[:k] == index[:k])).nonzero()[0]
             if hits.size:
                 owner[k] = hits[0]
     return owner
@@ -352,8 +408,9 @@ def _hull_vertices(coords: np.ndarray) -> np.ndarray:
     k, m = coords.shape
     if k == m + 1:
         return np.arange(k)
-    if m == 1:
-        return np.unique([coords[:, 0].argmin(), coords[:, 0].argmax()])
+    if m == 1:  # the two ends, which a frame of dimension one keeps apart
+        ends = [coords[:, 0].argmin(), coords[:, 0].argmax()]
+        return np.array(ends if ends[0] < ends[1] else ends[::-1])
     return np.sort(_qhull(coords).vertices)
 
 
@@ -372,7 +429,7 @@ def _facet_equations(coords: np.ndarray, scale: float) -> tuple[np.ndarray, np.n
         return np.zeros((0, 0)), np.zeros(0)
     if m == 1:
         u = coords[:, 0]
-        return np.array([[1.0], [-1.0]]), np.array([-u.max(), u.min()])
+        return np.array([[1.0], [-1.0]]), np.array([-np.maximum.reduce(u), np.minimum.reduce(u)])
     return _merge_facets(_qhull(coords).equations, scale)
 
 
@@ -400,7 +457,7 @@ def in_relative_interior(x, P: Polytope) -> bool:
     if P.n_vertices == 1:
         return P._contains(x)
     values = P._facet_values(x)
-    return values is not None and bool(np.all(values <= -INTERIOR * P.scale))
+    return values is not None and bool(np.logical_and.reduce(values <= -INTERIOR * P.scale))
 
 
 def minimal_face(x, P: Polytope) -> Polytope:
@@ -424,15 +481,16 @@ def _minimal_face(x: np.ndarray, P: Polytope):
             raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
         return P, None
     values = P._facet_values(x)
-    if values is None or not np.all(values <= GEO * P.scale):
+    if values is None or not np.logical_and.reduce(values <= GEO * P.scale):
         raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
     normals, offsets = P.facets
     margin = -INTERIOR * P.scale
     tight = values >= margin
-    on = np.all(P.coords @ normals[tight].T + offsets[tight] >= margin, axis=1)
-    if on.all():
+    on = np.logical_and.reduce(P.coords @ normals[tight].T + offsets[tight] >= margin, axis=1)
+    if np.logical_and.reduce(on):
         return P, None
-    if not on.any():  # tight facets with no common vertex: P is thinner than the margin
+    if not np.logical_or.reduce(on):
+        # tight facets with no common vertex: P is thinner than the margin
         on[np.argmin(np.linalg.norm(P.vertices - x, axis=1))] = True
         return Polytope._built(P.vertices[on]), None
     return Polytope._built(P.vertices[on]), tight
@@ -485,6 +543,18 @@ def halfspaces(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return G, offsets - G @ sub.base_point
 
 
+@lru_cache(maxsize=32)
+def _subsets(n: int, m: int) -> np.ndarray:
+    """Every m-subset of range(n), one per row in lexicographic order,
+    read-only: a call for the same (n, m) shares the array.  A cached
+    array holds C(n, m) m indices, at most m / n of the largest array
+    its enumeration makes."""
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), m)), dtype=np.intp)
+    subsets = subsets.reshape(-1, m)
+    subsets.flags.writeable = False
+    return subsets
+
+
 # Every m-subset of the N rows is solved at once, and all N rows are then
 # evaluated at each solution: a (C(N, m), N) array, the largest one made
 # once N > m^2 (each subset's m x m matrix is copied once).  2**24 of its
@@ -508,6 +578,11 @@ def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
     unless they cannot tell two candidates apart.  An enumeration of
     more than ``_MAX_SUBSET_ROWS`` subset-row pairs raises InvalidInput
     before anything is allocated.
+
+    A NaN anywhere in a row, or an infinite entry of G, raises
+    InvalidInput.  An infinite offset c is a row that no point (+inf)
+    or every point (-inf) satisfies: the answer is None, or the row is
+    dropped.
     """
     G = np.asarray(G, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -516,13 +591,20 @@ def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
             f"need rows G of shape (k, {box.ambient_dim}) and c of shape (k,), "
             f"got {G.shape} and {c.shape}"
         )
+    finite = np.logical_and.reduce(np.isfinite(G), axis=None)
+    if not (finite and np.logical_and.reduce(np.isfinite(c))):
+        if not finite or np.logical_or.reduce(np.isnan(c)):
+            raise InvalidInput("half-space rows need finite normals and offsets that are not NaN")
+        if np.logical_or.reduce(c == np.inf):
+            return None  # a row that no point satisfies
+        G, c = G[c > -np.inf], c[c > -np.inf]  # less the rows that every point satisfies
     norms = np.sqrt(np.einsum("ij,ij->i", G, G))
     unit = np.where(norms > 0.0, norms, 1.0)
     G, c = G / unit[:, None], c / unit
     slack = SLACK * box.scale
     sub = box.frame
     if sub.dim == 0:
-        return box if np.all(G @ box.vertices[0] + c <= slack) else None
+        return box if np.logical_and.reduce(G @ box.vertices[0] + c <= slack) else None
     # constraints in frame coordinates u: y = p0 + B^T u
     normals, offsets = box.facets
     n, m = normals.shape[0] + G.shape[0], sub.dim
@@ -531,21 +613,19 @@ def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
             f"{n} inequalities in dimension {m}: {math.comb(n, m)} subsets of {n} "
             f"rows, more than {_MAX_SUBSET_ROWS} subset-row pairs"
         )
-    A = np.vstack([normals, G @ sub.basis.T])
-    b = np.concatenate([offsets, G @ sub.base_point + c])
-    subsets = np.fromiter(
-        chain.from_iterable(combinations(range(n), m)), dtype=np.intp
-    ).reshape(-1, m)
+    A = np.concatenate((normals, G @ sub.basis.T))
+    b = np.concatenate((offsets, G @ sub.base_point + c))
+    subsets = _subsets(n, m)
     M = A[subsets]
     # exactly singular subsets are skipped; near-singular ones give far
     # points that fail the feasibility test
     regular = np.linalg.det(M) != 0.0
     u = np.linalg.solve(M[regular], -b[subsets[regular], None])[..., 0]
-    feasible = np.max(u @ A.T + b, axis=1) <= slack
-    if not feasible.any():
+    feasible = np.maximum.reduce(u @ A.T + b, axis=1) <= slack
+    if not np.logical_or.reduce(feasible):
         return None
     u = u[feasible]
-    pts = sub.lift(u)
+    pts = sub.base_point + u @ sub.basis
     kept = _first_match(pts, GEO * box.scale) == np.arange(pts.shape[0])
     region = _region(pts[kept], u[kept], A, b, sub, box.scale)
     # inequalities that cannot resolve the candidates within the slack
@@ -582,14 +662,24 @@ def _region(candidates, u, A, b, box_frame: AffineSubspace, scale: float) -> Pol
     norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
     tight = coords @ normals.T + offsets >= -SLACK * scale * norms
     tight &= norms > GEO
-    inside, count = _inclusion(tight)
+    # inclusion of sets from their 0/1 matrix T: inter = |S_i ∩ S_j|, and
+    # S_i lies in S_j where that is |S_i| (the products count exactly).
+    # First the rows' sets of candidates:
+    T = tight.astype(float)
+    inter = T.T @ T
+    count = inter.diagonal()
     # S_j beats S_i when it contains S_i and is larger, or equal and earlier
     rank = count * count.size - np.arange(count.size)
-    facets = (count > 0) & ~(inside & (rank > rank[:, None])).any(axis=1)
-    inside, count = _inclusion(tight[:, facets].T)
+    beaten = (inter == count[:, None]) & (rank > rank[:, None])
+    facets = (count > 0) & ~np.logical_or.reduce(beaten, axis=1)
+    # then the candidates' sets of tight facets, which need the facets
+    T = T[:, facets]
+    inter = T @ T.T
+    count = inter.diagonal()
+    inside = inter == count[:, None]
     if np.count_nonzero(inside & inside.T) > count.size:
         return None
-    vertex = ~(inside & (count > count[:, None])).any(axis=1)
+    vertex = ~np.logical_or.reduce(inside & (count > count[:, None]), axis=1)
     frame = AffineSubspace(
         box_frame.base_point + hull.base_point @ box_frame.basis,
         hull.basis @ box_frame.basis,
@@ -603,12 +693,3 @@ def _region(candidates, u, A, b, box_frame: AffineSubspace, scale: float) -> Pol
         coords[vertex],
         (normals[facets] / unit[:, None], offsets[facets] / unit),
     )
-
-
-def _inclusion(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the columns of the boolean matrix ``sets``, each the set of its
-    true rows: inside[i, j], S_i is a subset of S_j, and the sizes |S_i|."""
-    T = sets.astype(float)
-    inter = T.T @ T  # |S_i ∩ S_j|
-    count = inter.diagonal()
-    return inter == count[:, None], count

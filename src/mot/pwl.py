@@ -18,6 +18,7 @@ validated once per call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,10 @@ class PwlConvex:
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
+        if y.ndim not in (1, 2) or y.shape[-1] != self.dim:
+            raise DimensionMismatch(
+                f"expected a point or rows of dimension {self.dim}, got shape {y.shape}"
+            )
         if y.ndim == 1:
             return float(np.max(self.gradients @ y + self.offsets))
         return np.max(y @ self.gradients.T + self.offsets, axis=1)
@@ -84,7 +89,7 @@ class PwlConvex:
     def _active(self, x: np.ndarray) -> np.ndarray:
         """``active_pieces`` at a checked point."""
         vals = self.gradients @ x + self.offsets
-        return np.flatnonzero(vals >= vals.max() - GEO)
+        return (vals >= np.maximum.reduce(vals) - GEO).nonzero()[0]
 
     def to_json(self) -> dict:
         return {
@@ -147,7 +152,7 @@ def _flat_rows(phi: PwlConvex, k: int) -> tuple[np.ndarray, np.ndarray]:
     zero (k itself and its duplicates)."""
     G = phi.gradients - phi.gradients[k]
     c = phi.offsets - phi.offsets[k]
-    keep = (np.abs(G).max(axis=1) > GEO) | (np.abs(c) > GEO)
+    keep = (np.maximum.reduce(np.abs(G), axis=1) > GEO) | (np.abs(c) > GEO)
     return G[keep], c[keep]
 
 
@@ -180,10 +185,17 @@ def asymptotic_component(
     {y in box : phi(y) - b(y) <= tol for every piece b supporting phi at
     x} is a polytope; their intersection, reduced to its minimal face at
     x, is returned.  Convergence as the list grows is the contract, not
-    equality with an abstract limit.
+    equality with an abstract limit.  A tol that is not a finite number
+    >= 0 raises InvalidInput.
     """
     if not phis:
         raise EmptyList("need at least one function")
+    try:
+        valid = math.isfinite(tol) and tol >= 0.0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidInput(f"tol must be a finite number >= 0, got {tol!r}")
     x = as_point(x)
     dims = {phi.dim for phi in phis}
     if len(dims) != 1 or x.shape[0] not in dims:
@@ -223,25 +235,28 @@ def check_barycenter_face(alpha: DiscreteMeasure, D: Polytope) -> FaceConcentrat
     (``_minimal_face``), it is D cut by the hyperplanes of the facets
     tight at the barycenter: an atom within GEO ``face.scale`` of each
     of them is on it, and only the other atoms are put to
-    ``face.contains``.
+    ``face.contains``.  Each of the two membership tests takes all its
+    atoms in one evaluation (``Polytope._contains_each``).
     """
     if alpha.ambient_dim != D.ambient_dim:
         raise DimensionMismatch("measure and polytope dimensions differ")
     points = alpha.points
-    for p in points:
-        if not D._contains(p):
-            raise AtomOutsideD(f"atom {p.tolist()} lies outside the polytope")
+    inside = D._contains_each(points)
+    if not np.logical_and.reduce(inside):
+        p = points[np.argmin(inside)]  # the first atom outside
+        raise AtomOutsideD(f"atom {p.tolist()} lies outside the polytope")
     b = barycenter(alpha)
     face, tight = _minimal_face(b, D)
     if face is D:
         return FaceConcentrationReport(b, face, 0.0)
-    near = np.zeros(len(points), dtype=bool)
+    off = np.ones(len(points), dtype=bool)
     if tight is not None:
         normals, offsets = D.facets
         values = D.frame.project(points) @ normals[tight].T + offsets[tight]
-        near = np.all(values >= -GEO * face.scale, axis=1)
+        off = ~np.logical_and.reduce(values >= -GEO * face.scale, axis=1)
+    if np.logical_or.reduce(off):  # the face's frame and facets are built only here
+        off[off] = ~face._contains_each(points[off])
     outside = 0.0
-    for p, w, hit in zip(points, alpha.weights, near):
-        if not (hit or face._contains(p)):
-            outside += float(w)
+    for w in alpha.weights[off].tolist():  # in atom order, as a running sum
+        outside += w
     return FaceConcentrationReport(b, face, outside)

@@ -95,14 +95,14 @@ def extent(*point_sets: np.ndarray) -> float:
     arrays of points taken together; where all the points coincide, the
     largest absolute coordinate (0 at the origin)."""
     pts = point_sets[0] if len(point_sets) == 1 else np.concatenate(point_sets)
-    return box_extent(pts.min(axis=0), pts.max(axis=0))
+    return box_extent(np.minimum.reduce(pts, axis=0), np.maximum.reduce(pts, axis=0))
 
 
 def box_extent(lo: np.ndarray, hi: np.ndarray) -> float:
     """``extent`` of points whose bounding box has the corners lo and hi."""
     side = hi - lo
-    diagonal = math.sqrt(float(side @ side))
-    return diagonal if diagonal > 0.0 else float(np.abs(hi).max())
+    diagonal = math.sqrt(side @ side)
+    return diagonal if diagonal > 0.0 else float(np.maximum.reduce(np.abs(hi)))
 
 
 def feasibility(scale: float, magnitude: float) -> float:

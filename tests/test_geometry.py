@@ -1,16 +1,25 @@
 """Affine hulls, convex hulls, relative interiors and minimal faces."""
 
 import itertools
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from mot.errors import DimensionMismatch, InvalidInput, PointOutsidePolytope, SolverError
+from mot import DiscreteMeasure, check_barycenter_face
+from mot.errors import (
+    AtomOutsideD,
+    DimensionMismatch,
+    InvalidInput,
+    PointOutsidePolytope,
+    SolverError,
+)
 from mot.geometry import (
+    AffineSubspace,
     Polytope,
     _dedupe,
     _distinct_hull,
@@ -19,6 +28,7 @@ from mot.geometry import (
     _hull,
     _hull_frame,
     _match_point_sets,
+    _minimal_face,
     affine_hull,
     convex_hull,
     halfspaces,
@@ -28,7 +38,8 @@ from mot.geometry import (
     relative_interiors_intersect,
 )
 from mot.pwl import PwlConvex, affine_component, flat_region
-from mot.tolerance import extent
+from mot.measures import barycenter
+from mot.tolerance import GEO, INTERIOR, SLACK, extent
 
 SQUARE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 SEGMENT = Polytope([[0.0, 0.0], [1.0, 0.0]])
@@ -576,6 +587,30 @@ def test_intersection_rejects_rows_of_another_shape():
         intersect_halfspaces_with_polytope(np.ones((2, 2)), np.zeros(3), SQUARE)
 
 
+def test_intersection_rejects_rows_that_are_not_numbers():
+    """A NaN in a row, or an infinite normal, is InvalidInput, not an
+    empty answer; an infinite offset is a row that no point (+inf) or
+    every point (-inf) satisfies, in the square [-2, 2]^2 and on the
+    segment [-2, 2]."""
+    square = Polytope(np.array(list(itertools.product((-2.0, 2.0), repeat=2))), minimal=True)
+    for G, c in (
+        ([[np.nan, 1.0]], [0.0]),
+        ([[1.0, 0.0]], [np.nan]),
+        ([[np.inf, 0.0]], [0.0]),
+        ([[-np.inf, 0.0]], [np.inf]),
+        ([[0.0, 1.0], [1.0, np.nan]], [0.0, 0.0]),
+    ):
+        with pytest.raises(InvalidInput, match="finite"):
+            intersect_halfspaces_with_polytope(np.array(G), np.array(c), square)
+    segment = Polytope([[-2.0], [2.0]], minimal=True)
+    for box, g in ((square, [1.0, 0.0]), (segment, [1.0])):
+        assert intersect_halfspaces_with_polytope(np.array([g]), np.array([np.inf]), box) is None
+        whole = intersect_halfspaces_with_polytope(np.array([g]), np.array([-np.inf]), box)
+        assert _same_set(whole.vertices, box.vertices)
+    cut = intersect_halfspaces_with_polytope(np.eye(2), np.array([-np.inf, -1.0]), square)
+    assert _same_set(cut.vertices, [[-2.0, -2.0], [2.0, -2.0], [-2.0, 1.0], [2.0, 1.0]])
+
+
 def test_convex_hull_keeps_a_cluster_of_near_duplicate_vertices():
     """Points about 1e-9 apart at a corner 0.17 outside the hull of the
     rest: one of them must stay a vertex, and the hull contains them
@@ -681,3 +716,389 @@ def test_a_given_frame_keeps_its_dimension():
     assert frame.dim == 0
     assert Polytope._built(pts, frame, coords).affine_dim == 0
     assert Polytope._built(pts).affine_dim == 1
+
+
+# ---- the geometry path in its plain numpy form ------------------------------
+#
+# The formulations that the vertex enumeration, the region, minimal faces,
+# convex hulls and barycentre faces had before their fixed per-call cost
+# was cut: reductions as ``.min``/``.max``/``.mean`` methods, ``np.all``
+# and ``.any``, ``np.linalg.norm``, ``np.unique``, ``np.vstack``, the
+# m-subsets from itertools on every call, two inclusion passes in the
+# region and a membership test per atom.  ``_owner_loop`` stands for
+# ``_first_match``.  A polytope here is a ``_Plain``, whose frame,
+# coordinates and facets are built on first use, as ``Polytope``'s are.
+
+
+def _extent_plain(pts):
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    side = hi - lo
+    diagonal = math.sqrt(float(side @ side))
+    return diagonal if diagonal > 0.0 else float(np.abs(hi).max())
+
+
+def _frame_plain(pts, scale):
+    base = pts.mean(axis=0)
+    centered = pts - base
+    if pts.shape[1] == 1:
+        basis = np.ones((int(np.linalg.norm(centered) > GEO * scale), 1))
+    else:
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        basis = vt[: int(np.sum(s > GEO * scale))]
+    return AffineSubspace(base, basis, basis.shape[0], scale), centered @ basis.T
+
+
+def _facets_plain(coords, scale):
+    m = coords.shape[1]
+    if m == 0:
+        return np.zeros((0, 0)), np.zeros(0)
+    if m == 1:
+        u = coords[:, 0]
+        return np.array([[1.0], [-1.0]]), np.array([-u.max(), u.min()])
+    eq = ConvexHull(coords).equations
+    unit = np.ones(eq.shape[1])
+    unit[-1] = scale
+    eq = eq[_owner_loop(eq / unit, GEO) == np.arange(len(eq))]
+    return eq[:, :-1], eq[:, -1]
+
+
+class _Plain:
+    def __init__(self, vertices, scale=None, frame=None, coords=None, facets=None):
+        self.vertices = vertices
+        self.scale = _extent_plain(vertices) if scale is None else scale
+        self._frame, self._coords, self._facets = frame, coords, facets
+
+    @property
+    def frame(self):
+        if self._frame is None:
+            self._frame = _frame_plain(self.vertices, self.scale)[0]
+        return self._frame
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            self._coords = (self.vertices - self.frame.base_point) @ self.frame.basis.T
+        return self._coords
+
+    @property
+    def facets(self):
+        if self._facets is None:
+            self._facets = _facets_plain(self.coords, self.scale)
+        return self._facets
+
+
+def _hull_plain(pts, minimal=False):
+    scale = _extent_plain(pts)
+    pts = _dedupe_loop(pts, GEO * scale)
+    if minimal or len(pts) <= 2:
+        return _Plain(pts, scale)
+    frame, coords = _frame_plain(pts, scale)
+    k, m = coords.shape
+    if k == m + 1:
+        keep = np.arange(k)
+    elif m == 1:
+        keep = np.unique([coords[:, 0].argmin(), coords[:, 0].argmax()])
+    else:
+        keep = np.sort(ConvexHull(coords).vertices)
+    return _Plain(pts[keep], scale, frame, coords[keep])
+
+
+def _values_plain(P, x):
+    """A u + b at x, or None off the affine hull."""
+    diff = x - P.frame.base_point
+    u = P.frame.basis @ diff
+    residual = diff - u @ P.frame.basis
+    if np.linalg.norm(residual) > SLACK * max(P.frame.scale, np.linalg.norm(diff)):
+        return None
+    normals, offsets = P.facets
+    return normals @ u + offsets
+
+
+def _contains_plain(P, x):
+    if len(P.vertices) == 1:
+        return bool(np.max(np.abs(P.vertices[0] - x)) <= GEO * P.scale)
+    values = _values_plain(P, x)
+    return values is not None and bool(np.all(values <= GEO * P.scale))
+
+
+def _minimal_face_plain(x, P):
+    if len(P.vertices) == 1:
+        if not _contains_plain(P, x):
+            raise PointOutsidePolytope
+        return P, None
+    values = _values_plain(P, x)
+    if values is None or not np.all(values <= GEO * P.scale):
+        raise PointOutsidePolytope
+    normals, offsets = P.facets
+    margin = -INTERIOR * P.scale
+    tight = values >= margin
+    on = np.all(P.coords @ normals[tight].T + offsets[tight] >= margin, axis=1)
+    if on.all():
+        return P, None
+    if not on.any():
+        on[np.argmin(np.linalg.norm(P.vertices - x, axis=1))] = True
+        return _Plain(P.vertices[on]), None
+    return _Plain(P.vertices[on]), tight
+
+
+def _inclusion_plain(sets):
+    T = sets.astype(float)
+    inter = T.T @ T
+    count = inter.diagonal()
+    return inter == count[:, None], count
+
+
+def _region_plain(candidates, u, A, b, box_frame, scale):
+    own = _extent_plain(candidates)
+    hull, coords = _frame_plain(u, own)
+    normals = A @ hull.basis.T
+    offsets = A @ hull.base_point + b
+    norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+    tight = coords @ normals.T + offsets >= -SLACK * scale * norms
+    tight &= norms > GEO
+    inside, count = _inclusion_plain(tight)
+    rank = count * count.size - np.arange(count.size)
+    facets = (count > 0) & ~(inside & (rank > rank[:, None])).any(axis=1)
+    inside, count = _inclusion_plain(tight[:, facets].T)
+    if np.count_nonzero(inside & inside.T) > count.size:
+        return None
+    vertex = ~(inside & (count > count[:, None])).any(axis=1)
+    frame = AffineSubspace(
+        box_frame.base_point + hull.base_point @ box_frame.basis,
+        hull.basis @ box_frame.basis,
+        hull.dim,
+        own,
+    )
+    unit = norms[facets]
+    facet_rows = (normals[facets] / unit[:, None], offsets[facets] / unit)
+    return _Plain(candidates[vertex], own, frame, coords[vertex], facet_rows)
+
+
+def _intersect_plain(G, c, box):
+    norms = np.sqrt(np.einsum("ij,ij->i", G, G))
+    unit = np.where(norms > 0.0, norms, 1.0)
+    G, c = G / unit[:, None], c / unit
+    slack = SLACK * box.scale
+    sub = box.frame
+    if sub.dim == 0:
+        return box if np.all(G @ box.vertices[0] + c <= slack) else None
+    normals, offsets = box.facets
+    n, m = normals.shape[0] + G.shape[0], sub.dim
+    A = np.vstack([normals, G @ sub.basis.T])
+    b = np.concatenate([offsets, G @ sub.base_point + c])
+    subsets = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
+    M = A[subsets]
+    regular = np.linalg.det(M) != 0.0
+    u = np.linalg.solve(M[regular], -b[subsets[regular], None])[..., 0]
+    feasible = np.max(u @ A.T + b, axis=1) <= slack
+    if not feasible.any():
+        return None
+    u = u[feasible]
+    pts = sub.base_point + np.atleast_2d(u) @ sub.basis
+    kept = _owner_loop(pts, GEO * box.scale) == np.arange(pts.shape[0])
+    region = _region_plain(pts[kept], u[kept], A, b, sub, box.scale)
+    return region if region is not None else _hull_plain(pts[kept])
+
+
+def _barycenter_face_plain(points, weights, b, D):
+    for p in points:
+        if not _contains_plain(D, p):
+            raise AtomOutsideD
+    face, tight = _minimal_face_plain(b, D)
+    if face is D:
+        return face, 0.0
+    near = np.zeros(len(points), dtype=bool)
+    if tight is not None:
+        normals, offsets = D.facets
+        values = (points - D.frame.base_point) @ D.frame.basis.T @ normals[tight].T + offsets[tight]
+        near = np.all(values >= -GEO * face.scale, axis=1)
+    outside = 0.0
+    for p, w, hit in zip(points, weights, near):
+        if not (hit or _contains_plain(face, p)):
+            outside += float(w)
+    return face, outside
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _same_polytope(P, R):
+    """Vertices, scale, frame, frame coordinates and facets agree bit for
+    bit, each built on first use on both sides (or failing alike)."""
+    assert _bits(P.vertices) == _bits(R.vertices)
+    assert _bits(P.scale) == _bits(R.scale)
+    for part in ("frame", "coords", "facets"):
+        try:
+            mine = getattr(P, part)
+        except InvalidInput:
+            with pytest.raises(QhullError):
+                getattr(R, part)
+            return
+        theirs = getattr(R, part)
+        if part == "frame":
+            mine = (mine.base_point, mine.basis, mine.dim, mine.scale)
+            theirs = (theirs.base_point, theirs.basis, theirs.dim, theirs.scale)
+        elif part == "coords":
+            mine, theirs = (mine,), (theirs,)
+        assert [_bits(a) for a in mine] == [_bits(a) for a in theirs]
+
+
+def _same_face(x, P, R, seen):
+    try:
+        face, tight = _minimal_face(x, P)
+    except PointOutsidePolytope:
+        with pytest.raises(PointOutsidePolytope):
+            _minimal_face_plain(x, R)
+        seen["outside"] += 1
+        return
+    plain, plain_tight = _minimal_face_plain(x, R)
+    assert (face is P) == (plain is R)
+    assert (tight is None) == (plain_tight is None)
+    if tight is not None:
+        assert _bits(tight) == _bits(plain_tight)
+        seen["tight"] += 1
+    _same_polytope(face, plain)
+
+
+def _moves(d):
+    """(shift, factor) of the copies: as it is, moved by 1e6, scaled by 1e-3."""
+    return ((np.zeros(d), 1.0), (np.full(d, 1e6), 1.0), (np.zeros(d), 1e-3))
+
+
+def _enumeration_cases(rng):
+    """(box vertices, G, c, x) in dimensions 1-4, x a point of the box
+    that the rows pass through or keep (some with x on a row): cuts,
+    duplicate and opposite rows, a slab between a row and its opposite
+    (a flat region), a row 1e-10 turned from another, a box facet as a
+    row, a row that excludes the box, a slab thinner than the slack
+    (left to qhull), and boxes that are flat in their space."""
+    for t in range(48):
+        d = 1 + t % 4
+        box = np.array(list(itertools.product((-2.0, 2.0), repeat=d)))
+        if t % 8 >= 6 and d >= 2:  # a box flat in its space: the last coordinate fixed
+            box = np.unique(np.column_stack([box[:, :-1], np.full(len(box), 0.5)]), axis=0)
+        x = rng.uniform(-1.5, 1.5, size=d)
+        if t % 8 >= 6 and d >= 2:
+            x[-1] = 0.5
+        k = int(rng.integers(1, 4))
+        G = rng.normal(size=(k, d)) if t % 3 else rng.integers(-2, 3, size=(k, d)) * 1.0
+        c = -G @ x - rng.uniform(0.0, 1.0, size=k) * (t % 4 != 1)
+        kind = t % 6
+        if kind == 1:  # a duplicate and an opposite row
+            G, c = np.vstack([G, G[:1], -G[:1]]), np.concatenate([c, c[:1], -c[:1]])
+        elif kind == 2:  # a slab, flat: a row and its opposite through x
+            g = rng.normal(size=d)
+            G, c = np.vstack([G, g, -g]), np.concatenate([c, [-g @ x, g @ x]])
+        elif kind == 3:  # a row 1e-10 turned from the first, and offset by 3e-10
+            G = np.vstack([G, G[0] + 1e-10 * rng.normal(size=d)])
+            c = np.append(c, c[0] + 3e-10)
+        elif kind == 4:  # a box facet
+            e = np.zeros(d)
+            e[t % d] = 1.0
+            G, c = np.vstack([G, e]), np.append(c, -2.0)
+        elif kind == 5 and t % 12 == 5:  # a row that excludes the box: empty
+            G, c = np.vstack([G, G[:1]]), np.append(c, 2.0 * np.abs(G[0]).sum() + 1.0)
+        elif kind == 5:  # a slab 5e-9 thick, which the rows cannot resolve: qhull
+            g = rng.normal(size=d)
+            g /= np.linalg.norm(g)
+            G, c = np.vstack([g, -g]), np.array([-g @ x - 2.5e-9, g @ x - 2.5e-9])
+        yield box, G, c, x
+
+
+def _probe_points(P, x, rng):
+    """Each vertex of P, x, the centroid, the middle of two vertices, a
+    vertex moved 0.3 GEO and one moved out of P, and the middle of the
+    vertices on each of two facets."""
+    V = P.vertices
+    yield from V
+    yield x
+    yield V.mean(axis=0)
+    if len(V) > 1:
+        i, j = rng.choice(len(V), size=2, replace=False)
+        yield (V[i] + V[j]) / 2.0
+        yield V[0] + 0.3 * GEO * P.scale * rng.choice([-1.0, 1.0], size=V.shape[1])
+        yield V[0] + (V[0] - V.mean(axis=0))
+    normals, offsets = P.facets
+    for n, o in zip(normals[:2], offsets[:2]):
+        on = np.abs(P.coords @ n + o) <= GEO * P.scale
+        if on.any():
+            yield V[on].mean(axis=0)
+
+
+def test_geometry_path_matches_its_plain_numpy_form():
+    """``intersect_halfspaces_with_polytope``, ``_minimal_face`` (face and
+    tight mask), ``convex_hull`` and ``check_barycenter_face`` give the
+    bits of their plain numpy forms above (vertices, scale, frame, frame
+    coordinates, facets, outside mass and errors), on seeded sets in
+    dimensions 1-4, each as it is, moved by 1e6 and scaled by 1e-3."""
+    rng = np.random.default_rng(30)
+    seen = dict.fromkeys(
+        ("regions", "empty", "flat", "qhull", "tight", "outside", "hulls", "faces", "atom_outside"), 0
+    )
+    for box_v, G, c, x in _enumeration_cases(rng):
+        d = box_v.shape[1]
+        for shift, factor in _moves(d):
+            V = shift + factor * box_v
+            box, plain_box = Polytope(V, minimal=True), _hull_plain(V, minimal=True)
+            Gm = G / factor
+            cm = c - Gm @ shift
+            region = intersect_halfspaces_with_polytope(Gm, cm, box)
+            plain = _intersect_plain(Gm, cm, plain_box)
+            _same_polytope(box, plain_box)
+            if region is None:
+                assert plain is None
+                seen["empty"] += 1
+                continue
+            seen["regions"] += 1
+            seen["flat"] += region.affine_dim < box.affine_dim
+            seen["qhull"] += region._facets is None
+            _same_polytope(region, plain)
+            for p in _probe_points(plain, shift + factor * x, rng):
+                _same_face(p, region, plain, seen)
+    for pts in itertools.chain(_point_sets(rng), (_chained_clusters(rng) for _ in range(10))):
+        for shift, factor in _moves(pts.shape[1]):
+            moved = shift + factor * pts
+            hull, plain = convex_hull(moved), _hull_plain(moved)
+            _same_polytope(hull, plain)
+            seen["hulls"] += 1
+            for p in _probe_points(plain, moved[0], rng):
+                _same_face(p, hull, plain, seen)
+    for t in range(60):
+        d = 1 + t % 4
+        D_v = convex_hull(rng.uniform(-2.0, 2.0, size=(d + 1 + t % 4, d))).vertices
+        S = D_v[rng.choice(len(D_v), size=1 + t % min(3, len(D_v)), replace=False)]
+        lam = rng.uniform(0.0, 1.0, size=(1 + t % 4, len(S)))
+        atoms = (lam / lam.sum(axis=1, keepdims=True)) @ S
+        if t % 3 == 1:  # an atom 0.3 GEO off a vertex, and one at a vertex
+            atoms = np.vstack([atoms, D_v[:1] + 0.3 * GEO * extent(D_v), D_v[1:2]])
+        if t % 10 == 7:  # an atom out of D
+            atoms = np.vstack([atoms, 2.0 * D_v[:1] - D_v.mean(axis=0)])
+        w = rng.uniform(0.1, 1.0, size=len(atoms))
+        for shift, factor in _moves(d):
+            alpha = DiscreteMeasure(shift + factor * atoms, w)
+            moved = shift + factor * D_v
+            D, plain_D = Polytope(moved, minimal=True), _hull_plain(moved, minimal=True)
+            try:
+                report = check_barycenter_face(alpha, D)
+            except AtomOutsideD:
+                with pytest.raises(AtomOutsideD):
+                    _barycenter_face_plain(alpha.points, alpha.weights, barycenter(alpha), plain_D)
+                seen["atom_outside"] += 1
+                continue
+            # each atom's coordinates in D's frame, in one stack, have its own bits
+            u, on = D.frame._each_coordinates(alpha.points)
+            for p, row, hit in zip(alpha.points, u, on):
+                alone = D.frame.coordinates(p)
+                assert hit == (alone is not None)
+                if hit:
+                    assert _bits(row) == _bits(alone)
+            face, outside = _barycenter_face_plain(
+                alpha.points, alpha.weights, report.barycenter, plain_D
+            )
+            assert _bits(report.outside_mass) == _bits(outside)
+            assert (report.face is D) == (face is plain_D)
+            _same_polytope(report.face, face)
+            seen["faces"] += 1
+    assert min(seen.values()) >= 5, seen

@@ -300,6 +300,13 @@ def test_asymptotic_component_errors():
         asymptotic_component([], [0.0], BOX1)
     with pytest.raises(DimensionMismatch):
         asymptotic_component([ABS], [0.0, 0.0], BOX2)
+    # a tol that is negative, NaN or not a number is no tolerance: a
+    # negative one used to exclude x itself and trip an assertion
+    three = PwlConvex([([1.0, 0.0], 0.0), ([-1.0, 0.0], 0.0), ([0.0, 1.0], -1.0)])
+    for tol in (-1e-3, -1.0, float("nan"), "abc"):
+        with pytest.raises(InvalidInput, match="tol"):
+            asymptotic_component([three], [0.5, 0.0], BOX2, tol=tol)
+    assert asymptotic_component([three], [0.5, 0.0], BOX2, tol=0.0).affine_dim == 2
 
 
 def test_asymptotic_component_above_the_subset_limit_raises():
@@ -516,6 +523,10 @@ def test_batch_evaluation_matches_points():
         values = phi(ys)
         assert values.shape == (7,)
         assert np.allclose(values, [phi(y) for y in ys], rtol=1e-15, atol=1e-15)
+        # a point or a row of another dimension is a typed error, as in active_pieces
+        for other in (np.ones(d + 1), np.ones((1, d + 1))):
+            with pytest.raises(DimensionMismatch):
+                phi(other)
 
 
 def test_lipschitz_constant():
