@@ -40,10 +40,7 @@ reductions are ufunc methods (``np.maximum.reduce``,
 the wrappers ``np.max``, ``np.all`` and ``.mean`` end in, with the same
 bits; a length is ``math.sqrt(v @ v)``, the dot product that
 ``np.linalg.norm`` takes; and the m-subsets of N rows are built once per
-(N, m).  A matrix-vector product and a matrix-matrix product of the
-same numbers can differ in their last bits, so where many points are
-tested at once (``Polytope._contains_each``) the products are stacks of
-the matrix-vector products that one point gets.
+(N, m) when there are few of them.
 """
 
 from __future__ import annotations
@@ -126,18 +123,6 @@ class AffineSubspace:
         bound = SLACK * max(self.scale, math.sqrt(diff @ diff))
         return u if math.sqrt(residual @ residual) <= bound else None
 
-    def _each_coordinates(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``coordinates`` of each of the points pts, shape (n,
-        ambient_dim): their frame coordinates u, and whether each is on
-        the subspace.  Every product is a stack of the matrix-vector and
-        dot products ``coordinates`` makes, one per point, so each point
-        gets the bits it gets alone (a matrix-matrix product would not)."""
-        diff = pts - self.base_point
-        u = (self.basis @ diff[:, :, None])[:, :, 0]
-        residual = diff - (u[:, None, :] @ self.basis)[:, 0]
-        bound = SLACK * np.maximum(self.scale, _norms(diff))
-        return u, _norms(residual) <= bound
-
     def contains(self, x) -> bool:
         return self.coordinates(as_point(x, self.base_point.shape[0])) is not None
 
@@ -147,12 +132,6 @@ def affine_hull(points) -> AffineSubspace:
     singular values of the centred points above GEO times their extent."""
     pts = as_points(points)
     return _hull_frame(pts, extent(pts))[0]
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """|v| of each row of v: the square root of a dot product per row, as
-    ``np.linalg.norm`` takes of one vector."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _hull_frame(pts: np.ndarray, scale: float) -> tuple[AffineSubspace, np.ndarray]:
@@ -278,22 +257,6 @@ class Polytope:
             return bool(np.maximum.reduce(np.abs(self.vertices[0] - x)) <= tol)
         values = self._facet_values(x)
         return values is not None and bool(np.logical_and.reduce(values <= tol))
-
-    def _contains_each(self, pts: np.ndarray) -> np.ndarray:
-        """``_contains`` at each of the checked points pts, shape (n,
-        ambient_dim), from one evaluation of the facets, each point's
-        with the bits it has alone (``AffineSubspace._each_coordinates``).
-        The facets are read only when some point is on the affine hull,
-        as ``_contains`` reads them only for such a point."""
-        tol = GEO * self.scale
-        if self.n_vertices == 1:
-            return np.maximum.reduce(np.abs(self.vertices[0] - pts), axis=1) <= tol
-        u, on = self.frame._each_coordinates(pts)
-        if not np.logical_or.reduce(on):
-            return on
-        normals, offsets = self.facets
-        values = (normals @ u[:, :, None])[:, :, 0] + offsets
-        return on & np.logical_and.reduce(values <= tol, axis=1)
 
     def same_vertices(self, other: "Polytope", tol: float = INTERIOR) -> bool:
         """The vertex sets pair off one to one within the absolute tol
@@ -543,14 +506,21 @@ def halfspaces(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return G, offsets - G @ sub.base_point
 
 
-@lru_cache(maxsize=32)
 def _subsets(n: int, m: int) -> np.ndarray:
-    """Every m-subset of range(n), one per row in lexicographic order,
-    read-only: a call for the same (n, m) shares the array.  A cached
-    array holds C(n, m) m indices, at most m / n of the largest array
-    its enumeration makes."""
+    """Every m-subset of range(n), one per row in lexicographic order."""
     subsets = np.fromiter(chain.from_iterable(combinations(range(n), m)), dtype=np.intp)
-    subsets = subsets.reshape(-1, m)
+    return subsets.reshape(-1, m)
+
+
+# Enumerations of at most this many indices (32 KB) are kept, read-only,
+# for the next call with the same (n, m): at most 1 MB in all.  A flat
+# region of a PWL function in dimension 3 has about 120 subsets of 3.
+_CACHED_SUBSET_INDICES = 2**12
+
+
+@lru_cache(maxsize=32)
+def _small_subsets(n: int, m: int) -> np.ndarray:
+    subsets = _subsets(n, m)
     subsets.flags.writeable = False
     return subsets
 
@@ -559,7 +529,8 @@ def _subsets(n: int, m: int) -> np.ndarray:
 # evaluated at each solution: a (C(N, m), N) array, the largest one made
 # once N > m^2 (each subset's m x m matrix is copied once).  2**24 of its
 # entries are 128 MB, and a call at this bound peaks near 0.3 GB in
-# dimensions 1-4.  The tests and benchmarks stay below 10**5.
+# dimensions 1-4 and keeps none of it (only small enumerations are kept,
+# ``_small_subsets``).  The tests and benchmarks stay below 10**5.
 _MAX_SUBSET_ROWS = 2**24
 
 
@@ -608,14 +579,15 @@ def intersect_halfspaces_with_polytope(G, c, box: Polytope) -> Polytope | None:
     # constraints in frame coordinates u: y = p0 + B^T u
     normals, offsets = box.facets
     n, m = normals.shape[0] + G.shape[0], sub.dim
-    if math.comb(n, m) * n > _MAX_SUBSET_ROWS:
+    count = math.comb(n, m)
+    if count * n > _MAX_SUBSET_ROWS:
         raise InvalidInput(
-            f"{n} inequalities in dimension {m}: {math.comb(n, m)} subsets of {n} "
+            f"{n} inequalities in dimension {m}: {count} subsets of {n} "
             f"rows, more than {_MAX_SUBSET_ROWS} subset-row pairs"
         )
     A = np.concatenate((normals, G @ sub.basis.T))
     b = np.concatenate((offsets, G @ sub.base_point + c))
-    subsets = _subsets(n, m)
+    subsets = _small_subsets(n, m) if count * m <= _CACHED_SUBSET_INDICES else _subsets(n, m)
     M = A[subsets]
     # exactly singular subsets are skipped; near-singular ones give far
     # points that fail the feasibility test

@@ -235,28 +235,25 @@ def check_barycenter_face(alpha: DiscreteMeasure, D: Polytope) -> FaceConcentrat
     (``_minimal_face``), it is D cut by the hyperplanes of the facets
     tight at the barycenter: an atom within GEO ``face.scale`` of each
     of them is on it, and only the other atoms are put to
-    ``face.contains``.  Each of the two membership tests takes all its
-    atoms in one evaluation (``Polytope._contains_each``).
+    ``face.contains``.
     """
     if alpha.ambient_dim != D.ambient_dim:
         raise DimensionMismatch("measure and polytope dimensions differ")
     points = alpha.points
-    inside = D._contains_each(points)
-    if not np.logical_and.reduce(inside):
-        p = points[np.argmin(inside)]  # the first atom outside
-        raise AtomOutsideD(f"atom {p.tolist()} lies outside the polytope")
+    for p in points:
+        if not D._contains(p):
+            raise AtomOutsideD(f"atom {p.tolist()} lies outside the polytope")
     b = barycenter(alpha)
     face, tight = _minimal_face(b, D)
     if face is D:
         return FaceConcentrationReport(b, face, 0.0)
-    off = np.ones(len(points), dtype=bool)
+    near = np.zeros(len(points), dtype=bool)
     if tight is not None:
         normals, offsets = D.facets
         values = D.frame.project(points) @ normals[tight].T + offsets[tight]
-        off = ~np.logical_and.reduce(values >= -GEO * face.scale, axis=1)
-    if np.logical_or.reduce(off):  # the face's frame and facets are built only here
-        off[off] = ~face._contains_each(points[off])
+        near = np.logical_and.reduce(values >= -GEO * face.scale, axis=1)
     outside = 0.0
-    for w in alpha.weights[off].tolist():  # in atom order, as a running sum
-        outside += w
+    for p, w, hit in zip(points, alpha.weights.tolist(), near.tolist()):
+        if not (hit or face._contains(p)):
+            outside += w
     return FaceConcentrationReport(b, face, outside)

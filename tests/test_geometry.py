@@ -580,6 +580,36 @@ def test_enumeration_above_the_subset_limit_raises():
     assert peak < 2**20
 
 
+def test_enumeration_keeps_only_small_subset_arrays():
+    """A call whose subset enumeration is too large to keep leaves
+    nothing behind: 40 rows tangent to the unit ball in [-2, 2]^3 are
+    C(46, 3) = 15 180 subsets, and the call peaks near 10 MB.  Calls
+    with 40 different row counts in [-2, 2]^2 keep at most the 1 MB of
+    the small enumerations."""
+    rng = np.random.default_rng(36)
+    cube = Polytope(np.array(list(itertools.product((-2.0, 2.0), repeat=3))), minimal=True)
+    square = Polytope(np.array(list(itertools.product((-2.0, 2.0), repeat=2))), minimal=True)
+    G = rng.normal(size=(40, 3))
+    G /= np.linalg.norm(G, axis=1)[:, None]
+    H = rng.normal(size=(40, 2))
+    H /= np.linalg.norm(H, axis=1)[:, None]
+    assert intersect_halfspaces_with_polytope(G[:39], -np.ones(39), cube) is not None  # warm-up
+    tracemalloc.start()
+    try:
+        region = intersect_halfspaces_with_polytope(G, -np.ones(40), cube)
+        assert region.n_vertices > 40
+        del region
+        after_large, peak = tracemalloc.get_traced_memory()
+        for k in range(1, 41):
+            intersect_halfspaces_with_polytope(H[:k], -np.ones(k), square)
+        after_small = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak > 2**22
+    assert after_large < 2**16
+    assert after_small < 2**20 + 2**17
+
+
 def test_intersection_rejects_rows_of_another_shape():
     with pytest.raises(DimensionMismatch):
         intersect_halfspaces_with_polytope(np.ones((2, 3)), np.zeros(2), SQUARE)
@@ -1087,13 +1117,6 @@ def test_geometry_path_matches_its_plain_numpy_form():
                     _barycenter_face_plain(alpha.points, alpha.weights, barycenter(alpha), plain_D)
                 seen["atom_outside"] += 1
                 continue
-            # each atom's coordinates in D's frame, in one stack, have its own bits
-            u, on = D.frame._each_coordinates(alpha.points)
-            for p, row, hit in zip(alpha.points, u, on):
-                alone = D.frame.coordinates(p)
-                assert hit == (alone is not None)
-                if hit:
-                    assert _bits(row) == _bits(alone)
             face, outside = _barycenter_face_plain(
                 alpha.points, alpha.weights, report.barycenter, plain_D
             )
