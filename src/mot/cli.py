@@ -1,10 +1,12 @@
 """Command line interface: JSON in, JSON out.
 
 Exit codes: 0 success, 2 not in convex order, 3 parse/validation error,
-click's own usage errors among them (a missing or unknown option, a
-value that does not parse, an unknown or missing command).  Errors are
-reported as one JSON object on stderr.  No option or environment
-variable sets a tolerance (README, "Tolerances").
+a file that cannot be read or written and click's own usage errors
+among them (a missing or unknown option, a value that does not parse,
+an unknown or missing command).  Errors are reported as one JSON object
+on stderr.  ``_Commands`` decides every exit code but that of a
+``convex_order: false`` answer.  No option or environment variable sets
+a tolerance (README, "Tolerances").
 """
 
 from __future__ import annotations
@@ -40,17 +42,17 @@ def _emit(payload: dict, out: str | None):
 
 
 def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(exc, EXIT_PARSE)
+    with open(path) as fh:
+        return json.load(fh)
 
 
 class _Commands(click.Group):
-    """The command group, whose usage errors (raised while the group or
-    a command parses its arguments) exit 3 with one JSON object, like
-    every other input error, and not 2 with click's text."""
+    """The command group, and the one place that turns an error into an
+    exit code and one JSON object on stderr: NotInConvexOrder exits 2;
+    a usage error (raised while the group or a command parses its
+    arguments, so 3 and not click's 2), any other MotError and a file
+    that cannot be read, parsed or written exit 3.  Any other exception
+    is a bug and propagates."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -61,7 +63,9 @@ class _Commands(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except click.UsageError as exc:
+        except NotInConvexOrder as exc:
+            _fail(exc, EXIT_ORDER)
+        except (click.UsageError, MotError, OSError, json.JSONDecodeError) as exc:
             _fail(exc, EXIT_PARSE)
 
 
@@ -84,10 +88,7 @@ def example(family, k, grid, mu_out, nu_out):
         params["k"] = k
     if grid is not None:
         params["grid"] = grid
-    try:
-        mu, nu = fixtures.make(family, **params)
-    except MotError as exc:
-        _fail(exc, EXIT_PARSE)
+    mu, nu = fixtures.make(family, **params)
     _emit(mu.to_json(), mu_out)
     _emit(nu.to_json(), nu_out)
 
@@ -98,8 +99,8 @@ def _pair_command(name: str):
     The command takes ``--mu``, ``--nu`` and ``--out`` and loads both
     measures; the decorated function takes them (and the command's own
     options, declared below this decorator) and returns the JSON payload,
-    which is emitted.  NotInConvexOrder exits 2, as does a payload that
-    answers ``convex_order`` false once emitted; any other MotError exits 3.
+    which is emitted.  A payload that answers ``convex_order`` false
+    exits 2 once emitted.
     """
 
     def decorate(fn):
@@ -110,14 +111,9 @@ def _pair_command(name: str):
         @click.option("--out", default=None)
         @functools.wraps(fn)
         def run(mu_file, nu_file, out, **options):
-            try:
-                mu = measures.DiscreteMeasure.from_json(_load_json(mu_file))
-                nu = measures.DiscreteMeasure.from_json(_load_json(nu_file))
-                payload = fn(mu, nu, **options)
-            except NotInConvexOrder as exc:
-                _fail(exc, EXIT_ORDER)
-            except MotError as exc:
-                _fail(exc, EXIT_PARSE)
+            mu = measures.DiscreteMeasure.from_json(_load_json(mu_file))
+            nu = measures.DiscreteMeasure.from_json(_load_json(nu_file))
+            payload = fn(mu, nu, **options)
             _emit(payload, out)
             if payload.get("convex_order") is False:
                 sys.exit(EXIT_ORDER)
@@ -177,15 +173,12 @@ def affine_component_cmd(phi_file, point, box_file, out):
     """Affine-behaviour component of phi at a point, clipped to a box."""
     phi_data = _load_json(phi_file)
     box_data = _load_json(box_file)
-    try:
-        if not (isinstance(box_data, dict) and "vertices" in box_data):
-            raise InvalidInput('box JSON must be an object {"vertices": [...]}')
-        phi = pwl.PwlConvex.from_json(phi_data)
-        x = geometry.as_point(point.split(","))
-        box = geometry.Polytope(box_data["vertices"])
-        face = pwl.affine_component(phi, x, box)
-    except MotError as exc:
-        _fail(exc, EXIT_PARSE)
+    if not (isinstance(box_data, dict) and "vertices" in box_data):
+        raise InvalidInput('box JSON must be an object {"vertices": [...]}')
+    phi = pwl.PwlConvex.from_json(phi_data)
+    x = geometry.as_point(point.split(","))
+    box = geometry.Polytope(box_data["vertices"])
+    face = pwl.affine_component(phi, x, box)
     _emit(
         {
             "ambient_dim": face.ambient_dim,

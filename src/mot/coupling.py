@@ -57,6 +57,7 @@ solve their LPs over every pair in every dimension.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,9 +305,16 @@ def _certify(s: _Scaled, theta) -> float:
     return residual
 
 
-def _check_indices(mu, nu, i, j):
-    if not (0 <= i < mu.n_atoms) or not (0 <= j < nu.n_atoms):
-        raise InvalidInput(f"pair index ({i}, {j}) out of range")
+def _atom_index(k, n: int) -> int:
+    """k as the index of one of n atoms: an integer (``np.int64`` too)
+    in range(n), else InvalidInput."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidInput(f"atom index {k!r} is not an integer") from None
+    if not 0 <= k < n:
+        raise InvalidInput(f"atom index {k} out of range for {n} atoms")
+    return k
 
 
 def _extreme_entry(A, b, feas, k, sign) -> float:
@@ -322,7 +330,7 @@ def max_mass_on_pair(
 ) -> float:
     """max theta_ij over all (martingale) couplings; the pair is polar
     iff the value is at most ``tolerance.POLAR`` times the total mass."""
-    _check_indices(mu, nu, i, j)
+    i, j = _atom_index(i, mu.n_atoms), _atom_index(j, nu.n_atoms)
     A, b, s = _constraint_system(mu, nu, martingale)
     return _extreme_entry(A, b, s.feas, i * nu.n_atoms + j, 1.0) * s.mass
 
@@ -331,7 +339,7 @@ def min_mass_on_pair(
     mu: DiscreteMeasure, nu: DiscreteMeasure, i: int, j: int, martingale: bool = True
 ) -> float:
     """min theta_ij over all (martingale) couplings."""
-    _check_indices(mu, nu, i, j)
+    i, j = _atom_index(i, mu.n_atoms), _atom_index(j, nu.n_atoms)
     A, b, s = _constraint_system(mu, nu, martingale)
     return _extreme_entry(A, b, s.feas, i * nu.n_atoms + j, -1.0) * s.mass
 
@@ -552,8 +560,7 @@ def _certify_polar(mu, nu, mask, zeros, inst: _Scaled):
 def reachable_set(mu: DiscreteMeasure, nu: DiscreteMeasure, i: int) -> np.ndarray:
     """nu-atoms reachable from mu-atom i under some coupling, plus x_i
     itself (the barycenter constraint puts x_i in the hull anyway)."""
-    if not (0 <= i < mu.n_atoms):
-        raise InvalidInput(f"atom index {i} out of range")
+    i = _atom_index(i, mu.n_atoms)
     mask = nonpolar_mask(mu, nu)
     pts, x = nu.points[mask[i]], mu.points[i]
     if not (np.abs(pts - x).max(axis=1) <= GEO * extent(mu.points, nu.points)).any():

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import Coupling, nonpolar_mask
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 from .geometry import (
     Polytope,
     _distinct_hull,
@@ -133,11 +133,15 @@ def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
     apart in some coordinate are disjoint; only the other pairs are
     decided by ``relative_interiors_intersect`` (one LP each).  A
     coupling with either support in another dimension than the paving's
-    raises DimensionMismatch."""
+    raises DimensionMismatch; one whose rows are not the paving's atoms,
+    in its order and within GEO times that extent, raises InvalidInput."""
     d = p.mu_points.shape[1]
     if c.mu_support.shape[1] != d or c.nu_support.shape[1] != d:
         raise DimensionMismatch("coupling and paving dimensions differ")
     tol = GEO * extent(c.mu_support, c.nu_support)
+    same = c.mu_support.shape == p.mu_points.shape
+    if not (same and (np.abs(c.mu_support - p.mu_points) <= tol).all()):
+        raise InvalidInput("the coupling's rows are not the paving's atoms, in its order")
     transport = POLAR * c.matrix.sum()
     hull_of = {}
     for cell in p.cells:

@@ -29,6 +29,7 @@ from .errors import (
     EmptyList,
     InvalidInput,
     PointOutsideBox,
+    PointOutsidePolytope,
 )
 from .geometry import (
     Polytope,
@@ -170,8 +171,8 @@ def affine_component(phi: PwlConvex, x, bounding_box: Polytope) -> Polytope:
     _require_in_box(x, bounding_box)
     G, c = _flat_rows(phi, _supporting_piece(phi, x))
     region = intersect_halfspaces_with_polytope(G, c, bounding_box)
-    if region is None:  # cannot happen: x itself satisfies the constraints
-        raise AssertionError("flat region excludes its own base point")
+    if region is None:  # x misses its own flat region by more than the margin
+        raise PointOutsidePolytope(f"{x.tolist()} is not in its flat region")
     return _minimal_face(x, region)[0]
 
 
@@ -214,8 +215,8 @@ def asymptotic_component(
     region = intersect_halfspaces_with_polytope(
         np.concatenate(G), np.concatenate(c), bounding_box
     )
-    if region is None:
-        raise AssertionError("near-flat region excludes its own base point")
+    if region is None:  # x misses its own near-flat region by more than the margin
+        raise PointOutsidePolytope(f"{x.tolist()} is not in its near-flat region")
     return _minimal_face(x, region)[0]
 
 

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from mot import compute_paving, fixtures
+from mot.coupling import polar_matrix
 from mot.cli import main
 from mot.errors import InvalidParameter
 from mot.measures import DiscreteMeasure
@@ -277,3 +278,85 @@ def test_usage_error_exit_code(runner, tmp_path):
         assert message in error["message"], (args, error)
     for args in (["--help"], ["pave", "--help"]):
         assert runner.invoke(main, args).exit_code == 0
+
+
+def _inputs(tmp_path):
+    """A 1-D pair in convex order, |y| and the box [-2, 2]: every command
+    exits 0 on these."""
+    paths = {k: str(tmp_path / f"{k}.json") for k in ("mu", "nu", "phi", "box")}
+    _write(paths["mu"], {"dim": 1, "atoms": [{"point": [-1.0], "weight": 0.5},
+                                             {"point": [1.0], "weight": 0.5}]})
+    _write(paths["nu"], {"dim": 1, "atoms": [{"point": [-2.0], "weight": 0.25},
+                                             {"point": [0.0], "weight": 0.5},
+                                             {"point": [2.0], "weight": 0.25}]})
+    _write(paths["phi"], {"dim": 1, "pieces": [{"gradient": [1.0], "offset": 0.0},
+                                               {"gradient": [-1.0], "offset": 0.0}]})
+    _write(paths["box"], {"vertices": [[-2.0], [2.0]]})
+    return paths
+
+
+PAIR_COMMANDS = ("check-order", "couple", "polar", "pave", "potential")
+
+
+def _command_args(tmp_path, paths, out, missing_input=None):
+    """Each command's arguments, with ``out`` as its output path (both of
+    example's) and, if given, ``missing_input`` in place of that input."""
+    files = dict(paths)
+    if missing_input is not None:
+        files[missing_input] = str(tmp_path / "nowhere.json")
+    cases = {"example": ["example", "discrete_k", "--k", "2", "--mu", out, "--nu", out]}
+    for command in PAIR_COMMANDS:
+        cases[command] = [command, "--mu", files["mu"], "--nu", files["nu"], "--out", out]
+    cases["affine-component"] = ["affine-component", "--phi", files["phi"], "--point", "1.0",
+                                 "--box", files["box"], "--out", out]
+    return cases
+
+
+def _assert_file_not_found(result, args):
+    assert result.exit_code == 3, (args, result.output)
+    error = json.loads(result.stderr)
+    assert set(error) == {"error", "message"}, (args, error)
+    assert error["error"] == "FileNotFoundError", (args, error)
+
+
+@pytest.mark.parametrize("command", ["example", *PAIR_COMMANDS, "affine-component"])
+def test_unwritable_output_exit_code(runner, tmp_path, command):
+    """An output path in a missing directory exits 3 with one JSON object
+    on stderr, as a file that cannot be read does, not with a traceback;
+    the same call with a writable path exits 0."""
+    paths = _inputs(tmp_path)
+    missing = str(tmp_path / "missing" / "out.json")
+    args = _command_args(tmp_path, paths, missing)[command]
+    _assert_file_not_found(runner.invoke(main, args), args)
+    args = _command_args(tmp_path, paths, str(tmp_path / "out.json"))[command]
+    assert runner.invoke(main, args).exit_code == 0, args
+
+
+@pytest.mark.parametrize(
+    "command, missing_input",
+    [*((c, k) for c in PAIR_COMMANDS for k in ("mu", "nu")),
+     ("affine-component", "phi"), ("affine-component", "box")],
+)
+def test_missing_input_exit_code(runner, tmp_path, command, missing_input):
+    paths = _inputs(tmp_path)
+    args = _command_args(tmp_path, paths, str(tmp_path / "out.json"), missing_input)[command]
+    _assert_file_not_found(runner.invoke(main, args), args)
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+def test_polar_without_martingale_rows(runner, tmp_path):
+    """``--no-martingale`` drops the martingale rows: on discrete_k(2)
+    every pair can carry a quarter of the mass by some plain transport,
+    while a martingale coupling carries none across columns."""
+    mu_f, nu_f = _measure_files(runner, tmp_path, k=2)
+    mu, nu = fixtures.discrete_k(2)
+    plain = runner.invoke(main, ["polar", "--mu", mu_f, "--nu", nu_f, "--no-martingale"])
+    assert plain.exit_code == 0
+    max_mass = json.loads(plain.output)["max_mass"]
+    assert max_mass == polar_matrix(mu, nu, martingale=False).tolist()
+    assert np.allclose(max_mass, 0.25, rtol=0, atol=1e-9)
+    martingale = json.loads(runner.invoke(main, ["polar", "--mu", mu_f, "--nu", nu_f]).output)
+    mu_x = np.array(martingale["mu_support"])[:, 0]
+    nu_x = np.array(martingale["nu_support"])[:, 0]
+    cross = np.abs(mu_x[:, None] - nu_x[None, :]) > 1e-12
+    assert cross.any() and np.all(np.array(martingale["max_mass"])[cross] == 0.0)

@@ -443,6 +443,22 @@ def test_atom_index_out_of_range_raises(i):
         reachable_set(mu, nu, i)
 
 
+def test_atom_index_that_is_not_an_integer_raises():
+    """A float or a string index raises InvalidInput, not numpy's
+    IndexError or Python's TypeError; a numpy integer is an index."""
+    mu, nu = discrete_k(2)
+    for call in (
+        lambda: max_mass_on_pair(mu, nu, 0.5, 0),
+        lambda: reachable_set(mu, nu, 1.0),
+        lambda: min_mass_on_pair(mu, nu, 0, "1"),
+    ):
+        with pytest.raises(InvalidInput, match="not an integer"):
+            call()
+    i, j = np.int64(1), np.int64(2)
+    assert max_mass_on_pair(mu, nu, i, j) == max_mass_on_pair(mu, nu, 1, 2)
+    np.testing.assert_array_equal(reachable_set(mu, nu, i), reachable_set(mu, nu, 1))
+
+
 def test_time_limit_raises_solver_error(stub_highs):
     """A solve stopped at its budget raises, from the coupling, the order
     and the paving (mixed_k(3), whose coupling the filter does not force)."""

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_dilation_pair
 from mot import DiscreteMeasure, compute_paving, find_coupling, fixtures, geometry
 from mot.coupling import Coupling, nonpolar_mask
-from mot.errors import DimensionMismatch, NotInConvexOrder
+from mot.errors import DimensionMismatch, InvalidInput, NotInConvexOrder
 from mot.fixtures import discrete_k, mixed_k
 from mot.geometry import (
     Polytope,
@@ -181,6 +181,24 @@ def test_verify_against_coupling_rejects_supports_of_another_dimension():
     for mu_s, nu_s in ((c.mu_support[:, :1], c.nu_support), (c.mu_support, c.nu_support[:, :1])):
         with pytest.raises(DimensionMismatch):
             verify_against_coupling(p, Coupling(mu_s, nu_s, c.matrix))
+
+
+def test_verify_against_coupling_rejects_rows_of_other_atoms():
+    """A coupling whose rows are not the paving's atoms, in its order,
+    raises InvalidInput: discrete_k(3)'s first two rows, discrete_k(5)'s
+    coupling (which reported violations on atoms the paving does not
+    have) and discrete_k(3)'s rows reversed."""
+    mu, nu = discrete_k(3)
+    p = compute_paving(mu, nu)
+    c = find_coupling(mu, nu)
+    assert verify_against_coupling(p, c).ok
+    for other in (
+        Coupling(mu.points[:2], nu.points, c.matrix[:2]),
+        find_coupling(*discrete_k(5)),
+        Coupling(c.mu_support[::-1], c.nu_support, c.matrix[::-1]),
+    ):
+        with pytest.raises(InvalidInput, match="not the paving's atoms"):
+            verify_against_coupling(p, other)
 
 
 def test_verify_against_coupling_reports_overlapping_cells():

@@ -13,6 +13,7 @@ from mot.errors import (
     EmptyList,
     InvalidInput,
     PointOutsideBox,
+    PointOutsidePolytope,
 )
 from mot.fixtures import discrete_k
 from mot.geometry import (
@@ -307,6 +308,21 @@ def test_asymptotic_component_errors():
         with pytest.raises(InvalidInput, match="tol"):
             asymptotic_component([three], [0.5, 0.0], BOX2, tol=tol)
     assert asymptotic_component([three], [0.5, 0.0], BOX2, tol=0.0).affine_dim == 2
+
+
+@pytest.mark.parametrize("box", [[[0.0], [1.0]], [[-1.0], [1.0]]])
+def test_component_of_a_point_outside_its_flat_region_raises(box):
+    """Both pieces are active at 0 within GEO in phi's units, but the
+    second row, scaled to a unit normal, excludes 0 by 0.25: on [0, 1]
+    the (near-)flat region is empty, on [-1, 1] it is [-1, -0.25].
+    Either way x is not in it, which raises PointOutsidePolytope (an
+    empty region used to trip an assertion)."""
+    phi = PwlConvex([([0.0], 0.0), ([2e-9], 5e-10)])
+    box = Polytope(box)
+    with pytest.raises(PointOutsidePolytope):
+        affine_component(phi, [0.0], box)
+    with pytest.raises(PointOutsidePolytope):
+        asymptotic_component([phi], [0.0], box, tol=0.0)
 
 
 def test_asymptotic_component_above_the_subset_limit_raises():
