@@ -1,18 +1,19 @@
 """Command line interface: JSON in, JSON out.
 
 Exit codes: 0 success, 2 not in convex order, 3 parse/validation error,
-a file that cannot be read or written and click's own usage errors
-among them (a missing or unknown option, a value that does not parse,
-an unknown or missing command).  Errors are reported as one JSON object
-on stderr.  ``_Commands`` decides every exit code but that of a
-``convex_order: false`` answer.  No option or environment variable sets
-a tolerance (README, "Tolerances").
+a file that cannot be read, decoded as UTF-8 or written and click's own
+usage errors among them (a missing or unknown option, a value that does
+not parse, an unknown or missing command).  Errors are reported as one
+JSON object on stderr.  ``_Commands`` decides every exit code but that
+of a ``convex_order: false`` answer.  No option or environment variable
+sets a tolerance (README, "Tolerances").
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 
 import click
@@ -42,7 +43,7 @@ def _emit(payload: dict, out: str | None):
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -51,8 +52,8 @@ class _Commands(click.Group):
     exit code and one JSON object on stderr: NotInConvexOrder exits 2;
     a usage error (raised while the group or a command parses its
     arguments, so 3 and not click's 2), any other MotError and a file
-    that cannot be read, parsed or written exit 3.  Any other exception
-    is a bug and propagates."""
+    that cannot be read, decoded as UTF-8, parsed or written exit 3.
+    Any other exception is a bug and propagates."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -65,7 +66,8 @@ class _Commands(click.Group):
             return super().invoke(ctx)
         except NotInConvexOrder as exc:
             _fail(exc, EXIT_ORDER)
-        except (click.UsageError, MotError, OSError, json.JSONDecodeError) as exc:
+        except (click.UsageError, MotError, OSError, UnicodeDecodeError,
+                json.JSONDecodeError) as exc:
             _fail(exc, EXIT_PARSE)
 
 
@@ -82,15 +84,15 @@ def main():
 @click.option("--mu", "mu_out", required=True, help="output path for the first measure")
 @click.option("--nu", "nu_out", required=True, help="output path for the second measure")
 def example(family, k, grid, mu_out, nu_out):
-    """Write a benchmark (mu, nu) pair as JSON files."""
-    params = {}
-    if k is not None:
-        params["k"] = k
-    if grid is not None:
-        params["grid"] = grid
+    """Write a benchmark (mu, nu) pair as JSON files, both or neither."""
+    params = {key: v for key, v in (("k", k), ("grid", grid)) if v is not None}
     mu, nu = fixtures.make(family, **params)
     _emit(mu.to_json(), mu_out)
-    _emit(nu.to_json(), nu_out)
+    try:
+        _emit(nu.to_json(), nu_out)
+    except OSError:
+        os.remove(mu_out)
+        raise
 
 
 def _pair_command(name: str):

@@ -52,7 +52,9 @@ Otherwise ``nonpolar_mask`` poses its LP over the pairs left
 coupling in dimension one (Beiglböck & Juillet 2016; ``_left_curtain``)
 with no LP, or poses its LP over every pair in higher dimensions.
 ``max_support_coupling``, ``polar_matrix`` and ``max_mass_on_pair``
-solve their LPs over every pair in every dimension.
+solve their LPs over every pair in every dimension.  NotInConvexOrder
+comes only from ``_scaled`` (barycentres that differ), ``_axis_zeros``
+(a line that refutes the order) and ``_highs`` (an LP with no solution).
 """
 
 from __future__ import annotations
@@ -377,17 +379,15 @@ def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
     side, the barycentre rows of mu-atom i over mu_i.  Every column then
     holds a 1 in one mass row, which HiGHS's drop of entries of at most
     1e-9 cannot empty, and tau a -1 in every mass row; posed without
-    it, gaussian_grid(11) ends in status "Not Set".  No pair at all
-    means no martingale coupling exists where ``cols`` holds every pair.
-    The pairs left out may carry up to POLAR of the mass, so otherwise
-    the LP over every pair (``find_coupling``) decides: NotInConvexOrder,
-    or SolverError where a coupling exists.  The LP runs at SOLVER_FEAS,
-    coarser than ``inst.feas``, the level below which a line refutes the
-    order: where the certified coupling misses the system by more than
-    that, ``find_coupling`` must find the order holds for the mask to stand.
+    it, gaussian_grid(11) ends in status "Not Set".  The LP answers
+    only the mask: it runs at SOLVER_FEAS, coarser than ``inst.feas``,
+    and the pairs out of ``cols`` may carry up to POLAR of the mass.
+    So where its optimum marks no pair, or its certified coupling misses
+    the system by more than ``inst.feas``, ``find_coupling`` decides the
+    order (NotInConvexOrder from ``_scaled``, ``_axis_zeros`` or
+    ``_highs``); where it holds, no pair at all is a SolverError.
     """
-    n, m = mu.n_atoms, nu.n_atoms
-    k = cols.size
+    n, m, k = mu.n_atoms, nu.n_atoms, cols.size
     A, _, _ = _constraint_system(mu, nu, s=inst, pairs=cols)
     w = np.minimum(inst.mu_w[:, None], inst.nu_w[None, :]).ravel()[cols]
     mass = np.concatenate([inst.mu_w, inst.nu_w, np.repeat(inst.mu_w, mu.ambient_dim)])
@@ -415,10 +415,8 @@ def _max_support(mu, nu, inst: _Scaled, cols: np.ndarray):
     mask[cols] = s > 0.5
     mask = mask.reshape(n, m)
     if not mask.any():
-        if k < n * m:
-            find_coupling(mu, nu)
-            raise SolverError("coupling LP not solved: the pairs kept carry no coupling")
-        raise NotInConvexOrder("no martingale coupling exists")
+        find_coupling(mu, nu)
+        raise SolverError("coupling LP not solved: the pairs kept carry no coupling")
     if not mask.any(axis=1).all():
         raise SolverError("max-support LP left a mu-atom without any pair")
     theta = np.zeros(n * m)

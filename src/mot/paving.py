@@ -10,7 +10,8 @@ tight coupling (``coupling._tight``); otherwise one LP over the pairs
 left decides it.  By the paving theorem two such cells are equal or
 disjoint, so cells are built by grouping atoms with equal hulls.  A mask
 row's nu-atoms are distinct atoms of one measure, so its hull is the
-generic hull with nothing to dedupe (``geometry._distinct_hull``).  A
+generic hull with nothing to dedupe (``geometry._distinct_hull``), and
+its vertices, some of them in nu's order, key its cell by their bytes.  A
 row of two atoms, an atom split in two as on the line, is a segment: its
 two atoms are its vertices and its dimension is 1, with no frame built;
 any hull builds its facets only when something reads them.  Every
@@ -78,14 +79,13 @@ def compute_paving(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ConvexPaving:
     """
     mask = nonpolar_mask(mu, nu)
     row_hulls: dict[bytes, tuple] = {}
-    groups: dict[tuple, tuple] = {}
+    groups: dict[bytes, tuple] = {}
     for i, row in enumerate(mask):
         raw = row.tobytes()
         if raw not in row_hulls:
             hull = _distinct_hull(nu.points[row])
-            # hull vertices are exact copies of nu-atoms, so equal hulls
-            # have equal keys
-            row_hulls[raw] = (tuple(sorted(map(tuple, hull.vertices.tolist()))), hull)
+            # nu-atoms in nu's order, undeduped: equal hulls, equal bytes
+            row_hulls[raw] = (hull.vertices.tobytes(), hull)
         key, hull = row_hulls[raw]
         groups.setdefault(key, (hull, []))[1].append(i)
     cells = []

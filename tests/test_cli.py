@@ -269,6 +269,7 @@ def test_usage_error_exit_code(runner, tmp_path):
         (["example", "uniform_k", *out], "'uniform_k' is not one of"),
         (["bogus"], "No such command 'bogus'."),
         ([], "Missing command."),
+        (["--bogus"], "No such option '--bogus'"),
     ]
     for args, message in cases:
         result = runner.invoke(main, args)
@@ -312,11 +313,11 @@ def _command_args(tmp_path, paths, out, missing_input=None):
     return cases
 
 
-def _assert_file_not_found(result, args):
+def _assert_file_not_found(result, args, kind="FileNotFoundError"):
     assert result.exit_code == 3, (args, result.output)
     error = json.loads(result.stderr)
     assert set(error) == {"error", "message"}, (args, error)
-    assert error["error"] == "FileNotFoundError", (args, error)
+    assert error["error"] == kind, (args, error)
 
 
 @pytest.mark.parametrize("command", ["example", *PAIR_COMMANDS, "affine-component"])
@@ -342,6 +343,22 @@ def test_missing_input_exit_code(runner, tmp_path, command, missing_input):
     args = _command_args(tmp_path, paths, str(tmp_path / "out.json"), missing_input)[command]
     _assert_file_not_found(runner.invoke(main, args), args)
     assert not os.path.exists(tmp_path / "out.json")
+    # an input that is not UTF-8 exits 3 too, not with a traceback
+    with open(paths[missing_input], "wb") as fh:
+        fh.write(b"\xff\xfe")
+    args = _command_args(tmp_path, paths, str(tmp_path / "out.json"))[command]
+    _assert_file_not_found(runner.invoke(main, args), args, "UnicodeDecodeError")
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+def test_example_writes_both_files_or_neither(runner, tmp_path):
+    """With ``--nu`` in a missing directory, ``example`` exits 3 and
+    leaves no ``--mu`` file behind."""
+    mu_f = tmp_path / "mu.json"
+    args = ["example", "discrete_k", "--k", "2",
+            "--mu", str(mu_f), "--nu", str(tmp_path / "missing" / "nu.json")]
+    _assert_file_not_found(runner.invoke(main, args), args)
+    assert not mu_f.exists()
 
 
 def test_polar_without_martingale_rows(runner, tmp_path):

@@ -20,7 +20,7 @@ from mot.coupling import (
     reachable_set,
 )
 from mot.errors import InvalidInput, NotInConvexOrder, SolverError
-from mot.fixtures import discrete_k, gaussian_grid, mixed_k
+from mot.fixtures import continuous_grid, discrete_k, gaussian_grid, mixed_k
 from mot.geometry import convex_hull, in_relative_interior, minimal_face
 from mot.measures import _scaled, check_convex_order
 from mot import lp
@@ -660,8 +660,8 @@ def test_martingale_defect_matches_row_loop(random_instances, gaussian_pair):
 @pytest.mark.parametrize("damage", ["perturbed", "negative", "nan-entry", "nan-everywhere"])
 def test_certificate_rejects_damaged_coupling(stub_highs, damage):
     """One entry moved by 1e-6 (a residual of 1e-6), or one empty entry
-    set to -1e-9 (residual 1e-9, below COUPLING_RESIDUAL, but an entry
-    below -FEAS_TOL), fails the certificate of both coupling LPs; so
+    set to -1e-9 (residual 1e-9, below RESIDUAL, but an entry below
+    -FEAS), fails the certificate of both coupling LPs; so
     does a NaN in one entry or in every entry, whose comparisons are all
     false."""
     message = {
@@ -704,3 +704,16 @@ def test_max_support_that_leaves_a_row_empty_raises(stub_highs):
     stub_highs("kOptimal", np.concatenate([s.ravel(), np.zeros(n * m), [1.0]]))
     with pytest.raises(SolverError, match="left a mu-atom without any pair"):
         max_support_coupling(mu, nu)
+
+
+def test_max_support_with_no_pair_is_not_a_refutation(stub_highs):
+    """An FRT optimum that marks no pair, over every pair, does not refute
+    the order: on continuous_grid(3), which the projection filter settles
+    with no LP, the order holds, so the mask is not known and the call
+    raises SolverError, never NotInConvexOrder."""
+    mu, nu = continuous_grid(3)
+    n, m = mu.n_atoms, nu.n_atoms
+    stub_highs("kOptimal", np.zeros(2 * n * m + 1))
+    with pytest.raises(SolverError, match="carry no coupling"):
+        max_support_coupling(mu, nu)
+    assert check_convex_order(mu, nu) is True
