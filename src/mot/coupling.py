@@ -50,11 +50,20 @@ so no axis left could refute the order; the filter returns it, and
 Otherwise ``nonpolar_mask`` poses its LP over the pairs left
 (``_max_support``), and ``find_coupling`` builds the left-curtain
 coupling in dimension one (Beiglböck & Juillet 2016; ``_left_curtain``)
-with no LP, or poses its LP over every pair in higher dimensions.
-``max_support_coupling``, ``polar_matrix`` and ``max_mass_on_pair``
-solve their LPs over every pair in every dimension.  NotInConvexOrder
-comes only from ``_scaled`` (barycentres that differ), ``_axis_zeros``
-(a line that refutes the order) and ``_highs`` (an LP with no solution).
+with no LP.  In higher dimensions it poses its LP over a shortlist
+(``_shortlist``; Gottschlich & Schuhmacher 2014): the pairs left that
+join an atom to one of its NEAREST nearest atoms of the other measure,
+every pair left on small instances.  Where that LP has no solution,
+HiGHS's Farkas ray prices every pair in O(n m d) numpy work, the pairs
+that break it join the shortlist and the LP is solved again
+(``_priced_coupling``); a ray that no pair breaks certifies over every
+pair that no coupling exists (``_broken``).  So the order is decided
+exactly with no LP over every pair.  ``max_support_coupling``,
+``polar_matrix`` and ``max_mass_on_pair`` solve their LPs over every
+pair in every dimension.  NotInConvexOrder comes only from ``_scaled``
+(barycentres that differ), ``_axis_zeros`` (a line that refutes the
+order) and ``_broken`` (a Farkas ray that passes its check and that no
+pair breaks); HiGHS's "infeasible" without such a ray is a SolverError.
 """
 
 from __future__ import annotations
@@ -68,7 +77,12 @@ from . import lp
 from .errors import InvalidInput, NotInConvexOrder, SolverError
 from .geometry import as_points
 from .measures import DiscreteMeasure, _axis_zeros, _Scaled, _scaled
-from .tolerance import GEO, POLAR, RESIDUAL, SOLVER_FEAS, extent
+from .tolerance import GEO, POLAR, RESIDUAL, ROUND, SOLVER_FEAS, extent
+
+
+# each atom's nearest atoms of the other measure whose pairs
+# ``find_coupling``'s first LP poses (``_shortlist``)
+NEAREST = 16
 
 
 @dataclass
@@ -155,17 +169,80 @@ def _constraint_system(mu, nu, martingale=True, s=None, pairs=None):
     return A, b, s
 
 
-def _highs(c, A, rhs, feas) -> np.ndarray:
-    """min c @ x subject to A x = rhs and x >= 0 (``lp.highs``), at the
-    feasibility tolerance ``feas`` (HiGHS's default, SOLVER_FEAS, leaves
-    residuals above RESIDUAL on gaussian_grid(9)).  Returns the optimal
-    x.  An infeasible system raises NotInConvexOrder; ``lp.highs``
-    raises SolverError on any other outcome but an optimum.
+def _highs(c, A, b, s: _Scaled, cols=None):
+    """min c @ x subject to A x = b and x >= 0 (``lp.highs``), where
+    A and b are the system of ``_constraint_system`` over the pairs
+    ``cols`` (default every pair) of the normalised instance s, at its
+    feasibility tolerance s.feas (HiGHS's default, SOLVER_FEAS, leaves
+    residuals above RESIDUAL on gaussian_grid(9)).
+
+    Returns the optimal x and None.  Where the system has no solution it
+    returns None and the pairs that break its Farkas ray (``_broken``),
+    which raises NotInConvexOrder where no pair does and SolverError
+    where the ray is missing or fails its check.  HiGHS takes no model
+    without columns; a system over no pair needs no LP, as the ray that
+    is 1 on every mass row and 0 on the barycentre rows has A^T y = 0
+    and b^T y = 2.  ``lp.highs`` raises SolverError on any outcome but
+    an optimum or an infeasible model.
     """
-    res = lp.highs(c, A, rhs, rhs, feas_tol=feas, what="coupling LP")
-    if res.status is lp.LpStatus.INFEASIBLE:
-        raise NotInConvexOrder("no martingale coupling exists")
-    return res.solution
+    if A.shape[1] == 0:
+        ray = np.zeros(b.size)
+        ray[: s.mu_w.size + s.nu_w.size] = 1.0
+    else:
+        res = lp.highs(c, A, b, b, feas_tol=s.feas, what="coupling LP")
+        if res.status is lp.LpStatus.OPTIMAL:
+            return res.solution, None
+        ray = res.ray
+    return None, _broken(s, b, ray, cols)
+
+
+def _broken(s: _Scaled, b, y, cols=None) -> np.ndarray:
+    """The pairs, as sorted flat indices i*m + j, that break y as a
+    Farkas ray of the system A theta = b, theta >= 0 of
+    ``_constraint_system`` over every pair, where the LP over the pairs
+    ``cols`` (default every pair) returned it.
+
+    The price of pair (i, j) is a_ij^T y = y_i + y_(n+j) + h_i . (y_j - x_i),
+    with h_i the entries of y on mu-atom i's barycentre rows, computed
+    for every pair at once in O(n m d) numpy work, and its margin is
+    b^T y, with y scaled to a largest entry of 1.  Every coupling theta
+    has nonnegative entries summing to 1, the normalised mass, so
+    b^T y = sum theta_ij a_ij^T y is at most the largest price of a pair
+    it charges: where every pair is priced below the margin, less the
+    round-off of a price (ROUND), no coupling exists.  In the terms of a
+    martingale, y is then a superhedge psi(y) + phi(x) + h(x) . (y - x)
+    that costs less on every pair than its value under mu and nu: a
+    model-free arbitrage (Acciaio, Beiglböck, Penkner & Schachermayer
+    2016).  So y must certify that the LP over ``cols`` has no solution,
+    and anything else (no ray, a ray with no finite nonzero entry, a
+    margin of at most 0, a pair of ``cols`` priced up to the margin)
+    raises SolverError.  A pair priced up to the margin breaks the ray;
+    where none does, NotInConvexOrder is raised, as y certifies it over
+    every pair.
+    """
+    top = 0.0 if y is None else float(np.maximum.reduce(np.abs(y), initial=0.0))
+    if not 0.0 < top < np.inf:
+        raise SolverError("coupling LP infeasible without a dual ray")
+    y = y / top
+    n, m = s.mu_w.size, s.nu_w.size
+    d = (y.size - n - m) // n  # 0 for the system without barycentre rows
+    h = y[n + m :].reshape(n, d)
+    price = (
+        y[:n, None] + y[n : n + m] + h @ s.y[:, :d].T - np.add.reduce(h * s.x[:, :d], axis=1)[:, None]
+    ).ravel()
+    margin = float(b @ y) - ROUND
+    posed = np.maximum.reduce(price if cols is None else price[cols], initial=0.0)
+    if not posed < margin:
+        raise SolverError(
+            f"coupling LP's dual ray fails its check: margin {margin:.3g}, "
+            f"a pair posed priced {posed:.3g}"
+        )
+    broken = np.flatnonzero(price >= margin)
+    if broken.size == 0:
+        raise NotInConvexOrder(
+            f"no martingale coupling exists: a Farkas ray of margin {margin:.3g} prices every pair"
+        )
+    return broken
 
 
 def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
@@ -180,21 +257,66 @@ def find_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
        axis left could refute the order;
     3. in dimension one, the left-curtain coupling (``_left_curtain``),
        which passes its certificate (``_certify``) or raises SolverError;
-    4. in higher dimensions, the LP over every pair, whose normalised
-       solution is checked before its roundoff is clipped to 0.
-    Only step 4 solves an LP.  The answer is scaled back to mu's total
+    4. in higher dimensions, the LP over the shortlist of the pairs the
+       lines keep (``_shortlist``): those among each atom's NEAREST
+       nearest atoms of the other measure.  Where it has no solution,
+       the pairs that break HiGHS's Farkas ray join it and it is solved
+       again (``_priced_coupling``), and a ray that no pair breaks
+       certifies NotInConvexOrder over every pair (``_broken``).  The
+       normalised solution is checked before its roundoff is clipped
+       to 0.
+    Only step 4 solves LPs.  The answer is scaled back to mu's total
     mass.
     """
     s = _scaled(mu, nu)
-    theta = _projection_filter(mu, nu, s)[2]
+    keep, _, theta = _projection_filter(mu, nu, s)
     if theta is None and mu.ambient_dim == 1:
         theta = _left_curtain(s)
     elif theta is None:
-        A, b, _ = _constraint_system(mu, nu, s=s)
-        x = _highs(np.zeros(A.shape[1]), A, b, s.feas)
-        _certify(s, x)
-        theta = np.maximum(x, 0.0).reshape(mu.n_atoms, nu.n_atoms)
+        theta = _priced_coupling(mu, nu, s, _shortlist(s, keep))
     return Coupling(mu.points.copy(), nu.points.copy(), theta * s.mass)
+
+
+def _shortlist(s: _Scaled, keep) -> np.ndarray:
+    """The pairs that ``find_coupling``'s LP poses first, as sorted flat
+    indices i*m + j: those of ``keep`` (an n x m boolean matrix, the
+    pairs the lines keep) that are among mu-atom i's NEAREST nearest
+    nu-atoms or nu-atom j's NEAREST nearest mu-atoms, by Euclidean
+    distance in the normalised arrays (the shortlist method of
+    Gottschlich & Schuhmacher 2014).  Where n or m is at most NEAREST,
+    every pair is among them, so the shortlist is ``keep`` and no
+    distance is computed.  Otherwise it costs one n x m distance matrix
+    and a partial sort along each axis."""
+    n, m = keep.shape
+    if min(n, m) > NEAREST:
+        gap = s.x[:, None, :] - s.y
+        dist = np.add.reduce(gap * gap, axis=2)
+        near = np.zeros((n, m), dtype=bool)
+        np.put_along_axis(near, np.argpartition(dist, NEAREST - 1, axis=1)[:, :NEAREST], True, 1)
+        np.put_along_axis(near, np.argpartition(dist, NEAREST - 1, axis=0)[:NEAREST], True, 0)
+        keep = keep & near
+    return np.flatnonzero(keep)
+
+
+def _priced_coupling(mu, nu, s: _Scaled, cols) -> np.ndarray:
+    """A certified normalised coupling (``_certify``) from the LP over
+    the pairs ``cols``, or NotInConvexOrder.  Where that LP has no
+    solution, the pairs that break its Farkas ray join ``cols`` and it
+    is solved again (``_highs``).  Each round adds pairs the ray was
+    checked on none of, so the loop ends, at the latest with every pair
+    posed, and a ray that no pair breaks certifies over every pair that
+    no coupling exists.  The solution's round-off is clipped to 0 after
+    the certificate."""
+    theta = np.zeros(mu.n_atoms * nu.n_atoms)
+    while True:
+        A, b, _ = _constraint_system(mu, nu, s=s, pairs=cols)
+        x, broken = _highs(np.zeros(cols.size), A, b, s, cols)
+        if x is not None:
+            break
+        cols = np.union1d(cols, broken)
+    theta[cols] = x
+    _certify(s, theta)
+    return np.maximum(theta, 0.0).reshape(mu.n_atoms, nu.n_atoms)
 
 
 def _pattern(s: _Scaled, keep):
@@ -319,12 +441,13 @@ def _atom_index(k, n: int) -> int:
     return k
 
 
-def _extreme_entry(A, b, feas, k, sign) -> float:
+def _extreme_entry(A, b, s: _Scaled, k, sign) -> float:
     """max (sign 1) or min (sign -1) of theta_k over {A theta = b, theta >= 0},
-    in the units of b; a zero is +0.0, whatever sign the LP gave it."""
+    the system over every pair of the instance s, in the units of b; a
+    zero is +0.0, whatever sign the LP gave it."""
     c = np.zeros(A.shape[1])
     c[k] = -sign
-    return float(_highs(c, A, b, feas)[k]) + 0.0
+    return float(_highs(c, A, b, s)[0][k]) + 0.0
 
 
 def max_mass_on_pair(
@@ -334,7 +457,7 @@ def max_mass_on_pair(
     iff the value is at most ``tolerance.POLAR`` times the total mass."""
     i, j = _atom_index(i, mu.n_atoms), _atom_index(j, nu.n_atoms)
     A, b, s = _constraint_system(mu, nu, martingale)
-    return _extreme_entry(A, b, s.feas, i * nu.n_atoms + j, 1.0) * s.mass
+    return _extreme_entry(A, b, s, i * nu.n_atoms + j, 1.0) * s.mass
 
 
 def min_mass_on_pair(
@@ -343,7 +466,7 @@ def min_mass_on_pair(
     """min theta_ij over all (martingale) couplings."""
     i, j = _atom_index(i, mu.n_atoms), _atom_index(j, nu.n_atoms)
     A, b, s = _constraint_system(mu, nu, martingale)
-    return _extreme_entry(A, b, s.feas, i * nu.n_atoms + j, -1.0) * s.mass
+    return _extreme_entry(A, b, s, i * nu.n_atoms + j, -1.0) * s.mass
 
 
 def polar_matrix(
@@ -351,7 +474,7 @@ def polar_matrix(
 ) -> np.ndarray:
     """Matrix of max theta_ij over all pairs (one LP per pair)."""
     A, b, s = _constraint_system(mu, nu, martingale)
-    out = [_extreme_entry(A, b, s.feas, k, 1.0) for k in range(A.shape[1])]
+    out = [_extreme_entry(A, b, s, k, 1.0) for k in range(A.shape[1])]
     return np.array(out).reshape(mu.n_atoms, nu.n_atoms) * s.mass
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import lp
 from .errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
-from .tolerance import GEO, INTERIOR, SLACK, extent
+from .tolerance import GEO, INTERIOR, ROUND, SLACK, extent
 
 
 def _floats(values) -> np.ndarray:
@@ -115,38 +115,55 @@ class AffineSubspace:
     def coordinates(self, x: np.ndarray) -> np.ndarray | None:
         """Frame coordinates of the point x, or None when x is off the
         subspace by more than SLACK times the larger of ``scale`` and
-        |x - base_point|."""
+        |x - base_point|, and by more than the round-off of x's
+        coordinates (``_round_off``)."""
         diff = x - self.base_point
         u = self.basis @ diff
         residual = diff - u @ self.basis
         # |v| is sqrt(v @ v), as np.linalg.norm takes it, in fewer calls
+        off = math.sqrt(residual @ residual)
         bound = SLACK * max(self.scale, math.sqrt(diff @ diff))
-        return u if math.sqrt(residual @ residual) <= bound else None
+        return u if off <= bound or off <= _round_off(x) else None
 
     def contains(self, x) -> bool:
         return self.coordinates(as_point(x, self.base_point.shape[0])) is not None
 
 
+def _round_off(x: np.ndarray, spread: float = 0.0) -> float:
+    """The round-off of the coordinates of points within ``spread`` of
+    the point x: ROUND times the largest absolute coordinate they can
+    have, x's plus spread (a Python max over x's few coordinates, a
+    fraction of a ufunc call's cost)."""
+    return ROUND * (max(map(abs, x.tolist())) + spread)
+
+
 def affine_hull(points) -> AffineSubspace:
     """Affine hull of a point set; its dimension is the number of
-    singular values of the centred points above GEO times their extent."""
+    singular values of the centred points above GEO times their extent,
+    or above the round-off of their coordinates where that is coarser
+    (``_hull_frame``)."""
     pts = as_points(points)
     return _hull_frame(pts, extent(pts))[0]
 
 
 def _hull_frame(pts: np.ndarray, scale: float) -> tuple[AffineSubspace, np.ndarray]:
-    """The affine hull of checked points at the rank threshold GEO
-    scale, with that scale, and their coordinates in it.  On the line
-    the frame is the axis, found without an SVD."""
+    """The affine hull of checked points, with the scale given, and their
+    coordinates in it.  Its rank counts the singular values of the
+    centred points above GEO times that scale, or above the round-off
+    of their coordinates (``_round_off``) where that is coarser: far
+    from the origin, points a few GEO apart are known no more finely
+    than that.  On the line the frame is the axis, found without an
+    SVD."""
     base = np.add.reduce(pts, axis=0) / pts.shape[0]  # the mean
     centered = pts - base
+    rank = max(GEO * scale, _round_off(base, scale))
     if pts.shape[1] == 1:
         # the one singular value of a column is its norm, and the axis its direction
         column = centered[:, 0]
-        basis = np.ones((int(math.sqrt(column @ column) > GEO * scale), 1))
+        basis = np.ones((int(math.sqrt(column @ column) > rank), 1))
     else:
         _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        basis = vt[: np.count_nonzero(s > GEO * scale)]
+        basis = vt[: np.count_nonzero(s > rank)]
     return AffineSubspace(base, basis, basis.shape[0], scale), centered @ basis.T
 
 
@@ -157,7 +174,9 @@ class Polytope:
     finds extreme in the coordinates of their affine hull, kept in input
     order; with it the caller vouches that every point is a vertex.
     ``scale`` is the extent of the input, which is that of the vertices,
-    and points within GEO ``scale`` of an earlier one are dropped first.
+    and points within GEO ``scale`` of an earlier one, or within sqrt 2
+    times the round-off of their coordinates (``_round_off``) where that
+    is coarser, are dropped first.
     Finding the vertices of three or more points builds their frame and
     frame coordinates; otherwise these are built on first use (``frame``,
     ``coords``).  The facets come from a second qhull call, on the
@@ -168,7 +187,12 @@ class Polytope:
     def __init__(self, vertices, *, minimal: bool = False):
         pts = as_points(vertices)
         self.scale = extent(pts)
-        pts = _dedupe(pts, GEO * self.scale)
+        # points within sqrt 2 times the round-off of their coordinates
+        # are one: two kept apart have a centred singular value |v| / sqrt 2
+        # above the frame's rank threshold (their mean is within scale of
+        # pts[0]), so their frame has the dimension affine_dim reads
+        floor = math.sqrt(2.0) * _round_off(pts[0], 2.0 * self.scale)
+        pts = _dedupe(pts, max(GEO * self.scale, floor))
         self._frame = self._coords = self._facets = None
         if not minimal:
             keep, self._frame, self._coords = _hull(pts, self.scale)
@@ -256,7 +280,7 @@ class Polytope:
         if self.n_vertices == 1:
             return bool(np.maximum.reduce(np.abs(self.vertices[0] - x)) <= tol)
         values = self._facet_values(x)
-        return values is not None and bool(np.logical_and.reduce(values <= tol))
+        return values is not None and _within(values, tol, x)
 
     def same_vertices(self, other: "Polytope", tol: float = INTERIOR) -> bool:
         """The vertex sets pair off one to one within the absolute tol
@@ -264,6 +288,13 @@ class Polytope:
         if self.n_vertices != other.n_vertices:
             return False
         return _match_point_sets(self.vertices, other.vertices, tol)
+
+
+def _within(values: np.ndarray, tol: float, x: np.ndarray) -> bool:
+    """Whether x's facet values are all at most tol, or at most the
+    round-off of x's coordinates (``_round_off``) where that is coarser."""
+    top = np.maximum.reduce(values, initial=-np.inf)
+    return bool(top <= tol or top <= _round_off(x))
 
 
 # point pairs compared at once by _first_match (bounds its memory)
@@ -366,11 +397,13 @@ def _hull_vertices(coords: np.ndarray) -> np.ndarray:
     """Indices of the vertices of conv(coords), ascending.
 
     ``coords`` are frame coordinates, so they span their own space: k
-    points in dimension k - 1 form a simplex and are all vertices.
+    points in dimension k - 1 form a simplex and are all vertices, and
+    points in a frame of dimension 0 coincide within the round-off of
+    their coordinates, so the first is the one vertex.
     """
     k, m = coords.shape
-    if k == m + 1:
-        return np.arange(k)
+    if k == m + 1 or m == 0:
+        return np.arange(m + 1)
     if m == 1:  # the two ends, which a frame of dimension one keeps apart
         ends = [coords[:, 0].argmin(), coords[:, 0].argmax()]
         return np.array(ends if ends[0] < ends[1] else ends[::-1])
@@ -444,7 +477,7 @@ def _minimal_face(x: np.ndarray, P: Polytope):
             raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
         return P, None
     values = P._facet_values(x)
-    if values is None or not np.logical_and.reduce(values <= GEO * P.scale):
+    if values is None or not _within(values, GEO * P.scale, x):
         raise PointOutsidePolytope(f"{x.tolist()} is not in the polytope")
     normals, offsets = P.facets
     margin = -INTERIOR * P.scale

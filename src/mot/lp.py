@@ -67,6 +67,9 @@ TIME_LIMIT = 60.0
 class LpResult:
     status: LpStatus
     solution: np.ndarray | None = None
+    # on "infeasible", HiGHS's dual ray where it has one: y with
+    # A^T y <= 0 and b^T y > 0 for rows A x = b (its Farkas certificate)
+    ray: np.ndarray | None = None
 
 
 def highs(c, A, row_lo, row_hi, upper=np.inf, feas_tol=SOLVER_FEAS, what="LP") -> LpResult:
@@ -86,8 +89,10 @@ def highs(c, A, row_lo, row_hi, upper=np.inf, feas_tol=SOLVER_FEAS, what="LP") -
     value HiGHS rejects (below 1e-10, say) raises InvalidInput.  So is
     the budget of ``TIME_LIMIT`` seconds of HiGHS run time for this LP.
     Returns an optimal result with x, or an infeasible one (also a model
-    HiGHS rejects).  Any other outcome, "unbounded" and the budget spent
-    among them, or an optimum without a point, raises
+    HiGHS rejects), which carries HiGHS's dual ray (``getDualRay``)
+    where HiGHS reports the model infeasible and has one.  Any other
+    outcome, "unbounded" and the budget spent among them, or an optimum
+    without a point, raises
     SolverError("<what> not solved: <HiGHS model status> (<size>, <budget>)").
     """
     from scipy.optimize._highspy import _core
@@ -133,7 +138,10 @@ def highs(c, A, row_lo, row_hi, upper=np.inf, feas_tol=SOLVER_FEAS, what="LP") -
         if solution.value_valid:
             x = np.array(solution.col_value)
             return LpResult(LpStatus.OPTIMAL, x)
-    elif status in (_core.HighsModelStatus.kInfeasible, _core.HighsModelStatus.kModelError):
+    elif status == _core.HighsModelStatus.kInfeasible:
+        ok, has_ray, ray = solver.getDualRay()
+        return LpResult(LpStatus.INFEASIBLE, ray=np.array(ray) if ok != error and has_ray else None)
+    elif status == _core.HighsModelStatus.kModelError:
         return LpResult(LpStatus.INFEASIBLE)
     raise SolverError(
         f"{what} not solved: {solver.modelStatusToString(status)} "

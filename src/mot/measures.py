@@ -210,7 +210,9 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     at the first axis whose kept pairs force a tight coupling, one whose
     defects are within the level below which a line refutes the order
     (``coupling._tight``): no line could refute it, so the answer is
-    the one every axis would give."""
+    the one every axis would give.  Otherwise "no" comes with a Farkas
+    ray of the coupling LP that every pair prices below its margin
+    (``coupling._broken``), never from HiGHS's word alone."""
     try:
         if mu.ambient_dim == 1:
             _potential_domain(mu, nu)

@@ -10,7 +10,8 @@ factor of the input:
   distance with a constant times the ``extent`` of the point set or
   polytope in hand: the length of its bounding box's diagonal, or for
   a single point the largest absolute coordinate, the only scale a
-  point has.
+  point has.  A polytope's rank, membership and vertex merging never
+  go below the round-off of its coordinates (ROUND times the largest).
 * Mass decisions compare a mass with a constant times the total mass.
 * The coupling LPs and their certificate work on normalised arrays:
   weights over mu's total mass, and points centred on their measure's
@@ -21,9 +22,15 @@ factor of the input:
   RESIDUAL, the instance is too coarse to decide and raises
   InvalidInput.  Two measures whose barycentres differ by more than the
   LP holds its barycentre rows to are not in convex order, however the
-  question is asked.  The max-support LP runs at SOLVER_FEAS; its mask
-  stands where its coupling's residual is within the feasibility
-  tolerance, or else where ``find_coupling`` finds the order holds.
+  question is asked.  ``find_coupling``'s LP poses a shortlist of pairs;
+  where it has no solution, HiGHS's Farkas ray y (largest entry 1)
+  prices every pair, and the order fails only where every price a^T y
+  lies below the margin b^T y less ROUND, the round-off of a price:
+  every coupling has entries summing to 1, so none then exists.  The
+  margin is not compared with FEAS.  The max-support LP runs at
+  SOLVER_FEAS; its mask stands where its coupling's residual is within
+  the feasibility tolerance, or else where ``find_coupling`` finds the
+  order holds.
 * The non-polar mask and ``potential_domain`` read u_nu - u_mu on the
   coordinate axes in turn, in dimension one on the line itself: a
   breakpoint where it is at most the feasibility tolerance times mu's
@@ -81,12 +88,12 @@ RESIDUAL = 1e-8
 # LP runs at it, since at finer ones HiGHS ends "Unknown" on an instance
 # translated by 1e6 and "Unbounded" on some random dilation pairs
 SOLVER_FEAS = 1e-7
-# the round-off of a coordinate, per unit of its magnitude: an instance
-# translated far from the origin is known no more finely than that.  16
-# units in the last place is the smallest power of two at which each of
-# 3 328 translations of the 104 test instances (by +-1e6 and 30 random
-# shifts of 1e4-1e6 each) paved as unmoved; at 8 units 7 of them, at 12
-# units 1, raised SolverError
+# the round-off of a coordinate, and of a Farkas ray's price of a pair,
+# per unit of its magnitude: an instance translated far from the origin
+# is known no more finely than that.  16 units in the last place is the
+# smallest power of two at which each of 3 328 translations of the 104
+# test instances (by +-1e6 and 30 random shifts of 1e4-1e6 each) paved
+# as unmoved; at 8 units 7 of them, at 12 units 1, raised SolverError
 ROUND = 16 * float(np.finfo(float).eps)
 
 

@@ -68,9 +68,10 @@ def stub_highs(monkeypatch):
     """Replace this thread's HiGHS solver in ``lp`` with one whose run
     ends in a chosen way.
 
-    ``stub_highs(status, x=None, load_error=False, run_error=False)``:
+    ``stub_highs(status, x=None, load_error=False, run_error=False, ray=None)``:
     every later solve reports the ``HighsModelStatus`` member named
-    ``status`` and, when ``x`` is given, the point ``x``;
+    ``status`` and, when ``x`` is given, the point ``x``, and when
+    ``ray`` is given, that dual ray (none otherwise);
     ``load_error``/``run_error`` make ``passModel``/``run`` return
     ``kError``.  Options and status strings are the real binding's.
     Each call empties ``lp``'s per-thread slot, so that ``lp._solver``
@@ -82,7 +83,7 @@ def stub_highs(monkeypatch):
 
     from mot import lp
 
-    def stub(status, x=None, load_error=False, run_error=False):
+    def stub(status, x=None, load_error=False, run_error=False, ray=None):
         class FakeHighs(_core._Highs):
             def passModel(self, *args):
                 return _core.HighsStatus.kError if load_error else _core.HighsStatus.kOk
@@ -99,6 +100,10 @@ def stub_highs(monkeypatch):
                     solution.col_value = list(x)
                     solution.value_valid = True
                 return solution
+
+            def getDualRay(self):
+                values = np.zeros(0) if ray is None else np.asarray(ray, dtype=float)
+                return _core.HighsStatus.kOk, ray is not None, values
 
         monkeypatch.setattr(_core, "_Highs", FakeHighs)
         monkeypatch.setattr(lp, "_local", threading.local())

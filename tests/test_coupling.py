@@ -8,6 +8,7 @@ from scipy.sparse import csc_array
 
 from conftest import random_dilation_pair
 from mot import DiscreteMeasure, barycenter, compute_paving, find_coupling
+from mot import coupling
 from mot.coupling import (
     Coupling,
     _certify,
@@ -470,9 +471,9 @@ def test_time_limit_raises_solver_error(stub_highs):
 
 
 def test_gaussian_grid_13_coupling_is_certified(monkeypatch):
-    """The coupling LP over gaussian_grid(13)'s 38 025 pairs, which no
-    line forces, is solved well inside a 10 s budget, and the coupling
-    passes the certificate."""
+    """The coupling LP over the shortlist of gaussian_grid(13)'s 38 025
+    pairs, which no line forces, is solved well inside a 10 s budget,
+    and the coupling passes the certificate."""
     monkeypatch.setattr(lp, "TIME_LIMIT", 10.0)
     mu, nu = gaussian_grid(13)
     s = _scaled(mu, nu)
@@ -480,14 +481,15 @@ def test_gaussian_grid_13_coupling_is_certified(monkeypatch):
 
 
 def test_budget_stops_a_long_solve(monkeypatch):
-    """gaussian_grid(13)'s coupling LP takes about half a second; with a
-    budget far below that it stops at the budget, and the message names
-    it and the LP's size."""
+    """The LP of the largest mass on one of gaussian_grid(13)'s 38 025
+    pairs, from its centre atom, spans every pair and takes about a
+    second; with a budget far below that it stops at the budget,
+    and the message names it and the LP's size."""
     monkeypatch.setattr(lp, "TIME_LIMIT", 0.01)
     mu, nu = gaussian_grid(13)
     message = r"Time limit reached \(732 rows, 38025 columns, 0.01 s budget\)"
     with pytest.raises(SolverError, match=message):
-        find_coupling(mu, nu)
+        max_mass_on_pair(mu, nu, 84, 0)
 
 
 def test_budget_is_per_solve(monkeypatch):
@@ -502,13 +504,24 @@ def test_budget_is_per_solve(monkeypatch):
         find_coupling(mu, nu)
 
 
-def test_infeasible_status_means_not_in_convex_order(stub_highs):
+def test_infeasible_status_without_a_certificate_raises_solver_error(stub_highs):
+    """HiGHS's word alone refutes nothing: on mixed_k(3), where an LP
+    runs, an "infeasible" report without a dual ray, or a model HiGHS
+    rejects, raises SolverError from the coupling and the order, and
+    so does a ray that a pair the LP posed breaks (1 on mu-atom 0's mass
+    row: each of its pairs is priced 1, above the ray's margin mu_0)."""
     mu, nu = mixed_k(3)
     for status in ("kInfeasible", "kModelError"):
         stub_highs(status)
-        with pytest.raises(NotInConvexOrder):
-            find_coupling(mu, nu)
-        assert check_convex_order(mu, nu) is False
+        for call in (find_coupling, check_convex_order):
+            with pytest.raises(SolverError, match="infeasible without a dual ray"):
+                call(mu, nu)
+    ray = np.zeros(mu.n_atoms + nu.n_atoms + 2 * mu.n_atoms)
+    ray[0] = 1.0
+    stub_highs("kInfeasible", ray=ray)
+    for call in (find_coupling, check_convex_order):
+        with pytest.raises(SolverError, match="dual ray fails its check"):
+            call(mu, nu)
     # a solve without an answer on the reversed pair, whose second
     # coordinate line refutes the order
     stub_highs("kUnknown")
@@ -517,30 +530,88 @@ def test_infeasible_status_means_not_in_convex_order(stub_highs):
     assert check_convex_order(nu, mu) is False
 
 
+def test_corrupted_ray_raises_solver_error():
+    """gaussian_grid(5) swapped, nu against mu, has no martingale
+    coupling.  HiGHS's ray of its LP over every pair certifies that
+    (``coupling._broken`` raises NotInConvexOrder); with the sign of its
+    largest entry flipped, a pair is priced above its margin, and the
+    check raises SolverError.  The ray of its LP over every other pair
+    is broken by some pair left out; checked as the ray of an LP that
+    posed one of those too, it raises SolverError."""
+    mu, nu = gaussian_grid(5)
+    every = np.arange(mu.n_atoms * nu.n_atoms)
+    for cols in (every, every[::2]):
+        A, b, s = _constraint_system(nu, mu, pairs=cols)
+        res = lp.highs(np.zeros(cols.size), A, b, b, feas_tol=s.feas)
+        assert res.status is lp.LpStatus.INFEASIBLE
+        if cols is every:
+            with pytest.raises(NotInConvexOrder, match="Farkas ray"):
+                coupling._broken(s, b, res.ray, cols)
+            flipped = res.ray.copy()
+            k = np.argmax(np.abs(flipped))
+            flipped[k] = -flipped[k]
+            with pytest.raises(SolverError, match="dual ray fails its check"):
+                coupling._broken(s, b, flipped, cols)
+        else:
+            broken = coupling._broken(s, b, res.ray, cols)
+            assert broken.size and not np.isin(broken, cols).any()
+            with pytest.raises(SolverError, match="dual ray fails its check"):
+                coupling._broken(s, b, res.ray, np.union1d(cols, broken[:1]))
+
+
+def test_gaussian_grid_17_poses_a_shortlist(monkeypatch):
+    """gaussian_grid(17) has 104 329 pairs.  find_coupling's coupling
+    passes its certificate, and its LPs pose fewer than a fifth of the
+    pairs: the pairs the lines keep among each atom's nearest atoms of
+    the other measure."""
+    mu, nu = gaussian_grid(17)
+    real, columns = coupling._constraint_system, []
+
+    def counted(*args, **kwargs):
+        A, b, s = real(*args, **kwargs)
+        columns.append(A.shape[1])
+        return A, b, s
+
+    monkeypatch.setattr(coupling, "_constraint_system", counted)
+    s = _scaled(mu, nu)
+    _certify(s, find_coupling(mu, nu).matrix / s.mass)
+    assert columns and max(columns) < mu.n_atoms * nu.n_atoms / 5
+
+
 def test_max_support_infeasible_report_is_a_solver_error(stub_highs):
     """Zero is feasible for the max-support LP, so HiGHS calling it
     infeasible is a solver failure, not a refutation of the order: on
     mixed_k(3), where the filter leaves the mask to that LP, the mask
-    calls raise SolverError, never NotInConvexOrder, while the coupling
-    LP, which can be infeasible, reads the same report as
-    NotInConvexOrder."""
+    calls raise SolverError, never NotInConvexOrder.  The coupling LP
+    can be infeasible, but only a dual ray that passes its check
+    refutes the order, so the same report without one is a SolverError
+    there too."""
     mu, nu = mixed_k(3)
     stub_highs("kInfeasible")
     for call in (max_support_coupling, nonpolar_mask):
         with pytest.raises(SolverError, match="HiGHS reports it infeasible"):
             call(mu, nu)
-    with pytest.raises(NotInConvexOrder):
+    with pytest.raises(SolverError, match="infeasible without a dual ray"):
         find_coupling(mu, nu)
+
+
+def _posed(mu, nu, theta):
+    """The entries of the n x m matrix theta on the pairs that
+    ``find_coupling``'s first LP poses (``coupling._shortlist``): the
+    solution a stubbed solver returns for that LP."""
+    s = _scaled(mu, nu)
+    return theta.ravel()[coupling._shortlist(s, coupling._projection_filter(mu, nu, s)[0])]
 
 
 def test_find_coupling_rejects_uncertified_solution(stub_highs):
     """A solution with a negative entry or a marginal residual is an
-    error, not something to clip (mixed_k(3), where an LP runs)."""
+    error, not something to clip (mixed_k(3), where an LP runs over the
+    10 pairs the lines keep, the first two in mu-atom 0's row)."""
     mu, nu = mixed_k(3)
-    good = find_coupling(mu, nu).matrix.ravel()
+    good = _posed(mu, nu, find_coupling(mu, nu).matrix)
     negative = good.copy()
-    assert good[2] == 0.0 < good[1]
-    negative[[2, 1]] += [-1e-3, 1e-3]  # same row sum, one entry < 0
+    assert good.size == 10 and 0.0 < good[0] < 0.1
+    negative[[0, 1]] += [-0.1, 0.1]  # same row sum, one entry < 0
     off_marginal = good * (1.0 + 1e-6)
     for x in (negative, off_marginal):
         stub_highs("kOptimal", x)
@@ -663,32 +734,40 @@ def test_certificate_rejects_damaged_coupling(stub_highs, damage):
     set to -1e-9 (residual 1e-9, below RESIDUAL, but an entry below
     -FEAS), fails the certificate of both coupling LPs; so
     does a NaN in one entry or in every entry, whose comparisons are all
-    false."""
+    false.  The coupling LP's solution holds the pairs it poses
+    (``_posed``); every pair mixed_k(3)'s LP poses carries mass, so
+    there no empty entry of that LP's solution is damaged."""
     message = {
         "perturbed": "residual 1e-06",
         "negative": "lowest entry -1e-09",
     }.get(damage, "residual nan, lowest entry nan")
+
+    def damaged(theta):
+        theta = theta.copy()
+        if damage == "perturbed":
+            theta[np.argmax(theta)] += 1e-6
+        elif damage == "negative":
+            theta[np.flatnonzero(theta == 0.0)[0]] = -1e-9
+        elif damage == "nan-entry":
+            theta[np.argmax(theta)] = np.nan
+        else:
+            theta[:] = np.nan
+        return theta
+
     cases = []
     for mu, nu in (mixed_k(3), mixed_k(4)):
         mask, cert = max_support_coupling(mu, nu)
         for theta in (find_coupling(mu, nu).matrix, cert.matrix):
-            theta = theta.ravel().copy()
-            if damage == "perturbed":
-                theta[np.argmax(theta)] += 1e-6
-            elif damage == "negative":
-                theta[np.flatnonzero(theta == 0.0)[0]] = -1e-9
-            elif damage == "nan-entry":
-                theta[np.argmax(theta)] = np.nan
-            else:
-                theta[:] = np.nan
-            cases.append((mu, nu, mask.ravel().astype(float), theta))
-    for mu, nu, s, theta in cases:
-        stub_highs("kOptimal", theta)
-        with pytest.raises(SolverError, match=message):
-            find_coupling(mu, nu)
+            cases.append((mu, nu, mask, theta, _posed(mu, nu, theta)))
+    for mu, nu, mask, theta, posed in cases:
+        if damage != "negative" or (posed == 0.0).any():
+            stub_highs("kOptimal", damaged(posed))
+            with pytest.raises(SolverError, match=message):
+                find_coupling(mu, nu)
         # the max-support LP's point [s | t | tau] with W (s + t) / tau = theta
+        s = mask.ravel().astype(float)
         w = np.minimum(mu.weights[:, None], nu.weights[None, :]).ravel()
-        stub_highs("kOptimal", np.concatenate([s, theta / w - s, [1.0]]))
+        stub_highs("kOptimal", np.concatenate([s, damaged(theta.ravel()) / w - s, [1.0]]))
         with pytest.raises(SolverError, match=message):
             max_support_coupling(mu, nu)
 

@@ -39,7 +39,7 @@ from mot.geometry import (
 )
 from mot.pwl import PwlConvex, affine_component, flat_region
 from mot.measures import barycenter
-from mot.tolerance import GEO, INTERIOR, SLACK, extent
+from mot.tolerance import GEO, INTERIOR, ROUND, SLACK, extent
 
 SQUARE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 SEGMENT = Polytope([[0.0, 0.0], [1.0, 0.0]])
@@ -557,6 +557,30 @@ def test_region_facets_match_qhull():
     assert {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)} <= dims
 
 
+def test_two_vertices_far_from_the_origin_span_a_segment():
+    """Four seeded rows through (or up to 1e-8 past) one point, with the
+    box [-2, 2]^2, moved by 1e6: the region is two vertices 5.9e-9
+    apart.  The singular values of their centred coordinates include the
+    round-off of coordinates near 1e6 (about 1e-10), far above GEO times
+    their extent; the frame's rank counts only those above that
+    round-off, so the region is a segment.  Its facets need no qhull,
+    and its minimal face at each vertex is that vertex."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.5, 1.5, size=2)
+    G = rng.normal(size=(4, 2))
+    c = -G @ x - rng.uniform(0.0, 1e-8, size=4) * (rng.random(4) < 0.7)
+    shift = np.full(2, 1e6)
+    box = Polytope(np.array(list(itertools.product((-2.0, 2.0), repeat=2))) + shift, minimal=True)
+    region = intersect_halfspaces_with_polytope(G, c - G @ shift, box)
+    assert region.n_vertices == 2
+    assert 5e-9 < np.abs(region.vertices[0] - region.vertices[1]).max() < 1e-8
+    assert region.frame.dim == region.affine_dim == 1
+    normals, _ = region.facets
+    assert normals.shape == (2, 1)
+    for v in region.vertices:
+        assert np.array_equal(minimal_face(v, region).vertices, [v])
+
+
 def test_enumeration_above_the_subset_limit_raises():
     """400 random rows through a point of [-2, 2]^4, with the 8 box
     facets C(408, 4) = 1.1e9 subsets: InvalidInput at once, with no
@@ -767,14 +791,19 @@ def _extent_plain(pts):
     return diagonal if diagonal > 0.0 else float(np.abs(hi).max())
 
 
+def _round_off_plain(x, spread=0.0):
+    return ROUND * (float(np.abs(x).max()) + spread)
+
+
 def _frame_plain(pts, scale):
     base = pts.mean(axis=0)
     centered = pts - base
+    rank = max(GEO * scale, _round_off_plain(base, scale))
     if pts.shape[1] == 1:
-        basis = np.ones((int(np.linalg.norm(centered) > GEO * scale), 1))
+        basis = np.ones((int(np.linalg.norm(centered) > rank), 1))
     else:
         _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        basis = vt[: int(np.sum(s > GEO * scale))]
+        basis = vt[: int(np.sum(s > rank))]
     return AffineSubspace(base, basis, basis.shape[0], scale), centered @ basis.T
 
 
@@ -819,13 +848,13 @@ class _Plain:
 
 def _hull_plain(pts, minimal=False):
     scale = _extent_plain(pts)
-    pts = _dedupe_loop(pts, GEO * scale)
+    pts = _dedupe_loop(pts, max(GEO * scale, math.sqrt(2.0) * _round_off_plain(pts[0], 2.0 * scale)))
     if minimal or len(pts) <= 2:
         return _Plain(pts, scale)
     frame, coords = _frame_plain(pts, scale)
     k, m = coords.shape
-    if k == m + 1:
-        keep = np.arange(k)
+    if k == m + 1 or m == 0:
+        keep = np.arange(m + 1)
     elif m == 1:
         keep = np.unique([coords[:, 0].argmin(), coords[:, 0].argmax()])
     else:
@@ -838,7 +867,8 @@ def _values_plain(P, x):
     diff = x - P.frame.base_point
     u = P.frame.basis @ diff
     residual = diff - u @ P.frame.basis
-    if np.linalg.norm(residual) > SLACK * max(P.frame.scale, np.linalg.norm(diff)):
+    bound = max(SLACK * max(P.frame.scale, np.linalg.norm(diff)), _round_off_plain(x))
+    if np.linalg.norm(residual) > bound:
         return None
     normals, offsets = P.facets
     return normals @ u + offsets
@@ -848,7 +878,8 @@ def _contains_plain(P, x):
     if len(P.vertices) == 1:
         return bool(np.max(np.abs(P.vertices[0] - x)) <= GEO * P.scale)
     values = _values_plain(P, x)
-    return values is not None and bool(np.all(values <= GEO * P.scale))
+    tol = max(GEO * P.scale, _round_off_plain(x))
+    return values is not None and bool(np.all(values <= tol))
 
 
 def _minimal_face_plain(x, P):
@@ -857,7 +888,7 @@ def _minimal_face_plain(x, P):
             raise PointOutsidePolytope
         return P, None
     values = _values_plain(P, x)
-    if values is None or not np.all(values <= GEO * P.scale):
+    if values is None or not np.all(values <= max(GEO * P.scale, _round_off_plain(x))):
         raise PointOutsidePolytope
     normals, offsets = P.facets
     margin = -INTERIOR * P.scale

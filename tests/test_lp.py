@@ -305,8 +305,10 @@ def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
     """One thread's solver, reused over a sequence that changes the
     tolerances, fails, raises and swaps sizes, answers every LP bit for
     bit as a solver built for that LP alone."""
+    from mot import coupling
     from mot.coupling import _constraint_system, find_coupling
     from mot.fixtures import gaussian_grid, mixed_k
+    from mot.measures import _scaled
     from mot.tolerance import FEAS, GEO
 
     reused = lp._solver()
@@ -343,12 +345,17 @@ def test_reused_solver_answers_like_a_fresh_one(stub_highs, monkeypatch):
         lp.highs(*coupling_lp(small, FEAS)[0], feas_tol=FEAS)
     monkeypatch.undo()
     # the reused solver's last LP ran at SOLVER_FEAS, HiGHS's default, at
-    # which this coupling fails its certificate; FEAS must hold again
+    # which this coupling fails its certificate; FEAS must hold again.
+    # find_coupling's LP poses the shortlist of the pairs the lines keep
     mu, nu = gaussian_grid(9)
     theta = find_coupling(mu, nu).matrix
-    A, b, _ = _constraint_system(mu, nu)
+    s = _scaled(mu, nu)
+    cols = coupling._shortlist(s, coupling._projection_filter(mu, nu, s)[0])
+    A, b, _ = _constraint_system(mu, nu, pairs=cols)
     _, x = _fresh_highs(np.zeros(A.shape[1]), A, b, b, feas_tol=FEAS)
-    expected = np.maximum(x, 0.0).reshape(theta.shape) * mu.total_mass
+    expected = np.zeros(theta.size)
+    expected[cols] = x
+    expected = np.maximum(expected, 0.0).reshape(theta.shape) * s.mass
     assert theta.tobytes() == expected.tobytes()
     _assert_as_fresh(*coupling_lp(small, GEO))
     _assert_as_fresh(*coupling_lp(large, FEAS))

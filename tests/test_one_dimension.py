@@ -203,14 +203,23 @@ def test_narrow_light_components_against_the_lp(monkeypatch):
     assert 0 < fallbacks < 49
 
 
-def test_narrow_components_in_the_plane_are_not_refuted():
+def test_narrow_components_in_the_plane_are_not_refuted(monkeypatch):
     """``_narrow`` with masses e down to 1e-10, embedded in the plane:
     every instance is in convex order, with a certified coupling.  Where
     e is at most POLAR the first axis drops the pairs that carry it, and
-    the pairs left carry no coupling.  That does not refute the order,
-    so the mask and the paving answer or raise SolverError, never
-    NotInConvexOrder."""
-    unsettled = 0
+    the pairs left carry no coupling.  That does not refute the order:
+    the coupling LP over the pairs left is infeasible, the pairs that
+    break its Farkas ray join it, and the LP is solved again, so some
+    orders take more than one LP.  The mask and the paving answer or
+    raise SolverError, never NotInConvexOrder."""
+    real, solved = lp.highs, []
+
+    def counted(*args, **kwargs):
+        solved.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "highs", counted)
+    unsettled = repriced = 0
     for c in (0.0, 3.0):
         for e in 10.0 ** -np.arange(1, 11):
             for w in 10.0 ** -np.arange(1, 8):
@@ -218,14 +227,16 @@ def test_narrow_components_in_the_plane_are_not_refuted():
                     DiscreteMeasure(np.hstack([m.points, np.zeros_like(m.points)]), m.weights)
                     for m in _narrow(c, e, w)
                 )
+                solved.clear()
                 assert check_convex_order(mu, nu), (c, e, w)
+                repriced += len(solved) > 1
                 for f in (nonpolar_mask, compute_paving):
                     try:
                         f(mu, nu)
                     except SolverError as err:
                         assert e <= POLAR, (c, e, w)
                         unsettled += "carry no coupling" in str(err)
-    assert unsettled > 0
+    assert unsettled > 0 and repriced > 0
 
 
 @pytest.mark.parametrize("plane", [False, True])
