@@ -26,8 +26,9 @@ relative-interior tests and minimal faces at ``INTERIOR``, times it.
 Polytopes are bounded and stored by their vertices.  Lower-dimensional
 polytopes are handled in their affine-hull coordinates, so faces and
 half-space descriptions are genuine ones of the set itself and not of
-the ambient space.  Only ``relative_interiors_intersect`` solves a
-linear program (``lp.highs``).
+the ambient space.  No function here solves a linear program: two
+relative interiors meet iff the origin is in the relative interior of
+the hull of the vertex differences (``relative_interiors_intersect``).
 
 The sets are small: a flat region in dimension m has its 2m box facets
 and a few rows more, and hulls and faces a handful of vertices.  A call
@@ -52,7 +53,6 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from . import lp
 from .errors import DimensionMismatch, InvalidInput, PointOutsidePolytope
 from .tolerance import GEO, INTERIOR, ROUND, SLACK, extent
 
@@ -370,10 +370,11 @@ def _match_point_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 def _hull(pts: np.ndarray, scale: float | None = None):
     """The convex hull of checked points of extent scale (their
-    ``extent`` where not given), no two within GEO scale of each other:
-    the indices of its vertices, ascending, its frame and the vertices'
-    frame coordinates; the holder builds its facets on first read.
-    One or two points are their own vertices, with no frame: the holder
+    ``extent`` where not given): the indices of its vertices, ascending,
+    its frame and the vertices' frame coordinates; the holder builds its
+    facets on first read.  Of points that coincide at most one is a
+    vertex, except that one or two points, which the caller keeps
+    distinct, are their own vertices, with no frame: the holder
     builds it on first use (``Polytope.frame``), as this would, and its
     ``affine_dim`` is n_vertices - 1 without it."""
     if pts.shape[0] <= 2:
@@ -386,9 +387,11 @@ def _hull(pts: np.ndarray, scale: float | None = None):
 
 
 def _distinct_hull(pts: np.ndarray) -> Polytope:
-    """``convex_hull`` of checked points no two of which are within GEO
-    times their extent of each other, such as a subset of a measure's
-    atoms: ``_hull`` with nothing to dedupe."""
+    """``convex_hull`` of checked points without its deduplication, for
+    points with nothing to dedupe, such as a subset of a measure's atoms,
+    or too many to dedupe, such as the vertex differences of two
+    polytopes (moved by a vertex): those can coincide, and qhull keeps
+    one of each."""
     keep, frame, coords = _hull(pts)
     return Polytope._built(pts[keep], frame, coords)
 
@@ -447,8 +450,7 @@ def convex_hull(points) -> Polytope:
 
 def in_relative_interior(x, P: Polytope) -> bool:
     """True iff x lies on the affine hull of P and at distance at least
-    INTERIOR ``P.scale`` inside every facet (a distance margin, not a
-    margin on the barycentric weights); for a point, iff x is in P."""
+    INTERIOR ``P.scale`` inside every facet; for a point, iff x is in P."""
     x = as_point(x, P.ambient_dim)
     if P.n_vertices == 1:
         return P._contains(x)
@@ -494,39 +496,17 @@ def _minimal_face(x: np.ndarray, P: Polytope):
 
 def relative_interiors_intersect(P: Polytope, Q: Polytope) -> bool:
     """True iff some point is in the relative interior of both polytopes:
-    a common point has barycentric weights of at least INTERIOR in both
-    (one LP, on the vertices centred on one of P's and divided by the
-    extent of both; it is bounded, as s <= 1, so ``lp.highs`` raises
-    SolverError on an "unbounded" report).  A point polytope asks
-    ``in_relative_interior``."""
+    ri Q - ri P is ri(Q - P) (Rockafellar, *Convex Analysis*, Cor.
+    6.6.2), so they meet iff the origin is in the relative interior of
+    the hull of the vertex differences q - p (``in_relative_interior``).
+    That hull is taken moved by one of P's vertices, x, and asked about
+    x: it then carries the round-off of the coordinates, which no
+    tolerance goes below, and a point P is asked about Q itself."""
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("polytopes live in different ambient spaces")
-    if P.n_vertices == 1:
-        return in_relative_interior(P.vertices[0], Q)
-    if Q.n_vertices == 1:
-        return in_relative_interior(Q.vertices[0], P)
-    k, d = P.vertices.shape
-    r = Q.vertices.shape[0]
-    centre = P.vertices[0]
-    scale = extent(P.vertices, Q.vertices)
-    # variables l_1..l_k, m_1..m_r, s: maximise s subject to
-    # sum l_a p_a = sum m_b q_b, sum l = sum m = 1, l, m >= s, s <= 1
-    n = k + r + 1
-    A = np.zeros((d + 2 + k + r, n))
-    A[:d, :k] = ((P.vertices - centre) / scale).T
-    A[:d, k : k + r] = -((Q.vertices - centre) / scale).T
-    A[d, :k] = 1.0
-    A[d + 1, k : k + r] = 1.0
-    A[d + 2 :, : k + r] = np.eye(k + r)
-    A[d + 2 :, -1] = -1.0
-    row_lo = np.concatenate([np.zeros(d), [1.0, 1.0], np.zeros(k + r)])
-    row_hi = np.concatenate([np.zeros(d), [1.0, 1.0], np.full(k + r, np.inf)])
-    upper = np.full(n, np.inf)
-    upper[-1] = 1.0
-    c = np.zeros(n)
-    c[-1] = -1.0
-    res = lp.highs(c, A, row_lo, row_hi, upper=upper, feas_tol=GEO, what="relative-interior LP")
-    return res.status is lp.LpStatus.OPTIMAL and bool(res.solution[-1] >= INTERIOR)
+    x = P.vertices[0]
+    moved = (x + (Q.vertices - P.vertices[:, None, :])).reshape(-1, P.ambient_dim)
+    return in_relative_interior(x, _distinct_hull(moved))
 
 
 def halfspaces(P: Polytope) -> tuple[np.ndarray, np.ndarray]:

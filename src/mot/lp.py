@@ -2,8 +2,8 @@
 
 ``highs`` solves min c @ x subject to row_lo <= A x <= row_hi and
 0 <= x <= upper, and every LP of the package goes through it: the
-sparse coupling LPs of ``coupling`` and the relative-interior LP of
-``geometry``.  It takes the constraint matrix as a ``CscMatrix`` (the
+sparse coupling LPs of ``coupling``.  It takes the constraint matrix as
+a ``CscMatrix`` (the
 raw compressed-column arrays, which the coupling LPs write directly
 and which go to HiGHS without a ``scipy.sparse`` object or its format
 checks) or as anything ``scipy.sparse.csc_array`` converts.  It drives

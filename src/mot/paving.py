@@ -91,7 +91,9 @@ def compute_paving(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ConvexPaving:
     cells = []
     singles = []
     for hull, members in groups.values():
-        if hull.is_singleton():
+        # an atom left no nu-atom (its mass below the feasibility
+        # tolerance) is its own singleton too, as in ``reachable_set``
+        if hull.n_vertices <= 1:
             singles.extend(members)
         else:
             cells.append(PavingCell(members, hull, hull.affine_dim))
@@ -131,7 +133,7 @@ def verify_against_coupling(p: ConvexPaving, c: Coupling) -> ConfinementReport:
     POLAR times the coupling's mass, and any NaN entry.  Two cells
     whose vertex bounding boxes are more than GEO times that extent
     apart in some coordinate are disjoint; only the other pairs are
-    decided by ``relative_interiors_intersect`` (one LP each).  A
+    decided by ``relative_interiors_intersect`` (one hull each, no LP).  A
     coupling with either support in another dimension than the paving's
     raises DimensionMismatch; one whose rows are not the paving's atoms,
     in its order and within GEO times that extent, raises InvalidInput."""

@@ -70,8 +70,7 @@ GEO = 1e-9
 # points computed by solving (candidate vertices, points off an affine
 # hull) are held to this, per unit of extent
 SLACK = 10 * GEO
-# the relative-interior margin, per unit of extent; a barycentric weight
-# in relative_interiors_intersect; the default tol of
+# the relative-interior margin, per unit of extent; the default tol of
 # Polytope.same_vertices
 INTERIOR = 1e-7
 # a coupling entry above POLAR times the total mass is a transport; the

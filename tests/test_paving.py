@@ -80,6 +80,19 @@ def test_paving_rejects_unordered_pair():
             f(mu, nu)
 
 
+def test_atom_left_no_nu_atom_is_a_singleton():
+    """The axes separate atom 2, of mass 1e-12 to 1e-10, from every
+    nu-atom, and its mass is below the feasibility tolerance, so its mask
+    row is empty: it is a singleton, not a cell with no vertices."""
+    nu = DiscreteMeasure([[-1.0, 0.0], [1.0, 0.0], [10.0, 9.0], [10.0, 11.0]], [0.5] * 4)
+    for w in (1e-12, 1e-11, 1e-10):
+        mu = DiscreteMeasure([[0.0, 0.0], [10.0, 10.0], [0.0, 10.0]], [1.0, 1.0, w])
+        assert not nonpolar_mask(mu, nu)[2].any()
+        p = compute_paving(mu, nu)
+        assert [c.members for c in p.cells] == [[0], [1]] and p.singletons == [2]
+        assert verify_against_coupling(p, find_coupling(mu, nu)).ok
+
+
 def test_domain_counts():
     for k in (2, 3):
         mu, nu = discrete_k(k)
@@ -219,9 +232,10 @@ def test_verify_against_coupling_reports_overlapping_cells():
 
 def test_overlap_shortcut_agrees_with_lp(random_instances, monkeypatch):
     """Cells whose vertex bounding boxes are more than GEO times the
-    extent of the instance apart in some coordinate have disjoint relative interiors by the LP too, and
-    verify_against_coupling reports the overlaps of one LP per pair while
-    solving an LP only for the pairs the boxes leave open."""
+    extent of the instance apart in some coordinate have disjoint
+    relative interiors by the exact test too, and verify_against_coupling
+    reports the overlaps of that test on every pair while running it only
+    on the pairs the boxes leave open."""
     import mot.paving
 
     cases = [(p, c) for _, _, p, c in random_instances]
@@ -250,7 +264,7 @@ def test_overlap_shortcut_agrees_with_lp(random_instances, monkeypatch):
                 expected.append((a, b))
         assert verify_against_coupling(p, c).overlaps == expected
         assert len(lp_pairs) == open_pairs
-    # the 40 columns of continuous_grid(40) are decided without an LP
+    # the 40 columns of continuous_grid(40) are decided by their boxes alone
     assert len(p.cells) == 40 and lp_pairs == []
 
 
